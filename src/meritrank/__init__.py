@@ -20,7 +20,6 @@ from .corpus import (
 )
 from .errors import (
     AllocationError,
-    CalibrationError,
     MeritrankError,
     UndefinedStatisticError,
     ValidationError,

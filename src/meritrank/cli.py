@@ -18,6 +18,7 @@ from pathlib import Path
 
 from ._version import __version__
 from .aggregation import (
+    DEFAULT_MIN_STAFF,
     LEVEL_SDS,
     LEVEL_UDA,
     PSTAR_MEAN_OF_UNITS,
@@ -28,25 +29,29 @@ from .aggregation import (
     uda_unit_scores,
 )
 from .corpus import DEFAULT_WINDOW, load_corpus
-from .errors import (
-    CalibrationError,
-    MeritrankError,
-    UndefinedStatisticError,
-    ValidationError,
-)
+from .errors import MeritrankError, UndefinedStatisticError, ValidationError
 from .funding import FundingPolicy, allocate, national_top_census, paradox_report
 from .indicators import productivity_stats, score_corpus
 from .normalization import EQUAL_FRACTIONAL, POSITIONAL, CreditScheme
 from .scenario import (
+    DEFAULT_SHARE,
+    DEFAULT_TRANSITION_CLASSES,
     SCOPE_NATIONAL,
     SCOPE_UNIT,
     counterfactual_rankings,
     select_top,
     shift_gini_scatter,
 )
-from .stats import bottom_top_ratio
+from .stats import bottom_top_ratio, top20_impact_share
 from . import reports
-from .synth import CalibrationTargets, GeneratorProfile, calibrate, generate, write_corpus
+from .synth import (
+    DEFAULT_TOLERANCE,
+    CalibrationTargets,
+    GeneratorProfile,
+    calibrate,
+    generate,
+    write_corpus,
+)
 
 log = logging.getLogger(__name__)
 
@@ -57,75 +62,19 @@ EXIT_IO = 3
 
 CREDIT_MODES = {"equal": EQUAL_FRACTIONAL, "positional": POSITIONAL}
 
-CORPUS_DEFAULTS = {
-    "corpus": None,
-    "window": DEFAULT_WINDOW,
-    "credit": "equal",
-    "first_w": 2.0,
-    "last_w": 2.0,
-    "middle_w": 1.0,
-    "extramural_discount": 1.0,
-    "min_staff": 5,
-    "pstar": PSTAR_MEAN_OF_UNITS,
-}
+# Namespace entries that steer dispatch and are not options of a command.
+_DISPATCH_KEYS = ("command", "config", "verbose", "handler")
 
-GEN_DEFAULTS = {"profile": None, "seed": None, "out": None}
 
-CALIBRATE_DEFAULTS = {
-    "profile": None,
-    "seed": None,
-    "out": None,
-    "target_non_productive": 0.17,
-    "target_nil_impact": 0.25,
-    "target_top20_share": 0.77,
-    "tolerance": 0.03,
-}
+def _window(value) -> tuple[int, ...]:
+    years = tuple(int(x) for x in value)
+    if len(years) != 2:
+        raise ValidationError(f"--window needs exactly 2 years, got {years}")
+    return years
 
-INDICATORS_DEFAULTS = {**CORPUS_DEFAULTS, "out": None}
-
-RANK_DEFAULTS = {**CORPUS_DEFAULTS, "level": None, "field": None, "out": None, "json": None}
-
-COUNTERFACTUAL_DEFAULTS = {
-    **CORPUS_DEFAULTS,
-    "level": None,
-    "field": None,
-    "share": 0.2,
-    "classes": 5,
-    "refit_pstar": False,
-    "out": None,
-    "svg": None,
-    "transition": None,
-}
-
-FUND_DEFAULTS = {
-    **CORPUS_DEFAULTS,
-    "uda": None,
-    "budget": Fraction(1_000_000),
-    "classes": 4,
-    "ratio": Fraction(3),
-    "bottom_funded": False,
-    "share": 0.2,
-    "out": None,
-    "census": None,
-    "findings": None,
-}
-
-REPORT_ALL_DEFAULTS = {
-    **CORPUS_DEFAULTS,
-    "profile": None,
-    "seed": None,
-    "out": None,
-    "budget": Fraction(1_000_000),
-    "global_budget": None,
-    "classes": 4,
-    "ratio": Fraction(3),
-    "bottom_funded": False,
-    "share": 0.2,
-    "transition_classes": 5,
-}
 
 _CONFIG_COERCIONS = {
-    "window": lambda v: tuple(int(x) for x in v),
+    "window": _window,
     "budget": lambda v: Fraction(str(v)),
     "global_budget": lambda v: Fraction(str(v)),
     "ratio": lambda v: Fraction(str(v)),
@@ -141,28 +90,6 @@ def _load_config_file(path) -> dict:
     if not isinstance(data, dict):
         raise ValidationError(f"config file {path}: expected a JSON object")
     return data
-
-
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """Merge flag > config-file > default; reject unknown config keys."""
-    config = _load_config_file(args.config) if args.config else {}
-    unknown = set(config) - set(defaults)
-    if unknown:
-        raise ValidationError(f"config file {args.config}: unknown keys {sorted(unknown)}")
-    resolved = {}
-    for key, default in defaults.items():
-        cli_value = getattr(args, key, None)
-        if cli_value is not None:
-            resolved[key] = cli_value
-        elif key in config:
-            value = config[key]
-            coerce = _CONFIG_COERCIONS.get(key)
-            resolved[key] = coerce(value) if coerce else value
-        else:
-            resolved[key] = default
-    if resolved.get("window") is not None and len(resolved["window"]) != 2:
-        raise ValidationError(f"--window needs exactly 2 years, got {resolved['window']}")
-    return resolved
 
 
 def _required(cfg: dict, key: str, flag: str):
@@ -199,13 +126,12 @@ def _manifest_path(out_path) -> Path:
 
 def _load_profile(cfg: dict) -> GeneratorProfile:
     profile = GeneratorProfile.from_json(cfg["profile"]) if cfg["profile"] else GeneratorProfile()
-    if cfg.get("seed") is not None:
+    if cfg["seed"] is not None:
         profile = replace(profile, seed=int(cfg["seed"]))
     return profile
 
 
-def cmd_gen(args) -> int:
-    cfg = _resolve(args, GEN_DEFAULTS)
+def cmd_gen(cfg: dict) -> int:
     out = _required(cfg, "out", "--out")
     profile = _load_profile(cfg)
     corpus = generate(profile)
@@ -220,8 +146,7 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def cmd_calibrate(args) -> int:
-    cfg = _resolve(args, CALIBRATE_DEFAULTS)
+def cmd_calibrate(cfg: dict) -> int:
     out = _required(cfg, "out", "--out")
     profile = _load_profile(cfg)
     targets = CalibrationTargets(
@@ -246,8 +171,7 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-def cmd_indicators(args) -> int:
-    cfg = _resolve(args, INDICATORS_DEFAULTS)
+def cmd_indicators(cfg: dict) -> int:
     out = _required(cfg, "out", "--out")
     corpus = _load(cfg)
     scored = score_corpus(corpus, _credit_scheme(cfg))
@@ -257,22 +181,47 @@ def cmd_indicators(args) -> int:
     return EXIT_OK
 
 
-def _ranked_units(scored, level: str, cfg: dict):
-    units = sds_unit_scores(scored.scores)
+def _ranked_units(units, level: str, cfg: dict, taxonomy):
+    """Rankings per field at `level` from the per-(university, SDS) unit scores."""
     if level == LEVEL_SDS:
         return rank_units(units, LEVEL_SDS, cfg["min_staff"])
     p_stars = national_averages(units, cfg["pstar"])
-    area_units = uda_unit_scores(units, p_stars, scored.corpus.taxonomy)
+    area_units = uda_unit_scores(units, p_stars, taxonomy)
     return rank_units(area_units, LEVEL_UDA, cfg["min_staff"])
 
 
-def cmd_rank(args) -> int:
-    cfg = _resolve(args, RANK_DEFAULTS)
+def _fund_area(scored, ranking, uda: str, budget, cfg: dict, selection=None):
+    """Allocate one area's budget over its ranking and take the top-scientist census.
+
+    Returns (allocation, census, paradox findings). `selection` is the
+    national top selection; the census draws it when none is given.
+    """
+    policy = FundingPolicy(
+        n_classes=cfg["classes"],
+        adjacent_ratio=cfg["ratio"],
+        bottom_class_funded=cfg["bottom_funded"],
+        budget=budget,
+    )
+    allocation = allocate(ranking, policy, uda)
+    census = national_top_census(
+        scored.scores,
+        scored.corpus.taxonomy,
+        uda,
+        allocation.class_of(),
+        n_classes=cfg["classes"],
+        share=cfg["share"],
+        min_staff=cfg["min_staff"],
+        selection=selection,
+    )
+    return allocation, census, paradox_report(census, allocation)
+
+
+def cmd_rank(cfg: dict) -> int:
     level = _required(cfg, "level", "--level")
     out = _required(cfg, "out", "--out")
     corpus = _load(cfg)
     scored = score_corpus(corpus, _credit_scheme(cfg))
-    rankings = _ranked_units(scored, level, cfg)
+    rankings = _ranked_units(sds_unit_scores(scored.scores), level, cfg, corpus.taxonomy)
     field = cfg["field"]
     if field is not None and field not in rankings:
         raise ValidationError(f"--field {field!r}: no ranked units at level {level}")
@@ -285,8 +234,7 @@ def cmd_rank(args) -> int:
     return EXIT_OK
 
 
-def cmd_counterfactual(args) -> int:
-    cfg = _resolve(args, COUNTERFACTUAL_DEFAULTS)
+def cmd_counterfactual(cfg: dict) -> int:
     level = _required(cfg, "level", "--level")
     out = _required(cfg, "out", "--out")
     corpus = _load(cfg)
@@ -300,7 +248,7 @@ def cmd_counterfactual(args) -> int:
         min_staff=cfg["min_staff"],
         k_classes=cfg["classes"],
         pstar_mode=cfg["pstar"],
-        refit_pstar=bool(cfg["refit_pstar"]),
+        refit_pstar=cfg["refit_pstar"],
     )
     field = cfg["field"]
     if field is not None and field not in cf:
@@ -324,37 +272,18 @@ def cmd_counterfactual(args) -> int:
     return EXIT_OK
 
 
-def cmd_fund(args) -> int:
-    cfg = _resolve(args, FUND_DEFAULTS)
+def cmd_fund(cfg: dict) -> int:
     uda = _required(cfg, "uda", "--uda")
     out = _required(cfg, "out", "--out")
     corpus = _load(cfg)
     scored = score_corpus(corpus, _credit_scheme(cfg))
-    rankings = _ranked_units(scored, LEVEL_UDA, cfg)
+    rankings = _ranked_units(sds_unit_scores(scored.scores), LEVEL_UDA, cfg, corpus.taxonomy)
     if uda not in rankings:
         raise ValidationError(f"--uda {uda!r}: no ranked universities in that area")
-    policy = FundingPolicy(
-        n_classes=cfg["classes"],
-        adjacent_ratio=cfg["ratio"],
-        bottom_class_funded=bool(cfg["bottom_funded"]),
-        budget=cfg["budget"],
-    )
-    allocation = allocate(rankings[uda], policy, uda)
-    selection = select_top(scored.scores, SCOPE_NATIONAL, cfg["share"], cfg["min_staff"])
-    census = national_top_census(
-        scored.scores,
-        corpus.taxonomy,
-        uda,
-        allocation.class_of(),
-        n_classes=cfg["classes"],
-        share=cfg["share"],
-        min_staff=cfg["min_staff"],
-        selection=selection,
-    )
-    findings = paradox_report(census, allocation)
+    allocation, census, findings = _fund_area(scored, rankings[uda], uda, cfg["budget"], cfg)
     reports.write_allocation_csv(out, allocation)
     if cfg["census"]:
-        reports.write_census_csv(cfg["census"], census, allocation)
+        reports.write_combined_census_csv(cfg["census"], [(uda, census, allocation)], with_uda=False)
     if cfg["findings"]:
         reports.write_findings_json(cfg["findings"], {uda: findings})
     reports.write_manifest(_manifest_path(out), "fund", cfg, _corpus_paths(cfg["corpus"]))
@@ -366,8 +295,7 @@ def cmd_fund(args) -> int:
     return EXIT_OK
 
 
-def cmd_report_all(args) -> int:
-    cfg = _resolve(args, REPORT_ALL_DEFAULTS)
+def cmd_report_all(cfg: dict) -> int:
     out_dir = Path(_required(cfg, "out", "--out"))
     out_dir.mkdir(parents=True, exist_ok=True)
     inputs: list[Path] = []
@@ -404,11 +332,9 @@ def cmd_report_all(args) -> int:
     reports.write_concentration_csv(out_dir / "concentration_sds.csv", concentration_rows)
 
     units = sds_unit_scores(scored.scores)
-    rankings_sds = rank_units(units, LEVEL_SDS, cfg["min_staff"])
+    rankings_sds = _ranked_units(units, LEVEL_SDS, cfg, corpus.taxonomy)
     reports.write_ranking_csv(out_dir / "ranks_sds.csv", rankings_sds)
-    p_stars = national_averages(units, cfg["pstar"])
-    area_units = uda_unit_scores(units, p_stars, corpus.taxonomy)
-    rankings_uda = rank_units(area_units, LEVEL_UDA, cfg["min_staff"])
+    rankings_uda = _ranked_units(units, LEVEL_UDA, cfg, corpus.taxonomy)
     reports.write_ranking_csv(out_dir / "ranks_uda.csv", rankings_uda)
 
     selection = select_top(scored.scores, SCOPE_UNIT, cfg["share"], cfg["min_staff"])
@@ -464,34 +390,17 @@ def cmd_report_all(args) -> int:
     skipped_udas = []
     for uda in sorted(rankings_uda):
         try:
-            policy = FundingPolicy(
-                n_classes=cfg["classes"],
-                adjacent_ratio=cfg["ratio"],
-                bottom_class_funded=bool(cfg["bottom_funded"]),
-                budget=budgets[uda],
+            allocation, census, findings = _fund_area(
+                scored, rankings_uda[uda], uda, budgets[uda], cfg, national_selection
             )
-            allocation = allocate(rankings_uda[uda], policy, uda)
-        except (UndefinedStatisticError, MeritrankError) as exc:
+        except MeritrankError as exc:
             skipped_udas.append({"uda": uda, "reason": str(exc)})
             continue
-        census = national_top_census(
-            scored.scores,
-            corpus.taxonomy,
-            uda,
-            allocation.class_of(),
-            n_classes=cfg["classes"],
-            share=cfg["share"],
-            min_staff=cfg["min_staff"],
-            selection=national_selection,
-        )
-        findings_by_uda[uda] = paradox_report(census, allocation)
+        findings_by_uda[uda] = findings
         census_entries.append((uda, census, allocation))
-    reports.write_combined_census_csv(out_dir / "funding_census.csv", census_entries)
+    reports.write_combined_census_csv(out_dir / "funding_census.csv", census_entries, with_uda=True)
     reports.write_findings_json(out_dir / "paradoxes.json", findings_by_uda)
 
-    ss_values = sorted((s.ss for s in scored.scores.values()), reverse=True)
-    total_ss = sum(ss_values)
-    n_top = max(1, round(0.2 * len(ss_values))) if ss_values else 0
     summary = {
         "researchers": len(corpus.researchers),
         "publications": len(corpus.publications),
@@ -500,7 +409,7 @@ def cmd_report_all(args) -> int:
         "scored_researchers": len(scored.scores),
         "non_productive_share": stats.overall_non_productive,
         "nil_impact_share": stats.overall_nil_impact,
-        "top20_impact_share": (sum(ss_values[:n_top]) / total_ss) if total_ss else 0.0,
+        "top20_impact_share": top20_impact_share([s.ss for s in scored.scores.values()]),
         "stranded_top_scientists": sum(c.stranded_count for _, c, _ in census_entries),
         "total_top_scientists": sum(c.total_tops for _, c, _ in census_entries),
         "skipped_udas": skipped_udas,
@@ -517,15 +426,34 @@ def cmd_report_all(args) -> int:
 
 
 def _add_corpus_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--corpus", metavar="DIR", help="directory with publications.jsonl, researchers.csv, taxonomy.csv")
-    parser.add_argument("--window", nargs=2, type=int, metavar=("START", "END"), help="observation window years")
-    parser.add_argument("--credit", choices=sorted(CREDIT_MODES), help="author credit mode")
-    parser.add_argument("--first-w", dest="first_w", type=float, help="positional weight of the first author")
-    parser.add_argument("--last-w", dest="last_w", type=float, help="positional weight of the last author")
-    parser.add_argument("--middle-w", dest="middle_w", type=float, help="positional weight of middle authors")
-    parser.add_argument("--extramural-discount", dest="extramural_discount", type=float, help="multiplier for extramural author slots, in (0, 1]")
-    parser.add_argument("--min-staff", dest="min_staff", type=int, help="minimum unit staff for rankings and selections")
-    parser.add_argument("--pstar", choices=[PSTAR_MEAN_OF_UNITS, PSTAR_POOLED], help="national average mode")
+    parser.add_argument("--corpus", metavar="DIR",
+                        help="directory with publications.jsonl, researchers.csv, taxonomy.csv")
+    parser.add_argument("--window", nargs=2, type=int, default=DEFAULT_WINDOW, metavar=("START", "END"),
+                        help="first and last year of the observation window, default %(default)s")
+    parser.add_argument("--credit", choices=sorted(CREDIT_MODES), default="equal",
+                        help="author credit mode (default %(default)s)")
+    parser.add_argument("--first-w", dest="first_w", type=float, default=CreditScheme.first_weight,
+                        help="positional weight of the first author (default %(default)s)")
+    parser.add_argument("--last-w", dest="last_w", type=float, default=CreditScheme.last_weight,
+                        help="positional weight of the last author (default %(default)s)")
+    parser.add_argument("--middle-w", dest="middle_w", type=float, default=CreditScheme.middle_weight,
+                        help="positional weight of middle authors (default %(default)s)")
+    parser.add_argument("--extramural-discount", dest="extramural_discount", type=float,
+                        default=CreditScheme.extramural_discount,
+                        help="multiplier for extramural author slots, in (0, 1] (default %(default)s)")
+    parser.add_argument("--min-staff", dest="min_staff", type=int, default=DEFAULT_MIN_STAFF,
+                        help="minimum unit staff for rankings and selections (default %(default)s)")
+    parser.add_argument("--pstar", choices=[PSTAR_MEAN_OF_UNITS, PSTAR_POOLED], default=PSTAR_MEAN_OF_UNITS,
+                        help="national average mode (default %(default)s)")
+
+
+def _add_funding_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--classes", type=int, default=FundingPolicy.n_classes,
+                        help="number of funding classes (default %(default)s)")
+    parser.add_argument("--ratio", type=Fraction, default=FundingPolicy.adjacent_ratio,
+                        help="per-capita ratio between adjacent classes (default %(default)s)")
+    parser.add_argument("--bottom-funded", dest="bottom_funded", action="store_true", default=False,
+                        help="fund the bottom class too")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -533,7 +461,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-v", "--verbose", action="count", default=0, help="-v info, -vv debug")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and the subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="meritrank",
         description="Field-normalized research performance indicators, counterfactual rankings, and funding simulation.",
@@ -552,10 +481,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", metavar="FILE")
     p.add_argument("--seed", type=int)
     p.add_argument("--out", metavar="FILE", help="calibrated profile JSON")
-    p.add_argument("--target-non-productive", dest="target_non_productive", type=float)
-    p.add_argument("--target-nil-impact", dest="target_nil_impact", type=float)
-    p.add_argument("--target-top20-share", dest="target_top20_share", type=float)
-    p.add_argument("--tolerance", type=float)
+    p.add_argument("--target-non-productive", dest="target_non_productive", type=float,
+                   default=CalibrationTargets.non_productive_share,
+                   help="target non-productive share (default %(default)s)")
+    p.add_argument("--target-nil-impact", dest="target_nil_impact", type=float,
+                   default=CalibrationTargets.nil_impact_share,
+                   help="target nil-impact share (default %(default)s)")
+    p.add_argument("--target-top20-share", dest="target_top20_share", type=float,
+                   default=CalibrationTargets.top20_impact_share,
+                   help="target top-20%% impact share (default %(default)s)")
+    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
+                   help="largest accepted residual per share (default %(default)s)")
     _add_common(p)
     p.set_defaults(handler=cmd_calibrate)
 
@@ -578,15 +514,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_options(p)
     p.add_argument("--level", choices=[LEVEL_SDS, LEVEL_UDA])
     p.add_argument("--field", metavar="CODE")
-    p.add_argument("--share", type=float, help="top share removed per unit (default 0.2)")
-    p.add_argument("--classes", type=int, help="quantile classes for the transition matrix")
-    p.add_argument(
-        "--refit-pstar",
-        dest="refit_pstar",
-        action="store_true",
-        default=None,
-        help="recompute national averages in the hypothetical scenario (sensitivity analysis)",
-    )
+    p.add_argument("--share", type=float, default=DEFAULT_SHARE,
+                   help="top share removed per unit (default %(default)s)")
+    p.add_argument("--classes", type=int, default=DEFAULT_TRANSITION_CLASSES,
+                   help="quantile classes for the transition matrix (default %(default)s)")
+    p.add_argument("--refit-pstar", dest="refit_pstar", action="store_true", default=False,
+                   help="recompute national averages in the hypothetical scenario (sensitivity analysis)")
     p.add_argument("--out", metavar="FILE", help="rank-shift CSV path")
     p.add_argument("--svg", metavar="FILE", help="rank shift vs Gini scatter (needs --field)")
     p.add_argument("--transition", metavar="FILE", help="class transition CSV (needs --field)")
@@ -596,11 +529,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fund", help="class-weighted funding simulation for one UDA")
     _add_corpus_options(p)
     p.add_argument("--uda", metavar="CODE")
-    p.add_argument("--budget", type=Fraction, help="budget for the area (exact rational)")
-    p.add_argument("--classes", type=int, help="number of funding classes (default 4)")
-    p.add_argument("--ratio", type=Fraction, help="per-capita ratio between adjacent classes (default 3)")
-    p.add_argument("--bottom-funded", dest="bottom_funded", action="store_true", default=None, help="fund the bottom class too")
-    p.add_argument("--share", type=float, help="national top share per SDS (default 0.2)")
+    p.add_argument("--budget", type=Fraction, default=FundingPolicy.budget,
+                   help="budget for the area, exact rational (default %(default)s)")
+    _add_funding_options(p)
+    p.add_argument("--share", type=float, default=DEFAULT_SHARE,
+                   help="national top share per SDS (default %(default)s)")
     p.add_argument("--out", metavar="FILE", help="allocation CSV path")
     p.add_argument("--census", metavar="FILE", help="top-scientist census CSV path")
     p.add_argument("--findings", metavar="FILE", help="paradox findings JSON path")
@@ -612,53 +545,59 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", metavar="FILE", help="generate a corpus from this profile instead of --corpus")
     p.add_argument("--seed", type=int)
     p.add_argument("--out", metavar="DIR")
-    p.add_argument("--budget", type=Fraction, help="budget per discipline area")
-    p.add_argument(
-        "--global-budget",
-        dest="global_budget",
-        type=Fraction,
-        help="single budget split across areas proportionally to ranked staff",
-    )
-    p.add_argument("--classes", type=int)
-    p.add_argument("--ratio", type=Fraction)
-    p.add_argument("--bottom-funded", dest="bottom_funded", action="store_true", default=None)
-    p.add_argument("--share", type=float)
-    p.add_argument("--transition-classes", dest="transition_classes", type=int)
+    p.add_argument("--budget", type=Fraction, default=FundingPolicy.budget,
+                   help="budget per discipline area (default %(default)s)")
+    p.add_argument("--global-budget", dest="global_budget", type=Fraction,
+                   help="single budget split across areas proportionally to ranked staff")
+    _add_funding_options(p)
+    p.add_argument("--share", type=float, default=DEFAULT_SHARE,
+                   help="top share per unit and nationally per SDS (default %(default)s)")
+    p.add_argument("--transition-classes", dest="transition_classes", type=int, default=DEFAULT_TRANSITION_CLASSES,
+                   help="quantile classes for the transition matrices (default %(default)s)")
     _add_common(p)
     p.set_defaults(handler=cmd_report_all)
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse(parser, commands, argv) -> argparse.Namespace:
+    """Parse argv; a --config file's values become the subcommand's defaults, so flags win."""
+    args = parser.parse_args(argv)
+    if getattr(args, "config", None):
+        config = _load_config_file(args.config)
+        unknown = set(config) - (set(vars(args)) - set(_DISPATCH_KEYS))
+        if unknown:
+            raise ValidationError(f"config file {args.config}: unknown keys {sorted(unknown)}")
+        for key, coerce in _CONFIG_COERCIONS.items():
+            if key in config:
+                config[key] = coerce(config[key])
+        commands[args.command].set_defaults(**config)
+        args = parser.parse_args(argv)
+    return args
 
 
 def dispatch(argv) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(parser, commands, argv)
+        if args.command is None:
+            parser.print_help()
+            return EXIT_VALIDATION
+        level = logging.WARNING
+        if args.verbose == 1:
+            level = logging.INFO
+        elif args.verbose >= 2:
+            level = logging.DEBUG
+        logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+        return args.handler({k: v for k, v in vars(args).items() if k not in _DISPATCH_KEYS})
     except SystemExit as exc:
         # argparse exits 2 on flag errors; the spec reserves 2 for undefined
         # statistics, so flag problems map to the validation code.
         return EXIT_OK if exc.code in (0, None) else EXIT_VALIDATION
-    if getattr(args, "command", None) is None:
-        parser.print_help()
-        return EXIT_VALIDATION
-    level = logging.WARNING
-    if args.verbose == 1:
-        level = logging.INFO
-    elif args.verbose >= 2:
-        level = logging.DEBUG
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
-    try:
-        return args.handler(args)
     except UndefinedStatisticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNDEFINED_STATISTIC
-    except (ValidationError, CalibrationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except MeritrankError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ValueError as exc:
+    except (MeritrankError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

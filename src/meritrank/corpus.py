@@ -1,8 +1,11 @@
 """Domain model, input-file loading and validation, and the field activity filter.
 
 A corpus is immutable after load: every analysis step reads it, none mutates
-it. Input files are rejected on the first violation rather than silently
-repaired; error messages name the offending file, row, and field.
+it. Each corpus source is checked once. Loaded files are checked by the
+loaders (`load_taxonomy`, `load_researchers`, `load_publications`) as they
+read, and rejected on the first violation rather than silently repaired;
+error messages name the offending file, line, and field. A corpus built in
+memory, such as a generated one, is checked by `Corpus.validate`.
 """
 
 from __future__ import annotations
@@ -79,10 +82,6 @@ class Taxonomy:
     def sds_codes(self) -> tuple[str, ...]:
         return tuple(sorted(self.sds_to_uda))
 
-    @property
-    def uda_codes(self) -> tuple[str, ...]:
-        return tuple(sorted(self.uda_names))
-
 
 @dataclass
 class Corpus:
@@ -91,7 +90,6 @@ class Corpus:
     universities: dict[str, str]
     taxonomy: Taxonomy
     window: tuple[int, int]
-    census_date: str | None = None
 
     @property
     def window_length(self) -> int:
@@ -106,17 +104,12 @@ class Corpus:
                     index[slot.researcher_id].append((pub, slot))
         return {rid: tuple(items) for rid, items in index.items()}
 
-    @cached_property
-    def researchers_by_unit(self) -> dict[tuple[str, str], tuple[str, ...]]:
-        """Researcher ids grouped by (university_id, sds)."""
-        index: dict[tuple[str, str], list[str]] = defaultdict(list)
-        for rid in sorted(self.researchers):
-            r = self.researchers[rid]
-            index[(r.university_id, r.sds)].append(rid)
-        return {unit: tuple(ids) for unit, ids in index.items()}
-
     def validate(self) -> None:
-        """Re-check every structural invariant; raises ValidationError."""
+        """Check every structural invariant of a corpus built in memory; raises ValidationError.
+
+        Loaded corpora are checked by the loaders instead, with file and line
+        context, so `load_corpus` does not call this.
+        """
         lo, hi = self.window
         seen_ids: set[str] = set()
         for pub in self.publications:
@@ -261,7 +254,8 @@ def load_researchers(res_path, taxonomy: Taxonomy, window) -> tuple[dict[str, Re
     return researchers, universities
 
 
-def load_publications(pub_path, window) -> tuple[Publication, ...]:
+def load_publications(pub_path, window, researchers: Mapping[str, Researcher]) -> tuple[Publication, ...]:
+    """Read publications.jsonl; every non-null author id must name one of `researchers`."""
     pub_path = Path(pub_path)
     lo, hi = window
     publications: list[Publication] = []
@@ -302,6 +296,12 @@ def load_publications(pub_path, window) -> tuple[Publication, ...]:
                 if rid is not None and not isinstance(rid, str):
                     _fail(pub_path, line_no, "field 'researcher_id': expected string or null")
                 position = _require(slot, "position", int, pub_path, line_no)
+                if rid is not None and rid not in researchers:
+                    _fail(
+                        pub_path, line_no,
+                        f"publication {pid!r}: author position {position} references "
+                        f"unknown researcher {rid!r}",
+                    )
                 intramural = _require(slot, "intramural", bool, pub_path, line_no)
                 slots.append(AuthorSlot(position, intramural, rid))
             positions = sorted(s.position for s in slots)
@@ -320,14 +320,13 @@ def load_corpus(pub_path, res_path, tax_path, window=DEFAULT_WINDOW) -> Corpus:
     """Load and validate the three corpus files; raises on the first violation.
 
     Missing files surface as FileNotFoundError (I/O), malformed contents as
-    ValidationError with file/line context.
+    ValidationError with file/line context. The loaders' checks cover every
+    invariant that `Corpus.validate` checks, so it is not run again here.
     """
     taxonomy = load_taxonomy(tax_path)
     researchers, universities = load_researchers(res_path, taxonomy, window)
-    publications = load_publications(pub_path, window)
-    corpus = Corpus(publications, researchers, universities, taxonomy, tuple(window))
-    corpus.validate()
-    return corpus
+    publications = load_publications(pub_path, window, researchers)
+    return Corpus(publications, researchers, universities, taxonomy, tuple(window))
 
 
 def active_sds_filter(corpus: Corpus) -> set[str]:

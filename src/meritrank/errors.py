@@ -15,11 +15,3 @@ class UndefinedStatisticError(MeritrankError):
 
 class AllocationError(ValidationError):
     """Funding cannot be allocated, e.g. every funded class has zero staff."""
-
-
-class CalibrationError(MeritrankError):
-    """Generator calibration could not reach its targets."""
-
-    def __init__(self, message, residuals=None):
-        super().__init__(message)
-        self.residuals = dict(residuals or {})

@@ -18,7 +18,7 @@ from .aggregation import DEFAULT_MIN_STAFF, RankedUnit
 from .corpus import Taxonomy
 from .errors import AllocationError, ValidationError
 from .indicators import ResearcherScore
-from .scenario import SCOPE_NATIONAL, TopSelection, select_top
+from .scenario import DEFAULT_SHARE, SCOPE_NATIONAL, TopSelection, select_top
 from .stats import classify_quantiles
 
 
@@ -136,8 +136,8 @@ def national_top_census(
     taxonomy: Taxonomy,
     uda: str,
     classes: Mapping[str, int],
-    n_classes: int = 4,
-    share: float = 0.20,
+    n_classes: int = FundingPolicy.n_classes,
+    share: float = DEFAULT_SHARE,
     min_staff: int = DEFAULT_MIN_STAFF,
     selection: TopSelection | None = None,
 ) -> TopCensus:

@@ -245,49 +245,35 @@ def write_allocation_csv(path, allocation: FundingAllocation) -> None:
             )
 
 
-def write_census_csv(path, census: TopCensus, allocation: FundingAllocation | None = None) -> None:
-    amounts = {}
-    classes = {}
-    if allocation is not None:
-        for unit in allocation.units:
-            amounts[unit.university_id] = float(unit.amount)
-            classes[unit.university_id] = unit.class_index
+CENSUS_COLUMNS = ["university_id", "class", "staff", "top_count", "incidence", "amount"]
+
+
+def write_combined_census_csv(
+    path, entries: Sequence[tuple[str, TopCensus, FundingAllocation]], with_uda: bool
+) -> None:
+    """Census rows of one or more UDAs, amounts joined from the allocations.
+
+    Classes come from the allocation: a university outside the ranked
+    roster has an empty class and a zero amount.
+    """
+    header = (["uda"] if with_uda else []) + CENSUS_COLUMNS
     with _open_w(path) as fh:
         writer = _writer(fh)
-        writer.writerow(["university_id", "class", "staff", "top_count", "incidence", "amount"])
-        for row in census.universities:
-            class_index = row.class_index if row.class_index is not None else classes.get(row.university_id)
-            writer.writerow(
-                [
+        writer.writerow(header)
+        for uda, census, allocation in entries:
+            amounts = {u.university_id: float(u.amount) for u in allocation.units}
+            for row in census.universities:
+                line = [
                     row.university_id,
-                    "" if class_index is None else class_index + 1,
+                    "" if row.class_index is None else row.class_index + 1,
                     row.staff,
                     row.top_count,
                     row.incidence,
                     amounts.get(row.university_id, 0.0),
                 ]
-            )
-
-
-def write_combined_census_csv(path, entries: Sequence[tuple[str, TopCensus, FundingAllocation]]) -> None:
-    """Per-UDA census rows in one file, amounts joined from the allocations."""
-    with _open_w(path) as fh:
-        writer = _writer(fh)
-        writer.writerow(["uda", "university_id", "class", "staff", "top_count", "incidence", "amount"])
-        for uda, census, allocation in entries:
-            amounts = {u.university_id: float(u.amount) for u in allocation.units}
-            for row in census.universities:
-                writer.writerow(
-                    [
-                        uda,
-                        row.university_id,
-                        "" if row.class_index is None else row.class_index + 1,
-                        row.staff,
-                        row.top_count,
-                        row.incidence,
-                        amounts.get(row.university_id, 0.0),
-                    ]
-                )
+                if with_uda:
+                    line = [uda] + line
+                writer.writerow(line)
 
 
 def write_findings_json(path, findings_by_uda: Mapping[str, Sequence[Finding]]) -> None:

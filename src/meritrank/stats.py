@@ -190,6 +190,20 @@ def bottom_top_ratio(
     return ConcentrationRatio(bottom / top, n_bottom, n_top, bottom_share, top_share)
 
 
+def top20_impact_share(values: Sequence[float]) -> float:
+    """Share of the total held by the top 20% of values (at least one); 0 for a zero total.
+
+    The top group size rounds half up. Sums run over the values in
+    descending order, so equal inputs give bit-identical shares.
+    """
+    ranked = sorted(values, reverse=True)
+    total = sum(ranked)
+    if not total:
+        return 0.0
+    n_top = max(1, round_half_up(0.2 * len(ranked)))
+    return sum(ranked[:n_top]) / total
+
+
 def quantile_class_sizes(n: int, k: int) -> list[int]:
     """Class sizes differing by at most one, remainder going to the extremes first.
 

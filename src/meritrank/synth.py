@@ -20,11 +20,11 @@ from typing import Mapping
 import numpy as np
 
 from ._version import __version__
-from .corpus import Corpus, AuthorSlot, Publication, Researcher, Taxonomy
+from .corpus import DEFAULT_WINDOW, Corpus, AuthorSlot, Publication, Researcher, Taxonomy
 from .errors import ValidationError
 from .indicators import score_corpus
 from .normalization import CreditScheme
-from .stats import round_half_up
+from .stats import top20_impact_share
 
 # Mirrors the nine-area / 183-field layout of a national hard-science system.
 DEFAULT_SDS_PER_UDA = {
@@ -56,6 +56,8 @@ MAX_PUBS_PER_RESEARCHER = 200
 MAX_CITATIONS = 1_000_000
 AGE_LOCATION_SLOPE = 0.12  # older publications accumulate more citations
 
+DEFAULT_TOLERANCE = 0.03  # largest accepted |measured - target| share in calibrate
+
 RNG_DESCRIPTION = "numpy.random.PCG64 seeded via numpy.random.SeedSequence(seed)"
 
 
@@ -67,7 +69,7 @@ class GeneratorProfile:
     sds_per_uda: dict[str, int] = field(default_factory=lambda: dict(DEFAULT_SDS_PER_UDA))
     life_science_udas: tuple[str, ...] = ("BIO", "MED")
     staff_per_unit: tuple[int, int] = (0, 5)
-    window: tuple[int, int] = (2004, 2008)
+    window: tuple[int, int] = DEFAULT_WINDOW
     p_nonproductive: float = 0.17
     pubs_location: float = 0.9
     pubs_dispersion: float = 1.0
@@ -364,15 +366,12 @@ class MeasuredStats:
 def measure_corpus(corpus: Corpus, scheme: CreditScheme | None = None) -> MeasuredStats:
     """Shares of non-productives, nil impact, and top-20% impact concentration."""
     scored = score_corpus(corpus, scheme)
-    values = sorted((s.ss for s in scored.scores.values()), reverse=True)
-    n = len(values)
+    n = len(scored.scores)
     if n == 0:
         return MeasuredStats(0.0, 0.0, 0.0, 0)
     non_productive = sum(s.non_productive for s in scored.scores.values()) / n
     nil_impact = sum(s.nil_impact for s in scored.scores.values()) / n
-    total = sum(values)
-    n_top = min(n, max(1, round_half_up(0.2 * n)))
-    top_share = sum(values[:n_top]) / total if total > 0 else 0.0
+    top_share = top20_impact_share([s.ss for s in scored.scores.values()])
     return MeasuredStats(non_productive, nil_impact, top_share, n)
 
 
@@ -443,7 +442,7 @@ def _bisect_parameter(
 def calibrate(
     profile: GeneratorProfile,
     targets: CalibrationTargets | None = None,
-    tolerance: float = 0.03,
+    tolerance: float = DEFAULT_TOLERANCE,
     max_rounds: int = 3,
     bisect_steps: int = 5,
     probe_fraction: float = 0.35,

@@ -63,7 +63,7 @@ class TestLoadCorpus:
     def test_dangling_researcher_reference(self, tmp_path):
         pub = dict(VALID_PUBLICATION)
         pub["authors"] = [{"researcher_id": "GHOST", "position": 1, "intramural": True}]
-        with pytest.raises(ValidationError, match="GHOST"):
+        with pytest.raises(ValidationError, match="publications.jsonl line 1: .*GHOST"):
             load_corpus(*write_files(tmp_path, pubs=[pub]))
 
     def test_duplicate_author_position(self, tmp_path):

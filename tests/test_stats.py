@@ -15,6 +15,7 @@ from meritrank.stats import (
     quantile_class_sizes,
     round_half_up,
     spearman,
+    top20_impact_share,
 )
 
 
@@ -178,6 +179,19 @@ class TestBottomTopRatio:
         with pytest.raises(UndefinedStatisticError):
             bottom_top_ratio([0, 0, 0, 0, 0])
 
+
+
+class TestTop20ImpactShare:
+    def test_top_fifth_of_the_total(self):
+        # n = 8: 0.2 * 8 = 1.6 rounds to 2, so the top two values count.
+        assert top20_impact_share([1, 2, 3, 4, 5, 6, 7, 8]) == pytest.approx((7 + 8) / 36)
+
+    def test_at_least_one_value_counts(self):
+        assert top20_impact_share([2.0, 1.0]) == pytest.approx(2 / 3)
+
+    def test_zero_total_and_empty(self):
+        assert top20_impact_share([0.0, 0.0, 0.0]) == 0.0
+        assert top20_impact_share([]) == 0.0
 
 class TestQuantiles:
     @pytest.mark.parametrize(
