@@ -16,7 +16,6 @@ from .corpus import (
     Taxonomy,
     active_sds_filter,
     load_corpus,
-    staff_counts,
 )
 from .errors import (
     AllocationError,
@@ -29,7 +28,6 @@ from .normalization import (
     POSITIONAL,
     CategoryBaseline,
     CreditScheme,
-    author_credit,
     compute_baselines,
     credit_shares,
     standardize,

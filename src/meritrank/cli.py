@@ -67,10 +67,12 @@ _DISPATCH_KEYS = ("command", "config", "verbose", "handler")
 
 
 def _window(value) -> tuple[int, ...]:
-    years = tuple(int(x) for x in value)
-    if len(years) != 2:
-        raise ValidationError(f"--window needs exactly 2 years, got {years}")
-    return years
+    if isinstance(value, list) and len(value) == 2:
+        try:
+            return tuple(int(x) for x in value)
+        except (TypeError, ValueError):
+            pass
+    raise ValidationError(f"config key 'window' needs a list of 2 integer years, got {value!r}")
 
 
 _CONFIG_COERCIONS = {
@@ -190,11 +192,11 @@ def _ranked_units(units, level: str, cfg: dict, taxonomy):
     return rank_units(area_units, LEVEL_UDA, cfg["min_staff"])
 
 
-def _fund_area(scored, ranking, uda: str, budget, cfg: dict, selection=None):
+def _fund_area(scored, ranking, uda: str, budget, cfg: dict, selection):
     """Allocate one area's budget over its ranking and take the top-scientist census.
 
     Returns (allocation, census, paradox findings). `selection` is the
-    national top selection; the census draws it when none is given.
+    national top selection.
     """
     policy = FundingPolicy(
         n_classes=cfg["classes"],
@@ -208,10 +210,8 @@ def _fund_area(scored, ranking, uda: str, budget, cfg: dict, selection=None):
         scored.corpus.taxonomy,
         uda,
         allocation.class_of(),
+        selection,
         n_classes=cfg["classes"],
-        share=cfg["share"],
-        min_staff=cfg["min_staff"],
-        selection=selection,
     )
     return allocation, census, paradox_report(census, allocation)
 
@@ -237,6 +237,11 @@ def cmd_rank(cfg: dict) -> int:
 def cmd_counterfactual(cfg: dict) -> int:
     level = _required(cfg, "level", "--level")
     out = _required(cfg, "out", "--out")
+    field = cfg["field"]
+    if field is None and cfg["svg"]:
+        raise ValidationError("--svg needs --field to pick one scatter")
+    if field is None and cfg["transition"]:
+        raise ValidationError("--transition needs --field to pick one matrix")
     corpus = _load(cfg)
     scored = score_corpus(corpus, _credit_scheme(cfg))
     selection = select_top(scored.scores, SCOPE_UNIT, cfg["share"], cfg["min_staff"])
@@ -250,22 +255,19 @@ def cmd_counterfactual(cfg: dict) -> int:
         pstar_mode=cfg["pstar"],
         refit_pstar=cfg["refit_pstar"],
     )
-    field = cfg["field"]
     if field is not None and field not in cf:
         raise ValidationError(f"--field {field!r}: no counterfactual report at level {level}")
+    # Every check runs before the first write, so a rejected run leaves no files.
+    scatter = shift_gini_scatter(cf[field]) if cfg["svg"] else None
+    if cfg["transition"] and cf[field].transition is None:
+        raise UndefinedStatisticError(
+            f"field {field!r}: fewer ranked units than {cfg['classes']} classes"
+        )
     selected = [cf[field]] if field else [cf[code] for code in sorted(cf)]
     reports.write_counterfactual_csv(out, selected, with_field=field is None)
-    if cfg["svg"]:
-        if field is None:
-            raise ValidationError("--svg needs --field to pick one scatter")
-        reports.write_scatter_svg(cfg["svg"], shift_gini_scatter(cf[field]), title=field)
+    if scatter is not None:
+        reports.write_scatter_svg(cfg["svg"], scatter, title=field)
     if cfg["transition"]:
-        if field is None:
-            raise ValidationError("--transition needs --field to pick one matrix")
-        if cf[field].transition is None:
-            raise UndefinedStatisticError(
-                f"field {field!r}: fewer ranked units than {cfg['classes']} classes"
-            )
         reports.write_transition_csv(cfg["transition"], cf[field])
     reports.write_manifest(_manifest_path(out), "counterfactual", cfg, _corpus_paths(cfg["corpus"]))
     print(f"wrote counterfactual report for {len(selected)} field(s) to {out}")
@@ -280,7 +282,8 @@ def cmd_fund(cfg: dict) -> int:
     rankings = _ranked_units(sds_unit_scores(scored.scores), LEVEL_UDA, cfg, corpus.taxonomy)
     if uda not in rankings:
         raise ValidationError(f"--uda {uda!r}: no ranked universities in that area")
-    allocation, census, findings = _fund_area(scored, rankings[uda], uda, cfg["budget"], cfg)
+    selection = select_top(scored.scores, SCOPE_NATIONAL, cfg["share"], cfg["min_staff"])
+    allocation, census, findings = _fund_area(scored, rankings[uda], uda, cfg["budget"], cfg, selection)
     reports.write_allocation_csv(out, allocation)
     if cfg["census"]:
         reports.write_combined_census_csv(cfg["census"], [(uda, census, allocation)], with_uda=False)

@@ -335,22 +335,6 @@ def active_sds_filter(corpus: Corpus) -> set[str]:
     The threshold is inclusive: exactly 50% active keeps the SDS. Downstream
     analyses restrict to this set.
     """
-    publishers = {
-        slot.researcher_id
-        for pub in corpus.publications
-        for slot in pub.authors
-        if slot.researcher_id is not None
-    }
     totals = Counter(r.sds for r in corpus.researchers.values())
-    active = Counter(corpus.researchers[rid].sds for rid in publishers)
+    active = Counter(corpus.researchers[rid].sds for rid in corpus.slots_by_researcher)
     return {sds for sds, total in totals.items() if 2 * active[sds] >= total}
-
-
-def staff_counts(corpus: Corpus) -> tuple[dict[tuple[str, str], int], dict[tuple[str, str], int]]:
-    """Researcher head counts keyed by (university, SDS) and by (university, UDA)."""
-    by_sds: Counter = Counter()
-    by_uda: Counter = Counter()
-    for r in corpus.researchers.values():
-        by_sds[(r.university_id, r.sds)] += 1
-        by_uda[(r.university_id, corpus.taxonomy.uda_of(r.sds))] += 1
-    return dict(by_sds), dict(by_uda)

@@ -14,11 +14,11 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Mapping, Sequence
 
-from .aggregation import DEFAULT_MIN_STAFF, RankedUnit
+from .aggregation import RankedUnit
 from .corpus import Taxonomy
 from .errors import AllocationError, ValidationError
 from .indicators import ResearcherScore
-from .scenario import DEFAULT_SHARE, SCOPE_NATIONAL, TopSelection, select_top
+from .scenario import SCOPE_NATIONAL, TopSelection
 from .stats import classify_quantiles
 
 
@@ -136,21 +136,18 @@ def national_top_census(
     taxonomy: Taxonomy,
     uda: str,
     classes: Mapping[str, int],
+    selection: TopSelection,
     n_classes: int = FundingPolicy.n_classes,
-    share: float = DEFAULT_SHARE,
-    min_staff: int = DEFAULT_MIN_STAFF,
-    selection: TopSelection | None = None,
 ) -> TopCensus:
     """Count top national scientists per university and per funding class.
 
-    Top status is per-SDS and national (independent of employer); classes
-    come from the UDA-level funding classification. Tops employed outside the
-    ranked roster are reported separately so the per-class totals always
-    partition the classified total. Stranded means sitting in the bottom class.
+    Top status comes from a nationally scoped selection: per-SDS, independent
+    of employer. Classes come from the UDA-level funding classification.
+    Tops employed outside the ranked roster are reported separately so the
+    per-class totals always partition the classified total. Stranded means
+    sitting in the bottom class.
     """
-    if selection is None:
-        selection = select_top(scores, SCOPE_NATIONAL, share, min_staff)
-    elif selection.scope != SCOPE_NATIONAL:
+    if selection.scope != SCOPE_NATIONAL:
         raise ValidationError("the census needs a nationally scoped selection")
     top_ids = selection.all_selected()
 

@@ -13,7 +13,7 @@ import statistics
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .corpus import Corpus, Publication, AuthorSlot
+from .corpus import Corpus, Publication
 from .errors import ValidationError
 
 EQUAL_FRACTIONAL = "equal_fractional"
@@ -121,10 +121,3 @@ def credit_shares(pub: Publication, scheme: CreditScheme, is_life_science: bool)
         weights[slot.position] = w
     total = sum(weights.values())
     return {position: w / total for position, w in weights.items()}
-
-
-def author_credit(
-    pub: Publication, slot: AuthorSlot, scheme: CreditScheme, is_life_science: bool
-) -> float:
-    """Credit share of one author slot under the given scheme."""
-    return credit_shares(pub, scheme, is_life_science)[slot.position]

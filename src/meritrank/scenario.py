@@ -8,7 +8,6 @@ judged against the same yardstick in both scenarios.
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -20,7 +19,6 @@ from .aggregation import (
     LEVEL_UDA,
     PSTAR_MEAN_OF_UNITS,
     DEFAULT_MIN_STAFF,
-    SdsUnitScore,
     national_averages,
     order_units,
     rank_units,
@@ -30,13 +28,10 @@ from .aggregation import (
 from .corpus import Corpus
 from .errors import UndefinedStatisticError, ValidationError
 from .indicators import ResearcherScore
-from .stats import SpearmanResult, classify_quantiles, gini, round_half_up, spearman
+from .stats import SpearmanResult, classify_quantiles, gini, spearman, top_count
 
 SCOPE_UNIT = "unit"
 SCOPE_NATIONAL = "national"
-
-ROUND_HALF_UP = "half-up"
-ROUND_FLOOR = "floor"
 
 DEFAULT_SHARE = 0.20
 DEFAULT_TRANSITION_CLASSES = 5
@@ -54,28 +49,13 @@ class TopSelection:
         return frozenset(rid for members in self.selected.values() for rid in members)
 
 
-def _group_quota(share: float, n: int, rounding: str) -> int:
-    # share = 0 selects nobody so the hypothetical scenario collapses to the
-    # observed one; any positive share selects at least one member.
-    if share == 0:
-        return 0
-    if rounding == ROUND_HALF_UP:
-        k = round_half_up(share * n)
-    elif rounding == ROUND_FLOOR:
-        k = int(math.floor(share * n + 1e-9))
-    else:
-        raise ValidationError(f"unknown quota rounding {rounding!r}")
-    return max(1, k)
-
-
 def select_top(
     scores: Mapping[str, ResearcherScore],
     scope: str = SCOPE_UNIT,
     share: float = DEFAULT_SHARE,
     min_staff: int = DEFAULT_MIN_STAFF,
-    rounding: str = ROUND_HALF_UP,
 ) -> TopSelection:
-    """Select each group's k highest-SS members, k = max(1, round(share * n)).
+    """Select each group's k = top_count(share, n) highest-SS members.
 
     Groups below the staff minimum are skipped. Ties on SS break by
     researcher id so the selection is deterministic.
@@ -95,7 +75,7 @@ def select_top(
     for key, members in groups.items():
         if len(members) < min_staff:
             continue
-        k = _group_quota(share, len(members), rounding)
+        k = top_count(share, len(members))
         members.sort(key=lambda s: (-s.ss, s.researcher_id))
         selected[key] = tuple(s.researcher_id for s in members[:k])
     return TopSelection(scope, share, selected)
@@ -164,40 +144,26 @@ def counterfactual_rankings(
     if level not in (LEVEL_SDS, LEVEL_UDA):
         raise ValidationError(f"unknown ranking level {level!r}")
     removed = selection.all_selected()
-
-    members: dict[tuple[str, str], list[ResearcherScore]] = defaultdict(list)
-    for score in scores.values():
-        members[(score.university_id, score.sds)].append(score)
-
     observed_units = sds_unit_scores(scores)
-    surviving: list[SdsUnitScore] = []
-    hyp_by_unit: dict[tuple[str, str], tuple[float, int]] = {}
-    for unit_key, group in members.items():
-        remaining = [s.ss for s in group if s.researcher_id not in removed]
-        staff = len(remaining)
-        per_capita = sum(remaining) / staff if staff else 0.0
-        hyp_by_unit[unit_key] = (per_capita, staff)
-        if staff:
-            surviving.append(SdsUnitScore(unit_key[0], unit_key[1], per_capita, staff))
-
+    hyp_units = sds_unit_scores({rid: s for rid, s in scores.items() if rid not in removed})
     if level == LEVEL_SDS:
-        observed_rankings = rank_units(observed_units, LEVEL_SDS, min_staff)
-        hyp_scores = dict(hyp_by_unit)
-        gini_values = {
-            (univ, field): _unit_gini([s.ss for s in group])
-            for (univ, field), group in members.items()
-        }
+        observed = observed_units
+        hyp_scores = {(u.university_id, u.sds): (u.per_capita_ss, u.staff) for u in hyp_units}
     else:
         p_stars = national_averages(observed_units, pstar_mode)
-        observed_uda = uda_unit_scores(observed_units, p_stars, corpus.taxonomy)
-        observed_rankings = rank_units(observed_uda, LEVEL_UDA, min_staff)
-        hyp_pstars = national_averages(surviving, pstar_mode) if refit_pstar else p_stars
-        hyp_uda = uda_unit_scores(surviving, hyp_pstars, corpus.taxonomy)
-        hyp_scores = {(u.university_id, u.uda): (u.ss_uda, u.staff) for u in hyp_uda}
-        area_values: dict[tuple[str, str], list[float]] = defaultdict(list)
-        for (univ, sds), group in members.items():
-            area_values[(univ, corpus.taxonomy.uda_of(sds))].extend(s.ss for s in group)
-        gini_values = {key: _unit_gini(values) for key, values in area_values.items()}
+        observed = uda_unit_scores(observed_units, p_stars, corpus.taxonomy)
+        hyp_pstars = national_averages(hyp_units, pstar_mode) if refit_pstar else p_stars
+        hyp_scores = {
+            (u.university_id, u.uda): (u.ss_uda, u.staff)
+            for u in uda_unit_scores(hyp_units, hyp_pstars, corpus.taxonomy)
+        }
+    observed_rankings = rank_units(observed, level, min_staff)
+
+    unit_values: dict[tuple[str, str], list[float]] = defaultdict(list)
+    for score in scores.values():
+        field = score.sds if level == LEVEL_SDS else corpus.taxonomy.uda_of(score.sds)
+        unit_values[(score.university_id, field)].append(score.ss)
+    gini_values = {key: _unit_gini(values) for key, values in unit_values.items()}
 
     reports: dict[str, CounterfactualReport] = {}
     for field_code, observed_ranking in sorted(observed_rankings.items()):

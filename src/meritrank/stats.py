@@ -18,9 +18,6 @@ from .errors import UndefinedStatisticError
 # Exhaustive permutation p-values stay under a second up to 9!.
 EXACT_PERMUTATION_MAX_N = 9
 
-GROUP_ROUNDING_FLOOR = "floor"
-GROUP_ROUNDING_NEAREST = "nearest"
-
 
 @dataclass(frozen=True)
 class GiniResult:
@@ -40,8 +37,6 @@ class ConcentrationRatio:
     value: float
     bottom_n: int
     top_n: int
-    bottom_share: float = 0.40
-    top_share: float = 0.20
 
 
 def round_half_up(x: float) -> int:
@@ -157,51 +152,48 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> SpearmanResult:
     return SpearmanResult(rho, p, n)
 
 
-def _group_size(share: float, n: int, rounding: str) -> int:
-    if rounding == GROUP_ROUNDING_FLOOR:
-        return int(math.floor(share * n + 1e-9))
-    if rounding == GROUP_ROUNDING_NEAREST:
-        return round_half_up(share * n)
-    raise ValueError(f"unknown group rounding {rounding!r}")
+def top_count(share: float, n: int) -> int:
+    """Head count of the top `share` of n members: half up, at least one, none at share 0.
+
+    Share 0 selects nobody so a top-removal scenario collapses to the observed one.
+    """
+    if share == 0:
+        return 0
+    return max(1, round_half_up(share * n))
 
 
-def bottom_top_ratio(
-    values: Sequence[float],
-    rounding: str = GROUP_ROUNDING_FLOOR,
-    bottom_share: float = 0.40,
-    top_share: float = 0.20,
-) -> ConcentrationRatio:
+def bottom_top_ratio(values: Sequence[float]) -> ConcentrationRatio:
     """Cumulative value of the bottom 40% over the cumulative top 20%.
 
-    Near zero means the bottom group contributes almost nothing relative to
-    the top performers; degenerate near-equal data can push it above 1.
+    Both group sizes round down. Near zero means the bottom group contributes
+    almost nothing relative to the top performers; degenerate near-equal data
+    can push it above 1.
     """
     x = np.asarray(values, dtype=float)
     n = int(x.size)
     if n < 5:
         raise UndefinedStatisticError(f"bottom/top ratio needs at least 5 values, got {n}")
-    n_bottom = _group_size(bottom_share, n, rounding)
-    n_top = _group_size(top_share, n, rounding)
+    n_bottom = int(math.floor(0.40 * n + 1e-9))
+    n_top = int(math.floor(0.20 * n + 1e-9))
     xs = np.sort(x)
     bottom = float(xs[:n_bottom].sum())
     top = float(xs[n - n_top :].sum())
     if top == 0.0:
         raise UndefinedStatisticError("top group has zero cumulative value")
-    return ConcentrationRatio(bottom / top, n_bottom, n_top, bottom_share, top_share)
+    return ConcentrationRatio(bottom / top, n_bottom, n_top)
 
 
 def top20_impact_share(values: Sequence[float]) -> float:
-    """Share of the total held by the top 20% of values (at least one); 0 for a zero total.
+    """Share of the total held by the top `top_count(0.2, n)` values; 0 for a zero total.
 
-    The top group size rounds half up. Sums run over the values in
-    descending order, so equal inputs give bit-identical shares.
+    Sums run over the values in descending order, so equal inputs give
+    bit-identical shares.
     """
     ranked = sorted(values, reverse=True)
     total = sum(ranked)
     if not total:
         return 0.0
-    n_top = max(1, round_half_up(0.2 * len(ranked)))
-    return sum(ranked[:n_top]) / total
+    return sum(ranked[: top_count(0.2, len(ranked))]) / total
 
 
 def quantile_class_sizes(n: int, k: int) -> list[int]:

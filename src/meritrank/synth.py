@@ -57,6 +57,9 @@ MAX_CITATIONS = 1_000_000
 AGE_LOCATION_SLOPE = 0.12  # older publications accumulate more citations
 
 DEFAULT_TOLERANCE = 0.03  # largest accepted |measured - target| share in calibrate
+CALIBRATION_ROUNDS = 3
+BISECTION_STEPS = 5
+PROBE_SCALE = 0.35  # probe corpus size as a share of the profile's universities
 
 RNG_DESCRIPTION = "numpy.random.PCG64 seeded via numpy.random.SeedSequence(seed)"
 
@@ -418,7 +421,6 @@ def _bisect_parameter(
     hi: float,
     stat: str,
     target: float,
-    steps: int,
     fixed: dict,
 ) -> float:
     """1-D search for a monotone-increasing measured statistic; clamps at the bounds."""
@@ -430,7 +432,7 @@ def _bisect_parameter(
         return lo
     if measure_at(hi) <= target:
         return hi
-    for _ in range(steps):
+    for _ in range(BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
         if measure_at(mid) < target:
             lo = mid
@@ -443,9 +445,6 @@ def calibrate(
     profile: GeneratorProfile,
     targets: CalibrationTargets | None = None,
     tolerance: float = DEFAULT_TOLERANCE,
-    max_rounds: int = 3,
-    bisect_steps: int = 5,
-    probe_fraction: float = 0.35,
 ) -> CalibrationResult:
     """Adjust the skew knobs until the measured shares hit the targets.
 
@@ -466,11 +465,11 @@ def calibrate(
     if all(abs(r) <= tolerance for r in first_residuals.values()):
         return CalibrationResult(profile, first, first_residuals, True, 1)
     work = replace(profile, p_nonproductive=targets.non_productive_share)
-    probe_universities = max(6, int(round(profile.n_universities * probe_fraction)))
+    probe_universities = max(6, int(round(profile.n_universities * PROBE_SCALE)))
     probe = replace(work, n_universities=min(profile.n_universities, probe_universities))
     prober = _Prober(probe)
 
-    for _ in range(max_rounds):
+    for _ in range(CALIBRATION_ROUNDS):
         measured = prober.measure(
             zero_citation_mass=work.zero_citation_mass, citation_sigma=work.citation_sigma
         )
@@ -485,7 +484,6 @@ def calibrate(
                 0.95,
                 "nil_impact_share",
                 targets.nil_impact_share,
-                bisect_steps,
                 fixed={"citation_sigma": work.citation_sigma},
             )
             work = replace(work, zero_citation_mass=mass)
@@ -497,7 +495,6 @@ def calibrate(
                 3.0,
                 "top20_impact_share",
                 targets.top20_impact_share,
-                bisect_steps,
                 fixed={"zero_citation_mass": work.zero_citation_mass},
             )
             work = replace(work, citation_sigma=sigma)

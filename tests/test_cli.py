@@ -102,6 +102,7 @@ class TestExitCodes:
         )
         assert code == 2
         assert "classes" in capsys.readouterr().err
+        assert not (tmp_path / "cf.csv").exists()
 
 
 class TestIndicators:
@@ -177,6 +178,17 @@ class TestConfigFile:
         assert dispatch(["indicators", "--config", str(config_path), "--out", str(tmp_path / "s.csv")]) == 1
         assert "bogus_key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "window", [None, 2004, [2004], ["a", "b"]], ids=["null", "scalar", "one-year", "non-integer"]
+    )
+    def test_bad_config_window_rejected(self, corpus_dir, tmp_path, capsys, window):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"corpus": str(corpus_dir), "window": window}))
+        out = tmp_path / "s.csv"
+        assert dispatch(["indicators", "--config", str(config_path), "--out", str(out)]) == 1
+        assert "'window'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCounterfactual:
     def test_single_field_csv_has_six_columns(self, corpus_dir, tmp_path):
@@ -233,6 +245,25 @@ class TestCounterfactual:
             ]
         )
         assert code == 1
+        assert not (tmp_path / "cf.csv").exists()
+
+    def test_transition_without_field_rejected(self, corpus_dir, tmp_path):
+        out = tmp_path / "cf.csv"
+        code = dispatch(
+            [
+                "counterfactual",
+                "--corpus",
+                str(corpus_dir),
+                "--level",
+                "uda",
+                "--out",
+                str(out),
+                "--transition",
+                str(tmp_path / "tr.csv"),
+            ]
+        )
+        assert code == 1
+        assert not out.exists()
 
     def test_transition_marginals_match_class_sizes(self, corpus_dir, tmp_path):
         out = tmp_path / "cf.csv"

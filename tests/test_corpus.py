@@ -1,4 +1,4 @@
-"""Loading, validation, activity filter, and staff counts."""
+"""Loading, validation, and the activity filter."""
 
 import json
 import logging
@@ -6,7 +6,7 @@ import logging
 import numpy as np
 import pytest
 
-from meritrank.corpus import active_sds_filter, load_corpus, staff_counts
+from meritrank.corpus import active_sds_filter, load_corpus
 from meritrank.errors import ValidationError
 
 from conftest import make_corpus, make_pub, make_slot, solo_corpus
@@ -192,35 +192,3 @@ class TestActiveSdsFilter:
             )
             after = active_sds_filter(grown)
             assert before <= after
-
-
-class TestStaffCounts:
-    def test_example_counts(self):
-        corpus = make_corpus(
-            [
-                ("R1", "U1", "S1", 5),
-                ("R2", "U1", "S1", 5),
-                ("R3", "U1", "S2", 5),
-                ("R4", "U1", "S2", 5),
-                ("R5", "U1", "S2", 5),
-            ]
-        )
-        by_sds, by_uda = staff_counts(corpus)
-        assert by_sds == {("U1", "S1"): 2, ("U1", "S2"): 3}
-        assert by_uda == {("U1", "X"): 5}
-
-    def test_partition_identity(self):
-        rng = np.random.default_rng(23)
-        entries = [
-            (f"R{i}", f"U{int(rng.integers(1, 4))}", f"S{int(rng.integers(1, 4))}", 5)
-            for i in range(40)
-        ]
-        corpus = make_corpus(entries)
-        by_sds, by_uda = staff_counts(corpus)
-        assert sum(by_sds.values()) == len(corpus.researchers)
-        assert sum(by_uda.values()) == len(corpus.researchers)
-
-    def test_empty_university_absent(self):
-        corpus = make_corpus([("R1", "U1", "S1", 5)])
-        by_sds, _ = staff_counts(corpus)
-        assert ("U2", "S1") not in by_sds

@@ -15,7 +15,7 @@ from meritrank.funding import (
     national_top_census,
     paradox_report,
 )
-from meritrank.scenario import SCOPE_NATIONAL, TopSelection
+from meritrank.scenario import SCOPE_NATIONAL, TopSelection, select_top
 
 from conftest import make_taxonomy, scores_with_ss
 
@@ -147,7 +147,8 @@ def census_fixture():
 class TestCensus:
     def test_counts_and_stranded_share(self):
         corpus, scores, classes = census_fixture()
-        census = national_top_census(scores, corpus.taxonomy, "X", classes, share=0.2)
+        selection = select_top(scores, SCOPE_NATIONAL, 0.2)
+        census = national_top_census(scores, corpus.taxonomy, "X", classes, selection)
         # 40 researchers nationally in S1 -> 8 tops: the pairs at 100/90/80,
         # U08's 95, and one of the tied 70s (id tie-break picks U04-S1-00).
         assert census.total_tops == 8
@@ -160,14 +161,16 @@ class TestCensus:
 
     def test_partition_into_classes(self):
         corpus, scores, classes = census_fixture()
-        census = national_top_census(scores, corpus.taxonomy, "X", classes, share=0.2)
+        selection = select_top(scores, SCOPE_NATIONAL, 0.2)
+        census = national_top_census(scores, corpus.taxonomy, "X", classes, selection)
         assert sum(census.class_totals) == census.total_tops
         assert sum(u.top_count for u in census.universities) == census.total_tops
 
     def test_unclassified_universities_tracked_separately(self):
         corpus, scores, classes = census_fixture()
         del classes["U08"]
-        census = national_top_census(scores, corpus.taxonomy, "X", classes, share=0.2)
+        selection = select_top(scores, SCOPE_NATIONAL, 0.2)
+        census = national_top_census(scores, corpus.taxonomy, "X", classes, selection)
         assert census.unclassified_tops == 1
         assert census.total_tops == 7
         assert sum(census.class_totals) == 7
@@ -189,7 +192,8 @@ class TestParadoxReport:
 
     def test_class_pair_inversion_flagged(self):
         corpus, scores, classes = census_fixture()
-        census = national_top_census(scores, corpus.taxonomy, "X", classes, share=0.2)
+        selection = select_top(scores, SCOPE_NATIONAL, 0.2)
+        census = national_top_census(scores, corpus.taxonomy, "X", classes, selection)
         # Force an inversion: pretend the first class hosts fewer tops.
         census.class_totals = [156, 204, 100, 50]
         allocation = self._allocation(classes, [5] * 8)
@@ -201,7 +205,8 @@ class TestParadoxReport:
 
     def test_monotone_top_counts_no_class_findings(self):
         corpus, scores, classes = census_fixture()
-        census = national_top_census(scores, corpus.taxonomy, "X", classes, share=0.2)
+        selection = select_top(scores, SCOPE_NATIONAL, 0.2)
+        census = national_top_census(scores, corpus.taxonomy, "X", classes, selection)
         census.class_totals = [10, 6, 3, 1]
         for row in census.universities:  # silence rule (b) for this case
             object.__setattr__(row, "top_count", 0)
@@ -211,7 +216,8 @@ class TestParadoxReport:
 
     def test_stranded_high_incidence_flagged(self):
         corpus, scores, classes = census_fixture()
-        census = national_top_census(scores, corpus.taxonomy, "X", classes, share=0.2)
+        selection = select_top(scores, SCOPE_NATIONAL, 0.2)
+        census = national_top_census(scores, corpus.taxonomy, "X", classes, selection)
         allocation = self._allocation(classes, [5] * 8)
         findings = paradox_report(census, allocation)
         stranded = [f for f in findings if f.kind == KIND_STRANDED_INCIDENCE]

@@ -8,7 +8,6 @@ from meritrank.normalization import (
     EQUAL_FRACTIONAL,
     POSITIONAL,
     CreditScheme,
-    author_credit,
     compute_baselines,
     credit_shares,
     standardize,
@@ -154,13 +153,6 @@ class TestAuthorCredit:
         assert shares[2] == pytest.approx(0.25)
         assert shares[3] == pytest.approx(0.25)
         assert sum(shares.values()) == pytest.approx(1.0, abs=1e-12)
-
-    def test_author_credit_matches_shares(self):
-        pub = _pub_with_authors(5)
-        scheme = CreditScheme(mode=POSITIONAL)
-        shares = credit_shares(pub, scheme, True)
-        for slot in pub.authors:
-            assert author_credit(pub, slot, scheme, True) == shares[slot.position]
 
     def test_conservation_over_random_publications(self):
         rng = np.random.default_rng(31)

@@ -6,7 +6,6 @@ import pytest
 from meritrank.aggregation import LEVEL_SDS, LEVEL_UDA
 from meritrank.errors import UndefinedStatisticError, ValidationError
 from meritrank.scenario import (
-    ROUND_FLOOR,
     SCOPE_NATIONAL,
     SCOPE_UNIT,
     UnitShift,
@@ -41,19 +40,13 @@ class TestSelectTop:
         return scores
 
     def test_quota_examples(self):
-        for n, expected in ((10, 2), (7, 1), (5, 1)):
+        for n, expected in ((10, 2), (8, 2), (7, 1), (5, 1)):
             selection = select_top(self._scores(n), SCOPE_UNIT, share=0.2)
             assert len(selection.selected[("U1", "S1")]) == expected
 
     def test_share_zero_selects_nobody(self):
         selection = select_top(self._scores(10), SCOPE_UNIT, share=0.0)
         assert selection.all_selected() == frozenset()
-
-    def test_floor_rounding_option(self):
-        selection = select_top(self._scores(7), SCOPE_UNIT, share=0.2, rounding=ROUND_FLOOR)
-        assert len(selection.selected[("U1", "S1")]) == 1
-        selection = select_top(self._scores(8), SCOPE_UNIT, share=0.2, rounding=ROUND_FLOOR)
-        assert len(selection.selected[("U1", "S1")]) == 1  # floor(1.6)
 
     def test_selects_highest_with_deterministic_ties(self):
         _, scores = scores_with_ss({("U1", "S1"): [5.0, 5.0, 5.0, 1.0, 1.0]})

@@ -163,15 +163,11 @@ class TestBottomTopRatio:
     def test_five_values(self):
         assert bottom_top_ratio([1, 1, 1, 1, 16]).value == pytest.approx(2 / 16)
 
-    def test_nearest_rounding_option(self):
-        # n = 8: floor gives (3, 1); nearest gives (3, 2).
-        values = [1, 2, 3, 4, 5, 6, 7, 8]
-        floor = bottom_top_ratio(values, rounding="floor")
-        nearest = bottom_top_ratio(values, rounding="nearest")
-        assert (floor.bottom_n, floor.top_n) == (3, 1)
-        assert (nearest.bottom_n, nearest.top_n) == (3, 2)
-        assert floor.value == pytest.approx((1 + 2 + 3) / 8)
-        assert nearest.value == pytest.approx((1 + 2 + 3) / (7 + 8))
+    def test_group_sizes_round_down(self):
+        # n = 8: 40% and 20% of 8 are 3.2 and 1.6 -> groups of 3 and 1.
+        result = bottom_top_ratio([1, 2, 3, 4, 5, 6, 7, 8])
+        assert (result.bottom_n, result.top_n) == (3, 1)
+        assert result.value == pytest.approx((1 + 2 + 3) / 8)
 
     def test_errors(self):
         with pytest.raises(UndefinedStatisticError):
