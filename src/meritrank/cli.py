@@ -75,11 +75,23 @@ def _window(value) -> tuple[int, ...]:
     raise ValidationError(f"config key 'window' needs a list of 2 integer years, got {value!r}")
 
 
+def _fraction(option: str):
+    """Parser of an exact rational for `option`, a flag or a config key; 1/0 is rejected too."""
+
+    def parse(value) -> Fraction:
+        try:
+            return Fraction(str(value))
+        except (ValueError, ZeroDivisionError):
+            raise ValidationError(f"{option} needs an exact rational number, got {value!r}") from None
+
+    return parse
+
+
 _CONFIG_COERCIONS = {
     "window": _window,
-    "budget": lambda v: Fraction(str(v)),
-    "global_budget": lambda v: Fraction(str(v)),
-    "ratio": lambda v: Fraction(str(v)),
+    "budget": _fraction("config key 'budget'"),
+    "global_budget": _fraction("config key 'global_budget'"),
+    "ratio": _fraction("config key 'ratio'"),
 }
 
 
@@ -453,7 +465,7 @@ def _add_corpus_options(parser: argparse.ArgumentParser) -> None:
 def _add_funding_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--classes", type=int, default=FundingPolicy.n_classes,
                         help="number of funding classes (default %(default)s)")
-    parser.add_argument("--ratio", type=Fraction, default=FundingPolicy.adjacent_ratio,
+    parser.add_argument("--ratio", type=_fraction("--ratio"), default=FundingPolicy.adjacent_ratio,
                         help="per-capita ratio between adjacent classes (default %(default)s)")
     parser.add_argument("--bottom-funded", dest="bottom_funded", action="store_true", default=False,
                         help="fund the bottom class too")
@@ -532,7 +544,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = sub.add_parser("fund", help="class-weighted funding simulation for one UDA")
     _add_corpus_options(p)
     p.add_argument("--uda", metavar="CODE")
-    p.add_argument("--budget", type=Fraction, default=FundingPolicy.budget,
+    p.add_argument("--budget", type=_fraction("--budget"), default=FundingPolicy.budget,
                    help="budget for the area, exact rational (default %(default)s)")
     _add_funding_options(p)
     p.add_argument("--share", type=float, default=DEFAULT_SHARE,
@@ -548,9 +560,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--profile", metavar="FILE", help="generate a corpus from this profile instead of --corpus")
     p.add_argument("--seed", type=int)
     p.add_argument("--out", metavar="DIR")
-    p.add_argument("--budget", type=Fraction, default=FundingPolicy.budget,
+    p.add_argument("--budget", type=_fraction("--budget"), default=FundingPolicy.budget,
                    help="budget per discipline area (default %(default)s)")
-    p.add_argument("--global-budget", dest="global_budget", type=Fraction,
+    p.add_argument("--global-budget", dest="global_budget", type=_fraction("--global-budget"),
                    help="single budget split across areas proportionally to ranked staff")
     _add_funding_options(p)
     p.add_argument("--share", type=float, default=DEFAULT_SHARE,
@@ -600,7 +612,8 @@ def dispatch(argv) -> int:
     except UndefinedStatisticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNDEFINED_STATISTIC
-    except (MeritrankError, ValueError) as exc:
+    except (MeritrankError, UnicodeDecodeError) as exc:
+        # An input file that is not UTF-8 text is malformed input, not a bug.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

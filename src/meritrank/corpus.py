@@ -1,11 +1,11 @@
 """Domain model, input-file loading and validation, and the field activity filter.
 
 A corpus is immutable after load: every analysis step reads it, none mutates
-it. Each corpus source is checked once. Loaded files are checked by the
-loaders (`load_taxonomy`, `load_researchers`, `load_publications`) as they
-read, and rejected on the first violation rather than silently repaired;
-error messages name the offending file, line, and field. A corpus built in
-memory, such as a generated one, is checked by `Corpus.validate`.
+it. Each per-record invariant is written once, in `publication_problem` and
+`researcher_problem`. The file loaders apply them as they read and name the
+file and line; `Corpus.validate` applies them to a corpus built in memory,
+such as a generated one, and names the record. A violation is rejected
+rather than silently repaired.
 """
 
 from __future__ import annotations
@@ -91,10 +91,7 @@ class Corpus:
     taxonomy: Taxonomy
     window: tuple[int, int]
 
-    @property
-    def window_length(self) -> int:
-        return self.window[1] - self.window[0] + 1
-
+    # Unread by the package; kept because `benchmarks/tracer.py` patches it by name.
     @cached_property
     def slots_by_researcher(self) -> dict[str, tuple[tuple[Publication, AuthorSlot], ...]]:
         index: dict[str, list] = defaultdict(list)
@@ -105,56 +102,61 @@ class Corpus:
         return {rid: tuple(items) for rid, items in index.items()}
 
     def validate(self) -> None:
-        """Check every structural invariant of a corpus built in memory; raises ValidationError.
+        """Apply the loaders' per-record rules to a corpus built in memory; raises ValidationError.
 
-        Loaded corpora are checked by the loaders instead, with file and line
-        context, so `load_corpus` does not call this.
+        It also checks that each researcher's university is known, which the
+        researcher loader ensures by building `universities` itself.
+        `load_corpus` does not call this.
         """
-        lo, hi = self.window
         seen_ids: set[str] = set()
         for pub in self.publications:
-            where = f"publication {pub.id!r}"
-            if pub.id in seen_ids:
-                raise ValidationError(f"duplicate publication id {pub.id!r}")
+            problem = publication_problem(pub, self.window, self.researchers, seen_ids)
+            if problem:
+                raise ValidationError(f"publication {pub.id!r}: {problem}")
             seen_ids.add(pub.id)
-            if pub.doc_type not in DOC_TYPES:
-                raise ValidationError(f"{where}: unknown document type {pub.doc_type!r}")
-            if not lo <= pub.year <= hi:
-                raise ValidationError(
-                    f"{where}: year {pub.year} outside the observation window {lo}-{hi}"
-                )
-            if pub.citations < 0:
-                raise ValidationError(f"{where}: negative citation count")
-            if not pub.categories:
-                raise ValidationError(f"{where}: empty category list")
-            if not pub.authors:
-                raise ValidationError(f"{where}: empty author list")
-            positions = sorted(slot.position for slot in pub.authors)
-            if positions != list(range(1, len(pub.authors) + 1)):
-                raise ValidationError(
-                    f"{where}: author positions {positions} must be exactly 1..{len(pub.authors)}"
-                )
-            for slot in pub.authors:
-                rid = slot.researcher_id
-                if rid is not None and rid not in self.researchers:
-                    raise ValidationError(
-                        f"{where}: author position {slot.position} references "
-                        f"unknown researcher {rid!r}"
-                    )
         for r in self.researchers.values():
-            if r.years_in_post < 1 or r.years_in_post > self.window_length:
-                raise ValidationError(
-                    f"researcher {r.id!r}: years_in_post {r.years_in_post} outside "
-                    f"[1, {self.window_length}]"
-                )
-            if r.sds not in self.taxonomy.sds_to_uda:
-                raise ValidationError(
-                    f"researcher {r.id!r}: SDS {r.sds!r} is absent from the taxonomy"
-                )
-            if r.university_id not in self.universities:
-                raise ValidationError(
-                    f"researcher {r.id!r}: unknown university {r.university_id!r}"
-                )
+            problem = researcher_problem(r, self.taxonomy, self.window)
+            if not problem and r.university_id not in self.universities:
+                problem = f"unknown university {r.university_id!r}"
+            if problem:
+                raise ValidationError(f"researcher {r.id!r}: {problem}")
+
+
+def publication_problem(
+    pub: Publication, window, researchers: Mapping[str, Researcher], seen_ids: set[str]
+) -> str | None:
+    """The first rule `pub` breaks, as a message, or None; `seen_ids` holds the ids before it."""
+    lo, hi = window
+    if pub.id in seen_ids:
+        return f"duplicate publication id {pub.id!r}"
+    if not lo <= pub.year <= hi:
+        return f"year {pub.year} outside the observation window {lo}-{hi}"
+    if pub.doc_type not in DOC_TYPES:
+        return f"document type {pub.doc_type!r} is not one of {DOC_TYPES}"
+    if pub.citations < 0:
+        return f"citations must be >= 0, got {pub.citations}"
+    if not pub.categories:
+        return "categories must not be empty"
+    if not pub.authors:
+        return "authors must not be empty"
+    positions = sorted(slot.position for slot in pub.authors)
+    if positions != list(range(1, len(pub.authors) + 1)):
+        return f"author positions {positions} must be exactly 1..{len(pub.authors)}"
+    for slot in pub.authors:
+        rid = slot.researcher_id
+        if rid is not None and rid not in researchers:
+            return f"author position {slot.position} references unknown researcher {rid!r}"
+    return None
+
+
+def researcher_problem(researcher: Researcher, taxonomy: Taxonomy, window) -> str | None:
+    """The first rule `researcher` breaks, as a message, or None."""
+    if researcher.sds not in taxonomy.sds_to_uda:
+        return f"SDS {researcher.sds!r} is absent from the taxonomy"
+    window_length = window[1] - window[0] + 1
+    if not 1 <= researcher.years_in_post <= window_length:
+        return f"years_in_post {researcher.years_in_post} outside [1, {window_length}]"
+    return None
 
 
 def _fail(path, line_no: int, message: str):
@@ -185,12 +187,7 @@ def load_taxonomy(tax_path) -> Taxonomy:
                 f"got {','.join(reader.fieldnames or [])}"
             )
         for line_no, row in enumerate(reader, start=2):
-            sds, uda, uda_name, life = (
-                row["sds"],
-                row["uda"],
-                row["uda_name"],
-                row["life_science"],
-            )
+            sds, uda, uda_name, life = (row[column] for column in TAXONOMY_COLUMNS)
             if not sds or not uda:
                 _fail(tax_path, line_no, "empty sds or uda code")
             if sds in sds_to_uda:
@@ -228,27 +225,27 @@ def load_researchers(res_path, taxonomy: Taxonomy, window) -> tuple[dict[str, Re
                 _fail(res_path, line_no, "empty researcher id")
             if rid in researchers:
                 _fail(res_path, line_no, f"duplicate researcher id {rid!r}")
-            uid, uname, sds = row["university_id"], row["university_name"], row["sds"]
+            uid, uname = row["university_id"], row["university_name"]
             if not uid:
                 _fail(res_path, line_no, "empty university_id")
-            if sds not in taxonomy.sds_to_uda:
-                _fail(res_path, line_no, f"SDS {sds!r} is absent from the taxonomy")
             if uid in universities and universities[uid] != uname:
                 _fail(res_path, line_no, f"conflicting names for university {uid!r}")
             try:
                 years = int(row["years_in_post"])
             except ValueError:
                 _fail(res_path, line_no, f"field 'years_in_post': not an integer: {row['years_in_post']!r}")
-            if years < 1:
-                _fail(res_path, line_no, f"years_in_post must be >= 1, got {years}")
             if years > window_length:
                 log.warning(
                     "%s line %d: years_in_post %d capped at window length %d",
                     res_path, line_no, years, window_length,
                 )
                 years = window_length
+            researcher = Researcher(rid, uid, row["sds"], years)
+            problem = researcher_problem(researcher, taxonomy, window)
+            if problem:
+                _fail(res_path, line_no, problem)
             universities[uid] = uname
-            researchers[rid] = Researcher(rid, uid, sds, years)
+            researchers[rid] = researcher
     if not researchers:
         raise ValidationError(f"{res_path}: no researcher rows")
     return researchers, universities
@@ -257,7 +254,6 @@ def load_researchers(res_path, taxonomy: Taxonomy, window) -> tuple[dict[str, Re
 def load_publications(pub_path, window, researchers: Mapping[str, Researcher]) -> tuple[Publication, ...]:
     """Read publications.jsonl; every non-null author id must name one of `researchers`."""
     pub_path = Path(pub_path)
-    lo, hi = window
     publications: list[Publication] = []
     seen: set[str] = set()
     with open(pub_path, encoding="utf-8") as fh:
@@ -269,50 +265,31 @@ def load_publications(pub_path, window, researchers: Mapping[str, Researcher]) -
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 _fail(pub_path, line_no, f"invalid JSON: {exc}")
+            if not isinstance(record, dict):
+                _fail(pub_path, line_no, "expected a JSON object")
             pid = _require(record, "id", str, pub_path, line_no)
-            if pid in seen:
-                _fail(pub_path, line_no, f"duplicate publication id {pid!r}")
-            seen.add(pid)
             year = _require(record, "year", int, pub_path, line_no)
-            if not lo <= year <= hi:
-                _fail(pub_path, line_no, f"year {year} outside the observation window {lo}-{hi}")
             doc_type = _require(record, "type", str, pub_path, line_no)
-            if doc_type not in DOC_TYPES:
-                _fail(pub_path, line_no, f"field 'type': expected one of {DOC_TYPES}, got {doc_type!r}")
             citations = _require(record, "citations", int, pub_path, line_no)
-            if citations < 0:
-                _fail(pub_path, line_no, "field 'citations': negative count")
             categories = _require(record, "categories", list, pub_path, line_no)
-            if not categories or not all(isinstance(c, str) and c for c in categories):
-                _fail(pub_path, line_no, "field 'categories': need a non-empty list of codes")
-            raw_authors = _require(record, "authors", list, pub_path, line_no)
-            if not raw_authors:
-                _fail(pub_path, line_no, "field 'authors': empty author list")
+            if not all(isinstance(c, str) and c for c in categories):
+                _fail(pub_path, line_no, "field 'categories': entries must be non-empty strings")
             slots = []
-            for slot in raw_authors:
+            for slot in _require(record, "authors", list, pub_path, line_no):
                 if not isinstance(slot, dict):
                     _fail(pub_path, line_no, "field 'authors': entries must be objects")
                 rid = slot.get("researcher_id")
                 if rid is not None and not isinstance(rid, str):
                     _fail(pub_path, line_no, "field 'researcher_id': expected string or null")
                 position = _require(slot, "position", int, pub_path, line_no)
-                if rid is not None and rid not in researchers:
-                    _fail(
-                        pub_path, line_no,
-                        f"publication {pid!r}: author position {position} references "
-                        f"unknown researcher {rid!r}",
-                    )
                 intramural = _require(slot, "intramural", bool, pub_path, line_no)
                 slots.append(AuthorSlot(position, intramural, rid))
-            positions = sorted(s.position for s in slots)
-            if positions != list(range(1, len(slots) + 1)):
-                _fail(
-                    pub_path, line_no,
-                    f"publication {pid!r}: author positions {positions} must be exactly 1..{len(slots)}",
-                )
-            publications.append(
-                Publication(pid, year, doc_type, citations, tuple(categories), tuple(slots))
-            )
+            pub = Publication(pid, year, doc_type, citations, tuple(categories), tuple(slots))
+            problem = publication_problem(pub, window, researchers, seen)
+            if problem:
+                _fail(pub_path, line_no, problem)
+            seen.add(pid)
+            publications.append(pub)
     return tuple(publications)
 
 
@@ -320,8 +297,8 @@ def load_corpus(pub_path, res_path, tax_path, window=DEFAULT_WINDOW) -> Corpus:
     """Load and validate the three corpus files; raises on the first violation.
 
     Missing files surface as FileNotFoundError (I/O), malformed contents as
-    ValidationError with file/line context. The loaders' checks cover every
-    invariant that `Corpus.validate` checks, so it is not run again here.
+    ValidationError with file/line context. The loaders apply the same
+    per-record rules as `Corpus.validate`, so it is not run again here.
     """
     taxonomy = load_taxonomy(tax_path)
     researchers, universities = load_researchers(res_path, taxonomy, window)
@@ -336,5 +313,6 @@ def active_sds_filter(corpus: Corpus) -> set[str]:
     analyses restrict to this set.
     """
     totals = Counter(r.sds for r in corpus.researchers.values())
-    active = Counter(corpus.researchers[rid].sds for rid in corpus.slots_by_researcher)
+    publishers = {slot.researcher_id for pub in corpus.publications for slot in pub.authors}
+    active = Counter(corpus.researchers[rid].sds for rid in publishers - {None})
     return {sds for sds, total in totals.items() if 2 * active[sds] >= total}

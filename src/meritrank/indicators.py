@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .corpus import Corpus, active_sds_filter
 from .normalization import Baselines, CreditScheme, compute_baselines, credit_shares, standardize
+from .stats import average_ranks
 
 
 @dataclass
@@ -29,24 +32,30 @@ def researcher_ss(
     ss = sum over the researcher's publications of standardized citations
     times their author-credit share, divided by years in post. Positional
     credit applies when the researcher's field is a life-science area.
+    Each total receives its terms in publication order, then slot order.
     """
-    std_cache: dict[str, float] = {}
-    share_cache: dict[tuple[str, bool], dict[int, float]] = {}
+    life_science = {
+        rid: corpus.taxonomy.is_life_science(r.sds) for rid, r in corpus.researchers.items()
+    }
+    totals = dict.fromkeys(corpus.researchers, 0.0)
+    pub_counts: Counter[str] = Counter()
+    for pub in corpus.publications:
+        std = standardize(pub, baselines)
+        shares: dict[bool, dict[int, float]] = {}
+        for slot in pub.authors:
+            rid = slot.researcher_id
+            if rid is None:
+                continue
+            life = life_science[rid]
+            if life not in shares:
+                shares[life] = credit_shares(pub, scheme, life)
+            totals[rid] += std * shares[life][slot.position]
+        # A researcher in two slots of one publication counts it once.
+        pub_counts.update({slot.researcher_id for slot in pub.authors} - {None})
     scores: dict[str, ResearcherScore] = {}
     for rid, researcher in corpus.researchers.items():
-        life = corpus.taxonomy.is_life_science(researcher.sds)
-        total = 0.0
-        pub_ids: set[str] = set()
-        for pub, slot in corpus.slots_by_researcher.get(rid, ()):
-            if pub.id not in std_cache:
-                std_cache[pub.id] = standardize(pub, baselines)
-            key = (pub.id, life)
-            if key not in share_cache:
-                share_cache[key] = credit_shares(pub, scheme, life)
-            total += std_cache[pub.id] * share_cache[key][slot.position]
-            pub_ids.add(pub.id)
-        ss = total / researcher.years_in_post
-        raw = len(pub_ids)
+        ss = totals[rid] / researcher.years_in_post
+        raw = pub_counts[rid]
         scores[rid] = ResearcherScore(
             researcher_id=rid,
             university_id=researcher.university_id,
@@ -62,28 +71,21 @@ def researcher_ss(
 def percentile_ranks(scores: dict[str, ResearcherScore]) -> dict[str, ResearcherScore]:
     """Percentile within each SDS: 100 for the top score, 0 for the bottom.
 
-    percentile = 100 * (n - r) / (n - 1) with r the competition rank averaged
-    over exact-equality ties; a singleton group scores 100.
+    percentile = 100 * (r - 1) / (n - 1) with r the ascending rank averaged
+    over exact-equality ties (`stats.average_ranks`); a singleton group
+    scores 100.
     """
     groups: dict[str, list[ResearcherScore]] = defaultdict(list)
     for score in scores.values():
         groups[score.sds].append(score)
     for group in groups.values():
-        group.sort(key=lambda s: (-s.ss, s.researcher_id))
         n = len(group)
         if n == 1:
             group[0].percentile = 100.0
             continue
-        i = 0
-        while i < n:
-            j = i
-            while j + 1 < n and group[j + 1].ss == group[i].ss:
-                j += 1
-            average_rank = 0.5 * (i + j) + 1.0
-            percentile = 100.0 * (n - average_rank) / (n - 1)
-            for score in group[i : j + 1]:
-                score.percentile = percentile
-            i = j + 1
+        ranks = average_ranks(np.array([s.ss for s in group]))
+        for score, percentile in zip(group, (100.0 * (ranks - 1) / (n - 1)).tolist()):
+            score.percentile = percentile
     return scores
 
 

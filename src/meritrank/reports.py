@@ -17,6 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 from ._version import __version__
 from .aggregation import RankedUnit
+from .errors import UndefinedStatisticError
 from .funding import Finding, FundingAllocation, TopCensus
 from .indicators import ProductivityStats, ResearcherScore
 from .scenario import CounterfactualReport, ScatterData
@@ -151,7 +152,7 @@ def write_transition_csv(path, report: CounterfactualReport) -> None:
     """Class-transition matrix with row and column marginals."""
     matrix = report.transition
     if matrix is None:
-        raise ValueError(f"field {report.field!r} has no transition matrix")
+        raise UndefinedStatisticError(f"field {report.field!r} has no transition matrix")
     k = report.k_classes
     with _open_w(path) as fh:
         writer = _writer(fh)

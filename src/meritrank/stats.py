@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import stdtr
 
-from .errors import UndefinedStatisticError
+from .errors import UndefinedStatisticError, ValidationError
 
 # Exhaustive permutation p-values stay under a second up to 9!.
 EXACT_PERMUTATION_MAX_N = 9
@@ -57,7 +57,7 @@ def gini(values: Sequence[float]) -> GiniResult:
     if n < 2:
         raise UndefinedStatisticError(f"gini needs at least 2 values, got {n}")
     if np.any(x < 0):
-        raise ValueError("gini is defined for non-negative values only")
+        raise ValidationError("gini is defined for non-negative values only")
     total = float(x.sum())
     if total == 0.0:
         return GiniResult(0.0, n)
@@ -67,7 +67,7 @@ def gini(values: Sequence[float]) -> GiniResult:
     return GiniResult(value, n)
 
 
-def _average_ranks(x: np.ndarray) -> np.ndarray:
+def average_ranks(x: np.ndarray) -> np.ndarray:
     """Ranks 1..n; tied values share the mean of the ranks they span."""
     order = np.argsort(x, kind="mergesort")
     sx = x[order]
@@ -136,12 +136,12 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> SpearmanResult:
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
     if xa.size != ya.size:
-        raise ValueError(f"length mismatch: {xa.size} vs {ya.size}")
+        raise ValidationError(f"spearman needs equal lengths, got {xa.size} vs {ya.size}")
     n = int(xa.size)
     if n < 3:
         raise UndefinedStatisticError(f"spearman needs at least 3 pairs, got {n}")
-    rx = _average_ranks(xa)
-    ry = _average_ranks(ya)
+    rx = average_ranks(xa)
+    ry = average_ranks(ya)
     if np.all(xa == xa[0]) or np.all(ya == ya[0]):
         raise UndefinedStatisticError("spearman is undefined for a zero-variance vector")
     rho = _rank_correlation(rx, ry)
@@ -203,7 +203,7 @@ def quantile_class_sizes(n: int, k: int) -> list[int]:
     the outside inward: first class, last class, second class, second-to-last...
     """
     if k < 1:
-        raise ValueError("need at least one class")
+        raise ValidationError(f"need at least one quantile class, got {k}")
     if n < k:
         raise UndefinedStatisticError(f"cannot split {n} units into {k} classes")
     base, extra = divmod(n, k)

@@ -93,6 +93,8 @@ class GeneratorProfile:
     def validate(self) -> None:
         if self.n_universities < 1:
             raise ValidationError("profile: need at least one university")
+        if self.seed < 0:
+            raise ValidationError(f"profile: seed must be non-negative, got {self.seed}")
         if not self.sds_per_uda or any(n < 1 for n in self.sds_per_uda.values()):
             raise ValidationError("profile: sds_per_uda needs positive counts")
         lo, hi = self.staff_per_unit

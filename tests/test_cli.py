@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from meritrank import cli
 from meritrank.cli import dispatch
 from meritrank.synth import GeneratorProfile
 
@@ -103,6 +104,55 @@ class TestExitCodes:
         assert code == 2
         assert "classes" in capsys.readouterr().err
         assert not (tmp_path / "cf.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fund", "--uda", "A", "--budget", "1/0"],
+            ["fund", "--uda", "A", "--ratio", "1/0"],
+            ["report-all", "--global-budget", "1/0"],
+        ],
+        ids=["budget", "ratio", "global-budget"],
+    )
+    def test_zero_denominator_flag_rejected(self, corpus_dir, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert dispatch(argv + ["--corpus", str(corpus_dir), "--out", str(out)]) == 1
+        assert f"{argv[-2]} needs an exact rational number, got '1/0'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_denominator_config_ratio_rejected(self, corpus_dir, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"corpus": str(corpus_dir), "ratio": "1/0"}))
+        out = tmp_path / "a.csv"
+        assert dispatch(["fund", "--config", str(config_path), "--uda", "A", "--out", str(out)]) == 1
+        assert "config key 'ratio' needs an exact rational number" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_transition_classes_rejected(self, corpus_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = dispatch(
+            ["report-all", "--corpus", str(corpus_dir), "--transition-classes", "0", "--out", str(out)]
+        )
+        assert code == 1
+        assert "at least one quantile class" in capsys.readouterr().err
+
+    def test_non_utf8_input_is_validation_error(self, corpus_dir, tmp_path, capsys):
+        broken = tmp_path / "broken"
+        broken.mkdir()
+        for name in ("publications.jsonl", "researchers.csv"):
+            (broken / name).write_bytes((corpus_dir / name).read_bytes())
+        (broken / "taxonomy.csv").write_bytes(b"\xff\xfe not text\n")
+        code = dispatch(["indicators", "--corpus", str(broken), "--out", str(tmp_path / "s.csv")])
+        assert code == 1
+        assert "utf-8" in capsys.readouterr().err
+
+    def test_internal_value_error_is_not_reported_as_user_error(self, corpus_dir, tmp_path, monkeypatch):
+        def broken_scoring(*args, **kwargs):
+            raise ValueError("internal bug")
+
+        monkeypatch.setattr(cli, "score_corpus", broken_scoring)
+        with pytest.raises(ValueError, match="internal bug"):
+            dispatch(["indicators", "--corpus", str(corpus_dir), "--out", str(tmp_path / "s.csv")])
 
 
 class TestIndicators:

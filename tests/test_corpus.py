@@ -6,10 +6,17 @@ import logging
 import numpy as np
 import pytest
 
-from meritrank.corpus import active_sds_filter, load_corpus
+from meritrank.corpus import (
+    AuthorSlot,
+    Corpus,
+    Publication,
+    Researcher,
+    active_sds_filter,
+    load_corpus,
+)
 from meritrank.errors import ValidationError
 
-from conftest import make_corpus, make_pub, make_slot, solo_corpus
+from conftest import DEFAULT_WINDOW, make_corpus, make_pub, make_taxonomy, solo_corpus
 
 VALID_TAXONOMY = "sds,uda,uda_name,life_science\nS1,X,Area X,0\nS2,X,Area X,0\nS3,LIFE,Life area,1\n"
 
@@ -106,6 +113,12 @@ class TestLoadCorpus:
         with pytest.raises(ValidationError, match="line 2"):
             load_corpus(*paths)
 
+    def test_non_object_line_rejected(self, tmp_path):
+        paths = write_files(tmp_path)
+        paths[0].write_text(json.dumps(VALID_PUBLICATION) + "\n[1, 2]\n")
+        with pytest.raises(ValidationError, match="publications.jsonl line 2: expected a JSON object"):
+            load_corpus(*paths)
+
     def test_sds_missing_from_taxonomy(self, tmp_path):
         researchers = VALID_RESEARCHERS + "R3,U1,Uni One,S9,5\n"
         with pytest.raises(ValidationError, match="S9"):
@@ -153,6 +166,117 @@ class TestLoadCorpus:
             load_corpus(*write_files(tmp_path, taxonomy=taxonomy))
 
 
+def _broken(**fields):
+    return dict(VALID_PUBLICATION, **fields)
+
+
+def _slot(researcher_id, position):
+    return {"researcher_id": researcher_id, "position": position, "intramural": True}
+
+
+# One row per rule that the file loaders and `Corpus.validate` share:
+# publications, an extra researchers.csv row, the file and line the loader
+# names, the record `validate` names, and the start of the shared message.
+SHARED_RULES = [
+    pytest.param(
+        [VALID_PUBLICATION, VALID_PUBLICATION], None,
+        "publications.jsonl line 2", "publication 'P1'", "duplicate publication id 'P1'",
+        id="duplicate-publication-id",
+    ),
+    pytest.param(
+        [_broken(year=2009)], None,
+        "publications.jsonl line 1", "publication 'P1'", "year 2009 outside the observation window",
+        id="year-outside-window",
+    ),
+    pytest.param(
+        [_broken(type="preprint")], None,
+        "publications.jsonl line 1", "publication 'P1'", "document type 'preprint'",
+        id="document-type",
+    ),
+    pytest.param(
+        [_broken(citations=-3)], None,
+        "publications.jsonl line 1", "publication 'P1'", "citations must be >= 0, got -3",
+        id="negative-citations",
+    ),
+    pytest.param(
+        [_broken(categories=[])], None,
+        "publications.jsonl line 1", "publication 'P1'", "categories must not be empty",
+        id="empty-categories",
+    ),
+    pytest.param(
+        [_broken(authors=[])], None,
+        "publications.jsonl line 1", "publication 'P1'", "authors must not be empty",
+        id="empty-authors",
+    ),
+    pytest.param(
+        [_broken(authors=[_slot("R1", 1), _slot(None, 3)])], None,
+        "publications.jsonl line 1", "publication 'P1'", r"author positions \[1, 3\] must be exactly 1\.\.2",
+        id="author-positions",
+    ),
+    pytest.param(
+        [_broken(authors=[_slot("GHOST", 1)])], None,
+        "publications.jsonl line 1", "publication 'P1'", "author position 1 references unknown researcher 'GHOST'",
+        id="unknown-author",
+    ),
+    pytest.param(
+        [VALID_PUBLICATION], "R3,U1,Uni One,S9,5",
+        "researchers.csv line 4", "researcher 'R3'", "SDS 'S9' is absent from the taxonomy",
+        id="sds-outside-taxonomy",
+    ),
+    pytest.param(
+        [VALID_PUBLICATION], "R3,U1,Uni One,S1,0",
+        "researchers.csv line 4", "researcher 'R3'", r"years_in_post 0 outside \[1, 5\]",
+        id="years-in-post-below-one",
+    ),
+]
+
+
+def _in_memory(pubs, extra_researcher):
+    """The corpus that `load_corpus` would build from the same records, without its checks."""
+    rows = VALID_RESEARCHERS.splitlines()[1:] + ([extra_researcher] if extra_researcher else [])
+    researchers = {}
+    for row in rows:
+        rid, uid, _, sds, years = row.split(",")
+        researchers[rid] = Researcher(rid, uid, sds, int(years))
+    publications = tuple(
+        Publication(
+            p["id"], p["year"], p["type"], p["citations"], tuple(p["categories"]),
+            tuple(AuthorSlot(a["position"], a["intramural"], a["researcher_id"]) for a in p["authors"]),
+        )
+        for p in pubs
+    )
+    taxonomy = make_taxonomy({"S1": "X", "S2": "X", "S3": "LIFE"})
+    return Corpus(publications, researchers, {"U1": "Uni One"}, taxonomy, DEFAULT_WINDOW)
+
+
+class TestSharedRules:
+    """Loaded and in-memory corpora are rejected by the same rule, with their own context."""
+
+    @pytest.mark.parametrize("pubs, extra_researcher, line, record, message", SHARED_RULES)
+    def test_loader_names_file_and_line(self, tmp_path, pubs, extra_researcher, line, record, message):
+        researchers = VALID_RESEARCHERS + (extra_researcher + "\n" if extra_researcher else "")
+        with pytest.raises(ValidationError, match=f"{line}: {message}"):
+            load_corpus(*write_files(tmp_path, pubs=pubs, researchers=researchers))
+
+    @pytest.mark.parametrize("pubs, extra_researcher, line, record, message", SHARED_RULES)
+    def test_validate_names_record(self, pubs, extra_researcher, line, record, message):
+        with pytest.raises(ValidationError, match=f"^{record}: {message}"):
+            _in_memory(pubs, extra_researcher).validate()
+
+    def test_valid_records_pass_both_paths(self, tmp_path):
+        load_corpus(*write_files(tmp_path))
+        _in_memory([VALID_PUBLICATION], None).validate()
+
+    def test_validate_rejects_unknown_university(self):
+        corpus = _in_memory([VALID_PUBLICATION], "R3,U9,Uni Nine,S1,5")
+        with pytest.raises(ValidationError, match="researcher 'R3': unknown university 'U9'"):
+            corpus.validate()
+
+    def test_validate_rejects_years_beyond_window_that_the_loader_caps(self):
+        with pytest.raises(ValidationError, match=r"years_in_post 9 outside \[1, 5\]"):
+            _in_memory([VALID_PUBLICATION], "R3,U1,Uni One,S1,9").validate()
+
+
 class TestActiveSdsFilter:
     def _corpus_with_shares(self, publishing, total, sds="S1"):
         entries = []
@@ -180,7 +304,8 @@ class TestActiveSdsFilter:
             corpus = solo_corpus(entries)
             before = active_sds_filter(corpus)
             # Hand one previously non-productive researcher a publication.
-            idle = [rid for rid in corpus.researchers if rid not in corpus.slots_by_researcher]
+            authors = {slot.researcher_id for pub in corpus.publications for slot in pub.authors}
+            idle = [rid for rid in corpus.researchers if rid not in authors]
             if not idle:
                 continue
             rid = idle[0]

@@ -1,8 +1,8 @@
-"""Golden outputs: pinned SHA-256 digests and manifest config echoes of five CLI runs.
+"""Golden outputs: pinned SHA-256 digests and manifest config echoes of six CLI runs.
 
 The runs use criterion 11's 12-university profile (seed 41): `report-all`
-generates the corpus, and `indicators`, `rank`, `counterfactual` and `fund`
-read the corpus it wrote. A refactor must reproduce every non-manifest byte
+generates the corpus, and `indicators` (with equal and with positional
+credit), `rank`, `counterfactual` and `fund` read the corpus it wrote. A refactor must reproduce every non-manifest byte
 and every manifest `config` dict; a change that alters them on purpose
 updates the pins here and says why in CHANGES.md.
 """
@@ -28,6 +28,7 @@ GOLDEN_DIGESTS = {
     "fund/census.csv": "43bad6aa03cbe02846c7602d8b845fa715157e87ecd1fe5f120a70b10b7a3d1c",
     "fund/findings.json": "89b22ae144f58cd7a94833cbebf3ee8736a7cc2ada250ce90a571d58483ed236",
     "indicators/scores.csv": "00c870d6c60dfec08e84e0fb29fe983329200d9488ddd056e0cc594301dcd70c",
+    "indicators-positional/scores.csv": "74a5cd68d4b85bc5800fceab2b23a15187446af0262b582c261435429d3a5f01",
     "rank/rank.csv": "e0177b9e7124ceacc3682ae91c0b5f50bee0ebeace03cbaf67c19b81d632fea9",
     "rank/rank.json": "e834dea8427902a7abd74c5cb81f94d42214850870f89bbde1a5d62f41c5a81c",
     "report-all/concentration_sds.csv": "df40a9bd90b406220fa36aef0f2158f4e79705c6971bd62f74c9ab648bd06f91",
@@ -102,6 +103,18 @@ GOLDEN_CONFIGS = {
         "pstar": "mean-of-units",
         "window": [2004, 2008],
     },
+    "indicators-positional/scores.manifest.json": {
+        "corpus": "TMP/report-all/corpus",
+        "credit": "positional",
+        "extramural_discount": 0.5,
+        "first_w": 2.0,
+        "last_w": 2.0,
+        "middle_w": 1.0,
+        "min_staff": 5,
+        "out": "TMP/indicators-positional/scores.csv",
+        "pstar": "mean-of-units",
+        "window": [2004, 2008],
+    },
     "rank/rank.manifest.json": {
         "corpus": "TMP/report-all/corpus",
         "credit": "equal",
@@ -147,6 +160,10 @@ def _runs(tmp):
         ["report-all", "--profile", str(tmp / "profile.json"), "--out", str(tmp / "report-all")],
         ["indicators", "--corpus", corpus, "--out", str(tmp / "indicators" / "scores.csv")],
         [
+            "indicators", "--corpus", corpus, "--credit", "positional", "--extramural-discount", "0.5",
+            "--out", str(tmp / "indicators-positional" / "scores.csv"),
+        ],
+        [
             "rank", "--corpus", corpus, "--level", "uda",
             "--out", str(tmp / "rank" / "rank.csv"), "--json", str(tmp / "rank" / "rank.json"),
         ],
@@ -166,7 +183,7 @@ def _runs(tmp):
 
 
 def run_golden(tmp):
-    """Run the five commands under `tmp`; return (digests, manifest configs) keyed by relative path."""
+    """Run the six commands under `tmp`; return (digests, manifest configs) keyed by relative path."""
     (tmp / "profile.json").write_text(json.dumps(PROFILE))
     for argv in _runs(tmp):
         assert dispatch(argv) == 0, argv[0]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from meritrank.errors import UndefinedStatisticError
+from meritrank.errors import UndefinedStatisticError, ValidationError
 from meritrank.stats import (
     bottom_top_ratio,
     classify_quantiles,
@@ -70,7 +70,7 @@ class TestGini:
             gini([1.0])
 
     def test_negative_values_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             gini([1.0, -0.5, 2.0])
 
 
@@ -143,7 +143,7 @@ class TestSpearman:
         assert spearman(x, x).rho == 1.0
 
     def test_errors(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             spearman([1, 2, 3], [1, 2])
         with pytest.raises(UndefinedStatisticError):
             spearman([1, 2], [2, 1])

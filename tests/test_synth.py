@@ -111,6 +111,11 @@ class TestProfile:
         with pytest.raises(ValidationError, match="p_nonproductive"):
             generate(replace(SMALL, p_nonproductive=1.2))
 
+    def test_negative_seed_rejected(self):
+        # numpy's SeedSequence raises a bare ValueError, which the CLI reports as a bug.
+        with pytest.raises(ValidationError, match="seed must be non-negative"):
+            generate(replace(SMALL, seed=-1))
+
     def test_json_round_trip(self, tmp_path):
         import json
 
