@@ -1,9 +1,10 @@
 """Command-line front end orchestrating the pipeline and emitting reports.
 
 Exit codes: 0 success, 1 validation error, 2 undefined statistic, 3 I/O
-error. Every run writes a JSON manifest (config echo, input digests, tool
-version) alongside its outputs. A JSON config file may supply any flag;
-explicit flags win.
+error. Every run that gets through its command writes a JSON manifest
+(config echo, input digests, tool version) alongside its outputs. A JSON
+config file may supply any flag, parsed as the flag parses it; explicit
+flags win.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .aggregation import (
     sds_unit_scores,
     uda_unit_scores,
 )
-from .corpus import DEFAULT_WINDOW, load_corpus
+from .corpus import DEFAULT_WINDOW, load_corpus, open_input
 from .errors import MeritrankError, UndefinedStatisticError, ValidationError
 from .funding import FundingPolicy, allocate, national_top_census, paradox_report
 from .indicators import productivity_stats, score_corpus
@@ -64,39 +65,29 @@ CREDIT_MODES = {"equal": EQUAL_FRACTIONAL, "positional": POSITIONAL}
 
 # Namespace entries that steer dispatch and are not options of a command.
 _DISPATCH_KEYS = ("command", "config", "verbose", "handler")
+# Commands whose --out is a directory; the others write a file.
+_DIRECTORY_COMMANDS = ("gen", "report-all")
 
-
-def _window(value) -> tuple[int, ...]:
-    if isinstance(value, list) and len(value) == 2:
-        try:
-            return tuple(int(x) for x in value)
-        except (TypeError, ValueError):
-            pass
-    raise ValidationError(f"config key 'window' needs a list of 2 integer years, got {value!r}")
+_EXACT_RATIONAL = "an exact rational number"
+# What a config value must read as, by the `type=` of its flag.
+_EXPECTED = {None: "a string", int: "an integer", float: "a number"}
 
 
 def _fraction(option: str):
-    """Parser of an exact rational for `option`, a flag or a config key; 1/0 is rejected too."""
+    """Parser of an exact rational for the flag `option`; 1/0 is rejected too."""
 
-    def parse(value) -> Fraction:
+    def parse(value: str) -> Fraction:
         try:
-            return Fraction(str(value))
+            return Fraction(value)
         except (ValueError, ZeroDivisionError):
-            raise ValidationError(f"{option} needs an exact rational number, got {value!r}") from None
+            raise ValidationError(f"{option} needs {_EXACT_RATIONAL}, got {value!r}") from None
 
+    parse.expected = _EXACT_RATIONAL
     return parse
 
 
-_CONFIG_COERCIONS = {
-    "window": _window,
-    "budget": _fraction("config key 'budget'"),
-    "global_budget": _fraction("config key 'global_budget'"),
-    "ratio": _fraction("config key 'ratio'"),
-}
-
-
 def _load_config_file(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path) as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -133,11 +124,6 @@ def _load(cfg: dict):
     return load_corpus(pub, res, tax, tuple(cfg["window"]))
 
 
-def _manifest_path(out_path) -> Path:
-    p = Path(out_path)
-    return p.parent / (p.stem + ".manifest.json")
-
-
 def _load_profile(cfg: dict) -> GeneratorProfile:
     profile = GeneratorProfile.from_json(cfg["profile"]) if cfg["profile"] else GeneratorProfile()
     if cfg["seed"] is not None:
@@ -150,8 +136,6 @@ def cmd_gen(cfg: dict) -> int:
     profile = _load_profile(cfg)
     corpus = generate(profile)
     write_corpus(corpus, out, profile)
-    inputs = [Path(cfg["profile"])] if cfg["profile"] else []
-    reports.write_manifest(Path(out) / "manifest.json", "gen", cfg, inputs)
     print(
         f"wrote corpus to {out}: {len(corpus.researchers)} researchers, "
         f"{len(corpus.publications)} publications, "
@@ -169,13 +153,7 @@ def cmd_calibrate(cfg: dict) -> int:
         top20_impact_share=cfg["target_top20_share"],
     )
     result = calibrate(profile, targets, tolerance=cfg["tolerance"])
-    out_path = Path(out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(result.profile.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    inputs = [Path(cfg["profile"])] if cfg["profile"] else []
-    reports.write_manifest(_manifest_path(out_path), "calibrate", cfg, inputs)
+    reports.json_file(out, result.profile.to_dict(), sort_keys=True)
     for name, residual in sorted(result.residuals.items()):
         print(f"{name}: residual {residual:+.4f} (tolerance {cfg['tolerance']})")
     if not result.converged:
@@ -190,7 +168,6 @@ def cmd_indicators(cfg: dict) -> int:
     corpus = _load(cfg)
     scored = score_corpus(corpus, _credit_scheme(cfg))
     reports.write_scores_csv(out, scored.scores)
-    reports.write_manifest(_manifest_path(out), "indicators", cfg, _corpus_paths(cfg["corpus"]))
     print(f"wrote {len(scored.scores)} researcher scores ({len(scored.active_sds)} active SDSs) to {out}")
     return EXIT_OK
 
@@ -240,7 +217,6 @@ def cmd_rank(cfg: dict) -> int:
     reports.write_ranking_csv(out, rankings, field)
     if cfg["json"]:
         reports.write_ranking_json(cfg["json"], rankings, field)
-    reports.write_manifest(_manifest_path(out), "rank", cfg, _corpus_paths(cfg["corpus"]))
     n_rows = sum(len(r) for r in ([rankings[field]] if field else rankings.values()))
     print(f"wrote {n_rows} ranked units to {out}")
     return EXIT_OK
@@ -281,7 +257,6 @@ def cmd_counterfactual(cfg: dict) -> int:
         reports.write_scatter_svg(cfg["svg"], scatter, title=field)
     if cfg["transition"]:
         reports.write_transition_csv(cfg["transition"], cf[field])
-    reports.write_manifest(_manifest_path(out), "counterfactual", cfg, _corpus_paths(cfg["corpus"]))
     print(f"wrote counterfactual report for {len(selected)} field(s) to {out}")
     return EXIT_OK
 
@@ -301,7 +276,6 @@ def cmd_fund(cfg: dict) -> int:
         reports.write_combined_census_csv(cfg["census"], [(uda, census, allocation)], with_uda=False)
     if cfg["findings"]:
         reports.write_findings_json(cfg["findings"], {uda: findings})
-    reports.write_manifest(_manifest_path(out), "fund", cfg, _corpus_paths(cfg["corpus"]))
     print(
         f"allocated {float(allocation.total):g} across {len(allocation.units)} universities in {uda}; "
         f"{census.stranded_count}/{census.total_tops} top scientists stranded "
@@ -312,17 +286,12 @@ def cmd_fund(cfg: dict) -> int:
 
 def cmd_report_all(cfg: dict) -> int:
     out_dir = Path(_required(cfg, "out", "--out"))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    inputs: list[Path] = []
     if cfg["corpus"]:
         corpus = _load(cfg)
-        inputs = _corpus_paths(cfg["corpus"])
     else:
         profile = _load_profile(cfg)
         corpus = generate(profile)
         write_corpus(corpus, out_dir / "corpus", profile)
-        if cfg["profile"]:
-            inputs = [Path(cfg["profile"])]
         log.info("generated corpus: %d researchers", len(corpus.researchers))
 
     scored = score_corpus(corpus, _credit_scheme(cfg))
@@ -429,10 +398,7 @@ def cmd_report_all(cfg: dict) -> int:
         "total_top_scientists": sum(c.total_tops for _, c, _ in census_entries),
         "skipped_udas": skipped_udas,
     }
-    with open(out_dir / "summary.json", "w", encoding="utf-8", newline="") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    reports.write_manifest(out_dir / "manifest.json", "report-all", cfg, inputs)
+    reports.json_file(out_dir / "summary.json", summary, sort_keys=True)
     print(
         f"report-all complete in {out_dir}: {summary['scored_researchers']} scored researchers, "
         f"{len(rankings_sds)} SDS rankings, {len(rankings_uda)} UDA rankings"
@@ -575,6 +541,37 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, sub.choices
 
 
+def _expected(action: argparse.Action) -> str:
+    if action.choices is not None:
+        return f"one of {list(action.choices)}"
+    expected = getattr(action.type, "expected", None) or _EXPECTED[action.type]
+    return expected if action.nargs is None else f"a list of {action.nargs} values, each {expected}"
+
+
+def _config_value(action: argparse.Action, key: str, value):
+    """A config file's `value` for `key`, parsed as its flag parses command-line strings.
+
+    null leaves an option without a default unset, as a manifest's config echo records it.
+    """
+    if value is None and action.default is None:
+        return None
+    if action.nargs == 0:  # a store_true switch
+        if isinstance(value, bool):
+            return value
+        raise ValidationError(f"config key {key!r} needs true or false, got {value!r}")
+    items = value if action.nargs and isinstance(value, list) else [value]
+    scalars = all(isinstance(v, (str, int, float)) and not isinstance(v, bool) for v in items)
+    parsed = None
+    try:
+        if scalars and len(items) == (action.nargs or 1):
+            parsed = [action.type(str(v)) if action.type else str(v) for v in items]
+    except (ValueError, ValidationError):
+        pass
+    if parsed is None or (action.choices is not None and parsed[0] not in action.choices):
+        raise ValidationError(f"config key {key!r} needs {_expected(action)}, got {value!r}")
+    return parsed if action.nargs else parsed[0]
+
+
 def _parse(parser, commands, argv) -> argparse.Namespace:
     """Parse argv; a --config file's values become the subcommand's defaults, so flags win."""
     args = parser.parse_args(argv)
@@ -583,12 +580,22 @@ def _parse(parser, commands, argv) -> argparse.Namespace:
         unknown = set(config) - (set(vars(args)) - set(_DISPATCH_KEYS))
         if unknown:
             raise ValidationError(f"config file {args.config}: unknown keys {sorted(unknown)}")
-        for key, coerce in _CONFIG_COERCIONS.items():
-            if key in config:
-                config[key] = coerce(config[key])
-        commands[args.command].set_defaults(**config)
+        command = commands[args.command]
+        actions = {action.dest: action for action in command._actions}
+        command.set_defaults(**{key: _config_value(actions[key], key, v) for key, v in config.items()})
         args = parser.parse_args(argv)
     return args
+
+
+def _write_manifest(command: str, cfg: dict) -> None:
+    """The run manifest, next to the outputs; its inputs are the corpus files, or else the profile."""
+    out = Path(cfg["out"])
+    path = out / "manifest.json" if command in _DIRECTORY_COMMANDS else out.parent / f"{out.stem}.manifest.json"
+    if cfg.get("corpus"):
+        inputs = _corpus_paths(cfg["corpus"])
+    else:
+        inputs = [Path(cfg["profile"])] if cfg.get("profile") else []
+    reports.write_manifest(path, command, cfg, inputs)
 
 
 def dispatch(argv) -> int:
@@ -604,7 +611,10 @@ def dispatch(argv) -> int:
         elif args.verbose >= 2:
             level = logging.DEBUG
         logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
-        return args.handler({k: v for k, v in vars(args).items() if k not in _DISPATCH_KEYS})
+        cfg = {k: v for k, v in vars(args).items() if k not in _DISPATCH_KEYS}
+        code = args.handler(cfg)
+        _write_manifest(args.command, cfg)
+        return code
     except SystemExit as exc:
         # argparse exits 2 on flag errors; the spec reserves 2 for undefined
         # statistics, so flag problems map to the validation code.
@@ -612,8 +622,7 @@ def dispatch(argv) -> int:
     except UndefinedStatisticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNDEFINED_STATISTIC
-    except (MeritrankError, UnicodeDecodeError) as exc:
-        # An input file that is not UTF-8 text is malformed input, not a bug.
+    except MeritrankError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

@@ -14,6 +14,7 @@ import csv
 import json
 import logging
 from collections import Counter, defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -159,6 +160,16 @@ def researcher_problem(researcher: Researcher, taxonomy: Taxonomy, window) -> st
     return None
 
 
+@contextmanager
+def open_input(path):
+    """An input file opened as UTF-8 text; text that is not UTF-8 is a ValidationError naming the file."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def _fail(path, line_no: int, message: str):
     raise ValidationError(f"{path} line {line_no}: {message}")
 
@@ -179,7 +190,7 @@ def load_taxonomy(tax_path) -> Taxonomy:
     sds_to_uda: dict[str, str] = {}
     uda_names: dict[str, str] = {}
     life_flags: dict[str, str] = {}
-    with open(tax_path, newline="", encoding="utf-8") as fh:
+    with open_input(tax_path) as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or tuple(reader.fieldnames) != TAXONOMY_COLUMNS:
             raise ValidationError(
@@ -212,7 +223,7 @@ def load_researchers(res_path, taxonomy: Taxonomy, window) -> tuple[dict[str, Re
     window_length = window[1] - window[0] + 1
     researchers: dict[str, Researcher] = {}
     universities: dict[str, str] = {}
-    with open(res_path, newline="", encoding="utf-8") as fh:
+    with open_input(res_path) as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or tuple(reader.fieldnames) != RESEARCHER_COLUMNS:
             raise ValidationError(
@@ -256,7 +267,7 @@ def load_publications(pub_path, window, researchers: Mapping[str, Researcher]) -
     pub_path = Path(pub_path)
     publications: list[Publication] = []
     seen: set[str] = set()
-    with open(pub_path, encoding="utf-8") as fh:
+    with open_input(pub_path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

@@ -101,14 +101,12 @@ class ShareStats:
 
 @dataclass
 class ProductivityStats:
-    sds_n: dict[str, int]
     sds_non_productive: dict[str, float]
     sds_nil_impact: dict[str, float]
     uda_non_productive: dict[str, ShareStats]
     uda_nil_impact: dict[str, ShareStats]
     overall_non_productive: float
     overall_nil_impact: float
-    n_researchers: int
 
 
 def _uda_stats(shares_by_uda: dict[str, list[float]]) -> dict[str, ShareStats]:
@@ -127,7 +125,6 @@ def productivity_stats(scores: dict[str, ResearcherScore], taxonomy) -> Producti
     by_sds: dict[str, list[ResearcherScore]] = defaultdict(list)
     for score in scores.values():
         by_sds[score.sds].append(score)
-    sds_n: dict[str, int] = {}
     sds_np: dict[str, float] = {}
     sds_nil: dict[str, float] = {}
     np_by_uda: dict[str, list[float]] = defaultdict(list)
@@ -136,7 +133,6 @@ def productivity_stats(scores: dict[str, ResearcherScore], taxonomy) -> Producti
         n = len(group)
         np_share = sum(s.non_productive for s in group) / n
         nil_share = sum(s.nil_impact for s in group) / n
-        sds_n[sds] = n
         sds_np[sds] = np_share
         sds_nil[sds] = nil_share
         uda = taxonomy.uda_of(sds)
@@ -146,14 +142,12 @@ def productivity_stats(scores: dict[str, ResearcherScore], taxonomy) -> Producti
     overall_np = sum(s.non_productive for s in scores.values()) / total if total else 0.0
     overall_nil = sum(s.nil_impact for s in scores.values()) / total if total else 0.0
     return ProductivityStats(
-        sds_n=sds_n,
         sds_non_productive=sds_np,
         sds_nil_impact=sds_nil,
         uda_non_productive=_uda_stats(np_by_uda),
         uda_nil_impact=_uda_stats(nil_by_uda),
         overall_non_productive=overall_np,
         overall_nil_impact=overall_nil,
-        n_researchers=total,
     )
 
 
@@ -162,8 +156,6 @@ class ScoredCorpus:
     """Corpus plus everything the downstream analyses need from indicators."""
 
     corpus: Corpus
-    scheme: CreditScheme
-    baselines: Baselines
     active_sds: set[str]
     scores: dict[str, ResearcherScore] = field(repr=False)
 
@@ -174,10 +166,8 @@ def score_corpus(corpus: Corpus, scheme: CreditScheme | None = None) -> ScoredCo
     Baselines use every publication in the corpus; scores are then restricted
     to researchers in active SDSs before percentiles are assigned.
     """
-    scheme = scheme or CreditScheme()
-    baselines = compute_baselines(corpus)
     active = active_sds_filter(corpus)
-    all_scores = researcher_ss(corpus, baselines, scheme)
+    all_scores = researcher_ss(corpus, compute_baselines(corpus), scheme or CreditScheme())
     scores = {rid: s for rid, s in all_scores.items() if s.sds in active}
     percentile_ranks(scores)
-    return ScoredCorpus(corpus, scheme, baselines, active, scores)
+    return ScoredCorpus(corpus, active, scores)

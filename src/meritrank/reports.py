@@ -2,13 +2,16 @@
 
 All writers are deterministic: rows follow a canonical order and floats use
 the shortest round-trip representation, so identical results always produce
-identical bytes. Timestamps appear only in the run manifest.
+identical bytes. Timestamps appear only in the run manifest. Every output
+file goes through `csv_file` or `json_file` (the SVG through the text
+writer they share): UTF-8, `\n` line ends, parent directories created.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -23,35 +26,42 @@ from .indicators import ProductivityStats, ResearcherScore
 from .scenario import CounterfactualReport, ScatterData
 
 
-def _writer(fh):
-    return csv.writer(fh, lineterminator="\n")
-
-
-def _open_w(path):
+def _text_file(path, text: str) -> None:
+    """Write `text` as UTF-8, line ends kept as given, creating the parent directory."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    return open(path, "w", encoding="utf-8", newline="")
+    path.write_text(text, encoding="utf-8", newline="")
+
+
+def csv_file(path, header: Sequence, rows: Iterable[Sequence]) -> None:
+    """One CSV file: the header row, then `rows`."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    _text_file(path, buffer.getvalue())
+
+
+def json_file(path, data, sort_keys: bool = False) -> None:
+    """One JSON document, indented by 2, with a trailing newline."""
+    _text_file(path, json.dumps(data, indent=2, sort_keys=sort_keys) + "\n")
 
 
 def write_scores_csv(path, scores: Mapping[str, ResearcherScore]) -> None:
-    with _open_w(path) as fh:
-        writer = _writer(fh)
-        writer.writerow(
-            ["researcher_id", "university_id", "sds", "ss", "percentile", "non_productive", "nil_impact"]
-        )
-        for rid in sorted(scores):
-            s = scores[rid]
-            writer.writerow(
-                [
-                    s.researcher_id,
-                    s.university_id,
-                    s.sds,
-                    s.ss,
-                    "" if s.percentile is None else s.percentile,
-                    int(s.non_productive),
-                    int(s.nil_impact),
-                ]
-            )
+    header = ["researcher_id", "university_id", "sds", "ss", "percentile", "non_productive", "nil_impact"]
+    rows = (
+        [
+            s.researcher_id,
+            s.university_id,
+            s.sds,
+            s.ss,
+            "" if s.percentile is None else s.percentile,
+            int(s.non_productive),
+            int(s.nil_impact),
+        ]
+        for _, s in sorted(scores.items())
+    )
+    csv_file(path, header, rows)
 
 
 def ranking_rows(rankings: Mapping[str, Sequence[RankedUnit]], field: str | None) -> list[dict]:
@@ -75,18 +85,11 @@ def write_ranking_csv(path, rankings, field: str | None = None) -> None:
     rows = ranking_rows(rankings, field)
     header = ["field"] if field is None else []
     header += ["rank", "university_id", "score", "staff"]
-    with _open_w(path) as fh:
-        writer = _writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([row[name] for name in header])
+    csv_file(path, header, ([row[name] for name in header] for row in rows))
 
 
 def write_ranking_json(path, rankings, field: str | None = None) -> None:
-    rows = ranking_rows(rankings, field)
-    with _open_w(path) as fh:
-        json.dump(rows, fh, indent=2)
-        fh.write("\n")
+    json_file(path, ranking_rows(rankings, field))
 
 
 COUNTERFACTUAL_COLUMNS = [
@@ -102,50 +105,41 @@ COUNTERFACTUAL_COLUMNS = [
 def write_counterfactual_csv(path, reports: Sequence[CounterfactualReport], with_field: bool) -> None:
     """Rank-shift table: one row per unit, observed order, absolute shift plus sign."""
     header = (["field"] if with_field else []) + COUNTERFACTUAL_COLUMNS
-    with _open_w(path) as fh:
-        writer = _writer(fh)
-        writer.writerow(header)
-        for report in reports:
-            for unit in report.units:
-                row = [
-                    unit.university_id,
-                    unit.observed_rank,
-                    unit.hypothetical_rank,
-                    unit.sign,
-                    abs(unit.delta),
-                    unit.gini_observed,
-                ]
-                if with_field:
-                    row = [report.field] + row
-                writer.writerow(row)
+    rows = (
+        ([report.field] if with_field else [])
+        + [
+            unit.university_id,
+            unit.observed_rank,
+            unit.hypothetical_rank,
+            unit.sign,
+            abs(unit.delta),
+            unit.gini_observed,
+        ]
+        for report in reports
+        for unit in report.units
+    )
+    csv_file(path, header, rows)
 
 
 def write_counterfactual_summary_csv(path, reports: Sequence[CounterfactualReport]) -> None:
-    with _open_w(path) as fh:
-        writer = _writer(fh)
-        writer.writerow(
-            [
-                "field",
-                "n_units",
-                "rho_observed_hypothetical",
-                "p_observed_hypothetical",
-                "rho_shift_gini",
-                "p_shift_gini",
-            ]
-        )
-        for report in reports:
-            oh = report.spearman_obs_hyp
-            sg = report.spearman_shift_gini
-            writer.writerow(
-                [
-                    report.field,
-                    len(report.units),
-                    "" if oh is None else oh.rho,
-                    "" if oh is None else oh.p_value,
-                    "" if sg is None else sg.rho,
-                    "" if sg is None else sg.p_value,
-                ]
-            )
+    header = [
+        "field",
+        "n_units",
+        "rho_observed_hypothetical",
+        "p_observed_hypothetical",
+        "rho_shift_gini",
+        "p_shift_gini",
+    ]
+    rows = (
+        [r.field, len(r.units), *_rho_p(r.spearman_obs_hyp), *_rho_p(r.spearman_shift_gini)]
+        for r in reports
+    )
+    csv_file(path, header, rows)
+
+
+def _rho_p(result) -> tuple:
+    """A Spearman result's two cells, blank when it is undefined."""
+    return ("", "") if result is None else (result.rho, result.p_value)
 
 
 def write_transition_csv(path, report: CounterfactualReport) -> None:
@@ -154,13 +148,11 @@ def write_transition_csv(path, report: CounterfactualReport) -> None:
     if matrix is None:
         raise UndefinedStatisticError(f"field {report.field!r} has no transition matrix")
     k = report.k_classes
-    with _open_w(path) as fh:
-        writer = _writer(fh)
-        writer.writerow(["observed\\hypothetical"] + [f"class_{j + 1}" for j in range(k)] + ["total"])
-        for i, row in enumerate(matrix):
-            writer.writerow([f"class_{i + 1}"] + list(row) + [sum(row)])
-        col_totals = [sum(matrix[i][j] for i in range(k)) for j in range(k)]
-        writer.writerow(["total"] + col_totals + [sum(col_totals)])
+    header = ["observed\\hypothetical"] + [f"class_{j + 1}" for j in range(k)] + ["total"]
+    rows = [[f"class_{i + 1}"] + list(row) + [sum(row)] for i, row in enumerate(matrix)]
+    col_totals = [sum(matrix[i][j] for i in range(k)) for j in range(k)]
+    rows.append(["total"] + col_totals + [sum(col_totals)])
+    csv_file(path, header, rows)
 
 
 def write_scatter_svg(path, scatter: ScatterData, title: str = "") -> None:
@@ -225,25 +217,15 @@ def write_scatter_svg(path, scatter: ScatterData, title: str = "") -> None:
         'font-family="sans-serif" font-size="14">Gini</text>'
     )
     parts.append("</svg>")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(parts) + "\n", encoding="utf-8")
+    _text_file(path, "\n".join(parts) + "\n")
 
 
 def write_allocation_csv(path, allocation: FundingAllocation) -> None:
-    with _open_w(path) as fh:
-        writer = _writer(fh)
-        writer.writerow(["university_id", "class", "staff", "amount", "per_capita"])
-        for unit in allocation.units:
-            writer.writerow(
-                [
-                    unit.university_id,
-                    unit.class_index + 1,
-                    unit.staff,
-                    float(unit.amount),
-                    float(unit.per_capita),
-                ]
-            )
+    rows = (
+        [u.university_id, u.class_index + 1, u.staff, float(u.amount), float(u.per_capita)]
+        for u in allocation.units
+    )
+    csv_file(path, ["university_id", "class", "staff", "amount", "per_capita"], rows)
 
 
 CENSUS_COLUMNS = ["university_id", "class", "staff", "top_count", "incidence", "amount"]
@@ -258,13 +240,13 @@ def write_combined_census_csv(
     roster has an empty class and a zero amount.
     """
     header = (["uda"] if with_uda else []) + CENSUS_COLUMNS
-    with _open_w(path) as fh:
-        writer = _writer(fh)
-        writer.writerow(header)
-        for uda, census, allocation in entries:
-            amounts = {u.university_id: float(u.amount) for u in allocation.units}
-            for row in census.universities:
-                line = [
+    rows = []
+    for uda, census, allocation in entries:
+        amounts = {u.university_id: float(u.amount) for u in allocation.units}
+        for row in census.universities:
+            rows.append(
+                ([uda] if with_uda else [])
+                + [
                     row.university_id,
                     "" if row.class_index is None else row.class_index + 1,
                     row.staff,
@@ -272,9 +254,8 @@ def write_combined_census_csv(
                     row.incidence,
                     amounts.get(row.university_id, 0.0),
                 ]
-                if with_uda:
-                    line = [uda] + line
-                writer.writerow(line)
+            )
+    csv_file(path, header, rows)
 
 
 def write_findings_json(path, findings_by_uda: Mapping[str, Sequence[Finding]]) -> None:
@@ -288,63 +269,54 @@ def write_findings_json(path, findings_by_uda: Mapping[str, Sequence[Finding]]) 
         }
         for uda, findings in sorted(findings_by_uda.items())
     ]
-    with _open_w(path) as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    json_file(path, payload)
 
 
 def write_productivity_csv(path, stats: ProductivityStats) -> None:
-    with _open_w(path) as fh:
-        writer = _writer(fh)
-        writer.writerow(
+    header = [
+        "uda",
+        "n_sds",
+        "non_productive_min",
+        "non_productive_max",
+        "non_productive_avg",
+        "nil_impact_min",
+        "nil_impact_max",
+        "nil_impact_avg",
+    ]
+    rows = []
+    for uda in sorted(stats.uda_non_productive):
+        np_stats = stats.uda_non_productive[uda]
+        nil_stats = stats.uda_nil_impact[uda]
+        rows.append(
             [
-                "uda",
-                "n_sds",
-                "non_productive_min",
-                "non_productive_max",
-                "non_productive_avg",
-                "nil_impact_min",
-                "nil_impact_max",
-                "nil_impact_avg",
+                uda,
+                np_stats.n_sds,
+                np_stats.minimum,
+                np_stats.maximum,
+                np_stats.average,
+                nil_stats.minimum,
+                nil_stats.maximum,
+                nil_stats.average,
             ]
         )
-        for uda in sorted(stats.uda_non_productive):
-            np_stats = stats.uda_non_productive[uda]
-            nil_stats = stats.uda_nil_impact[uda]
-            writer.writerow(
-                [
-                    uda,
-                    np_stats.n_sds,
-                    np_stats.minimum,
-                    np_stats.maximum,
-                    np_stats.average,
-                    nil_stats.minimum,
-                    nil_stats.maximum,
-                    nil_stats.average,
-                ]
-            )
+    csv_file(path, header, rows)
 
 
 def write_concentration_csv(path, rows: Sequence[tuple[str, int, object]]) -> None:
     """Per-SDS bottom-40%/top-20% cumulative-impact ratios ('' when undefined)."""
-    with _open_w(path) as fh:
-        writer = _writer(fh)
-        writer.writerow(["sds", "n", "bottom_n", "top_n", "ratio"])
-        for sds, n, ratio in rows:
-            if ratio is None:
-                writer.writerow([sds, n, "", "", ""])
-            else:
-                writer.writerow([sds, n, ratio.bottom_n, ratio.top_n, ratio.value])
+    lines = (
+        [sds, n, "", "", ""] if ratio is None else [sds, n, ratio.bottom_n, ratio.top_n, ratio.value]
+        for sds, n, ratio in rows
+    )
+    csv_file(path, ["sds", "n", "bottom_n", "top_n", "ratio"], lines)
 
 
 def _jsonable(value):
     if isinstance(value, Mapping):
         return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, set, frozenset)):
+    if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, Path):
         return str(value)
     return value
 
@@ -367,8 +339,4 @@ def write_manifest(path, command: str, config: Mapping, inputs: Iterable[Path]) 
         "inputs": {str(p): file_digest(p) for p in inputs},
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    json_file(path, manifest, sort_keys=True)

@@ -105,8 +105,6 @@ class CounterfactualReport:
     spearman_obs_hyp: SpearmanResult | None
     spearman_shift_gini: SpearmanResult | None
     k_classes: int
-    observed_classes: dict[str, int] | None
-    hypothetical_classes: dict[str, int] | None
     transition: list[list[int]] | None
 
 
@@ -204,7 +202,7 @@ def counterfactual_rankings(
             }
             transition = transition_matrix(observed_classes, hypothetical_classes, k_classes)
         else:
-            observed_classes = hypothetical_classes = transition = None
+            transition = None
 
         reports[field_code] = CounterfactualReport(
             field=field_code,
@@ -214,8 +212,6 @@ def counterfactual_rankings(
             spearman_obs_hyp=_safe_spearman(obs_ranks, hyp_ranks) if len(units) >= 3 else None,
             spearman_shift_gini=_safe_spearman(deltas, ginis) if len(units) >= 3 else None,
             k_classes=k_classes,
-            observed_classes=observed_classes,
-            hypothetical_classes=hypothetical_classes,
             transition=transition,
         )
     return reports

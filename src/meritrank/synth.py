@@ -9,7 +9,6 @@ function of the profile, including the seed.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import zlib
@@ -20,10 +19,21 @@ from typing import Mapping
 import numpy as np
 
 from ._version import __version__
-from .corpus import DEFAULT_WINDOW, Corpus, AuthorSlot, Publication, Researcher, Taxonomy
+from .corpus import (
+    DEFAULT_WINDOW,
+    RESEARCHER_COLUMNS,
+    TAXONOMY_COLUMNS,
+    AuthorSlot,
+    Corpus,
+    Publication,
+    Researcher,
+    Taxonomy,
+    open_input,
+)
 from .errors import ValidationError
 from .indicators import score_corpus
 from .normalization import CreditScheme
+from .reports import csv_file, json_file
 from .stats import top20_impact_share
 
 # Mirrors the nine-area / 183-field layout of a national hard-science system.
@@ -147,7 +157,7 @@ class GeneratorProfile:
 
     @classmethod
     def from_json(cls, path) -> "GeneratorProfile":
-        with open(path, encoding="utf-8") as fh:
+        with open_input(path) as fh:
             try:
                 data = json.load(fh)
             except json.JSONDecodeError as exc:
@@ -291,13 +301,24 @@ def write_corpus(corpus: Corpus, out_dir, profile: GeneratorProfile | None = Non
     keys are sorted, so the same corpus always produces identical bytes.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     paths = {
         "publications": out / "publications.jsonl",
         "researchers": out / "researchers.csv",
         "taxonomy": out / "taxonomy.csv",
         "metadata": out / "metadata.json",
     }
+    researcher_rows = (
+        [r.id, r.university_id, corpus.universities[r.university_id], r.sds, r.years_in_post]
+        for _, r in sorted(corpus.researchers.items())
+    )
+    csv_file(paths["researchers"], RESEARCHER_COLUMNS, researcher_rows)
+    tax = corpus.taxonomy
+    taxonomy_rows = (
+        [sds, tax.uda_of(sds), tax.uda_names[tax.uda_of(sds)], int(tax.is_life_science(sds))]
+        for sds in tax.sds_codes
+    )
+    csv_file(paths["taxonomy"], TAXONOMY_COLUMNS, taxonomy_rows)
+    # The encoders above created `out`; only this stream writes a file line by line.
     with open(paths["publications"], "w", encoding="utf-8", newline="\n") as fh:
         for pub in corpus.publications:
             record = {
@@ -316,27 +337,6 @@ def write_corpus(corpus: Corpus, out_dir, profile: GeneratorProfile | None = Non
                 ],
             }
             fh.write(json.dumps(record, separators=(",", ":")) + "\n")
-    with open(paths["researchers"], "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "university_id", "university_name", "sds", "years_in_post"])
-        for rid in sorted(corpus.researchers):
-            r = corpus.researchers[rid]
-            writer.writerow(
-                [r.id, r.university_id, corpus.universities[r.university_id], r.sds, r.years_in_post]
-            )
-    with open(paths["taxonomy"], "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["sds", "uda", "uda_name", "life_science"])
-        for sds in corpus.taxonomy.sds_codes:
-            uda = corpus.taxonomy.uda_of(sds)
-            writer.writerow(
-                [
-                    sds,
-                    uda,
-                    corpus.taxonomy.uda_names[uda],
-                    1 if uda in corpus.taxonomy.life_science_udas else 0,
-                ]
-            )
     metadata = {
         "generator": {
             "package": "meritrank",
@@ -354,9 +354,7 @@ def write_corpus(corpus: Corpus, out_dir, profile: GeneratorProfile | None = Non
     }
     if profile is not None:
         metadata["profile"] = profile.to_dict()
-    with open(paths["metadata"], "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(metadata, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    json_file(paths["metadata"], metadata, sort_keys=True)
     return paths
 
 

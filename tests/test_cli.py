@@ -144,7 +144,19 @@ class TestExitCodes:
         (broken / "taxonomy.csv").write_bytes(b"\xff\xfe not text\n")
         code = dispatch(["indicators", "--corpus", str(broken), "--out", str(tmp_path / "s.csv")])
         assert code == 1
-        assert "utf-8" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "utf-8" in err
+        assert str(broken / "taxonomy.csv") in err
+
+    @pytest.mark.parametrize("flag", ["--config", "--profile"])
+    def test_non_utf8_config_or_profile_names_the_file(self, tmp_path, capsys, flag):
+        path = tmp_path / "input.json"
+        path.write_bytes(b'{"seed": 1}\xff\n')
+        assert dispatch(["gen", flag, str(path), "--out", str(tmp_path / "corpus")]) == 1
+        err = capsys.readouterr().err
+        assert "utf-8" in err
+        assert str(path) in err
+        assert not (tmp_path / "corpus").exists()
 
     def test_internal_value_error_is_not_reported_as_user_error(self, corpus_dir, tmp_path, monkeypatch):
         def broken_scoring(*args, **kwargs):
@@ -238,6 +250,44 @@ class TestConfigFile:
         assert dispatch(["indicators", "--config", str(config_path), "--out", str(out)]) == 1
         assert "'window'" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["counterfactual", "--level", "uda"], {"share": [1]}),
+            (["rank", "--level", "uda"], {"min_staff": [1]}),
+            (["fund", "--uda", "A"], {"classes": 2.5}),
+            (["rank", "--level", "uda"], {"min_staff": 2.5}),
+            (["counterfactual", "--level", "uda"], {"share": True}),
+            (["rank"], {"level": "bogus"}),
+        ],
+        ids=["share-list", "min-staff-list", "classes-float", "min-staff-float", "share-bool", "level-choice"],
+    )
+    def test_config_value_parsed_like_its_flag(self, corpus_dir, tmp_path, capsys, argv, config):
+        (key,) = config
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"corpus": str(corpus_dir), **config}))
+        out = tmp_path / "out.csv"
+        assert dispatch(argv + ["--config", str(config_path), "--out", str(out)]) == 1
+        assert f"config key {key!r} needs" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_values_match_flag_values(self, corpus_dir, tmp_path):
+        config = {"corpus": str(corpus_dir), "window": [2004, 2008], "ratio": "5/2", "min_staff": "3",
+                  "budget": 1000, "bottom_funded": True, "share": 0.25, "pstar": "pooled",
+                  "census": None}
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        flags = ["--corpus", str(corpus_dir), "--window", "2004", "2008", "--ratio", "5/2", "--min-staff", "3",
+                 "--budget", "1000", "--bottom-funded", "--share", "0.25", "--pstar", "pooled"]
+        from_config = tmp_path / "config" / "alloc.csv"
+        from_flags = tmp_path / "flags" / "alloc.csv"
+        assert dispatch(["fund", "--uda", "A", "--config", str(config_path), "--out", str(from_config)]) == 0
+        assert dispatch(["fund", "--uda", "A", *flags, "--out", str(from_flags)]) == 0
+        assert from_config.read_bytes() == from_flags.read_bytes()
+        manifests = [json.loads(p.with_name("alloc.manifest.json").read_text()) for p in (from_config, from_flags)]
+        configs = [{k: v for k, v in m["config"].items() if k != "out"} for m in manifests]
+        assert configs[0] == configs[1]
 
 
 class TestCounterfactual:

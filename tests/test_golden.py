@@ -1,14 +1,17 @@
-"""Golden outputs: pinned SHA-256 digests and manifest config echoes of six CLI runs.
+"""Golden outputs: pinned SHA-256 digests and manifest echoes of eight CLI runs.
 
 The runs use criterion 11's 12-university profile (seed 41): `report-all`
-generates the corpus, and `indicators` (with equal and with positional
-credit), `rank`, `counterfactual` and `fund` read the corpus it wrote. A refactor must reproduce every non-manifest byte
-and every manifest `config` dict; a change that alters them on purpose
-updates the pins here and says why in CHANGES.md.
+and `gen` generate the corpus from it, `calibrate` tunes it (and does not
+converge, so it exits 1), and `indicators` (with equal and with positional
+credit), `rank`, `counterfactual` and `fund` read the corpus `report-all`
+wrote. A refactor must reproduce every non-manifest byte and every
+manifest's `command`, `config` and `inputs`; a change that alters them on
+purpose updates the pins here and says why in CHANGES.md.
 """
 
 import hashlib
 import json
+from pathlib import Path
 
 from meritrank.cli import dispatch
 
@@ -21,12 +24,17 @@ PROFILE = {
 }
 
 GOLDEN_DIGESTS = {
+    "calibrate/profile.json": "b63f7389000716d89b3690d8caa5b7aaf3eb7daf4eece3a692960ba3987e9a86",
     "counterfactual/cf.csv": "7a27dd320ed7d6496e7cae2608018bf28b2abb294858af8be09371161ea536ec",
     "counterfactual/scatter.svg": "643af35ab695cc881fb3244a73c25fc2c059a1741a7e3eefe8f0345ca9fe854e",
     "counterfactual/transition.csv": "7e3a6cc6699578227a064ba95a4680709ad4d6d9f921b5c3273fec9d20ed7e29",
     "fund/alloc.csv": "4ec0167cd01c219ae0c0f1e96c5308e8abad14d03fd108c60a8b442c8f804864",
     "fund/census.csv": "43bad6aa03cbe02846c7602d8b845fa715157e87ecd1fe5f120a70b10b7a3d1c",
     "fund/findings.json": "89b22ae144f58cd7a94833cbebf3ee8736a7cc2ada250ce90a571d58483ed236",
+    "gen/metadata.json": "babe2f08879778a8f0411549af1b3c307ee170a2bffa47fa8355ab7f99bea50f",
+    "gen/publications.jsonl": "e2cc734dea26fb64c03389bcc6bf192f62a0a9659a15494dacd8d8c09b007b39",
+    "gen/researchers.csv": "33f41f7bec251877bde2ff857b09221dc7868cc2aebd344d89a325acd53ffb0b",
+    "gen/taxonomy.csv": "c71d9295c2b8cb84dc6d414b9837ef10772c768135898c1ff73c18563e7cf1f6",
     "indicators/scores.csv": "00c870d6c60dfec08e84e0fb29fe983329200d9488ddd056e0cc594301dcd70c",
     "indicators-positional/scores.csv": "74a5cd68d4b85bc5800fceab2b23a15187446af0262b582c261435429d3a5f01",
     "rank/rank.csv": "e0177b9e7124ceacc3682ae91c0b5f50bee0ebeace03cbaf67c19b81d632fea9",
@@ -52,6 +60,15 @@ GOLDEN_DIGESTS = {
 }
 
 GOLDEN_CONFIGS = {
+    "calibrate/profile.manifest.json": {
+        "out": "TMP/calibrate/profile.json",
+        "profile": "TMP/profile.json",
+        "seed": None,
+        "target_nil_impact": 0.25,
+        "target_non_productive": 0.17,
+        "target_top20_share": 0.77,
+        "tolerance": 0.03,
+    },
     "counterfactual/cf.manifest.json": {
         "classes": 5,
         "corpus": "TMP/report-all/corpus",
@@ -91,6 +108,7 @@ GOLDEN_CONFIGS = {
         "uda": "A",
         "window": [2004, 2008],
     },
+    "gen/manifest.json": {"out": "TMP/gen", "profile": "TMP/profile.json", "seed": None},
     "indicators/scores.manifest.json": {
         "corpus": "TMP/report-all/corpus",
         "credit": "equal",
@@ -153,11 +171,32 @@ GOLDEN_CONFIGS = {
     },
 }
 
+PROFILE_INPUT = {"profile.json": "e13762eef27dc640c8bb1489b92cde66f6e180efba65cac9c9b09c35b958ab64"}
+CORPUS_INPUTS = {
+    "report-all/corpus/publications.jsonl": "e2cc734dea26fb64c03389bcc6bf192f62a0a9659a15494dacd8d8c09b007b39",
+    "report-all/corpus/researchers.csv": "33f41f7bec251877bde2ff857b09221dc7868cc2aebd344d89a325acd53ffb0b",
+    "report-all/corpus/taxonomy.csv": "c71d9295c2b8cb84dc6d414b9837ef10772c768135898c1ff73c18563e7cf1f6",
+}
+
+GOLDEN_MANIFEST_SOURCES = {
+    "calibrate/profile.manifest.json": {"command": "calibrate", "inputs": PROFILE_INPUT},
+    "counterfactual/cf.manifest.json": {"command": "counterfactual", "inputs": CORPUS_INPUTS},
+    "fund/alloc.manifest.json": {"command": "fund", "inputs": CORPUS_INPUTS},
+    "gen/manifest.json": {"command": "gen", "inputs": PROFILE_INPUT},
+    "indicators/scores.manifest.json": {"command": "indicators", "inputs": CORPUS_INPUTS},
+    "indicators-positional/scores.manifest.json": {"command": "indicators", "inputs": CORPUS_INPUTS},
+    "rank/rank.manifest.json": {"command": "rank", "inputs": CORPUS_INPUTS},
+    "report-all/manifest.json": {"command": "report-all", "inputs": PROFILE_INPUT},
+}
+
 
 def _runs(tmp):
+    """(argv, expected exit code) per run."""
     corpus = str(tmp / "report-all" / "corpus")
-    return [
-        ["report-all", "--profile", str(tmp / "profile.json"), "--out", str(tmp / "report-all")],
+    profile = str(tmp / "profile.json")
+    runs = [
+        ["report-all", "--profile", profile, "--out", str(tmp / "report-all")],
+        ["gen", "--profile", profile, "--out", str(tmp / "gen")],
         ["indicators", "--corpus", corpus, "--out", str(tmp / "indicators" / "scores.csv")],
         [
             "indicators", "--corpus", corpus, "--credit", "positional", "--extramural-discount", "0.5",
@@ -180,27 +219,39 @@ def _runs(tmp):
             "--findings", str(tmp / "fund" / "findings.json"),
         ],
     ]
+    calibrate = ["calibrate", "--profile", profile, "--out", str(tmp / "calibrate" / "profile.json")]
+    return [(argv, 0) for argv in runs] + [(calibrate, 1)]
 
 
 def run_golden(tmp):
-    """Run the six commands under `tmp`; return (digests, manifest configs) keyed by relative path."""
+    """Run the eight commands under `tmp`.
+
+    Returns (digests, manifest configs, manifest commands and inputs), each
+    keyed by path relative to `tmp`.
+    """
     (tmp / "profile.json").write_text(json.dumps(PROFILE))
-    for argv in _runs(tmp):
-        assert dispatch(argv) == 0, argv[0]
+    for argv, code in _runs(tmp):
+        assert dispatch(argv) == code, argv[0]
     digests = {}
     configs = {}
-    for path in sorted(p for p in tmp.rglob("*") if p.is_file() and p.name != "profile.json"):
+    sources = {}
+    for path in sorted(p for p in tmp.rglob("*") if p.is_file()):
         rel = path.relative_to(tmp).as_posix()
+        if rel == "profile.json":
+            continue
         if path.name.endswith("manifest.json"):
-            config = json.loads(path.read_text())["config"]
+            manifest = json.loads(path.read_text())
             # Paths in the config echo differ per run directory; pin them relative to it.
-            configs[rel] = json.loads(json.dumps(config).replace(str(tmp), "TMP"))
+            configs[rel] = json.loads(json.dumps(manifest["config"]).replace(str(tmp), "TMP"))
+            inputs = {Path(p).relative_to(tmp).as_posix(): d for p, d in manifest["inputs"].items()}
+            sources[rel] = {"command": manifest["command"], "inputs": inputs}
         else:
             digests[rel] = hashlib.sha256(path.read_bytes()).hexdigest()
-    return digests, configs
+    return digests, configs, sources
 
 
 def test_golden_digests_and_manifest_configs(tmp_path):
-    digests, configs = run_golden(tmp_path)
+    digests, configs, sources = run_golden(tmp_path)
     assert digests == GOLDEN_DIGESTS
     assert configs == GOLDEN_CONFIGS
+    assert sources == GOLDEN_MANIFEST_SOURCES

@@ -229,7 +229,7 @@ def _report_from_points(points):
         UnitShift(f"U{i}", "S1", i + 1, i + 1 - int(d), int(d), g, False)
         for i, (d, g) in enumerate(points)
     ]
-    return CounterfactualReport("S1", LEVEL_SDS, 0.2, units, None, None, 5, None, None, None)
+    return CounterfactualReport("S1", LEVEL_SDS, 0.2, units, None, None, 5, None)
 
 
 class TestScatter:
