@@ -12,6 +12,7 @@ from .corpus import (
     AuthorSlot,
     Corpus,
     Publication,
+    Publications,
     Researcher,
     Taxonomy,
     active_sds_filter,

@@ -1,11 +1,20 @@
 """Domain model, input-file loading and validation, and the field activity filter.
 
 A corpus is immutable after load: every analysis step reads it, none mutates
-it. Each per-record invariant is written once, in `publication_problem` and
+it. Its publications form one columnar table, `Publications`: numpy columns
+for citations, year and document type, a CSR (flat values plus row offsets)
+of category codes, and a CSR of author slots holding researcher code,
+position and intramural flag. `PublicationsBuilder` fills it from the
+loader, the generator or a list of records; scoring reads the columns, and
+`Publication` records are built only when the table is indexed or iterated.
+
+Each per-record invariant is written once, in `publication_problem` and
 `researcher_problem`. The file loaders apply them as they read and name the
 file and line; `Corpus.validate` applies them to a corpus built in memory,
 such as a generated one, and names the record. A violation is rejected
-rather than silently repaired.
+rather than silently repaired. `load_corpus` returns the corpus in canonical
+order: publications by id, each publication's slots by position, and
+researchers by id, so the order of the input files never reaches a score.
 """
 
 from __future__ import annotations
@@ -14,11 +23,15 @@ import csv
 import json
 import logging
 from collections import Counter, defaultdict
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import starmap
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Iterator, Mapping
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -84,9 +97,191 @@ class Taxonomy:
         return tuple(sorted(self.sds_to_uda))
 
 
+def _record(pid, year, doc_type, citations, categories, positions, intramural, rids) -> Publication:
+    slots = tuple(map(AuthorSlot, positions, intramural, rids))
+    return Publication(pid, year, doc_type, citations, tuple(categories), slots)
+
+
+def _offsets(counts) -> np.ndarray:
+    """Row offsets of a CSR whose rows hold `counts` values."""
+    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return offsets
+
+
+@dataclass(frozen=True, eq=False)
+class Publications(Sequence):
+    """All publications of a corpus as columns; indexing or iterating builds `Publication` records.
+
+    Row i is publication i. Its categories are
+    `category_names[category[category_offsets[i]:category_offsets[i + 1]]]`
+    and its author slots the same span of the three `slot_*` columns under
+    `slot_offsets`. `slot_researcher` is a code into `researcher_names`, or
+    -1 for a co-author outside the evaluated population; `doc_type` is a
+    code into `doc_type_names`, which starts with `DOC_TYPES`.
+    """
+
+    ids: list[str]
+    year: np.ndarray
+    doc_type: np.ndarray
+    citations: np.ndarray
+    category_offsets: np.ndarray
+    category: np.ndarray
+    slot_offsets: np.ndarray
+    slot_researcher: np.ndarray
+    slot_position: np.ndarray
+    slot_intramural: np.ndarray
+    doc_type_names: list[str]
+    category_names: list[str]
+    researcher_names: list[str]
+
+    @classmethod
+    def from_records(cls, records: Iterable[Publication]) -> "Publications":
+        builder = PublicationsBuilder()
+        for pub in records:
+            builder.add(
+                pub.id, pub.year, pub.doc_type, pub.citations, pub.categories,
+                [slot.position for slot in pub.authors],
+                [slot.intramural for slot in pub.authors],
+                [slot.researcher_id for slot in pub.authors],
+            )
+        return builder.build()
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, index: int) -> Publication:
+        i = range(len(self.ids))[index]
+        c0, c1 = self.category_offsets[i : i + 2].tolist()
+        s0, s1 = self.slot_offsets[i : i + 2].tolist()
+        names = self.researcher_names
+        return _record(
+            self.ids[i],
+            int(self.year[i]),
+            self.doc_type_names[self.doc_type[i]],
+            int(self.citations[i]),
+            [self.category_names[code] for code in self.category[c0:c1].tolist()],
+            self.slot_position[s0:s1].tolist(),
+            self.slot_intramural[s0:s1].tolist(),
+            [None if code < 0 else names[code] for code in self.slot_researcher[s0:s1].tolist()],
+        )
+
+    def __iter__(self) -> Iterator[Publication]:
+        return starmap(_record, self.rows())
+
+    def rows(self) -> Iterator[tuple]:
+        """Per publication: id, year, doc type, citations, then lists of categories, positions,
+        intramural flags and researcher ids (None outside the population), as Python values."""
+        years, citations = self.year.tolist(), self.citations.tolist()
+        doc_types = [self.doc_type_names[code] for code in self.doc_type.tolist()]
+        categories = [self.category_names[code] for code in self.category.tolist()]
+        names = self.researcher_names
+        rids = [None if code < 0 else names[code] for code in self.slot_researcher.tolist()]
+        positions, intramural = self.slot_position.tolist(), self.slot_intramural.tolist()
+        cat_offsets, slot_offsets = self.category_offsets.tolist(), self.slot_offsets.tolist()
+        for i, pid in enumerate(self.ids):
+            c0, c1 = cat_offsets[i], cat_offsets[i + 1]
+            s0, s1 = slot_offsets[i], slot_offsets[i + 1]
+            yield (
+                pid, years[i], doc_types[i], citations[i], categories[c0:c1],
+                positions[s0:s1], intramural[s0:s1], rids[s0:s1],
+            )
+
+    @property
+    def slot_publication(self) -> np.ndarray:
+        """Row of the publication each author slot belongs to."""
+        return np.repeat(np.arange(len(self.ids)), np.diff(self.slot_offsets))
+
+    @property
+    def category_publication(self) -> np.ndarray:
+        """Row of the publication each category entry belongs to."""
+        return np.repeat(np.arange(len(self.ids)), np.diff(self.category_offsets))
+
+    def in_canonical_order(self) -> "Publications":
+        """This table with rows sorted by id and each row's slots by position; itself if already so."""
+        slot_publication = self.slot_publication
+        slot_key = slot_publication * (int(self.slot_position.max(initial=0)) + 1) + self.slot_position
+        ids = self.ids
+        if all(a < b for a, b in zip(ids, ids[1:])) and bool(np.all(np.diff(slot_key) > 0)):
+            return self
+        order = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.int64)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        slot_order = np.lexsort((self.slot_position, rank[slot_publication]))
+        category_order = np.argsort(rank[self.category_publication], kind="stable")
+        return Publications(
+            ids=[ids[i] for i in order.tolist()],
+            year=self.year[order],
+            doc_type=self.doc_type[order],
+            citations=self.citations[order],
+            category_offsets=_offsets(np.diff(self.category_offsets)[order]),
+            category=self.category[category_order],
+            slot_offsets=_offsets(np.diff(self.slot_offsets)[order]),
+            slot_researcher=self.slot_researcher[slot_order],
+            slot_position=self.slot_position[slot_order],
+            slot_intramural=self.slot_intramural[slot_order],
+            doc_type_names=self.doc_type_names,
+            category_names=self.category_names,
+            researcher_names=self.researcher_names,
+        )
+
+
+class PublicationsBuilder:
+    """Collects publications one at a time, unchecked, and freezes them into a `Publications` table."""
+
+    def __init__(self):
+        self._ids: list[str] = []
+        self._years: list[int] = []
+        self._doc_types: list[int] = []
+        self._citations: list[int] = []
+        self._category_counts: list[int] = []
+        self._categories: list[int] = []
+        self._slot_counts: list[int] = []
+        self._researchers: list[int] = []
+        self._positions: list[int] = []
+        self._intramural: list[bool] = []
+        # Name -> code; the codes are the order of first appearance.
+        self._doc_type_codes = {name: code for code, name in enumerate(DOC_TYPES)}
+        self._category_codes: dict[str, int] = {}
+        self._researcher_codes: dict[str, int] = {}
+
+    def add(self, pid, year, doc_type, citations, categories, positions, intramural, researcher_ids):
+        """Append one publication; the last three arguments list its author slots in the same order."""
+        doc_codes, cat_codes, res_codes = self._doc_type_codes, self._category_codes, self._researcher_codes
+        self._ids.append(pid)
+        self._years.append(year)
+        self._doc_types.append(doc_codes.setdefault(doc_type, len(doc_codes)))
+        self._citations.append(citations)
+        self._category_counts.append(len(categories))
+        self._categories.extend([cat_codes.setdefault(c, len(cat_codes)) for c in categories])
+        self._slot_counts.append(len(positions))
+        self._researchers.extend(
+            [-1 if rid is None else res_codes.setdefault(rid, len(res_codes)) for rid in researcher_ids]
+        )
+        self._positions.extend(positions)
+        self._intramural.extend(intramural)
+
+    def build(self) -> Publications:
+        return Publications(
+            ids=self._ids,
+            year=np.array(self._years, dtype=np.int64),
+            doc_type=np.array(self._doc_types, dtype=np.int64),
+            citations=np.array(self._citations, dtype=np.int64),
+            category_offsets=_offsets(self._category_counts),
+            category=np.array(self._categories, dtype=np.int64),
+            slot_offsets=_offsets(self._slot_counts),
+            slot_researcher=np.array(self._researchers, dtype=np.int64),
+            slot_position=np.array(self._positions, dtype=np.int64),
+            slot_intramural=np.array(self._intramural, dtype=bool),
+            doc_type_names=list(self._doc_type_codes),
+            category_names=list(self._category_codes),
+            researcher_names=list(self._researcher_codes),
+        )
+
+
 @dataclass
 class Corpus:
-    publications: tuple[Publication, ...]
+    publications: Publications
     researchers: dict[str, Researcher]
     universities: dict[str, str]
     taxonomy: Taxonomy
@@ -110,11 +305,14 @@ class Corpus:
         `load_corpus` does not call this.
         """
         seen_ids: set[str] = set()
-        for pub in self.publications:
-            problem = publication_problem(pub, self.window, self.researchers, seen_ids)
+        for pid, year, doc_type, citations, categories, positions, _, rids in self.publications.rows():
+            problem = publication_problem(
+                pid, year, doc_type, citations, categories, positions, rids,
+                self.window, self.researchers, seen_ids,
+            )
             if problem:
-                raise ValidationError(f"publication {pub.id!r}: {problem}")
-            seen_ids.add(pub.id)
+                raise ValidationError(f"publication {pid!r}: {problem}")
+            seen_ids.add(pid)
         for r in self.researchers.values():
             problem = researcher_problem(r, self.taxonomy, self.window)
             if not problem and r.university_id not in self.universities:
@@ -124,29 +322,41 @@ class Corpus:
 
 
 def publication_problem(
-    pub: Publication, window, researchers: Mapping[str, Researcher], seen_ids: set[str]
+    pid: str,
+    year: int,
+    doc_type: str,
+    citations: int,
+    categories,
+    positions: list[int],
+    researcher_ids: list[str | None],
+    window,
+    researchers: Mapping[str, Researcher],
+    seen_ids: set[str],
 ) -> str | None:
-    """The first rule `pub` breaks, as a message, or None; `seen_ids` holds the ids before it."""
+    """The first rule a publication breaks, as a message, or None.
+
+    `positions` and `researcher_ids` list its author slots in the same order;
+    `seen_ids` holds the ids of the publications before it.
+    """
     lo, hi = window
-    if pub.id in seen_ids:
-        return f"duplicate publication id {pub.id!r}"
-    if not lo <= pub.year <= hi:
-        return f"year {pub.year} outside the observation window {lo}-{hi}"
-    if pub.doc_type not in DOC_TYPES:
-        return f"document type {pub.doc_type!r} is not one of {DOC_TYPES}"
-    if pub.citations < 0:
-        return f"citations must be >= 0, got {pub.citations}"
-    if not pub.categories:
+    if pid in seen_ids:
+        return f"duplicate publication id {pid!r}"
+    if not lo <= year <= hi:
+        return f"year {year} outside the observation window {lo}-{hi}"
+    if doc_type not in DOC_TYPES:
+        return f"document type {doc_type!r} is not one of {DOC_TYPES}"
+    if citations < 0:
+        return f"citations must be >= 0, got {citations}"
+    if not categories:
         return "categories must not be empty"
-    if not pub.authors:
+    if not positions:
         return "authors must not be empty"
-    positions = sorted(slot.position for slot in pub.authors)
-    if positions != list(range(1, len(pub.authors) + 1)):
-        return f"author positions {positions} must be exactly 1..{len(pub.authors)}"
-    for slot in pub.authors:
-        rid = slot.researcher_id
+    ordered = sorted(positions)
+    if ordered != list(range(1, len(positions) + 1)):
+        return f"author positions {ordered} must be exactly 1..{len(positions)}"
+    for position, rid in zip(positions, researcher_ids):
         if rid is not None and rid not in researchers:
-            return f"author position {slot.position} references unknown researcher {rid!r}"
+            return f"author position {position} references unknown researcher {rid!r}"
     return None
 
 
@@ -262,10 +472,10 @@ def load_researchers(res_path, taxonomy: Taxonomy, window) -> tuple[dict[str, Re
     return researchers, universities
 
 
-def load_publications(pub_path, window, researchers: Mapping[str, Researcher]) -> tuple[Publication, ...]:
+def load_publications(pub_path, window, researchers: Mapping[str, Researcher]) -> Publications:
     """Read publications.jsonl; every non-null author id must name one of `researchers`."""
     pub_path = Path(pub_path)
-    publications: list[Publication] = []
+    builder = PublicationsBuilder()
     seen: set[str] = set()
     with open_input(pub_path) as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -285,23 +495,24 @@ def load_publications(pub_path, window, researchers: Mapping[str, Researcher]) -
             categories = _require(record, "categories", list, pub_path, line_no)
             if not all(isinstance(c, str) and c for c in categories):
                 _fail(pub_path, line_no, "field 'categories': entries must be non-empty strings")
-            slots = []
+            positions, intramural, rids = [], [], []
             for slot in _require(record, "authors", list, pub_path, line_no):
                 if not isinstance(slot, dict):
                     _fail(pub_path, line_no, "field 'authors': entries must be objects")
                 rid = slot.get("researcher_id")
                 if rid is not None and not isinstance(rid, str):
                     _fail(pub_path, line_no, "field 'researcher_id': expected string or null")
-                position = _require(slot, "position", int, pub_path, line_no)
-                intramural = _require(slot, "intramural", bool, pub_path, line_no)
-                slots.append(AuthorSlot(position, intramural, rid))
-            pub = Publication(pid, year, doc_type, citations, tuple(categories), tuple(slots))
-            problem = publication_problem(pub, window, researchers, seen)
+                positions.append(_require(slot, "position", int, pub_path, line_no))
+                intramural.append(_require(slot, "intramural", bool, pub_path, line_no))
+                rids.append(rid)
+            problem = publication_problem(
+                pid, year, doc_type, citations, categories, positions, rids, window, researchers, seen
+            )
             if problem:
                 _fail(pub_path, line_no, problem)
             seen.add(pid)
-            publications.append(pub)
-    return tuple(publications)
+            builder.add(pid, year, doc_type, citations, categories, positions, intramural, rids)
+    return builder.build()
 
 
 def load_corpus(pub_path, res_path, tax_path, window=DEFAULT_WINDOW) -> Corpus:
@@ -310,10 +521,12 @@ def load_corpus(pub_path, res_path, tax_path, window=DEFAULT_WINDOW) -> Corpus:
     Missing files surface as FileNotFoundError (I/O), malformed contents as
     ValidationError with file/line context. The loaders apply the same
     per-record rules as `Corpus.validate`, so it is not run again here.
+    The corpus comes back in canonical order (see the module docstring).
     """
     taxonomy = load_taxonomy(tax_path)
     researchers, universities = load_researchers(res_path, taxonomy, window)
-    publications = load_publications(pub_path, window, researchers)
+    publications = load_publications(pub_path, window, researchers).in_canonical_order()
+    researchers = dict(sorted(researchers.items()))
     return Corpus(publications, researchers, universities, taxonomy, tuple(window))
 
 
@@ -324,6 +537,8 @@ def active_sds_filter(corpus: Corpus) -> set[str]:
     analyses restrict to this set.
     """
     totals = Counter(r.sds for r in corpus.researchers.values())
-    publishers = {slot.researcher_id for pub in corpus.publications for slot in pub.authors}
-    active = Counter(corpus.researchers[rid].sds for rid in publishers - {None})
+    pubs = corpus.publications
+    codes = np.unique(pubs.slot_researcher)
+    publishers = [pubs.researcher_names[code] for code in codes[codes >= 0].tolist()]
+    active = Counter(corpus.researchers[rid].sds for rid in publishers)
     return {sds for sds, total in totals.items() if 2 * active[sds] >= total}

@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .corpus import Corpus, active_sds_filter
-from .normalization import Baselines, CreditScheme, compute_baselines, credit_shares, standardize
+from .normalization import (
+    Baselines,
+    CreditScheme,
+    compute_baselines,
+    slot_credit_shares,
+    standardized_citations,
+)
 from .stats import average_ranks
 
 
@@ -32,38 +38,37 @@ def researcher_ss(
     ss = sum over the researcher's publications of standardized citations
     times their author-credit share, divided by years in post. Positional
     credit applies when the researcher's field is a life-science area.
-    Each total receives its terms in publication order, then slot order.
+    Each total receives its terms in publication order, then slot order, so
+    it equals the per-record sum of `standardize` times `credit_shares`.
     """
-    life_science = {
-        rid: corpus.taxonomy.is_life_science(r.sds) for rid, r in corpus.researchers.items()
-    }
-    totals = dict.fromkeys(corpus.researchers, 0.0)
-    pub_counts: Counter[str] = Counter()
-    for pub in corpus.publications:
-        std = standardize(pub, baselines)
-        shares: dict[bool, dict[int, float]] = {}
-        for slot in pub.authors:
-            rid = slot.researcher_id
-            if rid is None:
-                continue
-            life = life_science[rid]
-            if life not in shares:
-                shares[life] = credit_shares(pub, scheme, life)
-            totals[rid] += std * shares[life][slot.position]
-        # A researcher in two slots of one publication counts it once.
-        pub_counts.update({slot.researcher_id for slot in pub.authors} - {None})
+    pubs = corpus.publications
+    researchers = list(corpus.researchers.values())
+    row_of = {r.id: i for i, r in enumerate(researchers)}
+    row_of_code = np.array([row_of[rid] for rid in pubs.researcher_names], dtype=np.int64)
+    life_science = np.array([corpus.taxonomy.is_life_science(r.sds) for r in researchers], dtype=bool)
+
+    slots = np.flatnonzero(pubs.slot_researcher >= 0)
+    holders = row_of_code[pubs.slot_researcher[slots]]
+    rows = pubs.slot_publication[slots]
+    std = standardized_citations(pubs, baselines)
+    terms = std[rows] * slot_credit_shares(pubs, scheme, slots, life_science[holders])
+    # bincount adds each researcher's terms in slot order, as the per-record loop does.
+    totals = np.bincount(holders, weights=terms, minlength=len(researchers))
+    ss = totals / np.array([r.years_in_post for r in researchers], dtype=np.int64)
+    # A researcher in two slots of one publication counts it once.
+    pairs = np.unique(rows * len(researchers) + holders)
+    pub_counts = np.bincount(pairs % len(researchers), minlength=len(researchers))
+
     scores: dict[str, ResearcherScore] = {}
-    for rid, researcher in corpus.researchers.items():
-        ss = totals[rid] / researcher.years_in_post
-        raw = pub_counts[rid]
-        scores[rid] = ResearcherScore(
-            researcher_id=rid,
+    for researcher, value, raw in zip(researchers, ss.tolist(), pub_counts.tolist()):
+        scores[researcher.id] = ResearcherScore(
+            researcher_id=researcher.id,
             university_id=researcher.university_id,
             sds=researcher.sds,
-            ss=ss,
+            ss=value,
             raw_pub_count=raw,
             non_productive=raw == 0,
-            nil_impact=ss == 0.0,
+            nil_impact=value == 0.0,
         )
     return scores
 

@@ -5,15 +5,19 @@ the same subject category and year; the median is preferred over the mean
 because citation distributions are heavily skewed. Strata whose median is
 zero fall back to the stratum mean so that any existing citations keep a
 positive scale.
+
+`compute_baselines`, `standardized_citations` and `slot_credit_shares` read
+the corpus's publication columns. The per-record `standardize` and
+`credit_shares` are the plain reference they must equal exactly.
 """
 
 from __future__ import annotations
 
-import statistics
-from collections import defaultdict
 from dataclasses import dataclass
 
-from .corpus import Corpus, Publication
+import numpy as np
+
+from .corpus import Corpus, Publication, Publications
 from .errors import ValidationError
 
 EQUAL_FRACTIONAL = "equal_fractional"
@@ -62,24 +66,88 @@ class CreditScheme:
             raise ValidationError("extramural discount must be in (0, 1]")
 
 
+def _strata(pubs: Publications):
+    """Per category entry: its publication's row and an integer key of its (category, year)
+    stratum; plus the function that turns a key back into the pair."""
+    rows = pubs.category_publication
+    years = pubs.year[rows]
+    first_year = int(years.min(initial=0))
+    span = int(years.max(initial=0)) - first_year + 1
+
+    def pair(key: int) -> tuple[str, int]:
+        return pubs.category_names[key // span], key % span + first_year
+
+    return rows, pubs.category * span + (years - first_year), pair
+
+
 def compute_baselines(corpus: Corpus) -> Baselines:
     """One baseline per (category, year) pair occurring in the corpus.
 
     Every publication contributes its citation count to each of its
-    categories; zero-citation publications are included.
+    categories; zero-citation publications are included. The median is
+    taken after sorting each stratum; the mean is its integer sum divided by
+    its count. Strata come in order of first appearance.
     """
-    groups: dict[tuple[str, int], list[int]] = defaultdict(list)
-    for pub in corpus.publications:
-        for cat in pub.categories:
-            groups[(cat, pub.year)].append(pub.citations)
+    pubs = corpus.publications
+    rows, keys, pair = _strata(pubs)
+    cites = pubs.citations[rows]
+    order = np.lexsort((cites, keys))
+    keys, cites = keys[order], cites[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    if not len(starts):
+        return {}
+    counts = np.diff(starts, append=len(keys))
+    medians = (cites[starts + (counts - 1) // 2] + cites[starts + counts // 2]) / 2
+    means = np.add.reduceat(cites, starts) / counts
+    first_seen = np.argsort(np.minimum.reduceat(order, starts))
     baselines: Baselines = {}
-    for (cat, year), cites in groups.items():
-        median = float(statistics.median(cites))
-        mean = sum(cites) / len(cites)
-        baselines[(cat, year)] = CategoryBaseline(
-            cat, year, median, mean, median == 0 and mean > 0
-        )
+    for key, median, mean in zip(
+        keys[starts][first_seen].tolist(), medians[first_seen].tolist(), means[first_seen].tolist()
+    ):
+        cat, year = pair(key)
+        baselines[(cat, year)] = CategoryBaseline(cat, year, median, mean, median == 0 and mean > 0)
     return baselines
+
+
+def standardized_citations(pubs: Publications, baselines: Baselines) -> np.ndarray:
+    """`standardize` of every publication, as one array."""
+    rows, keys, pair = _strata(pubs)
+    strata, stratum_of_entry = np.unique(keys, return_inverse=True)
+    scales = []
+    for stratum, key in enumerate(strata.tolist()):
+        cat, year = pair(key)
+        baseline = baselines.get((cat, year))
+        if baseline is None:
+            pid = pubs.ids[rows[np.argmax(stratum_of_entry == stratum)]]
+            raise ValidationError(f"no baseline for category {cat!r} year {year} (publication {pid!r})")
+        scales.append(baseline.scale)
+    n = len(pubs)
+    # bincount adds each publication's scales in category order, as `sum` does.
+    scale_sums = np.bincount(rows, weights=np.array(scales, dtype=float)[stratum_of_entry], minlength=n)
+    denominators = scale_sums / np.diff(pubs.category_offsets)
+    cited = (pubs.citations != 0) & (denominators != 0)
+    return np.divide(pubs.citations, denominators, out=np.zeros(n), where=cited)
+
+
+def slot_credit_shares(
+    pubs: Publications, scheme: CreditScheme, slots: np.ndarray, is_life_science: np.ndarray
+) -> np.ndarray:
+    """`credit_shares` of the author slots at indices `slots`; `is_life_science` is per slot in `slots`."""
+    rows = pubs.slot_publication
+    n_authors = np.diff(pubs.slot_offsets)
+    equal = 1.0 / n_authors[rows[slots]]
+    if scheme.mode == EQUAL_FRACTIONAL or not is_life_science.any():
+        return equal
+    positions = pubs.slot_position
+    weights = np.where(
+        positions == 1,
+        scheme.first_weight,
+        np.where(positions == n_authors[rows], scheme.last_weight, scheme.middle_weight),
+    )
+    weights = np.where(pubs.slot_intramural, weights, weights * scheme.extramural_discount)
+    # bincount adds in slot order like `sum`; np.sum's pairwise order differs from 8 slots on.
+    totals = np.bincount(rows, weights=weights, minlength=len(pubs))
+    return np.where(is_life_science, (weights / totals[rows])[slots], equal)
 
 
 def standardize(pub: Publication, baselines: Baselines) -> float:

@@ -21,11 +21,11 @@ import numpy as np
 from ._version import __version__
 from .corpus import (
     DEFAULT_WINDOW,
+    DOC_TYPES,
     RESEARCHER_COLUMNS,
     TAXONOMY_COLUMNS,
-    AuthorSlot,
     Corpus,
-    Publication,
+    PublicationsBuilder,
     Researcher,
     Taxonomy,
     open_input,
@@ -72,6 +72,29 @@ BISECTION_STEPS = 5
 PROBE_SCALE = 0.35  # probe corpus size as a share of the profile's universities
 
 RNG_DESCRIPTION = "numpy.random.PCG64 seeded via numpy.random.SeedSequence(seed)"
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# The JSON shape each GeneratorProfile annotation accepts: (check, description).
+_PROFILE_FIELD_KINDS = {
+    "int": (_is_int, "an integer"),
+    "float": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    "tuple[int, int]": (
+        lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_int, v)),
+        "a list of two integers",
+    ),
+    "tuple[str, ...]": (
+        lambda v: isinstance(v, (list, tuple)) and all(isinstance(x, str) for x in v),
+        "a list of strings",
+    ),
+    "dict[str, int]": (
+        lambda v: isinstance(v, dict) and all(_is_int(n) for n in v.values()),
+        "an object of integers",
+    ),
+}
 
 
 @dataclass
@@ -145,6 +168,10 @@ class GeneratorProfile:
         unknown = set(data) - known
         if unknown:
             raise ValidationError(f"profile: unknown fields {sorted(unknown)}")
+        for name, value in data.items():
+            check, expected = _PROFILE_FIELD_KINDS[cls.__dataclass_fields__[name].type]
+            if not check(value):
+                raise ValidationError(f"profile: field {name!r} must be {expected}, got {value!r}")
         for name in ("staff_per_unit", "window", "coauthor_range", "life_science_udas"):
             if name in data:
                 data[name] = tuple(data[name])
@@ -199,7 +226,7 @@ def generate(profile: GeneratorProfile) -> Corpus:
 
     researchers: dict[str, Researcher] = {}
     universities: dict[str, str] = {}
-    publications: list[Publication] = []
+    publications = PublicationsBuilder()
 
     university_seeds = np.random.SeedSequence(profile.seed).spawn(profile.n_universities)
     for uni_index in range(profile.n_universities):
@@ -249,29 +276,30 @@ def generate(profile: GeneratorProfile) -> Corpus:
                         citations = int(round(math.exp(location + profile.citation_sigma * z_arr[p])))
                         citations = min(citations, MAX_CITATIONS)
                     n_authors = int(n_authors_arr[p])
-                    slots = _author_slots(rng, rid, pool, n_authors, profile.p_external_coauthor)
+                    authors = _author_ids(rng, rid, pool, n_authors, profile.p_external_coauthor)
                     pub_seq += 1
-                    publications.append(
-                        Publication(
-                            id=f"P-{uid}-{pub_seq:06d}",
-                            year=year,
-                            doc_type=("article", "review", "proceedings")[int(doc_arr[p])],
-                            citations=citations,
-                            categories=tuple(cats),
-                            authors=slots,
-                        )
+                    publications.add(
+                        f"P-{uid}-{pub_seq:06d}",
+                        year,
+                        DOC_TYPES[int(doc_arr[p])],
+                        citations,
+                        cats,
+                        range(1, n_authors + 1),
+                        [author is not None for author in authors],
+                        authors,
                     )
-    corpus = Corpus(tuple(publications), researchers, universities, taxonomy, (y0, y1))
+    corpus = Corpus(publications.build(), researchers, universities, taxonomy, (y0, y1))
     corpus.validate()
     return corpus
 
 
-def _author_slots(rng, author_id, pool, n_authors, p_external) -> tuple[AuthorSlot, ...]:
-    """Author list mixing the originating researcher, colleagues, externals.
+def _author_ids(rng, author_id, pool, n_authors, p_external) -> list[str | None]:
+    """Researcher id per author position, mixing the originating researcher, colleagues, externals.
 
     Internal co-authors come from the productive members of the same unit
     (never a non-productive colleague, which would contradict their zero
-    publication count) and are intramural; externals carry no researcher id.
+    publication count) and are intramural; externals carry no researcher id
+    and are extramural.
     """
     others = n_authors - 1
     internal_wanted = int(np.count_nonzero(rng.random(others) >= p_external)) if others else 0
@@ -283,15 +311,8 @@ def _author_slots(rng, author_id, pool, n_authors, p_external) -> tuple[AuthorSl
         picked = [colleagues[int(i)] for i in sorted(indices)]
     picked += [None] * (others - n_internal)
     own_position = int(rng.integers(1, n_authors + 1))
-    slots = []
-    queue = iter(picked)
-    for position in range(1, n_authors + 1):
-        if position == own_position:
-            slots.append(AuthorSlot(position, True, author_id))
-        else:
-            rid = next(queue)
-            slots.append(AuthorSlot(position, rid is not None, rid))
-    return tuple(slots)
+    picked.insert(own_position - 1, author_id)
+    return picked
 
 
 def write_corpus(corpus: Corpus, out_dir, profile: GeneratorProfile | None = None) -> dict[str, Path]:
@@ -319,24 +340,21 @@ def write_corpus(corpus: Corpus, out_dir, profile: GeneratorProfile | None = Non
     )
     csv_file(paths["taxonomy"], TAXONOMY_COLUMNS, taxonomy_rows)
     # The encoders above created `out`; only this stream writes a file line by line.
+    encoder = json.JSONEncoder(separators=(",", ":"))
     with open(paths["publications"], "w", encoding="utf-8", newline="\n") as fh:
-        for pub in corpus.publications:
+        for pid, year, doc_type, citations, categories, positions, intramural, rids in corpus.publications.rows():
             record = {
-                "id": pub.id,
-                "year": pub.year,
-                "type": pub.doc_type,
-                "citations": pub.citations,
-                "categories": list(pub.categories),
+                "id": pid,
+                "year": year,
+                "type": doc_type,
+                "citations": citations,
+                "categories": categories,
                 "authors": [
-                    {
-                        "researcher_id": slot.researcher_id,
-                        "position": slot.position,
-                        "intramural": slot.intramural,
-                    }
-                    for slot in pub.authors
+                    {"researcher_id": rid, "position": position, "intramural": flag}
+                    for rid, position, flag in zip(rids, positions, intramural)
                 ],
             }
-            fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+            fh.write(encoder.encode(record) + "\n")
     metadata = {
         "generator": {
             "package": "meritrank",

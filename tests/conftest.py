@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from meritrank.corpus import AuthorSlot, Corpus, Publication, Researcher, Taxonomy
+from meritrank.corpus import AuthorSlot, Corpus, Publication, Publications, Researcher, Taxonomy
 
 DEFAULT_WINDOW = (2004, 2008)
 
@@ -47,7 +47,7 @@ def make_corpus(
     taxonomy = taxonomy or make_taxonomy()
     res = {rid: Researcher(rid, univ, sds, years) for rid, univ, sds, years in researchers}
     universities = {r.university_id: f"University {r.university_id}" for r in res.values()}
-    corpus = Corpus(tuple(publications), res, universities, taxonomy, tuple(window))
+    corpus = Corpus(Publications.from_records(publications), res, universities, taxonomy, tuple(window))
     corpus.validate()
     return corpus
 

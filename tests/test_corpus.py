@@ -1,20 +1,28 @@
-"""Loading, validation, and the activity filter."""
+"""Loading, validation, canonical order, and the activity filter."""
 
 import json
 import logging
+import random
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meritrank.corpus import (
     AuthorSlot,
     Corpus,
     Publication,
+    Publications,
     Researcher,
     active_sds_filter,
     load_corpus,
 )
+from meritrank.cli import dispatch
 from meritrank.errors import ValidationError
+from meritrank.synth import GeneratorProfile, generate, write_corpus
 
 from conftest import DEFAULT_WINDOW, make_corpus, make_pub, make_taxonomy, solo_corpus
 
@@ -238,7 +246,7 @@ def _in_memory(pubs, extra_researcher):
     for row in rows:
         rid, uid, _, sds, years = row.split(",")
         researchers[rid] = Researcher(rid, uid, sds, int(years))
-    publications = tuple(
+    publications = Publications.from_records(
         Publication(
             p["id"], p["year"], p["type"], p["citations"], tuple(p["categories"]),
             tuple(AuthorSlot(a["position"], a["intramural"], a["researcher_id"]) for a in p["authors"]),
@@ -312,8 +320,76 @@ class TestActiveSdsFilter:
             extra = make_pub("P-extra", [rid], citations=1)
             grown = make_corpus(
                 [(r.id, r.university_id, r.sds, r.years_in_post) for r in corpus.researchers.values()],
-                corpus.publications + (extra,),
+                [*corpus.publications, extra],
                 taxonomy=corpus.taxonomy,
             )
             after = active_sds_filter(grown)
             assert before <= after
+
+
+SHUFFLE_PROFILE = GeneratorProfile(
+    n_universities=12,
+    sds_per_uda={"A": 3, "B": 2},
+    life_science_udas=("B",),
+    staff_per_unit=(3, 9),
+    seed=41,
+)
+
+
+def _report_all(corpus_dir: Path, out: Path) -> dict[str, bytes]:
+    """Every report-all output except the manifest, which echoes the input digests."""
+    argv = ["report-all", "--corpus", str(corpus_dir), "--credit", "positional",
+            "--extramural-discount", "0.5", "--out", str(out)]
+    assert dispatch(argv) == 0
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != "manifest.json"}
+
+
+def _shuffled_copy(source: Path, target: Path, seed: int) -> None:
+    """`source` with researchers.csv rows, publications.jsonl lines and each line's slots shuffled."""
+    rng = random.Random(seed)
+    target.mkdir()
+    header, *rows = (source / "researchers.csv").read_text().splitlines(keepends=True)
+    rng.shuffle(rows)
+    (target / "researchers.csv").write_text(header + "".join(rows))
+    lines = []
+    for line in (source / "publications.jsonl").read_text().splitlines():
+        record = json.loads(line)
+        rng.shuffle(record["authors"])
+        lines.append(json.dumps(record) + "\n")
+    rng.shuffle(lines)
+    (target / "publications.jsonl").write_text("".join(lines))
+    (target / "taxonomy.csv").write_bytes((source / "taxonomy.csv").read_bytes())
+
+
+@pytest.fixture(scope="module")
+def generated(tmp_path_factory):
+    """A generated corpus written in canonical order, and its report-all outputs."""
+    root = tmp_path_factory.mktemp("canonical")
+    write_corpus(generate(SHUFFLE_PROFILE), root / "corpus", SHUFFLE_PROFILE)
+    return root / "corpus", _report_all(root / "corpus", root / "out")
+
+
+class TestCanonicalOrder:
+    def test_written_corpus_is_already_canonical(self, generated):
+        corpus_dir, _ = generated
+        files = [corpus_dir / name for name in ("publications.jsonl", "researchers.csv", "taxonomy.csv")]
+        pubs = load_corpus(*files).publications
+        assert pubs.in_canonical_order() is pubs
+
+    def test_shuffled_input_loads_as_the_written_one(self, generated, tmp_path):
+        corpus_dir, _ = generated
+        _shuffled_copy(corpus_dir, tmp_path / "shuffled", seed=1)
+        names = ("publications.jsonl", "researchers.csv", "taxonomy.csv")
+        original = load_corpus(*(corpus_dir / name for name in names))
+        shuffled = load_corpus(*(tmp_path / "shuffled" / name for name in names))
+        assert list(shuffled.researchers.items()) == list(original.researchers.items())
+        assert list(shuffled.publications) == list(original.publications)
+
+    @settings(max_examples=4, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_report_all_ignores_input_order(self, generated, seed):
+        corpus_dir, expected = generated
+        with tempfile.TemporaryDirectory() as scratch:
+            shuffled = Path(scratch) / "corpus"
+            _shuffled_copy(corpus_dir, shuffled, seed)
+            assert _report_all(shuffled, Path(scratch) / "out") == expected

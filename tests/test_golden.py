@@ -1,10 +1,11 @@
-"""Golden outputs: pinned SHA-256 digests and manifest echoes of eight CLI runs.
+"""Golden outputs: pinned SHA-256 digests and manifest echoes of nine CLI runs.
 
 The runs use criterion 11's 12-university profile (seed 41): `report-all`
 and `gen` generate the corpus from it, `calibrate` tunes it (and does not
 converge, so it exits 1), and `indicators` (with equal and with positional
-credit), `rank`, `counterfactual` and `fund` read the corpus `report-all`
-wrote. A refactor must reproduce every non-manifest byte and every
+credit), `rank`, `counterfactual`, `fund` and `report-all --corpus` (with
+positional credit, as the benchmark's corpus workload runs it) read the
+corpus `report-all` wrote. A refactor must reproduce every non-manifest byte and every
 manifest's `command`, `config` and `inputs`; a change that alters them on
 purpose updates the pins here and says why in CHANGES.md.
 """
@@ -57,6 +58,20 @@ GOLDEN_DIGESTS = {
     "report-all/summary.json": "eb3ede97c9a07af74931f18ed8cfc6fd218e021d4094b767a254611f7583d5ea",
     "report-all/transition_A.csv": "7e3a6cc6699578227a064ba95a4680709ad4d6d9f921b5c3273fec9d20ed7e29",
     "report-all/transition_B.csv": "f6105de8526ada1a94f88a58f6f9b5488a404abb728f4e10918b16dc5b83967e",
+    "report-all-corpus/concentration_sds.csv": "c281eeecf3145cf4ad9d38a7ef0064f060d1fb83ee25a28a0e0572248166e795",
+    "report-all-corpus/counterfactual_sds_summary.csv": "c980bf16d672000756781b6c250862415a6d751fdcfd19f13c31852dc4472cc5",
+    "report-all-corpus/counterfactual_uda.csv": "a6c88f88e29c65e8ac7c6eaca07755c2d51339f6a5913ce121cda294f9cb763f",
+    "report-all-corpus/funding_census.csv": "f9923fd824dfd727ca2f52e685b7a22931c77edfb466fdf46e30dbea06df7a9b",
+    "report-all-corpus/paradoxes.json": "8295b6d8cd368b8cf2345905b40d898833952b5a088774a2d9551372d837762d",
+    "report-all-corpus/productivity_uda.csv": "0c101230155534ceab10f9a4189d09944be8052e25110bb43efdc0e6c6bc82d7",
+    "report-all-corpus/ranks_sds.csv": "9aea92339d0e6b046875c2bb6c02e1481d6caae5d61bb0ab96e95d5cc688a204",
+    "report-all-corpus/ranks_uda.csv": "15885ce81b759f838f2a166931a0de8ecf2950580ac43f6e07b4c65d033826fa",
+    "report-all-corpus/scatter_A.svg": "643af35ab695cc881fb3244a73c25fc2c059a1741a7e3eefe8f0345ca9fe854e",
+    "report-all-corpus/scatter_B.svg": "a334cbcdfbc587c1d2abf84a4f87acb49564f5f124471f13a1ae237150a575d4",
+    "report-all-corpus/scores.csv": "74a5cd68d4b85bc5800fceab2b23a15187446af0262b582c261435429d3a5f01",
+    "report-all-corpus/summary.json": "65fde0c88b0b02c507b5c3f92499381a19ba5f9fffd566ac9dc3b8b26510d835",
+    "report-all-corpus/transition_A.csv": "7e3a6cc6699578227a064ba95a4680709ad4d6d9f921b5c3273fec9d20ed7e29",
+    "report-all-corpus/transition_B.csv": "524bdb942aa1b66cf088638f628f05bacbfeeed70919ddaa050f24dce4a92ad9",
 }
 
 GOLDEN_CONFIGS = {
@@ -169,6 +184,27 @@ GOLDEN_CONFIGS = {
         "transition_classes": 5,
         "window": [2004, 2008],
     },
+    "report-all-corpus/manifest.json": {
+        "bottom_funded": False,
+        "budget": "1000000",
+        "classes": 4,
+        "corpus": "TMP/report-all/corpus",
+        "credit": "positional",
+        "extramural_discount": 0.5,
+        "first_w": 2.0,
+        "global_budget": None,
+        "last_w": 2.0,
+        "middle_w": 1.0,
+        "min_staff": 5,
+        "out": "TMP/report-all-corpus",
+        "profile": None,
+        "pstar": "mean-of-units",
+        "ratio": "3",
+        "seed": None,
+        "share": 0.2,
+        "transition_classes": 5,
+        "window": [2004, 2008],
+    },
 }
 
 PROFILE_INPUT = {"profile.json": "e13762eef27dc640c8bb1489b92cde66f6e180efba65cac9c9b09c35b958ab64"}
@@ -187,6 +223,7 @@ GOLDEN_MANIFEST_SOURCES = {
     "indicators-positional/scores.manifest.json": {"command": "indicators", "inputs": CORPUS_INPUTS},
     "rank/rank.manifest.json": {"command": "rank", "inputs": CORPUS_INPUTS},
     "report-all/manifest.json": {"command": "report-all", "inputs": PROFILE_INPUT},
+    "report-all-corpus/manifest.json": {"command": "report-all", "inputs": CORPUS_INPUTS},
 }
 
 
@@ -218,13 +255,17 @@ def _runs(tmp):
             "--census", str(tmp / "fund" / "census.csv"),
             "--findings", str(tmp / "fund" / "findings.json"),
         ],
+        [
+            "report-all", "--corpus", corpus, "--credit", "positional", "--extramural-discount", "0.5",
+            "--out", str(tmp / "report-all-corpus"),
+        ],
     ]
     calibrate = ["calibrate", "--profile", profile, "--out", str(tmp / "calibrate" / "profile.json")]
     return [(argv, 0) for argv in runs] + [(calibrate, 1)]
 
 
 def run_golden(tmp):
-    """Run the eight commands under `tmp`.
+    """Run the nine commands under `tmp`.
 
     Returns (digests, manifest configs, manifest commands and inputs), each
     keyed by path relative to `tmp`.

@@ -1,9 +1,10 @@
 """Property tests: scoring, credit, funding, statistics, selection and re-ranking on random inputs."""
 
+import statistics
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from meritrank.aggregation import (
@@ -17,6 +18,7 @@ from meritrank.aggregation import (
     sds_unit_scores,
     uda_unit_scores,
 )
+from meritrank.cli import dispatch
 from meritrank.corpus import AuthorSlot, Publication
 from meritrank.errors import AllocationError, UndefinedStatisticError
 from meritrank.funding import FundingPolicy, allocate
@@ -32,7 +34,7 @@ from meritrank.normalization import (
 from meritrank.scenario import SCOPE_NATIONAL, SCOPE_UNIT, counterfactual_rankings, select_top
 from meritrank.stats import classify_quantiles, gini, quantile_class_sizes, top_count
 
-from conftest import make_corpus, make_taxonomy, scores_with_ss
+from conftest import make_corpus, make_pub, make_taxonomy, scores_with_ss
 
 TAXONOMY = make_taxonomy({"S1": "X", "S2": "X", "S3": "Y", "S4": "Y"})
 
@@ -139,14 +141,20 @@ RESEARCHER_IDS = ("R0", "R1", "R2", "R3", "R4")
 @st.composite
 def small_corpora(draw):
     """Corpora where life-science and other researchers share publications and one
-    researcher may hold two slots of a publication, which generated corpora never have."""
+    researcher may hold two slots of a publication, which generated corpora never have.
+
+    Publications have one to three categories and up to ten authors, whose
+    slots are listed in a random order of positions; from eight slots on,
+    numpy's pairwise `np.sum` would add a publication's weights in another
+    order than `sum`.
+    """
     researchers = [
         (rid, "U1", draw(st.sampled_from(["S1", "S3"])), draw(st.integers(1, 5)))
         for rid in RESEARCHER_IDS
     ]
     publications = []
     for p in range(draw(st.integers(0, 8))):
-        n_authors = draw(st.integers(1, 5))
+        n_authors = draw(st.integers(1, 10))
         positions = draw(st.permutations(range(1, n_authors + 1)))
         slots = tuple(
             AuthorSlot(
@@ -156,7 +164,7 @@ def small_corpora(draw):
             )
             for position in positions
         )
-        categories = draw(st.lists(st.sampled_from(["C1", "C2", "C3"]), min_size=1, max_size=2, unique=True))
+        categories = draw(st.lists(st.sampled_from(["C1", "C2", "C3"]), min_size=1, max_size=3, unique=True))
         publications.append(
             Publication(
                 f"P{p}",
@@ -170,18 +178,29 @@ def small_corpora(draw):
     return make_corpus(researchers, publications, taxonomy=SCORING_TAXONOMY)
 
 
+# Weights that are not sums of powers of two make the order of additions show in the last bit.
 credit_schemes = st.builds(
     CreditScheme,
     mode=st.sampled_from([EQUAL_FRACTIONAL, POSITIONAL]),
-    first_weight=st.sampled_from([1.0, 2.0, 3.5]),
-    last_weight=st.sampled_from([1.0, 2.0]),
-    middle_weight=st.sampled_from([0.5, 1.0]),
+    first_weight=st.sampled_from([1.0, 2.0, 3.5, 1.3]),
+    last_weight=st.sampled_from([1.0, 2.0, 0.7]),
+    middle_weight=st.sampled_from([0.5, 1.0, 0.1]),
     extramural_discount=st.sampled_from([0.3, 0.5, 1.0]),
+)
+
+
+# Eight slots weighing 1.3, six times 0.1 and 0.7 add up to 2.6000000000000005 in
+# slot order and to 2.6 in np.sum's pairwise order.
+EIGHT_AUTHORS = make_corpus(
+    [("R0", "U1", "S3", 5)],
+    [make_pub("P0", ["R0"] + [None] * 7, citations=5)],
+    taxonomy=SCORING_TAXONOMY,
 )
 
 
 @SETTINGS
 @given(corpus=small_corpora(), scheme=credit_schemes)
+@example(corpus=EIGHT_AUTHORS, scheme=CreditScheme(POSITIONAL, 1.3, 0.7, 0.1, 1.0))
 def test_researcher_ss_matches_a_per_researcher_sum(corpus, scheme):
     baselines = compute_baselines(corpus)
     scores = researcher_ss(corpus, baselines, scheme)
@@ -199,6 +218,41 @@ def test_researcher_ss_matches_a_per_researcher_sum(corpus, scheme):
         assert scores[rid].raw_pub_count == len(pub_ids)
         assert scores[rid].non_productive == (not pub_ids)
         assert scores[rid].nil_impact == (total == 0.0)
+
+
+@SETTINGS
+@given(
+    records=st.lists(
+        st.tuples(
+            st.lists(st.sampled_from(["C1", "C2", "C3"]), min_size=1, max_size=3, unique=True),
+            st.integers(2004, 2008),
+            st.one_of(st.just(0), st.integers(0, 3), st.integers(0, 10**6)),
+        ),
+        max_size=40,
+    )
+)
+# An even stratum whose median is 0 and whose mean is positive: the fallback case.
+@example(records=[(["C1"], 2005, 0), (["C1"], 2005, 0), (["C1"], 2005, 0), (["C1"], 2005, 7)])
+def test_compute_baselines_matches_a_median_and_mean_oracle(records):
+    pubs = [
+        make_pub(f"P{i}", ["R0"], year=year, citations=citations, categories=categories)
+        for i, (categories, year, citations) in enumerate(records)
+    ]
+    corpus = make_corpus([("R0", "U1", "S1", 5)], pubs, taxonomy=SCORING_TAXONOMY)
+    strata: dict = {}
+    for categories, year, citations in records:
+        for category in categories:
+            strata.setdefault((category, year), []).append(citations)
+    baselines = compute_baselines(corpus)
+    assert list(baselines) == list(strata)
+    for (category, year), cites in strata.items():
+        baseline = baselines[(category, year)]
+        median = float(statistics.median(cites))
+        mean = sum(cites) / len(cites)
+        assert (baseline.category, baseline.year) == (category, year)
+        assert baseline.median_citations == median
+        assert baseline.mean_citations == mean
+        assert baseline.fallback_used == (median == 0 and mean > 0)
 
 
 @SETTINGS
@@ -230,6 +284,22 @@ def test_percentiles_are_bounded_and_follow_ss(roster):
                 assert a.percentile == b.percentile
             if a.sds == b.sds and a.ss > b.ss:
                 assert a.percentile > b.percentile
+
+
+def test_loading_and_scoring_build_no_records(tmp_path, monkeypatch):
+    """Generating, writing, loading and scoring a corpus reads columns only: no record is built."""
+    profile = tmp_path / "profile.json"
+    profile.write_text('{"n_universities": 6, "sds_per_uda": {"A": 2, "B": 2}, "life_science_udas": ["B"]}')
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"built a {type(self).__name__}")
+
+    monkeypatch.setattr(AuthorSlot, "__init__", refuse)
+    monkeypatch.setattr(Publication, "__init__", refuse)
+    assert dispatch(["report-all", "--profile", str(profile), "--out", str(tmp_path / "gen")]) == 0
+    corpus = str(tmp_path / "gen" / "corpus")
+    argv = ["report-all", "--corpus", corpus, "--credit", "positional", "--out", str(tmp_path / "load")]
+    assert dispatch(argv) == 0
 
 
 # --- funding and statistics --------------------------------------------------

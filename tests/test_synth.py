@@ -30,7 +30,7 @@ class TestDeterminism:
         a = generate(SMALL)
         b = generate(SMALL)
         assert a.researchers == b.researchers
-        assert a.publications == b.publications
+        assert list(a.publications) == list(b.publications)
         assert a.universities == b.universities
 
     def test_same_seed_byte_identical_files(self, tmp_path):
@@ -41,7 +41,7 @@ class TestDeterminism:
 
     def test_different_seed_differs(self):
         other = replace(SMALL, seed=6)
-        assert generate(SMALL).publications != generate(other).publications
+        assert list(generate(SMALL).publications) != list(generate(other).publications)
 
 
 class TestGeneratedCorpus:
@@ -94,6 +94,34 @@ class TestProfile:
         data["typo_field"] = 1
         with pytest.raises(ValidationError, match="typo_field"):
             GeneratorProfile.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "field, value, expected",
+        [
+            ("n_universities", "3", "an integer"),
+            ("staff_per_unit", 5, "a list of two integers"),
+            ("staff_per_unit", [1, 2, 3], "a list of two integers"),
+            ("seed", True, "an integer"),
+            ("p_nonproductive", "0.2", "a number"),
+            ("life_science_udas", ["B", 1], "a list of strings"),
+            ("sds_per_uda", {"A": 2.5}, "an object of integers"),
+        ],
+    )
+    def test_wrong_field_type_rejected(self, field, value, expected):
+        with pytest.raises(ValidationError, match=f"field '{field}' must be {expected}"):
+            GeneratorProfile.from_dict({field: value})
+
+    @pytest.mark.parametrize("profile", [{"n_universities": "3"}, {"staff_per_unit": 5}])
+    def test_gen_with_wrong_field_type_exits_1(self, tmp_path, capsys, profile):
+        import json
+
+        from meritrank.cli import dispatch
+
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(profile))
+        assert dispatch(["gen", "--profile", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert f"field '{next(iter(profile))}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_n_sds_mismatch_rejected(self):
         data = SMALL.to_dict()
