@@ -15,6 +15,7 @@ from typing import Iterable, Mapping, Sequence
 from .corpus import Taxonomy
 from .errors import ValidationError
 from .indicators import ResearcherScore
+from .stats import ordered_sum
 
 LEVEL_SDS = "sds"
 LEVEL_UDA = "uda"
@@ -57,7 +58,7 @@ def sds_unit_scores(scores: Mapping[str, ResearcherScore]) -> list[SdsUnitScore]
     for score in scores.values():
         groups[(score.university_id, score.sds)].append(score.ss)
     return [
-        SdsUnitScore(university, sds, sum(values) / len(values), len(values))
+        SdsUnitScore(university, sds, ordered_sum(values) / len(values), len(values))
         for (university, sds), values in sorted(groups.items())
     ]
 
@@ -77,10 +78,10 @@ def national_averages(
     averages: dict[str, float] = {}
     for sds, units in by_sds.items():
         if mode == PSTAR_MEAN_OF_UNITS:
-            averages[sds] = sum(u.per_capita_ss for u in units) / len(units)
+            averages[sds] = ordered_sum(u.per_capita_ss for u in units) / len(units)
         elif mode == PSTAR_POOLED:
             staff = sum(u.staff for u in units)
-            averages[sds] = sum(u.per_capita_ss * u.staff for u in units) / staff
+            averages[sds] = ordered_sum(u.per_capita_ss * u.staff for u in units) / staff
         else:
             raise ValidationError(f"unknown national-average mode {mode!r}")
     return averages

@@ -40,6 +40,9 @@ log = logging.getLogger(__name__)
 DOC_TYPES = ("article", "review", "proceedings")
 DEFAULT_WINDOW = (2004, 2008)
 
+# Far above any real citation count; a stratum's int64 citation total stays exact under it.
+CITATION_LIMIT = 10**9
+
 RESEARCHER_COLUMNS = ("id", "university_id", "university_name", "sds", "years_in_post")
 TAXONOMY_COLUMNS = ("sds", "uda", "uda_name", "life_science")
 
@@ -152,34 +155,27 @@ class Publications(Sequence):
 
     def __getitem__(self, index: int) -> Publication:
         i = range(len(self.ids))[index]
-        c0, c1 = self.category_offsets[i : i + 2].tolist()
-        s0, s1 = self.slot_offsets[i : i + 2].tolist()
-        names = self.researcher_names
-        return _record(
-            self.ids[i],
-            int(self.year[i]),
-            self.doc_type_names[self.doc_type[i]],
-            int(self.citations[i]),
-            [self.category_names[code] for code in self.category[c0:c1].tolist()],
-            self.slot_position[s0:s1].tolist(),
-            self.slot_intramural[s0:s1].tolist(),
-            [None if code < 0 else names[code] for code in self.slot_researcher[s0:s1].tolist()],
-        )
+        return _record(*next(self.rows(i, i + 1)))
 
     def __iter__(self) -> Iterator[Publication]:
         return starmap(_record, self.rows())
 
-    def rows(self) -> Iterator[tuple]:
-        """Per publication: id, year, doc type, citations, then lists of categories, positions,
-        intramural flags and researcher ids (None outside the population), as Python values."""
-        years, citations = self.year.tolist(), self.citations.tolist()
-        doc_types = [self.doc_type_names[code] for code in self.doc_type.tolist()]
-        categories = [self.category_names[code] for code in self.category.tolist()]
+    def rows(self, start: int = 0, stop: int | None = None) -> Iterator[tuple]:
+        """Per publication from `start` to `stop`: id, year, doc type, citations, then lists of
+        categories, positions, intramural flags and researcher ids (None outside the population),
+        as Python values."""
+        stop = len(self.ids) if stop is None else stop
+        c0, c1 = self.category_offsets[[start, stop]].tolist()
+        s0, s1 = self.slot_offsets[[start, stop]].tolist()
+        years, citations = self.year[start:stop].tolist(), self.citations[start:stop].tolist()
+        doc_types = [self.doc_type_names[code] for code in self.doc_type[start:stop].tolist()]
+        categories = [self.category_names[code] for code in self.category[c0:c1].tolist()]
         names = self.researcher_names
-        rids = [None if code < 0 else names[code] for code in self.slot_researcher.tolist()]
-        positions, intramural = self.slot_position.tolist(), self.slot_intramural.tolist()
-        cat_offsets, slot_offsets = self.category_offsets.tolist(), self.slot_offsets.tolist()
-        for i, pid in enumerate(self.ids):
+        rids = [None if code < 0 else names[code] for code in self.slot_researcher[s0:s1].tolist()]
+        positions, intramural = self.slot_position[s0:s1].tolist(), self.slot_intramural[s0:s1].tolist()
+        cat_offsets = (self.category_offsets[start : stop + 1] - c0).tolist()
+        slot_offsets = (self.slot_offsets[start : stop + 1] - s0).tolist()
+        for i, pid in enumerate(self.ids[start:stop]):
             c0, c1 = cat_offsets[i], cat_offsets[i + 1]
             s0, s1 = slot_offsets[i], slot_offsets[i + 1]
             yield (
@@ -198,16 +194,12 @@ class Publications(Sequence):
         return np.repeat(np.arange(len(self.ids)), np.diff(self.category_offsets))
 
     def in_canonical_order(self) -> "Publications":
-        """This table with rows sorted by id and each row's slots by position; itself if already so."""
-        slot_publication = self.slot_publication
-        slot_key = slot_publication * (int(self.slot_position.max(initial=0)) + 1) + self.slot_position
+        """This table with rows sorted by id and each row's slots by position."""
         ids = self.ids
-        if all(a < b for a, b in zip(ids, ids[1:])) and bool(np.all(np.diff(slot_key) > 0)):
-            return self
         order = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.int64)
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order))
-        slot_order = np.lexsort((self.slot_position, rank[slot_publication]))
+        slot_order = np.lexsort((self.slot_position, rank[self.slot_publication]))
         category_order = np.argsort(rank[self.category_publication], kind="stable")
         return Publications(
             ids=[ids[i] for i in order.tolist()],
@@ -347,6 +339,8 @@ def publication_problem(
         return f"document type {doc_type!r} is not one of {DOC_TYPES}"
     if citations < 0:
         return f"citations must be >= 0, got {citations}"
+    if citations > CITATION_LIMIT:
+        return f"citations must be <= {CITATION_LIMIT}, got {citations}"
     if not categories:
         return "categories must not be empty"
     if not positions:

@@ -15,7 +15,7 @@ from .normalization import (
     slot_credit_shares,
     standardized_citations,
 )
-from .stats import average_ranks
+from .stats import average_ranks, ordered_sum
 
 
 @dataclass
@@ -116,7 +116,7 @@ class ProductivityStats:
 
 def _uda_stats(shares_by_uda: dict[str, list[float]]) -> dict[str, ShareStats]:
     return {
-        uda: ShareStats(len(shares), min(shares), max(shares), sum(shares) / len(shares))
+        uda: ShareStats(len(shares), min(shares), max(shares), ordered_sum(shares) / len(shares))
         for uda, shares in shares_by_uda.items()
     }
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from .corpus import Corpus, Publication, Publications
 from .errors import ValidationError
+from .stats import ordered_sum
 
 EQUAL_FRACTIONAL = "equal_fractional"
 POSITIONAL = "positional"
@@ -71,13 +72,12 @@ def _strata(pubs: Publications):
     stratum; plus the function that turns a key back into the pair."""
     rows = pubs.category_publication
     years = pubs.year[rows]
-    first_year = int(years.min(initial=0))
-    span = int(years.max(initial=0)) - first_year + 1
+    span = int(years.max(initial=0)) + 1
 
     def pair(key: int) -> tuple[str, int]:
-        return pubs.category_names[key // span], key % span + first_year
+        return pubs.category_names[key // span], key % span
 
-    return rows, pubs.category * span + (years - first_year), pair
+    return rows, pubs.category * span + years, pair
 
 
 def compute_baselines(corpus: Corpus) -> Baselines:
@@ -98,13 +98,17 @@ def compute_baselines(corpus: Corpus) -> Baselines:
         return {}
     counts = np.diff(starts, append=len(keys))
     medians = (cites[starts + (counts - 1) // 2] + cites[starts + counts // 2]) / 2
-    means = np.add.reduceat(cites, starts) / counts
+    totals = np.add.reduceat(cites, starts)
     first_seen = np.argsort(np.minimum.reduceat(order, starts))
     baselines: Baselines = {}
-    for key, median, mean in zip(
-        keys[starts][first_seen].tolist(), medians[first_seen].tolist(), means[first_seen].tolist()
+    for key, median, total, count in zip(
+        keys[starts][first_seen].tolist(),
+        medians[first_seen].tolist(),
+        totals[first_seen].tolist(),
+        counts[first_seen].tolist(),
     ):
         cat, year = pair(key)
+        mean = total / count  # Python division of the exact integers
         baselines[(cat, year)] = CategoryBaseline(cat, year, median, mean, median == 0 and mean > 0)
     return baselines
 
@@ -122,7 +126,7 @@ def standardized_citations(pubs: Publications, baselines: Baselines) -> np.ndarr
             raise ValidationError(f"no baseline for category {cat!r} year {year} (publication {pid!r})")
         scales.append(baseline.scale)
     n = len(pubs)
-    # bincount adds each publication's scales in category order, as `sum` does.
+    # bincount adds each publication's scales in category order, as `ordered_sum` does.
     scale_sums = np.bincount(rows, weights=np.array(scales, dtype=float)[stratum_of_entry], minlength=n)
     denominators = scale_sums / np.diff(pubs.category_offsets)
     cited = (pubs.citations != 0) & (denominators != 0)
@@ -145,7 +149,7 @@ def slot_credit_shares(
         np.where(positions == n_authors[rows], scheme.last_weight, scheme.middle_weight),
     )
     weights = np.where(pubs.slot_intramural, weights, weights * scheme.extramural_discount)
-    # bincount adds in slot order like `sum`; np.sum's pairwise order differs from 8 slots on.
+    # bincount adds in slot order like `ordered_sum`; np.sum's pairwise order differs from 8 slots on.
     totals = np.bincount(rows, weights=weights, minlength=len(pubs))
     return np.where(is_life_science, (weights / totals[rows])[slots], equal)
 
@@ -165,7 +169,7 @@ def standardize(pub: Publication, baselines: Baselines) -> float:
                 f"no baseline for category {cat!r} year {pub.year} (publication {pub.id!r})"
             )
         scales.append(baseline.scale)
-    denominator = sum(scales) / len(scales)
+    denominator = ordered_sum(scales) / len(scales)
     if pub.citations == 0 or denominator == 0:
         return 0.0
     return pub.citations / denominator
@@ -187,5 +191,5 @@ def credit_shares(pub: Publication, scheme: CreditScheme, is_life_science: bool)
         if not slot.intramural:
             w *= scheme.extramural_discount
         weights[slot.position] = w
-    total = sum(weights.values())
+    total = ordered_sum(weights.values())
     return {position: w / total for position, w in weights.items()}

@@ -39,6 +39,19 @@ class ConcentrationRatio:
     top_n: int
 
 
+def ordered_sum(values):
+    """Sum left to right in plain float arithmetic, as built-in `sum` does before Python 3.12.
+
+    From 3.12 on, `sum` compensates float rounding, so scores and output
+    bytes would depend on the Python version; numpy's `bincount` adds in
+    this same order.
+    """
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 def round_half_up(x: float) -> int:
     """Round to the nearest integer with halves rounding up (2.5 -> 3)."""
     return int(math.floor(x + 0.5))
@@ -190,10 +203,10 @@ def top20_impact_share(values: Sequence[float]) -> float:
     bit-identical shares.
     """
     ranked = sorted(values, reverse=True)
-    total = sum(ranked)
+    total = ordered_sum(ranked)
     if not total:
         return 0.0
-    return sum(ranked[: top_count(0.2, len(ranked))]) / total
+    return ordered_sum(ranked[: top_count(0.2, len(ranked))]) / total
 
 
 def quantile_class_sizes(n: int, k: int) -> list[int]:

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meritrank.corpus import (
+    CITATION_LIMIT,
     AuthorSlot,
     Corpus,
     Publication,
@@ -207,6 +208,11 @@ SHARED_RULES = [
         id="negative-citations",
     ),
     pytest.param(
+        [_broken(citations=CITATION_LIMIT + 1)], None,
+        "publications.jsonl line 1", "publication 'P1'", f"citations must be <= {CITATION_LIMIT}, got {CITATION_LIMIT + 1}",
+        id="citations-above-limit",
+    ),
+    pytest.param(
         [_broken(categories=[])], None,
         "publications.jsonl line 1", "publication 'P1'", "categories must not be empty",
         id="empty-categories",
@@ -274,6 +280,10 @@ class TestSharedRules:
     def test_valid_records_pass_both_paths(self, tmp_path):
         load_corpus(*write_files(tmp_path))
         _in_memory([VALID_PUBLICATION], None).validate()
+
+    def test_loader_rejects_citations_beyond_int64(self, tmp_path):
+        with pytest.raises(ValidationError, match=f"publications.jsonl line 1: citations must be <= {CITATION_LIMIT}"):
+            load_corpus(*write_files(tmp_path, pubs=[_broken(citations=2**64)]))
 
     def test_validate_rejects_unknown_university(self):
         corpus = _in_memory([VALID_PUBLICATION], "R3,U9,Uni Nine,S1,5")
@@ -374,7 +384,15 @@ class TestCanonicalOrder:
         corpus_dir, _ = generated
         files = [corpus_dir / name for name in ("publications.jsonl", "researchers.csv", "taxonomy.csv")]
         pubs = load_corpus(*files).publications
-        assert pubs.in_canonical_order() is pubs
+        assert list(pubs.in_canonical_order()) == list(pubs)
+
+    def test_indexing_builds_the_iterated_records(self, generated):
+        corpus_dir, _ = generated
+        files = [corpus_dir / name for name in ("publications.jsonl", "researchers.csv", "taxonomy.csv")]
+        pubs = load_corpus(*files).publications
+        assert [pubs[i] for i in range(-len(pubs), len(pubs))] == list(pubs) * 2
+        with pytest.raises(IndexError):
+            pubs[len(pubs)]
 
     def test_shuffled_input_loads_as_the_written_one(self, generated, tmp_path):
         corpus_dir, _ = generated

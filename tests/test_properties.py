@@ -190,7 +190,8 @@ credit_schemes = st.builds(
 
 
 # Eight slots weighing 1.3, six times 0.1 and 0.7 add up to 2.6000000000000005 in
-# slot order and to 2.6 in np.sum's pairwise order.
+# slot order and to 2.6 in np.sum's pairwise order and in the compensated built-in
+# `sum` of Python 3.12 on.
 EIGHT_AUTHORS = make_corpus(
     [("R0", "U1", "S3", 5)],
     [make_pub("P0", ["R0"] + [None] * 7, citations=5)],

@@ -12,6 +12,7 @@ from meritrank.stats import (
     bottom_top_ratio,
     classify_quantiles,
     gini,
+    ordered_sum,
     quantile_class_sizes,
     round_half_up,
     spearman,
@@ -220,6 +221,13 @@ class TestQuantiles:
     def test_too_few_units(self):
         with pytest.raises(UndefinedStatisticError):
             classify_quantiles([1, 2], 3)
+
+
+def test_ordered_sum_adds_left_to_right_without_compensation():
+    # Compensated summation, as in the built-in `sum` of Python 3.12 on, gives 2.0.
+    assert ordered_sum([1.0, 1e100, 1.0, -1e100]) == 0.0
+    assert ordered_sum([1.3] + [0.1] * 6 + [0.7]) == 2.6000000000000005
+    assert ordered_sum([]) == 0
 
 
 def test_round_half_up():
