@@ -5,16 +5,18 @@ it. Its publications form one columnar table, `Publications`: numpy columns
 for citations, year and document type, a CSR (flat values plus row offsets)
 of category codes, and a CSR of author slots holding researcher code,
 position and intramural flag. `PublicationsBuilder` fills it from the
-loader, the generator or a list of records; scoring reads the columns, and
-`Publication` records are built only when the table is indexed or iterated.
+loader or a list of records; the generator fills the columns straight from
+its draws. Scoring reads the columns, and `Publication` records are built
+only when the table is indexed or iterated.
 
 Each per-record invariant is written once, in `publication_problem` and
 `researcher_problem`. The file loaders apply them as they read and name the
 file and line; `Corpus.validate` applies them to a corpus built in memory,
 such as a generated one, and names the record. A violation is rejected
-rather than silently repaired. `load_corpus` returns the corpus in canonical
-order: publications by id, each publication's slots by position, and
-researchers by id, so the order of the input files never reaches a score.
+rather than silently repaired. `load_corpus` and the generator return the
+corpus in canonical order (`Corpus.in_canonical_order`): publications by id,
+each publication's slots by position, and researchers by id, so neither the
+order of the input files nor the order of generation reaches a score.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import logging
 from collections import Counter, defaultdict
 from collections.abc import Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import starmap
 from pathlib import Path
@@ -105,7 +107,7 @@ def _record(pid, year, doc_type, citations, categories, positions, intramural, r
     return Publication(pid, year, doc_type, citations, tuple(categories), slots)
 
 
-def _offsets(counts) -> np.ndarray:
+def row_offsets(counts) -> np.ndarray:
     """Row offsets of a CSR whose rows hold `counts` values."""
     offsets = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
@@ -206,9 +208,9 @@ class Publications(Sequence):
             year=self.year[order],
             doc_type=self.doc_type[order],
             citations=self.citations[order],
-            category_offsets=_offsets(np.diff(self.category_offsets)[order]),
+            category_offsets=row_offsets(np.diff(self.category_offsets)[order]),
             category=self.category[category_order],
-            slot_offsets=_offsets(np.diff(self.slot_offsets)[order]),
+            slot_offsets=row_offsets(np.diff(self.slot_offsets)[order]),
             slot_researcher=self.slot_researcher[slot_order],
             slot_position=self.slot_position[slot_order],
             slot_intramural=self.slot_intramural[slot_order],
@@ -259,9 +261,9 @@ class PublicationsBuilder:
             year=np.array(self._years, dtype=np.int64),
             doc_type=np.array(self._doc_types, dtype=np.int64),
             citations=np.array(self._citations, dtype=np.int64),
-            category_offsets=_offsets(self._category_counts),
+            category_offsets=row_offsets(self._category_counts),
             category=np.array(self._categories, dtype=np.int64),
-            slot_offsets=_offsets(self._slot_counts),
+            slot_offsets=row_offsets(self._slot_counts),
             slot_researcher=np.array(self._researchers, dtype=np.int64),
             slot_position=np.array(self._positions, dtype=np.int64),
             slot_intramural=np.array(self._intramural, dtype=bool),
@@ -278,6 +280,18 @@ class Corpus:
     universities: dict[str, str]
     taxonomy: Taxonomy
     window: tuple[int, int]
+
+    def in_canonical_order(self) -> "Corpus":
+        """This corpus with its publications in canonical order and its researchers sorted by id.
+
+        The one canonicalisation of every corpus the package builds: the loader
+        and the generator both end with it.
+        """
+        return replace(
+            self,
+            publications=self.publications.in_canonical_order(),
+            researchers=dict(sorted(self.researchers.items())),
+        )
 
     # Unread by the package; kept because `benchmarks/tracer.py` patches it by name.
     @cached_property
@@ -519,9 +533,8 @@ def load_corpus(pub_path, res_path, tax_path, window=DEFAULT_WINDOW) -> Corpus:
     """
     taxonomy = load_taxonomy(tax_path)
     researchers, universities = load_researchers(res_path, taxonomy, window)
-    publications = load_publications(pub_path, window, researchers).in_canonical_order()
-    researchers = dict(sorted(researchers.items()))
-    return Corpus(publications, researchers, universities, taxonomy, tuple(window))
+    publications = load_publications(pub_path, window, researchers)
+    return Corpus(publications, researchers, universities, taxonomy, tuple(window)).in_canonical_order()
 
 
 def active_sds_filter(corpus: Corpus) -> set[str]:

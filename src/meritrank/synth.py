@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import zlib
+from array import array
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Mapping
@@ -25,10 +26,11 @@ from .corpus import (
     RESEARCHER_COLUMNS,
     TAXONOMY_COLUMNS,
     Corpus,
-    PublicationsBuilder,
+    Publications,
     Researcher,
     Taxonomy,
     open_input,
+    row_offsets,
 )
 from .errors import ValidationError
 from .indicators import score_corpus
@@ -70,6 +72,7 @@ DEFAULT_TOLERANCE = 0.03  # largest accepted |measured - target| share in calibr
 CALIBRATION_ROUNDS = 3
 BISECTION_STEPS = 5
 PROBE_SCALE = 0.35  # probe corpus size as a share of the profile's universities
+_PUBLICATIONS_PER_WRITE = 4096  # lines encoded and written together by `write_publications`
 
 RNG_DESCRIPTION = "numpy.random.PCG64 seeded via numpy.random.SeedSequence(seed)"
 
@@ -210,116 +213,161 @@ def _category_offset(category: str) -> float:
 
 
 def generate(profile: GeneratorProfile) -> Corpus:
-    """Build a validated corpus; byte-stable for a fixed profile."""
+    """Build a validated corpus in canonical order; byte-stable for a fixed profile."""
     profile.validate()
     taxonomy = build_taxonomy(profile)
+    # Only the canonical copy outlives this line, so the drawn table is freed before `validate`.
+    corpus = Corpus(*_draw(profile, taxonomy), taxonomy, tuple(profile.window)).in_canonical_order()
+    corpus.validate()
+    return corpus
+
+
+def _draw(
+    profile: GeneratorProfile, taxonomy: Taxonomy
+) -> tuple[Publications, dict[str, Researcher], dict[str, str]]:
+    """The publications table, researchers and universities that the profile's draws give.
+
+    Each university draws from its own stream, spawned from the profile's
+    seed. Per SDS unit it draws the staff count, the full-window flags, the
+    partial years in post and the productive flags; per productive
+    researcher the publication count, then per publication the year, author
+    count, second-category flag, zero-citation flag, citation normal and
+    document type; then, publication by publication, the sibling SDS of a
+    second category and the co-author draws of `_draw_authors`. Everything
+    else is computed from those draws in bulk, straight into the
+    `Publications` columns: a researcher's slot code is their index in
+    generation order and a category's code is its SDS's index.
+    """
     sds_codes = taxonomy.sds_codes
-    categories = {sds: f"SC-{sds}" for sds in sds_codes}
-    siblings = {
-        sds: tuple(s for s in sds_codes if taxonomy.uda_of(s) == taxonomy.uda_of(sds) and s != sds)
+    uda_of = taxonomy.uda_of
+    siblings = [
+        [j for j, other in enumerate(sds_codes) if other != sds and uda_of(other) == uda_of(sds)]
         for sds in sds_codes
-    }
+    ]
     y0, y1 = profile.window
     window_length = y1 - y0 + 1
     staff_lo, staff_hi = profile.staff_per_unit
     co_lo, co_hi = profile.coauthor_range
+    sigma = profile.citation_sigma
 
-    researchers: dict[str, Researcher] = {}
+    researchers: list[Researcher] = []
     universities: dict[str, str] = {}
-    publications = PublicationsBuilder()
+    ids: list[str] = []
+    # Per publication in generation order, then per second category and per author slot.
+    years, doc_types, citations, author_counts = array("q"), array("q"), array("q"), array("q")
+    primary_category, with_second = array("q"), array("b")
+    second_category = array("q")
+    slot_researcher = array("q")
 
     university_seeds = np.random.SeedSequence(profile.seed).spawn(profile.n_universities)
     for uni_index in range(profile.n_universities):
         rng = np.random.default_rng(university_seeds[uni_index])
         uid = f"U{uni_index + 1:03d}"
         universities[uid] = f"Synthetic University {uni_index + 1:03d}"
-        pub_seq = 0
-        for sds in sds_codes:
+        university_pubs = 0
+        for sds_code, sds in enumerate(sds_codes):
             staff_n = int(rng.integers(staff_lo, staff_hi + 1))
             if staff_n == 0:
                 continue
-            ids = [f"{uid}-{sds}-{k + 1:03d}" for k in range(staff_n)]
-            full_window = rng.random(staff_n) < profile.p_full_window
-            partial_years = rng.integers(1, max(2, window_length), size=staff_n)
-            productive = rng.random(staff_n) >= profile.p_nonproductive
-            for k, rid in enumerate(ids):
-                years = window_length if full_window[k] else int(partial_years[k])
-                researchers[rid] = Researcher(rid, uid, sds, years)
-            pool = [rid for k, rid in enumerate(ids) if productive[k]]
-            primary_cat = categories[sds]
-            base_offset = _category_offset(primary_cat)
-            for k, rid in enumerate(ids):
-                if not productive[k]:
-                    continue
+            full_window = (rng.random(staff_n) < profile.p_full_window).tolist()
+            partial_years = rng.integers(1, max(2, window_length), size=staff_n).tolist()
+            productive = (rng.random(staff_n) >= profile.p_nonproductive).tolist()
+            first = len(researchers)
+            for k in range(staff_n):
+                years_in_post = window_length if full_window[k] else partial_years[k]
+                researchers.append(Researcher(f"{uid}-{sds}-{k + 1:03d}", uid, sds, years_in_post))
+            pool = [first + k for k in range(staff_n) if productive[k]]
+            location = profile.citation_location + _category_offset(f"SC-{sds}")
+            sds_siblings = siblings[sds_code]
+            for code in pool:
                 m = int(round(rng.lognormal(profile.pubs_location, profile.pubs_dispersion)))
                 m = min(max(1, m), MAX_PUBS_PER_RESEARCHER)
-                years_arr = rng.integers(y0, y1 + 1, size=m)
-                n_authors_arr = rng.integers(co_lo, co_hi + 1, size=m)
-                second_cat_arr = rng.random(m) < profile.p_second_category
-                zero_arr = rng.random(m) < profile.zero_citation_mass
-                z_arr = rng.standard_normal(m)
-                doc_arr = rng.choice(3, size=m, p=DOC_TYPE_PROBS)
-                for p in range(m):
-                    year = int(years_arr[p])
-                    cats = [primary_cat]
-                    if second_cat_arr[p] and siblings[sds]:
-                        other = siblings[sds][int(rng.integers(0, len(siblings[sds])))]
-                        cats.append(categories[other])
-                    if zero_arr[p]:
-                        citations = 0
-                    else:
-                        location = (
-                            profile.citation_location
-                            + base_offset
-                            + AGE_LOCATION_SLOPE * (y1 - year)
-                        )
-                        citations = int(round(math.exp(location + profile.citation_sigma * z_arr[p])))
-                        citations = min(citations, MAX_CITATIONS)
-                    n_authors = int(n_authors_arr[p])
-                    authors = _author_ids(rng, rid, pool, n_authors, profile.p_external_coauthor)
-                    pub_seq += 1
-                    publications.add(
-                        f"P-{uid}-{pub_seq:06d}",
-                        year,
-                        DOC_TYPES[int(doc_arr[p])],
-                        citations,
-                        cats,
-                        range(1, n_authors + 1),
-                        [author is not None for author in authors],
-                        authors,
+                year_draws = rng.integers(y0, y1 + 1, size=m).tolist()
+                n_authors = rng.integers(co_lo, co_hi + 1, size=m).tolist()
+                second = (rng.random(m) < profile.p_second_category).tolist()
+                if not sds_siblings:
+                    second = [False] * m  # no sibling SDS to take a second category from
+                zero = (rng.random(m) < profile.zero_citation_mass).tolist()
+                z = rng.standard_normal(m).tolist()
+                doc_types.extend(rng.choice(3, size=m, p=DOC_TYPE_PROBS).tolist())
+                # The float operations of one publication at a time, in the same order; `math.exp`,
+                # because the SIMD path of `np.exp` may differ in the last bit.
+                citations.extend([
+                    0 if zero[p] else min(
+                        int(round(math.exp(location + AGE_LOCATION_SLOPE * (y1 - year) + sigma * z[p]))),
+                        MAX_CITATIONS,
                     )
-    corpus = Corpus(publications.build(), researchers, universities, taxonomy, (y0, y1))
-    corpus.validate()
-    return corpus
+                    for p, year in enumerate(year_draws)
+                ])
+                colleagues = [c for c in pool if c != code]
+                for p in range(m):
+                    if second[p]:
+                        second_category.append(sds_siblings[rng.integers(0, len(sds_siblings))])
+                    slot_researcher.extend(
+                        _draw_authors(rng, code, colleagues, n_authors[p], profile.p_external_coauthor)
+                    )
+                years.extend(year_draws)
+                author_counts.extend(n_authors)
+                primary_category.extend([sds_code] * m)
+                with_second.extend(second)
+                university_pubs += m
+        ids += [f"P-{uid}-{seq:06d}" for seq in range(1, university_pubs + 1)]
+
+    has_second = np.array(with_second, dtype=bool)
+    category_offsets = row_offsets(1 + has_second)
+    category = np.empty(category_offsets[-1], dtype=np.int64)
+    category[category_offsets[:-1]] = primary_category
+    category[category_offsets[:-1][has_second] + 1] = second_category
+    n_slots = np.array(author_counts, dtype=np.int64)
+    slot_offsets = row_offsets(n_slots)
+    slot_codes = np.array(slot_researcher, dtype=np.int64)
+    publications = Publications(
+        ids=ids,
+        year=np.array(years, dtype=np.int64),
+        doc_type=np.array(doc_types, dtype=np.int64),
+        citations=np.array(citations, dtype=np.int64),
+        category_offsets=category_offsets,
+        category=category,
+        slot_offsets=slot_offsets,
+        slot_researcher=slot_codes,
+        slot_position=np.arange(len(slot_codes)) - np.repeat(slot_offsets[:-1], n_slots) + 1,
+        slot_intramural=slot_codes >= 0,
+        doc_type_names=list(DOC_TYPES),
+        category_names=[f"SC-{sds}" for sds in sds_codes],
+        researcher_names=[r.id for r in researchers],
+    )
+    return publications, {r.id: r for r in researchers}, universities
 
 
-def _author_ids(rng, author_id, pool, n_authors, p_external) -> list[str | None]:
-    """Researcher id per author position, mixing the originating researcher, colleagues, externals.
+def _draw_authors(rng, code, colleagues, n_authors, p_external) -> list[int]:
+    """Researcher code per author position, mixing the originating researcher, colleagues, externals.
 
-    Internal co-authors come from the productive members of the same unit
-    (never a non-productive colleague, which would contradict their zero
-    publication count) and are intramural; externals carry no researcher id
-    and are extramural.
+    Internal co-authors come from `colleagues`, the other productive members
+    of the same unit (never a non-productive colleague, which would
+    contradict their zero publication count), in unit order; externals get
+    code -1. The originating researcher `code` takes a uniformly drawn position.
     """
+    # Counting in Python and indexing with numpy integers skip numpy calls that cost more than a draw.
     others = n_authors - 1
-    internal_wanted = int(np.count_nonzero(rng.random(others) >= p_external)) if others else 0
-    colleagues = [rid for rid in pool if rid != author_id]
-    n_internal = min(internal_wanted, len(colleagues))
-    picked: list[str | None] = []
-    if n_internal:
-        indices = rng.choice(len(colleagues), size=n_internal, replace=False)
-        picked = [colleagues[int(i)] for i in sorted(indices)]
-    picked += [None] * (others - n_internal)
-    own_position = int(rng.integers(1, n_authors + 1))
-    picked.insert(own_position - 1, author_id)
+    picked: list[int] = []
+    if others:
+        wanted = len([u for u in rng.random(others).tolist() if u >= p_external])
+        n_internal = min(wanted, len(colleagues))
+        if n_internal:
+            indices = rng.choice(len(colleagues), size=n_internal, replace=False)
+            picked = [colleagues[i] for i in sorted(indices.tolist())]
+        picked += [-1] * (others - n_internal)
+    picked.insert(rng.integers(1, n_authors + 1) - 1, code)
     return picked
 
 
 def write_corpus(corpus: Corpus, out_dir, profile: GeneratorProfile | None = None) -> dict[str, Path]:
     """Write the corpus in the standard three-file layout plus metadata.
 
-    Output is deterministic: rows are emitted in a canonical order and JSON
-    keys are sorted, so the same corpus always produces identical bytes.
+    Output is deterministic: rows are emitted in a canonical order, and
+    `metadata.json` has its keys sorted (`publications.jsonl` keeps the key
+    order of `write_publications`), so the same corpus always produces
+    identical bytes.
     """
     out = Path(out_dir)
     paths = {
@@ -340,21 +388,7 @@ def write_corpus(corpus: Corpus, out_dir, profile: GeneratorProfile | None = Non
     )
     csv_file(paths["taxonomy"], TAXONOMY_COLUMNS, taxonomy_rows)
     # The encoders above created `out`; only this stream writes a file line by line.
-    encoder = json.JSONEncoder(separators=(",", ":"))
-    with open(paths["publications"], "w", encoding="utf-8", newline="\n") as fh:
-        for pid, year, doc_type, citations, categories, positions, intramural, rids in corpus.publications.rows():
-            record = {
-                "id": pid,
-                "year": year,
-                "type": doc_type,
-                "citations": citations,
-                "categories": categories,
-                "authors": [
-                    {"researcher_id": rid, "position": position, "intramural": flag}
-                    for rid, position, flag in zip(rids, positions, intramural)
-                ],
-            }
-            fh.write(encoder.encode(record) + "\n")
+    write_publications(corpus.publications, paths["publications"])
     metadata = {
         "generator": {
             "package": "meritrank",
@@ -374,6 +408,56 @@ def write_corpus(corpus: Corpus, out_dir, profile: GeneratorProfile | None = Non
         metadata["profile"] = profile.to_dict()
     json_file(paths["metadata"], metadata, sort_keys=True)
     return paths
+
+
+def write_publications(publications: Publications, path) -> None:
+    """Write one JSON object per publication, in table order, to the JSON-lines file `path`.
+
+    Each line is `json.dumps(record, separators=(",", ":"))` of
+    `{"id", "year", "type", "citations", "categories", "authors"}` with each
+    author `{"researcher_id", "position", "intramural"}`, keys in that order.
+    Every distinct name is JSON-encoded once, integers and literals are
+    formatted directly, and the lines are written `_PUBLICATIONS_PER_WRITE`
+    at a time.
+    """
+    pubs = publications
+    doc_types = [json.dumps(name) for name in pubs.doc_type_names]
+    categories = [json.dumps(name) for name in pubs.category_names]
+    # An author's text up to its position; code -1 (outside the population) indexes the last entry.
+    slot_heads = [f'{{"researcher_id":{json.dumps(name)},"position":' for name in pubs.researcher_names]
+    slot_heads.append('{"researcher_id":null,"position":')
+    slot_tails = (',"intramural":false}', ',"intramural":true}')
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for start in range(0, len(pubs), _PUBLICATIONS_PER_WRITE):
+            stop = min(start + _PUBLICATIONS_PER_WRITE, len(pubs))
+            c0, c1 = pubs.category_offsets[[start, stop]].tolist()
+            s0, s1 = pubs.slot_offsets[[start, stop]].tolist()
+            cats = [categories[code] for code in pubs.category[c0:c1].tolist()]
+            slots = [
+                f"{slot_heads[code]}{position}{slot_tails[flag]}"
+                for code, position, flag in zip(
+                    pubs.slot_researcher[s0:s1].tolist(),
+                    pubs.slot_position[s0:s1].tolist(),
+                    pubs.slot_intramural[s0:s1].tolist(),
+                )
+            ]
+            cat_bounds = (pubs.category_offsets[start : stop + 1] - c0).tolist()
+            slot_bounds = (pubs.slot_offsets[start : stop + 1] - s0).tolist()
+            lines = [
+                f'{{"id":{json.dumps(pid)},"year":{year},"type":{doc_types[doc_type]},"citations":{cites},'
+                f'"categories":[{",".join(cats[c_lo:c_hi])}],"authors":[{",".join(slots[s_lo:s_hi])}]}}\n'
+                for pid, year, doc_type, cites, c_lo, c_hi, s_lo, s_hi in zip(
+                    pubs.ids[start:stop],
+                    pubs.year[start:stop].tolist(),
+                    pubs.doc_type[start:stop].tolist(),
+                    pubs.citations[start:stop].tolist(),
+                    cat_bounds,
+                    cat_bounds[1:],
+                    slot_bounds,
+                    slot_bounds[1:],
+                )
+            ]
+            fh.write("".join(lines))
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,23 @@
-"""Generator determinism, validity, calibration, and profile round-trips."""
+"""Generator determinism, validity and pinned output, the corpus writer, calibration, and profiles."""
 
+import hashlib
+import json
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from meritrank.corpus import load_corpus
+from meritrank.cli import dispatch
+from meritrank.corpus import (
+    DOC_TYPES,
+    AuthorSlot,
+    Publication,
+    Publications,
+    Researcher,
+    load_corpus,
+    load_publications,
+)
 from meritrank.errors import ValidationError
 from meritrank.synth import (
     CalibrationTargets,
@@ -14,6 +27,7 @@ from meritrank.synth import (
     generate,
     measure_corpus,
     write_corpus,
+    write_publications,
 )
 
 SMALL = GeneratorProfile(
@@ -81,6 +95,162 @@ class TestGeneratedCorpus:
             saw_external |= any(s.researcher_id is None for s in pub.authors)
             saw_internal_coauthor |= len(internal) > 1
         assert saw_external and saw_internal_coauthor
+
+
+# `gen --profile` outputs recorded before the generator filled the columns straight from its
+# draws; each variant of PIN_BASE takes a branch of the generator that the default profile hides.
+PIN_BASE = {
+    "n_universities": 5,
+    "sds_per_uda": {"A": 2, "B": 1},
+    "life_science_udas": ["B"],
+    "staff_per_unit": [2, 6],
+    "seed": 3,
+}
+GENERATOR_PINS = {
+    # Units of zero or one member: no colleagues to co-author with.
+    "no-colleagues": (
+        {"staff_per_unit": [0, 1]},
+        "c9f362057d6ac6f7a41a4a19b94262c230c599598db5c8f71f83bbf6ac59766e",
+        "4eb46ff4f7da51ac7af51184728117ade079b0e784446288fe6016c9f05211de",
+    ),
+    "single-author": (
+        {"coauthor_range": [1, 1]},
+        "eef33920eae6cee9add08a195c1199c8fc266a4586cb06e106440e4ed426dd4d",
+        "77e77dc9edc1cbb4733cb8d118a82585385ea0df963d10558b2d333bded531d5",
+    ),
+    # UDA B has one SDS, so its second categories have no sibling to draw.
+    "second-category-always": (
+        {"p_second_category": 1.0},
+        "623abd9cb7470a2c3572cabdde08da3815debc7fd67add14e11345788d9c66e1",
+        "283f0083854e7e2e7da06447535979d33ecfec4ae2770ea852f90037414807a1",
+    ),
+    "all-internal": (
+        {"p_external_coauthor": 0.0},
+        "28d62a5c7f705f24fc048cf31b77254b82a62d095ee69ccc3a2c22811429a27b",
+        "76a1feaa943bf699b234540faadf704f643ce1dc4bd5d16020120e704c286749",
+    ),
+    "all-external": (
+        {"p_external_coauthor": 1.0},
+        "689a5eab39598576e07c1598f74fd63034344e620979d7af852aaf0967f7ed4c",
+        "367194fc011abb83a73bdd7dcb9e63faaf3e1601babd6b862c2cf97ad6fa2d03",
+    ),
+    "one-year-window": (
+        {"window": [2006, 2006]},
+        "bea9ec7d6ee88ed30e4aabd697b7a3cbf21ae8d461b3ab2aa36a84424015b3c6",
+        "c21b0fc2146223d1b0dda8ede1ca9d681441b8ffc8a21d906aab0f7521c53214",
+    ),
+    "partial-window": (
+        {"p_full_window": 0.0},
+        "28e344560a65bde367535935c53119ff2874bb9b69d2ec3e767de01c1c792ad1",
+        "aa99c724cc527c0c336eb4f09f6e44ff25cf5ac21ee188df36dc06fe8da12d52",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_PINS))
+def test_gen_output_is_pinned(tmp_path, name):
+    change, publications_digest, researchers_digest = GENERATOR_PINS[name]
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps({**PIN_BASE, **change}))
+    assert dispatch(["gen", "--profile", str(profile), "--out", str(tmp_path / "gen")]) == 0
+    digests = {
+        file: hashlib.sha256((tmp_path / "gen" / file).read_bytes()).hexdigest()
+        for file in ("publications.jsonl", "researchers.csv")
+    }
+    assert digests == {"publications.jsonl": publications_digest, "researchers.csv": researchers_digest}
+
+
+def test_large_units_report_as_their_written_corpus(tmp_path):
+    """With 1,000 staff or more, id order is not generation order (`...-1000` sorts before
+    `...-101`); the generated corpus is canonicalised as a loaded one is, so both score alike."""
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps({
+        "n_universities": 2,
+        "sds_per_uda": {"A": 1, "B": 1},
+        "life_science_udas": ["A"],
+        "staff_per_unit": [1000, 1010],
+        "seed": 5,
+    }))
+    outputs = {}
+    for source, argv in (
+        ("profile", ["--profile", str(profile)]),
+        ("corpus", ["--corpus", str(tmp_path / "profile" / "corpus")]),
+    ):
+        out = tmp_path / source
+        assert dispatch(["report-all", *argv, "--min-staff", "1", "--out", str(out)]) == 0
+        outputs[source] = {
+            p.name: p.read_bytes() for p in out.iterdir() if p.is_file() and p.name != "manifest.json"
+        }
+    assert "ranks_sds.csv" in outputs["profile"]
+    assert outputs["profile"] == outputs["corpus"]
+
+
+def test_generated_corpus_is_in_canonical_order():
+    large = replace(SMALL, n_universities=1, sds_per_uda={"A": 1}, life_science_udas=(), staff_per_unit=(1000, 1001))
+    corpus = generate(large)
+    assert list(corpus.researchers) == sorted(corpus.researchers)
+    assert list(corpus.publications.in_canonical_order()) == list(corpus.publications)
+
+
+# Names that JSON must escape: quotes, backslashes, control and non-ASCII characters.
+NAMES = st.text(
+    st.characters(exclude_categories=("Cs",)) | st.sampled_from('"\\/\x00\x1f\x7f\n\r\u2028é😀'),
+    min_size=1,
+    max_size=6,
+)
+
+
+@st.composite
+def publication_records(draw):
+    names = draw(st.lists(NAMES, min_size=1, max_size=5, unique=True))
+    records = []
+    for pid in draw(st.lists(NAMES, min_size=1, max_size=6, unique=True)):
+        n = draw(st.integers(1, 5))
+        positions = draw(st.permutations(range(1, n + 1)))
+        slots = tuple(
+            # The intramural flag is drawn apart from the id, as a loaded corpus may have it.
+            AuthorSlot(position, draw(st.booleans()), draw(st.none() | st.sampled_from(names)))
+            for position in positions
+        )
+        records.append(Publication(
+            pid,
+            draw(st.integers(2004, 2008)),
+            draw(st.sampled_from(DOC_TYPES)),
+            draw(st.integers(0, 10**9)),
+            tuple(draw(st.lists(st.sampled_from(names) | NAMES, min_size=1, max_size=3))),
+            slots,
+        ))
+    return names, records
+
+
+@settings(max_examples=60, deadline=None)
+@given(publication_records())
+def test_write_publications_encodes_each_record_as_json_dumps(tmp_path_factory, drawn):
+    names, records = drawn
+    path = tmp_path_factory.mktemp("jsonl") / "publications.jsonl"
+    write_publications(Publications.from_records(records), path)
+    expected = [
+        json.dumps(
+            {
+                "id": pub.id,
+                "year": pub.year,
+                "type": pub.doc_type,
+                "citations": pub.citations,
+                "categories": list(pub.categories),
+                "authors": [
+                    {"researcher_id": s.researcher_id, "position": s.position, "intramural": s.intramural}
+                    for s in pub.authors
+                ],
+            },
+            separators=(",", ":"),
+        )
+        + "\n"
+        for pub in records
+    ]
+    with open(path, encoding="utf-8", newline="") as fh:
+        assert fh.readlines() == expected
+    researchers = {name: Researcher(name, "U1", "S1", 1) for name in names}
+    assert list(load_publications(path, (2004, 2008), researchers)) == records
 
 
 class TestProfile:
