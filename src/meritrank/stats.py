@@ -105,12 +105,12 @@ def _rank_correlation(rx: np.ndarray, ry: np.ndarray) -> float:
 
 @lru_cache(maxsize=None)
 def _permutation_matrix(n: int) -> np.ndarray:
-    """All n! permutations of 0..n-1, one per row; cached, treat as read-only."""
+    """All n! permutations of 0..n-1, one per row, as int8; cached, treat as read-only."""
     if n == 1:
-        return np.zeros((1, 1), dtype=np.intp)
+        return np.zeros((1, 1), dtype=np.int8)
     smaller = _permutation_matrix(n - 1)
     m = smaller.shape[0]
-    out = np.empty((m * n, n), dtype=np.intp)
+    out = np.empty((m * n, n), dtype=np.int8)
     for i in range(n):
         block = out[i * m : (i + 1) * m]
         block[:, :i] = smaller[:, :i]
@@ -126,9 +126,12 @@ def _exact_permutation_p(rx: np.ndarray, ry: np.ndarray, rho_obs: float) -> floa
     dx = rx - rx.mean()
     dy = ry - ry.mean()
     denom = math.sqrt(float((dx * dx).sum() * (dy * dy).sum()))
-    # sum(dx) == 0, so permuted-ry dot dx already equals the centered product.
-    rhos = (ry[perms] @ dx) / denom
-    hits = int(np.count_nonzero(np.abs(rhos) >= abs(rho_obs) - 1e-12))
+    # sum(dx) == 0, so permuted-ry dot dx already equals the centered product. Gathering
+    # (n - 1)! rows at a time bounds the copy of ry to 1/n of the matrix.
+    hits = 0
+    for rows in perms.reshape(n, -1, n):
+        rhos = (ry[rows] @ dx) / denom
+        hits += int(np.count_nonzero(np.abs(rhos) >= abs(rho_obs) - 1e-12))
     return hits / perms.shape[0]
 
 

@@ -15,7 +15,7 @@ import zlib
 from array import array
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -71,7 +71,11 @@ AGE_LOCATION_SLOPE = 0.12  # older publications accumulate more citations
 DEFAULT_TOLERANCE = 0.03  # largest accepted |measured - target| share in calibrate
 CALIBRATION_ROUNDS = 3
 BISECTION_STEPS = 5
-PROBE_SCALE = 0.35  # probe corpus size as a share of the profile's universities
+# Per share that `calibrate` searches, in search order: the knob that raises it, and the knob's range.
+_SEARCHES = {
+    "nil_impact_share": ("zero_citation_mass", 0.0, 0.95),
+    "top20_impact_share": ("citation_sigma", 0.3, 3.0),
+}
 _PUBLICATIONS_PER_WRITE = 4096  # lines encoded and written together by `write_publications`
 
 RNG_DESCRIPTION = "numpy.random.PCG64 seeded via numpy.random.SeedSequence(seed)"
@@ -215,29 +219,53 @@ def _category_offset(category: str) -> float:
 def generate(profile: GeneratorProfile) -> Corpus:
     """Build a validated corpus in canonical order; byte-stable for a fixed profile."""
     profile.validate()
-    taxonomy = build_taxonomy(profile)
     # Only the canonical copy outlives this line, so the drawn table is freed before `validate`.
-    corpus = Corpus(*_draw(profile, taxonomy), taxonomy, tuple(profile.window)).in_canonical_order()
+    corpus = _with_citations(profile, *_draw(profile))
     corpus.validate()
     return corpus
 
 
-def _draw(
-    profile: GeneratorProfile, taxonomy: Taxonomy
-) -> tuple[Publications, dict[str, Researcher], dict[str, str]]:
-    """The publications table, researchers and universities that the profile's draws give.
+def _with_citations(profile: GeneratorProfile, drawn: Corpus, zero_uniform, citation_normal) -> Corpus:
+    """`drawn` with each publication's citation count computed from its year, primary category and
+    two draws, in canonical order; bit for bit the corpus `generate(profile)` gives.
+
+    The count is zero where the uniform falls below `zero_citation_mass`,
+    else the rounded lognormal of the normal. The float operations run one
+    publication at a time, in the same order; `math.exp`, because the SIMD
+    path of `np.exp` may differ in the last bit.
+    """
+    pubs = drawn.publications
+    y1 = profile.window[1]
+    mass, sigma = profile.zero_citation_mass, profile.citation_sigma
+    locations = [profile.citation_location + _category_offset(name) for name in pubs.category_names]
+    citations = [
+        0 if u < mass else min(
+            int(round(math.exp(locations[c] + AGE_LOCATION_SLOPE * (y1 - year) + sigma * z))), MAX_CITATIONS
+        )
+        for u, z, year, c in zip(
+            zero_uniform, citation_normal, pubs.year.tolist(), pubs.category[pubs.category_offsets[:-1]].tolist()
+        )
+    ]
+    pubs = replace(pubs, citations=np.array(citations, dtype=np.int64))
+    return replace(drawn, publications=pubs).in_canonical_order()
+
+
+def _draw(profile: GeneratorProfile) -> tuple[Corpus, array, array]:
+    """The profile's corpus in generation order with citations left at 0, and per publication the
+    zero-citation uniform and citation normal that `_with_citations` turns into its count.
 
     Each university draws from its own stream, spawned from the profile's
     seed. Per SDS unit it draws the staff count, the full-window flags, the
     partial years in post and the productive flags; per productive
     researcher the publication count, then per publication the year, author
-    count, second-category flag, zero-citation flag, citation normal and
+    count, second-category flag, zero-citation uniform, citation normal and
     document type; then, publication by publication, the sibling SDS of a
     second category and the co-author draws of `_draw_authors`. Everything
     else is computed from those draws in bulk, straight into the
     `Publications` columns: a researcher's slot code is their index in
     generation order and a category's code is its SDS's index.
     """
+    taxonomy = build_taxonomy(profile)
     sds_codes = taxonomy.sds_codes
     uda_of = taxonomy.uda_of
     siblings = [
@@ -248,13 +276,13 @@ def _draw(
     window_length = y1 - y0 + 1
     staff_lo, staff_hi = profile.staff_per_unit
     co_lo, co_hi = profile.coauthor_range
-    sigma = profile.citation_sigma
 
     researchers: list[Researcher] = []
     universities: dict[str, str] = {}
     ids: list[str] = []
     # Per publication in generation order, then per second category and per author slot.
-    years, doc_types, citations, author_counts = array("q"), array("q"), array("q"), array("q")
+    years, doc_types, author_counts = array("q"), array("q"), array("q")
+    zero_uniform, citation_normal = array("d"), array("d")
     primary_category, with_second = array("q"), array("b")
     second_category = array("q")
     slot_researcher = array("q")
@@ -277,7 +305,6 @@ def _draw(
                 years_in_post = window_length if full_window[k] else partial_years[k]
                 researchers.append(Researcher(f"{uid}-{sds}-{k + 1:03d}", uid, sds, years_in_post))
             pool = [first + k for k in range(staff_n) if productive[k]]
-            location = profile.citation_location + _category_offset(f"SC-{sds}")
             sds_siblings = siblings[sds_code]
             for code in pool:
                 m = int(round(rng.lognormal(profile.pubs_location, profile.pubs_dispersion)))
@@ -287,18 +314,9 @@ def _draw(
                 second = (rng.random(m) < profile.p_second_category).tolist()
                 if not sds_siblings:
                     second = [False] * m  # no sibling SDS to take a second category from
-                zero = (rng.random(m) < profile.zero_citation_mass).tolist()
-                z = rng.standard_normal(m).tolist()
+                zero_uniform.extend(rng.random(m).tolist())
+                citation_normal.extend(rng.standard_normal(m).tolist())
                 doc_types.extend(rng.choice(3, size=m, p=DOC_TYPE_PROBS).tolist())
-                # The float operations of one publication at a time, in the same order; `math.exp`,
-                # because the SIMD path of `np.exp` may differ in the last bit.
-                citations.extend([
-                    0 if zero[p] else min(
-                        int(round(math.exp(location + AGE_LOCATION_SLOPE * (y1 - year) + sigma * z[p]))),
-                        MAX_CITATIONS,
-                    )
-                    for p, year in enumerate(year_draws)
-                ])
                 colleagues = [c for c in pool if c != code]
                 for p in range(m):
                     if second[p]:
@@ -325,7 +343,7 @@ def _draw(
         ids=ids,
         year=np.array(years, dtype=np.int64),
         doc_type=np.array(doc_types, dtype=np.int64),
-        citations=np.array(citations, dtype=np.int64),
+        citations=np.zeros(len(ids), dtype=np.int64),
         category_offsets=category_offsets,
         category=category,
         slot_offsets=slot_offsets,
@@ -336,7 +354,8 @@ def _draw(
         category_names=[f"SC-{sds}" for sds in sds_codes],
         researcher_names=[r.id for r in researchers],
     )
-    return publications, {r.id: r for r in researchers}, universities
+    corpus = Corpus(publications, {r.id: r for r in researchers}, universities, taxonomy, tuple(profile.window))
+    return corpus, zero_uniform, citation_normal
 
 
 def _draw_authors(rng, code, colleagues, n_authors, p_external) -> list[int]:
@@ -504,43 +523,28 @@ def _residuals(measured: MeasuredStats, targets: CalibrationTargets) -> dict[str
     }
 
 
-class _Prober:
-    """Regenerate-and-measure helper that counts its own evaluations."""
-
-    def __init__(self, base: GeneratorProfile):
-        self.base = base
-        self.evaluations = 0
-
-    def measure(self, **overrides) -> MeasuredStats:
-        self.evaluations += 1
-        return measure_corpus(generate(replace(self.base, **overrides)))
-
-
-def _bisect_parameter(
-    prober: _Prober,
-    name: str,
-    lo: float,
-    hi: float,
-    stat: str,
-    target: float,
-    fixed: dict,
-) -> float:
-    """1-D search for a monotone-increasing measured statistic; clamps at the bounds."""
+def _bisect(
+    measure: Callable[[GeneratorProfile], MeasuredStats], work: GeneratorProfile, stat: str, target: float
+) -> GeneratorProfile:
+    """`work` with the knob that raises the measured `stat` bisected toward `target`; clamps at its range."""
+    name, lo, hi = _SEARCHES[stat]
 
     def measure_at(value: float) -> float:
-        return getattr(prober.measure(**{**fixed, name: value}), stat)
+        return getattr(measure(replace(work, **{name: value})), stat)
 
     if measure_at(lo) >= target:
-        return lo
-    if measure_at(hi) <= target:
-        return hi
-    for _ in range(BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        if measure_at(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        value = lo
+    elif measure_at(hi) <= target:
+        value = hi
+    else:
+        for _ in range(BISECTION_STEPS):
+            mid = 0.5 * (lo + hi)
+            if measure_at(mid) < target:
+                lo = mid
+            else:
+                hi = mid
+        value = 0.5 * (lo + hi)
+    return replace(work, **{name: value})
 
 
 def calibrate(
@@ -552,56 +556,48 @@ def calibrate(
 
     The non-productive share is set directly; the zero-citation mass is then
     searched against the nil-impact share and the citation sigma against the
-    top-20% impact share, in rounds, on a reduced-scale probe corpus. Final
-    residuals are measured at the profile's own scale. A best-effort result
-    with converged=False is returned when the targets stay out of reach.
+    top-20% impact share, in rounds. No random draw reads those two knobs,
+    so the corpus is drawn once at the profile's own scale (again only for a
+    new non-productive share) and each probe recomputes its citations: a
+    probe is the corpus `generate` gives, and the last one is the final
+    measurement. A best-effort result with converged=False is returned when
+    the targets stay out of reach.
     """
     targets = targets or CalibrationTargets()
+    for name, value in asdict(targets).items():
+        if not 0 <= value <= 1:
+            raise ValidationError(f"target {name} must be in [0, 1], got {value}")
+    if not tolerance >= 0:
+        raise ValidationError(f"tolerance must be non-negative, got {tolerance}")
     if targets.nil_impact_share < targets.non_productive_share:
         raise ValidationError(
             "infeasible targets: nil-impact share cannot be below the non-productive share "
             "(every non-productive researcher has nil impact)"
         )
-    first = measure_corpus(generate(profile))
-    first_residuals = _residuals(first, targets)
-    if all(abs(r) <= tolerance for r in first_residuals.values()):
-        return CalibrationResult(profile, first, first_residuals, True, 1)
-    work = replace(profile, p_nonproductive=targets.non_productive_share)
-    probe_universities = max(6, int(round(profile.n_universities * PROBE_SCALE)))
-    probe = replace(work, n_universities=min(profile.n_universities, probe_universities))
-    prober = _Prober(probe)
+    profile.validate()
+    drawn = _draw(profile)
+    evaluations = 0
 
+    def measure(work: GeneratorProfile) -> MeasuredStats:
+        nonlocal evaluations
+        evaluations += 1
+        return measure_corpus(_with_citations(work, *drawn))
+
+    def misses(measured: MeasuredStats) -> set[str]:
+        return {name for name, r in _residuals(measured, targets).items() if abs(r) > tolerance}
+
+    work = profile
+    measured = measure(work)
+    if misses(measured) and work.p_nonproductive != targets.non_productive_share:
+        work = replace(work, p_nonproductive=targets.non_productive_share)
+        drawn = _draw(work)
+        measured = measure(work)
     for _ in range(CALIBRATION_ROUNDS):
-        measured = prober.measure(
-            zero_citation_mass=work.zero_citation_mass, citation_sigma=work.citation_sigma
-        )
-        residuals = _residuals(measured, targets)
-        if all(abs(r) <= 0.8 * tolerance for r in residuals.values()):
+        missed = misses(measured)
+        if not missed:
             break
-        if abs(residuals["nil_impact_share"]) > 0.8 * tolerance:
-            mass = _bisect_parameter(
-                prober,
-                "zero_citation_mass",
-                0.0,
-                0.95,
-                "nil_impact_share",
-                targets.nil_impact_share,
-                fixed={"citation_sigma": work.citation_sigma},
-            )
-            work = replace(work, zero_citation_mass=mass)
-        if abs(residuals["top20_impact_share"]) > 0.8 * tolerance:
-            sigma = _bisect_parameter(
-                prober,
-                "citation_sigma",
-                0.3,
-                3.0,
-                "top20_impact_share",
-                targets.top20_impact_share,
-                fixed={"zero_citation_mass": work.zero_citation_mass},
-            )
-            work = replace(work, citation_sigma=sigma)
-
-    final = measure_corpus(generate(work))
-    residuals = _residuals(final, targets)
-    converged = all(abs(r) <= tolerance for r in residuals.values())
-    return CalibrationResult(work, final, residuals, converged, prober.evaluations + 2)
+        for stat in _SEARCHES:
+            if stat in missed:
+                work = _bisect(measure, work, stat, getattr(targets, stat))
+        measured = measure(work)
+    return CalibrationResult(work, measured, _residuals(measured, targets), not misses(measured), evaluations)

@@ -1,8 +1,9 @@
-"""Golden outputs: pinned SHA-256 digests and manifest echoes of nine CLI runs.
+"""Golden outputs: pinned SHA-256 digests and manifest echoes of ten CLI runs.
 
 The runs use criterion 11's 12-university profile (seed 41): `report-all`
-and `gen` generate the corpus from it, `calibrate` tunes it (and does not
-converge, so it exits 1), and `indicators` (with equal and with positional
+and `gen` generate the corpus from it, `calibrate` tunes it (it converges),
+`calibrate --tolerance 0` cannot converge (so it exits 1 and still writes a
+best-effort profile and a manifest), and `indicators` (with equal and with positional
 credit), `rank`, `counterfactual`, `fund` and `report-all --corpus` (with
 positional credit, as the benchmark's corpus workload runs it) read the
 corpus `report-all` wrote. A refactor must reproduce every non-manifest byte and every
@@ -25,7 +26,8 @@ PROFILE = {
 }
 
 GOLDEN_DIGESTS = {
-    "calibrate/profile.json": "b63f7389000716d89b3690d8caa5b7aaf3eb7daf4eece3a692960ba3987e9a86",
+    "calibrate/profile.json": "ebbee66219272c4036c619f1629927ad3f98b648b0feaac7cb58f7b80bcaafc2",
+    "calibrate-tolerance-0/profile.json": "c622c4e2ffb5fb4cb1ce8ed8b3b6aa9b08c25fb2c3250e2e780605f6ea8e686f",
     "counterfactual/cf.csv": "7a27dd320ed7d6496e7cae2608018bf28b2abb294858af8be09371161ea536ec",
     "counterfactual/scatter.svg": "643af35ab695cc881fb3244a73c25fc2c059a1741a7e3eefe8f0345ca9fe854e",
     "counterfactual/transition.csv": "7e3a6cc6699578227a064ba95a4680709ad4d6d9f921b5c3273fec9d20ed7e29",
@@ -83,6 +85,15 @@ GOLDEN_CONFIGS = {
         "target_non_productive": 0.17,
         "target_top20_share": 0.77,
         "tolerance": 0.03,
+    },
+    "calibrate-tolerance-0/profile.manifest.json": {
+        "out": "TMP/calibrate-tolerance-0/profile.json",
+        "profile": "TMP/profile.json",
+        "seed": None,
+        "target_nil_impact": 0.25,
+        "target_non_productive": 0.17,
+        "target_top20_share": 0.77,
+        "tolerance": 0.0,
     },
     "counterfactual/cf.manifest.json": {
         "classes": 5,
@@ -216,6 +227,7 @@ CORPUS_INPUTS = {
 
 GOLDEN_MANIFEST_SOURCES = {
     "calibrate/profile.manifest.json": {"command": "calibrate", "inputs": PROFILE_INPUT},
+    "calibrate-tolerance-0/profile.manifest.json": {"command": "calibrate", "inputs": PROFILE_INPUT},
     "counterfactual/cf.manifest.json": {"command": "counterfactual", "inputs": CORPUS_INPUTS},
     "fund/alloc.manifest.json": {"command": "fund", "inputs": CORPUS_INPUTS},
     "gen/manifest.json": {"command": "gen", "inputs": PROFILE_INPUT},
@@ -261,11 +273,15 @@ def _runs(tmp):
         ],
     ]
     calibrate = ["calibrate", "--profile", profile, "--out", str(tmp / "calibrate" / "profile.json")]
-    return [(argv, 0) for argv in runs] + [(calibrate, 1)]
+    unreachable = [
+        "calibrate", "--profile", profile, "--tolerance", "0",
+        "--out", str(tmp / "calibrate-tolerance-0" / "profile.json"),
+    ]
+    return [(argv, 0) for argv in runs + [calibrate]] + [(unreachable, 1)]
 
 
 def run_golden(tmp):
-    """Run the nine commands under `tmp`.
+    """Run the ten commands under `tmp`.
 
     Returns (digests, manifest configs, manifest commands and inputs), each
     keyed by path relative to `tmp`.

@@ -127,6 +127,20 @@ class TestSpearman:
         assert total == math.factorial(n)
         assert result.p_value == pytest.approx(hits / total, abs=1e-12)
 
+    @pytest.mark.parametrize("n, case", [(n, case) for n in range(3, 9) for case in range(4)] + [(9, 0), (9, 1)])
+    def test_exact_p_matches_an_itertools_enumeration(self, n, case):
+        # Integer draws from a small range make ties common.
+        rng = np.random.default_rng(100 * n + case)
+        x = rng.integers(0, n, size=n).astype(float)
+        y = rng.integers(0, n, size=n).astype(float)
+        x[0], y[0] = -1.0, n  # never zero variance
+        rx, ry = scipy.stats.rankdata(x), scipy.stats.rankdata(y)
+        dx, dy = rx - rx.mean(), ry - ry.mean()
+        rhos = np.array(list(itertools.permutations(dy))) @ dx / math.sqrt((dx @ dx) * (dy @ dy))
+        result = spearman(x, y)
+        hits = np.count_nonzero(np.abs(rhos) >= abs(result.rho) - 1e-12)
+        assert result.p_value == hits / math.factorial(n)
+
     def test_t_approximation_matches_scipy(self):
         rng = np.random.default_rng(11)
         x = rng.normal(size=30)

@@ -2,12 +2,14 @@
 
 import hashlib
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from meritrank import synth
 from meritrank.cli import dispatch
 from meritrank.corpus import (
     DOC_TYPES,
@@ -39,6 +41,10 @@ SMALL = GeneratorProfile(
 )
 
 
+def _no_draw(*args):
+    pytest.fail("a corpus was drawn")
+
+
 class TestDeterminism:
     def test_same_seed_same_corpus(self):
         a = generate(SMALL)
@@ -56,6 +62,25 @@ class TestDeterminism:
     def test_different_seed_differs(self):
         other = replace(SMALL, seed=6)
         assert list(generate(SMALL).publications) != list(generate(other).publications)
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        staff_hi=st.integers(1, 12),
+        p_nonproductive=st.floats(0, 1),
+        mass=st.floats(0, 1),
+        sigma=st.floats(0, 3),
+    )
+    def test_only_citations_read_the_citation_knobs(self, seed, staff_hi, p_nonproductive, mass, sigma):
+        # `calibrate` searches these two knobs on one drawn corpus, which holds only because no draw reads them.
+        base = replace(SMALL, n_universities=3, staff_per_unit=(0, staff_hi), p_nonproductive=p_nonproductive, seed=seed)
+        a = generate(base)
+        b = generate(replace(base, zero_citation_mass=mass, citation_sigma=sigma))
+        for column in fields(Publications):
+            if column.name != "citations":
+                assert np.array_equal(getattr(a.publications, column.name), getattr(b.publications, column.name))
+        assert a.researchers == b.researchers
+        assert a.universities == b.universities
 
 
 class TestGeneratedCorpus:
@@ -340,3 +365,48 @@ class TestCalibrate:
         assert result.converged
         assert result.profile.citation_sigma == profile.citation_sigma
         assert result.profile.zero_citation_mass == profile.zero_citation_mass
+
+    @pytest.mark.parametrize(
+        "targets, tolerance, message",
+        [
+            (CalibrationTargets(top20_impact_share=1.5), 0.03, r"top20_impact_share must be in \[0, 1\]"),
+            (CalibrationTargets(non_productive_share=-0.1), 0.03, r"non_productive_share must be in \[0, 1\]"),
+            (CalibrationTargets(), -0.1, "tolerance must be non-negative"),
+            (CalibrationTargets(), float("nan"), "tolerance must be non-negative"),
+        ],
+    )
+    def test_impossible_inputs_rejected_before_drawing(self, monkeypatch, targets, tolerance, message):
+        monkeypatch.setattr(synth, "_draw", _no_draw)
+        with pytest.raises(ValidationError, match=message):
+            calibrate(SMALL, targets, tolerance)
+
+    @pytest.mark.parametrize("flag, value", [("--target-top20-share", "1.5"), ("--tolerance", "-0.1")])
+    def test_cli_rejects_impossible_inputs_before_drawing(self, tmp_path, monkeypatch, capsys, flag, value):
+        monkeypatch.setattr(synth, "_draw", _no_draw)
+        out = tmp_path / "calibrated.json"
+        assert dispatch(["calibrate", "--out", str(out), flag, value]) == 1
+        assert "must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_default_targets_draw_once(self, monkeypatch):
+        drawn = []
+        draw = synth._draw
+        monkeypatch.setattr(synth, "_draw", lambda profile: drawn.append(profile) or draw(profile))
+        result = calibrate(replace(SMALL, n_universities=12))
+        assert result.evaluations > 1
+        assert len(drawn) == 1
+
+    def test_measured_is_the_calibrated_profiles_corpus(self):
+        # A non-productive share off target makes `calibrate` draw a second corpus.
+        result = calibrate(replace(SMALL, n_universities=12, p_nonproductive=0.3))
+        assert result.profile.p_nonproductive == 0.17
+        assert result.evaluations > 2
+        assert result.measured == measure_corpus(generate(result.profile))
+
+    def test_twenty_two_universities_converge_at_seed_209(self):
+        # The seed at which a search on a corpus smaller than the profile's missed (top-20% residual +0.031).
+        profile = GeneratorProfile(n_universities=22, seed=209)
+        result = calibrate(profile)
+        assert result.converged
+        assert all(abs(r) <= 0.03 for r in result.residuals.values())
+        assert result.measured == measure_corpus(generate(result.profile))
