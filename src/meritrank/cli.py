@@ -242,6 +242,7 @@ def cmd_counterfactual(cfg: dict) -> int:
         k_classes=cfg["classes"],
         pstar_mode=cfg["pstar"],
         refit_pstar=cfg["refit_pstar"],
+        observed_units=sds_unit_scores(scored.scores),
     )
     if field is not None and field not in cf:
         raise ValidationError(f"--field {field!r}: no counterfactual report at level {level}")
@@ -330,6 +331,7 @@ def cmd_report_all(cfg: dict) -> int:
         min_staff=cfg["min_staff"],
         k_classes=cfg["transition_classes"],
         pstar_mode=cfg["pstar"],
+        observed_units=units,
     )
     reports.write_counterfactual_csv(
         out_dir / "counterfactual_uda.csv", [cf_uda[c] for c in sorted(cf_uda)], with_field=True
@@ -350,6 +352,7 @@ def cmd_report_all(cfg: dict) -> int:
         min_staff=cfg["min_staff"],
         k_classes=cfg["transition_classes"],
         pstar_mode=cfg["pstar"],
+        observed_units=units,
     )
     reports.write_counterfactual_summary_csv(
         out_dir / "counterfactual_sds_summary.csv", [cf_sds[c] for c in sorted(cf_sds)]

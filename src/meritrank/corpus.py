@@ -9,11 +9,16 @@ loader or a list of records; the generator fills the columns straight from
 its draws. Scoring reads the columns, and `Publication` records are built
 only when the table is indexed or iterated.
 
-Each per-record invariant is written once, in `publication_problem` and
-`researcher_problem`. The file loaders apply them as they read and name the
-file and line; `Corpus.validate` applies them to a corpus built in memory,
-such as a generated one, and names the record. A violation is rejected
-rather than silently repaired. `load_corpus` and the generator return the
+Each rule is written once. The publication rules are one columnar check,
+`publications_problem`: a few array operations over a whole `Publications`
+table that find the first row breaking a rule and that row's first rule.
+`researcher_problem` checks one researcher. `load_publications` parses and
+type-checks each line as it reads, then runs the columnar check once and
+names the file and line, so the first bad line is reported whether it
+breaks a rule or fails to parse; `load_researchers` applies
+`researcher_problem` row by row. `Corpus.validate` runs both checks on a
+corpus built in memory, such as a generated one, and names the record. A
+violation is rejected rather than silently repaired. `load_corpus` and the generator return the
 corpus in canonical order (`Corpus.in_canonical_order`): publications by id,
 each publication's slots by position, and researchers by id, so neither the
 order of the input files nor the order of generation reaches a score.
@@ -24,6 +29,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+from array import array
 from collections import Counter, defaultdict
 from collections.abc import Sequence
 from contextlib import contextmanager
@@ -31,7 +37,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import starmap
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Container, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -195,10 +201,17 @@ class Publications(Sequence):
         """Row of the publication each category entry belongs to."""
         return np.repeat(np.arange(len(self.ids)), np.diff(self.category_offsets))
 
-    def in_canonical_order(self) -> "Publications":
-        """This table with rows sorted by id and each row's slots by position."""
+    def id_order(self) -> np.ndarray:
+        """The row order that sorts the table by id."""
         ids = self.ids
-        order = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.int64)
+        return np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.int64)
+
+    def in_canonical_order(self, order: np.ndarray | None = None) -> "Publications":
+        """This table with rows sorted by id (or in `id_order()` computed already) and each row's slots
+        by position."""
+        ids = self.ids
+        if order is None:
+            order = self.id_order()
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order))
         slot_order = np.lexsort((self.slot_position, rank[self.slot_publication]))
@@ -218,6 +231,14 @@ class Publications(Sequence):
             category_names=self.category_names,
             researcher_names=self.researcher_names,
         )
+
+
+def _int_column(values: list[int]) -> np.ndarray:
+    """`values` as int64, or as Python ints (dtype object) if one does not fit; a rule rejects that one."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
 
 
 class PublicationsBuilder:
@@ -258,14 +279,14 @@ class PublicationsBuilder:
     def build(self) -> Publications:
         return Publications(
             ids=self._ids,
-            year=np.array(self._years, dtype=np.int64),
+            year=_int_column(self._years),
             doc_type=np.array(self._doc_types, dtype=np.int64),
-            citations=np.array(self._citations, dtype=np.int64),
+            citations=_int_column(self._citations),
             category_offsets=row_offsets(self._category_counts),
             category=np.array(self._categories, dtype=np.int64),
             slot_offsets=row_offsets(self._slot_counts),
             slot_researcher=np.array(self._researchers, dtype=np.int64),
-            slot_position=np.array(self._positions, dtype=np.int64),
+            slot_position=_int_column(self._positions),
             slot_intramural=np.array(self._intramural, dtype=bool),
             doc_type_names=list(self._doc_type_codes),
             category_names=list(self._category_codes),
@@ -281,15 +302,16 @@ class Corpus:
     taxonomy: Taxonomy
     window: tuple[int, int]
 
-    def in_canonical_order(self) -> "Corpus":
+    def in_canonical_order(self, order: np.ndarray | None = None) -> "Corpus":
         """This corpus with its publications in canonical order and its researchers sorted by id.
 
         The one canonicalisation of every corpus the package builds: the loader
-        and the generator both end with it.
+        and the generator both end with it. `order` is the publications'
+        `id_order()`, when the caller has it already.
         """
         return replace(
             self,
-            publications=self.publications.in_canonical_order(),
+            publications=self.publications.in_canonical_order(order),
             researchers=dict(sorted(self.researchers.items())),
         )
 
@@ -304,21 +326,16 @@ class Corpus:
         return {rid: tuple(items) for rid, items in index.items()}
 
     def validate(self) -> None:
-        """Apply the loaders' per-record rules to a corpus built in memory; raises ValidationError.
+        """Apply the loaders' rules to a corpus built in memory; raises ValidationError.
 
         It also checks that each researcher's university is known, which the
         researcher loader ensures by building `universities` itself.
         `load_corpus` does not call this.
         """
-        seen_ids: set[str] = set()
-        for pid, year, doc_type, citations, categories, positions, _, rids in self.publications.rows():
-            problem = publication_problem(
-                pid, year, doc_type, citations, categories, positions, rids,
-                self.window, self.researchers, seen_ids,
-            )
-            if problem:
-                raise ValidationError(f"publication {pid!r}: {problem}")
-            seen_ids.add(pid)
+        problem = publications_problem(self.publications, self.window, self.researchers)
+        if problem:
+            row, message = problem
+            raise ValidationError(f"publication {self.publications.ids[row]!r}: {message}")
         for r in self.researchers.values():
             problem = researcher_problem(r, self.taxonomy, self.window)
             if not problem and r.university_id not in self.universities:
@@ -327,45 +344,75 @@ class Corpus:
                 raise ValidationError(f"researcher {r.id!r}: {problem}")
 
 
-def publication_problem(
-    pid: str,
-    year: int,
-    doc_type: str,
-    citations: int,
-    categories,
-    positions: list[int],
-    researcher_ids: list[str | None],
-    window,
-    researchers: Mapping[str, Researcher],
-    seen_ids: set[str],
-) -> str | None:
-    """The first rule a publication breaks, as a message, or None.
+def publications_problem(
+    pubs: Publications, window, researchers: Container[str]
+) -> tuple[int, str] | None:
+    """The first row of `pubs` that breaks a rule and the first rule it breaks, as (row, message), or None.
 
-    `positions` and `researcher_ids` list its author slots in the same order;
-    `seen_ids` holds the ids of the publications before it.
+    The rules, in order: an id not seen in an earlier row, a year inside
+    `window`, a known document type, citations in [0, CITATION_LIMIT], at
+    least one category, at least one author, author positions exactly
+    1..n, and every non-null author id in `researchers`. Each rule is one
+    array operation over the table; only the reported row's message is
+    built in Python. The year, citation and position columns may hold
+    Python ints (dtype object) that do not fit int64; every rule compares
+    them as they are.
     """
+    n = len(pubs)
+    ids, year, citations, doc_type = pubs.ids, pubs.year, pubs.citations, pubs.doc_type
     lo, hi = window
-    if pid in seen_ids:
-        return f"duplicate publication id {pid!r}"
-    if not lo <= year <= hi:
-        return f"year {year} outside the observation window {lo}-{hi}"
-    if doc_type not in DOC_TYPES:
-        return f"document type {doc_type!r} is not one of {DOC_TYPES}"
-    if citations < 0:
-        return f"citations must be >= 0, got {citations}"
-    if citations > CITATION_LIMIT:
-        return f"citations must be <= {CITATION_LIMIT}, got {citations}"
-    if not categories:
-        return "categories must not be empty"
-    if not positions:
-        return "authors must not be empty"
-    ordered = sorted(positions)
-    if ordered != list(range(1, len(positions) + 1)):
-        return f"author positions {ordered} must be exactly 1..{len(positions)}"
-    for position, rid in zip(positions, researcher_ids):
-        if rid is not None and rid not in researchers:
-            return f"author position {position} references unknown researcher {rid!r}"
-    return None
+    duplicate = np.zeros(n, dtype=bool)
+    if len(set(ids)) < n:
+        seen: set[str] = set()
+        for i, pid in enumerate(ids):
+            duplicate[i] = pid in seen
+            seen.add(pid)
+    known_type = np.array([name in DOC_TYPES for name in pubs.doc_type_names], dtype=bool)
+    n_slots = np.diff(pubs.slot_offsets)
+    slot_row = pubs.slot_publication
+    positions = pubs.slot_position
+    # Positions are exactly 1..n when each lies in [1, n] and no two share a place in the row.
+    in_range = (positions >= 1) & (positions <= n_slots[slot_row])
+    places = pubs.slot_offsets[slot_row[in_range]] + positions[in_range].astype(np.int64) - 1
+    misplaced = ~in_range | (np.bincount(places, minlength=len(positions)) > 1)
+    # Code -1 (outside the population) indexes the appended True.
+    known = np.array([rid in researchers for rid in pubs.researcher_names] + [True], dtype=bool)
+    unknown = ~known[pubs.slot_researcher]
+
+    def rows_with(slot_mask: np.ndarray) -> np.ndarray:
+        return np.bincount(slot_row[slot_mask], minlength=n) > 0
+
+    def slots(i: int) -> slice:
+        return slice(pubs.slot_offsets[i], pubs.slot_offsets[i + 1])
+
+    def misplaced_message(i: int) -> str:
+        ordered = sorted(positions[slots(i)].tolist())
+        return f"author positions {ordered} must be exactly 1..{len(ordered)}"
+
+    def unknown_message(i: int) -> str:
+        span = slots(i)
+        s = span.start + int(unknown[span].argmax())
+        rid = pubs.researcher_names[pubs.slot_researcher[s]]
+        return f"author position {positions[s]} references unknown researcher {rid!r}"
+
+    rules = (  # per rule: the rows that break it, and the message for row i
+        (duplicate, lambda i: f"duplicate publication id {ids[i]!r}"),
+        ((year < lo) | (year > hi), lambda i: f"year {year[i]} outside the observation window {lo}-{hi}"),
+        (
+            ~known_type[doc_type],
+            lambda i: f"document type {pubs.doc_type_names[doc_type[i]]!r} is not one of {DOC_TYPES}",
+        ),
+        (citations < 0, lambda i: f"citations must be >= 0, got {citations[i]}"),
+        (citations > CITATION_LIMIT, lambda i: f"citations must be <= {CITATION_LIMIT}, got {citations[i]}"),
+        (np.diff(pubs.category_offsets) == 0, lambda i: "categories must not be empty"),
+        (n_slots == 0, lambda i: "authors must not be empty"),
+        (rows_with(misplaced), misplaced_message),
+        (rows_with(unknown), unknown_message),
+    )
+    first = min((int(rows.argmax()) for rows, _ in rules if rows.any()), default=None)
+    if first is None:
+        return None
+    return first, next(message(first) for rows, message in rules if rows[first])
 
 
 def researcher_problem(researcher: Researcher, taxonomy: Taxonomy, window) -> str | None:
@@ -481,46 +528,65 @@ def load_researchers(res_path, taxonomy: Taxonomy, window) -> tuple[dict[str, Re
 
 
 def load_publications(pub_path, window, researchers: Mapping[str, Researcher]) -> Publications:
-    """Read publications.jsonl; every non-null author id must name one of `researchers`."""
+    """Read publications.jsonl; every non-null author id must name one of `researchers`.
+
+    Each line is parsed and its fields' types are checked as it is read;
+    the rules then run once over the whole table (`publications_problem`).
+    The first bad line is reported: a rule broken on an earlier line wins
+    over a parse or type error on a later one.
+    """
     pub_path = Path(pub_path)
+    # Parsing in a function of its own frees the builder's lists before the check allocates its arrays.
+    publications, line_numbers, line_error = _parse_publications(pub_path)
+    problem = publications_problem(publications, window, researchers)
+    if problem:
+        row, message = problem
+        _fail(pub_path, line_numbers[row], message)
+    if line_error:
+        raise line_error
+    return publications
+
+
+def _parse_publications(pub_path: Path) -> tuple[Publications, array, ValidationError | None]:
+    """The table of the lines of `pub_path` up to the first that fails to parse or type-check, each
+    row's line number, and that line's error (None when every line passed)."""
     builder = PublicationsBuilder()
-    seen: set[str] = set()
-    with open_input(pub_path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                _fail(pub_path, line_no, f"invalid JSON: {exc}")
-            if not isinstance(record, dict):
-                _fail(pub_path, line_no, "expected a JSON object")
-            pid = _require(record, "id", str, pub_path, line_no)
-            year = _require(record, "year", int, pub_path, line_no)
-            doc_type = _require(record, "type", str, pub_path, line_no)
-            citations = _require(record, "citations", int, pub_path, line_no)
-            categories = _require(record, "categories", list, pub_path, line_no)
-            if not all(isinstance(c, str) and c for c in categories):
-                _fail(pub_path, line_no, "field 'categories': entries must be non-empty strings")
-            positions, intramural, rids = [], [], []
-            for slot in _require(record, "authors", list, pub_path, line_no):
-                if not isinstance(slot, dict):
-                    _fail(pub_path, line_no, "field 'authors': entries must be objects")
-                rid = slot.get("researcher_id")
-                if rid is not None and not isinstance(rid, str):
-                    _fail(pub_path, line_no, "field 'researcher_id': expected string or null")
-                positions.append(_require(slot, "position", int, pub_path, line_no))
-                intramural.append(_require(slot, "intramural", bool, pub_path, line_no))
-                rids.append(rid)
-            problem = publication_problem(
-                pid, year, doc_type, citations, categories, positions, rids, window, researchers, seen
-            )
-            if problem:
-                _fail(pub_path, line_no, problem)
-            seen.add(pid)
-            builder.add(pid, year, doc_type, citations, categories, positions, intramural, rids)
-    return builder.build()
+    line_numbers = array("q")  # per table row
+    line_error = None
+    try:
+        with open_input(pub_path) as fh:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    _fail(pub_path, line_no, f"invalid JSON: {exc}")
+                if not isinstance(record, dict):
+                    _fail(pub_path, line_no, "expected a JSON object")
+                pid = _require(record, "id", str, pub_path, line_no)
+                year = _require(record, "year", int, pub_path, line_no)
+                doc_type = _require(record, "type", str, pub_path, line_no)
+                citations = _require(record, "citations", int, pub_path, line_no)
+                categories = _require(record, "categories", list, pub_path, line_no)
+                if not all(isinstance(c, str) and c for c in categories):
+                    _fail(pub_path, line_no, "field 'categories': entries must be non-empty strings")
+                positions, intramural, rids = [], [], []
+                for slot in _require(record, "authors", list, pub_path, line_no):
+                    if not isinstance(slot, dict):
+                        _fail(pub_path, line_no, "field 'authors': entries must be objects")
+                    rid = slot.get("researcher_id")
+                    if rid is not None and not isinstance(rid, str):
+                        _fail(pub_path, line_no, "field 'researcher_id': expected string or null")
+                    positions.append(_require(slot, "position", int, pub_path, line_no))
+                    intramural.append(_require(slot, "intramural", bool, pub_path, line_no))
+                    rids.append(rid)
+                builder.add(pid, year, doc_type, citations, categories, positions, intramural, rids)
+                line_numbers.append(line_no)
+    except ValidationError as exc:
+        line_error = exc
+    return builder.build(), line_numbers, line_error
 
 
 def load_corpus(pub_path, res_path, tax_path, window=DEFAULT_WINDOW) -> Corpus:

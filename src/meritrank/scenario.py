@@ -19,6 +19,7 @@ from .aggregation import (
     LEVEL_UDA,
     PSTAR_MEAN_OF_UNITS,
     DEFAULT_MIN_STAFF,
+    SdsUnitScore,
     national_averages,
     order_units,
     rank_units,
@@ -130,19 +131,23 @@ def counterfactual_rankings(
     k_classes: int = DEFAULT_TRANSITION_CLASSES,
     pstar_mode: str = PSTAR_MEAN_OF_UNITS,
     refit_pstar: bool = False,
+    observed_units: Sequence[SdsUnitScore] | None = None,
 ) -> dict[str, CounterfactualReport]:
     """Observed vs top-scientists-removed rankings for every field at a level.
 
     The hypothetical ranking re-ranks exactly the observed roster; a unit
     that loses all staff scores 0 and is flagged. Baselines and national
     averages are frozen at observed values unless refit_pstar is set.
+    `observed_units` is `sds_unit_scores(scores)`, for a caller that has it
+    already.
     """
     if selection.scope != SCOPE_UNIT:
         raise ValidationError("counterfactual rankings need a unit-scoped selection")
     if level not in (LEVEL_SDS, LEVEL_UDA):
         raise ValidationError(f"unknown ranking level {level!r}")
     removed = selection.all_selected()
-    observed_units = sds_unit_scores(scores)
+    if observed_units is None:
+        observed_units = sds_unit_scores(scores)
     hyp_units = sds_unit_scores({rid: s for rid, s in scores.items() if rid not in removed})
     if level == LEVEL_SDS:
         observed = observed_units

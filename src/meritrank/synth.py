@@ -78,11 +78,23 @@ _SEARCHES = {
 }
 _PUBLICATIONS_PER_WRITE = 4096  # lines encoded and written together by `write_publications`
 
+# As `Generator.choice` computes it: the cumulative sum, divided by its last entry.
+_DOC_TYPE_CDF = np.cumsum(DOC_TYPE_PROBS) / np.cumsum(DOC_TYPE_PROBS)[-1]
+_EXP_CAP = 709.0  # exp(709) > 8e307 is far above MAX_CITATIONS, and exp(710) overflows a float
+
 RNG_DESCRIPTION = "numpy.random.PCG64 seeded via numpy.random.SeedSequence(seed)"
 
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    """Whether `value` is a finite float; an integer too large for a float is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 # The JSON shape each GeneratorProfile annotation accepts: (check, description).
@@ -131,6 +143,10 @@ class GeneratorProfile:
         return sum(self.sds_per_uda.values())
 
     def validate(self) -> None:
+        for name, spec in self.__dataclass_fields__.items():
+            value = getattr(self, name)
+            if spec.type == "float" and not _is_finite(value):
+                raise ValidationError(f"profile: {name} must be a finite number, got {value}")
         if self.n_universities < 1:
             raise ValidationError("profile: need at least one university")
         if self.seed < 0:
@@ -219,7 +235,6 @@ def _category_offset(category: str) -> float:
 def generate(profile: GeneratorProfile) -> Corpus:
     """Build a validated corpus in canonical order; byte-stable for a fixed profile."""
     profile.validate()
-    # Only the canonical copy outlives this line, so the drawn table is freed before `validate`.
     corpus = _with_citations(profile, *_draw(profile))
     corpus.validate()
     return corpus
@@ -227,32 +242,40 @@ def generate(profile: GeneratorProfile) -> Corpus:
 
 def _with_citations(profile: GeneratorProfile, drawn: Corpus, zero_uniform, citation_normal) -> Corpus:
     """`drawn` with each publication's citation count computed from its year, primary category and
-    two draws, in canonical order; bit for bit the corpus `generate(profile)` gives.
+    two draws; bit for bit the corpus `generate(profile)` gives.
 
     The count is zero where the uniform falls below `zero_citation_mass`,
-    else the rounded lognormal of the normal. The float operations run one
-    publication at a time, in the same order; `math.exp`, because the SIMD
-    path of `np.exp` may differ in the last bit.
+    else the rounded lognormal of the normal, capped at `MAX_CITATIONS`
+    before the conversion (so `math.exp` never overflows). The float
+    operations run one publication at a time, in the same order;
+    `math.exp`, because the SIMD path of `np.exp` may differ in the last bit.
     """
     pubs = drawn.publications
     y1 = profile.window[1]
     mass, sigma = profile.zero_citation_mass, profile.citation_sigma
     locations = [profile.citation_location + _category_offset(name) for name in pubs.category_names]
     citations = [
-        0 if u < mass else min(
-            int(round(math.exp(locations[c] + AGE_LOCATION_SLOPE * (y1 - year) + sigma * z))), MAX_CITATIONS
-        )
+        0 if u < mass else _citation_count(locations[c] + AGE_LOCATION_SLOPE * (y1 - year) + sigma * z)
         for u, z, year, c in zip(
-            zero_uniform, citation_normal, pubs.year.tolist(), pubs.category[pubs.category_offsets[:-1]].tolist()
+            zero_uniform.tolist(),
+            citation_normal.tolist(),
+            pubs.year.tolist(),
+            pubs.category[pubs.category_offsets[:-1]].tolist(),
         )
     ]
-    pubs = replace(pubs, citations=np.array(citations, dtype=np.int64))
-    return replace(drawn, publications=pubs).in_canonical_order()
+    return replace(drawn, publications=replace(pubs, citations=np.array(citations, dtype=np.int64)))
 
 
-def _draw(profile: GeneratorProfile) -> tuple[Corpus, array, array]:
-    """The profile's corpus in generation order with citations left at 0, and per publication the
-    zero-citation uniform and citation normal that `_with_citations` turns into its count.
+def _citation_count(exponent: float) -> int:
+    """`min(round(exp(exponent)), MAX_CITATIONS)`; from exp(709) on (or NaN, from inf - inf) the cap."""
+    if not exponent < _EXP_CAP:
+        return MAX_CITATIONS
+    return min(int(round(math.exp(exponent))), MAX_CITATIONS)
+
+
+def _draw(profile: GeneratorProfile) -> tuple[Corpus, np.ndarray, np.ndarray]:
+    """The profile's corpus in canonical order with citations left at 0, and per publication, in the
+    same order, the zero-citation uniform and citation normal that `_with_citations` turns into its count.
 
     Each university draws from its own stream, spawned from the profile's
     seed. Per SDS unit it draws the staff count, the full-window flags, the
@@ -260,10 +283,13 @@ def _draw(profile: GeneratorProfile) -> tuple[Corpus, array, array]:
     researcher the publication count, then per publication the year, author
     count, second-category flag, zero-citation uniform, citation normal and
     document type; then, publication by publication, the sibling SDS of a
-    second category and the co-author draws of `_draw_authors`. Everything
-    else is computed from those draws in bulk, straight into the
+    second category and the co-author draws of `_draw_authors`. No draw
+    calls `Generator.choice`: the document types and the co-authors are its
+    own draws, made with cheaper calls (`_draw_doc_types`, `_sample_indices`).
+    Everything else is computed from those draws in bulk, straight into the
     `Publications` columns: a researcher's slot code is their index in
-    generation order and a category's code is its SDS's index.
+    generation order and a category's code is its SDS's index. The corpus
+    is then put in canonical order once, and the two draws with it.
     """
     taxonomy = build_taxonomy(profile)
     sds_codes = taxonomy.sds_codes
@@ -276,6 +302,7 @@ def _draw(profile: GeneratorProfile) -> tuple[Corpus, array, array]:
     window_length = y1 - y0 + 1
     staff_lo, staff_hi = profile.staff_per_unit
     co_lo, co_hi = profile.coauthor_range
+    p_external = profile.p_external_coauthor
 
     researchers: list[Researcher] = []
     universities: dict[str, str] = {}
@@ -307,24 +334,20 @@ def _draw(profile: GeneratorProfile) -> tuple[Corpus, array, array]:
             pool = [first + k for k in range(staff_n) if productive[k]]
             sds_siblings = siblings[sds_code]
             for code in pool:
-                m = int(round(rng.lognormal(profile.pubs_location, profile.pubs_dispersion)))
-                m = min(max(1, m), MAX_PUBS_PER_RESEARCHER)
-                year_draws = rng.integers(y0, y1 + 1, size=m).tolist()
+                m = _publication_count(rng.lognormal(profile.pubs_location, profile.pubs_dispersion))
+                years.extend(rng.integers(y0, y1 + 1, size=m).tolist())
                 n_authors = rng.integers(co_lo, co_hi + 1, size=m).tolist()
                 second = (rng.random(m) < profile.p_second_category).tolist()
                 if not sds_siblings:
                     second = [False] * m  # no sibling SDS to take a second category from
                 zero_uniform.extend(rng.random(m).tolist())
                 citation_normal.extend(rng.standard_normal(m).tolist())
-                doc_types.extend(rng.choice(3, size=m, p=DOC_TYPE_PROBS).tolist())
+                doc_types.extend(_draw_doc_types(rng, m))
                 colleagues = [c for c in pool if c != code]
                 for p in range(m):
                     if second[p]:
                         second_category.append(sds_siblings[rng.integers(0, len(sds_siblings))])
-                    slot_researcher.extend(
-                        _draw_authors(rng, code, colleagues, n_authors[p], profile.p_external_coauthor)
-                    )
-                years.extend(year_draws)
+                    slot_researcher.extend(_draw_authors(rng, code, colleagues, n_authors[p], p_external))
                 author_counts.extend(n_authors)
                 primary_category.extend([sds_code] * m)
                 with_second.extend(second)
@@ -355,7 +378,25 @@ def _draw(profile: GeneratorProfile) -> tuple[Corpus, array, array]:
         researcher_names=[r.id for r in researchers],
     )
     corpus = Corpus(publications, {r.id: r for r in researchers}, universities, taxonomy, tuple(profile.window))
-    return corpus, zero_uniform, citation_normal
+    order = publications.id_order()
+    return corpus.in_canonical_order(order), np.array(zero_uniform)[order], np.array(citation_normal)[order]
+
+
+def _draw_doc_types(rng, m: int) -> list[int]:
+    """The m document-type codes that `Generator.choice` draws with `p=DOC_TYPE_PROBS`, leaving `rng`
+    in the same state, with cheaper calls: m uniforms bisected on its cumulative probabilities."""
+    return _DOC_TYPE_CDF.searchsorted(rng.random(m), side="right").tolist()
+
+
+def _publication_count(draw: float) -> int:
+    """A researcher's publication count from its lognormal draw: rounded, in [1, MAX_PUBS_PER_RESEARCHER].
+
+    The cap applies before the conversion, so an infinite draw (or NaN, from
+    inf - inf) gives the cap instead of an OverflowError.
+    """
+    if not draw < MAX_PUBS_PER_RESEARCHER:
+        return MAX_PUBS_PER_RESEARCHER
+    return max(1, int(round(draw)))
 
 
 def _draw_authors(rng, code, colleagues, n_authors, p_external) -> list[int]:
@@ -373,11 +414,36 @@ def _draw_authors(rng, code, colleagues, n_authors, p_external) -> list[int]:
         wanted = len([u for u in rng.random(others).tolist() if u >= p_external])
         n_internal = min(wanted, len(colleagues))
         if n_internal:
-            indices = rng.choice(len(colleagues), size=n_internal, replace=False)
-            picked = [colleagues[i] for i in sorted(indices.tolist())]
+            picked = [colleagues[i] for i in _sample_indices(rng, len(colleagues), n_internal)]
         picked += [-1] * (others - n_internal)
     picked.insert(rng.integers(1, n_authors + 1) - 1, code)
     return picked
+
+
+def _sample_indices(rng, n: int, k: int) -> list[int]:
+    """The k of `range(n)` that `Generator.choice` picks without replacement, sorted, leaving `rng` in
+    the same state, with scalar draws.
+
+    This is numpy's own algorithm: Floyd's sampler (draw from [0, j] for j
+    from n - k to n - 1, taking j when the draw is already taken), then the
+    draws of the shuffle that follows it, which the sort makes unread. For
+    a population above 10,000 with k above a fiftieth of it, numpy instead
+    runs the last k steps of a Fisher-Yates shuffle of `range(n)` and takes
+    the last k entries, and so does this.
+    """
+    if n > 10_000 and k > n // 50:
+        pool = list(range(n))
+        for i in range(n - 1, max(n - k, 1) - 1, -1):
+            j = rng.integers(0, i + 1)
+            pool[i], pool[j] = pool[j], pool[i]
+        return sorted(pool[n - k :])
+    taken: set[int] = set()
+    for j in range(n - k, n):
+        value = int(rng.integers(0, j + 1))
+        taken.add(j if value in taken else value)
+    for i in range(k - 1, 0, -1):
+        rng.integers(0, i + 1)
+    return sorted(taken)
 
 
 def write_corpus(corpus: Corpus, out_dir, profile: GeneratorProfile | None = None) -> dict[str, Path]:

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from meritrank import cli
+from meritrank import cli, scenario
 from meritrank.cli import dispatch
 from meritrank.synth import GeneratorProfile
 
@@ -473,6 +473,16 @@ class TestReportAll:
         assert dispatch(["report-all", "--corpus", str(corpus_dir), "--out", str(out)]) == 0
         assert (out / "scores.csv").exists()
         assert not (out / "corpus").exists()
+
+    def test_observed_unit_scores_are_computed_once(self, corpus_dir, tmp_path, monkeypatch):
+        calls = []
+        count = calls.append
+        real = cli.sds_unit_scores
+        monkeypatch.setattr(cli, "sds_unit_scores", lambda scores: count("observed") or real(scores))
+        monkeypatch.setattr(scenario, "sds_unit_scores", lambda scores: count("hypothetical") or real(scores))
+        assert dispatch(["report-all", "--corpus", str(corpus_dir), "--out", str(tmp_path / "run")]) == 0
+        # The rankings' aggregation feeds both counterfactual levels, which add one hypothetical each.
+        assert calls == ["observed", "hypothetical", "hypothetical"]
 
     def test_global_budget_splits_across_areas(self, corpus_dir, tmp_path):
         out = tmp_path / "run"

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from meritrank.corpus import (
     CITATION_LIMIT,
+    DOC_TYPES,
     AuthorSlot,
     Corpus,
     Publication,
@@ -20,6 +21,7 @@ from meritrank.corpus import (
     Researcher,
     active_sds_filter,
     load_corpus,
+    publications_problem,
 )
 from meritrank.cli import dispatch
 from meritrank.errors import ValidationError
@@ -293,6 +295,125 @@ class TestSharedRules:
     def test_validate_rejects_years_beyond_window_that_the_loader_caps(self):
         with pytest.raises(ValidationError, match=r"years_in_post 9 outside \[1, 5\]"):
             _in_memory([VALID_PUBLICATION], "R3,U1,Uni One,S1,9").validate()
+
+
+class TestFirstBadLine:
+    """The loader type-checks each line as it reads it and checks the rules over the whole table once,
+    yet it reports the first bad line, and the same record as `Corpus.validate`."""
+
+    VALID = json.dumps(VALID_PUBLICATION)
+    RULE_BROKEN = json.dumps(_broken(id="P2", year=2009))
+    UNREADABLE = [
+        pytest.param("{not json", "invalid JSON", id="bad-json"),
+        pytest.param(json.dumps(_broken(id="P3", year="2005")), "field 'year': expected int", id="wrong-type"),
+    ]
+
+    def _load(self, tmp_path, lines):
+        pub_path, res_path, tax_path = write_files(tmp_path)
+        pub_path.write_text("\n".join(lines) + "\n")
+        return load_corpus(pub_path, res_path, tax_path)
+
+    @pytest.mark.parametrize("unreadable, message", UNREADABLE)
+    def test_rule_broken_on_an_earlier_line_wins(self, tmp_path, unreadable, message):
+        with pytest.raises(ValidationError, match="publications.jsonl line 2: year 2009 outside"):
+            self._load(tmp_path, [self.VALID, self.RULE_BROKEN, unreadable])
+
+    @pytest.mark.parametrize("unreadable, message", UNREADABLE)
+    def test_unreadable_earlier_line_wins(self, tmp_path, unreadable, message):
+        with pytest.raises(ValidationError, match=f"publications.jsonl line 2: {message}"):
+            self._load(tmp_path, [self.VALID, unreadable, self.RULE_BROKEN])
+
+    def test_blank_lines_keep_the_line_numbers(self, tmp_path):
+        with pytest.raises(ValidationError, match="publications.jsonl line 4: year 2009 outside"):
+            self._load(tmp_path, [self.VALID, "", "  ", self.RULE_BROKEN])
+
+    def test_validate_and_loader_name_the_same_first_record(self, tmp_path):
+        # P3 breaks a rule checked before P2's, but P2 comes first.
+        pubs = [VALID_PUBLICATION, _broken(id="P2", authors=[_slot("GHOST", 1)]), _broken(id="P3", year=2009)]
+        message = "author position 1 references unknown researcher 'GHOST'"
+        with pytest.raises(ValidationError, match=f"publications.jsonl line 2: {message}"):
+            load_corpus(*write_files(tmp_path, pubs=pubs))
+        with pytest.raises(ValidationError, match=f"^publication 'P2': {message}"):
+            _in_memory(pubs, None).validate()
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            (_broken(year=2**64), f"year {2**64} outside the observation window"),
+            (_broken(citations=-(2**70)), f"citations must be >= 0, got {-(2**70)}"),
+            (_broken(authors=[_slot("R1", 2**64)]), rf"author positions \[{2**64}\] must be exactly 1\.\.1"),
+        ],
+    )
+    def test_values_beyond_int64_break_their_rule(self, tmp_path, record, message):
+        with pytest.raises(ValidationError, match=f"publications.jsonl line 1: {message}"):
+            load_corpus(*write_files(tmp_path, pubs=[record]))
+        with pytest.raises(ValidationError, match=f"^publication 'P1': {message}"):
+            _in_memory([record], None).validate()
+
+
+def _first_problem_record_by_record(records, window, researchers):
+    """The per-record loop that `publications_problem` replaced, kept as its reference."""
+    lo, hi = window
+    seen = set()
+    for row, pub in enumerate(records):
+        positions = [slot.position for slot in pub.authors]
+        unknown = [slot for slot in pub.authors if slot.researcher_id not in (None, *researchers)]
+        if pub.id in seen:
+            return row, f"duplicate publication id {pub.id!r}"
+        if not lo <= pub.year <= hi:
+            return row, f"year {pub.year} outside the observation window {lo}-{hi}"
+        if pub.doc_type not in DOC_TYPES:
+            return row, f"document type {pub.doc_type!r} is not one of {DOC_TYPES}"
+        if pub.citations < 0:
+            return row, f"citations must be >= 0, got {pub.citations}"
+        if pub.citations > CITATION_LIMIT:
+            return row, f"citations must be <= {CITATION_LIMIT}, got {pub.citations}"
+        if not pub.categories:
+            return row, "categories must not be empty"
+        if not positions:
+            return row, "authors must not be empty"
+        if sorted(positions) != list(range(1, len(positions) + 1)):
+            return row, f"author positions {sorted(positions)} must be exactly 1..{len(positions)}"
+        if unknown:
+            slot = unknown[0]
+            return row, f"author position {slot.position} references unknown researcher {slot.researcher_id!r}"
+        seen.add(pub.id)
+    return None
+
+
+@st.composite
+def nearly_valid_records(draw):
+    """Publications that break up to two rules each; a broken id is "P0", which the next one repeats."""
+    rules = ["id", "year", "type", "citations", "categories", "positions", "author"]
+    broken = draw(st.sets(st.sampled_from(rules), max_size=2))
+
+    def field(name, good, *bad):
+        return draw(st.sampled_from(bad)) if name in broken else good
+
+    n_slots = draw(st.integers(1, 3))
+    positions = draw(st.permutations(range(1, n_slots + 1)))
+    bad_position = field("positions", None, 0, -1, n_slots + 1, 2**64, positions[-1], "none")
+    if bad_position == "none":
+        positions = []
+    elif bad_position is not None:
+        positions[0] = bad_position
+    rids = [field("author", draw(st.sampled_from(["R1", "R2", None])), "GHOST") for _ in positions]
+    return Publication(
+        field("id", f"P{draw(st.integers(1, 10**9))}", "P0"),
+        field("year", 2005, 2003, 2009, 2**64),
+        field("type", "article", "preprint"),
+        field("citations", draw(st.sampled_from([0, 7, CITATION_LIMIT])), -1, CITATION_LIMIT + 1, -(2**70)),
+        field("categories", ("C1",), ()),
+        tuple(AuthorSlot(position, True, rid) for position, rid in zip(positions, rids)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(nearly_valid_records(), max_size=6))
+def test_columnar_rules_match_the_record_by_record_loop(records):
+    researchers = {"R1", "R2"}
+    expected = _first_problem_record_by_record(records, DEFAULT_WINDOW, researchers)
+    assert publications_problem(Publications.from_records(records), DEFAULT_WINDOW, researchers) == expected
 
 
 class TestActiveSdsFilter:

@@ -83,6 +83,108 @@ class TestDeterminism:
         assert a.universities == b.universities
 
 
+def _twin_rngs(seed, warmup):
+    """Two generators in the same state, after `warmup` bounded draws (an odd count leaves PCG64 holding
+    half of a 64-bit output for the next 32-bit draw)."""
+    pair = np.random.default_rng(seed), np.random.default_rng(seed)
+    for rng in pair:
+        for _ in range(warmup):
+            rng.integers(0, 7)
+    return pair
+
+
+class TestChoiceFreeDraws:
+    """The generator makes `Generator.choice`'s draws with cheaper calls; these pin them to numpy's own."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        n=st.one_of(st.integers(1, 40), st.integers(10_001, 10_400)),
+        k_share=st.floats(0, 1),
+        warmup=st.integers(0, 3),
+    )
+    def test_sample_indices_is_numpy_choice_without_replacement(self, seed, n, k_share, warmup):
+        # Above 10,000, k crosses n // 50, where numpy switches from Floyd's sampler to a partial shuffle.
+        k = max(1, round(k_share * min(n, 400)))
+        ours, theirs = _twin_rngs(seed, warmup)
+        assert synth._sample_indices(ours, n, k) == sorted(theirs.choice(n, k, replace=False).tolist())
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), m=st.integers(0, 60), warmup=st.integers(0, 3))
+    def test_doc_types_are_numpy_choice_with_probabilities(self, seed, m, warmup):
+        ours, theirs = _twin_rngs(seed, warmup)
+        assert synth._draw_doc_types(ours, m) == theirs.choice(3, size=m, p=synth.DOC_TYPE_PROBS).tolist()
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+class TestExtremeProfiles:
+    """Profile values at the edge of a float: rejected when not finite, capped when finite."""
+
+    TINY = {
+        "n_universities": 1,
+        "sds_per_uda": {"A": 1},
+        "life_science_udas": [],
+        "staff_per_unit": [3, 3],
+        "p_nonproductive": 0.0,
+    }
+
+    def _gen(self, tmp_path, capsys, change):
+        path = tmp_path / "profile.json"
+        # json.dumps writes NaN and Infinity, which json.load reads back.
+        path.write_text(json.dumps({**self.TINY, **change}))
+        out = tmp_path / "out"
+        code = dispatch(["gen", "--profile", str(path), "--out", str(out)])
+        return code, capsys.readouterr().err, out
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"pubs_location": float("nan")},
+            {"pubs_location": float("inf")},
+            {"citation_sigma": float("inf")},
+            {"citation_location": float("-inf")},
+            {"pubs_dispersion": float("nan")},
+            {"citation_location": 10**400},
+        ],
+    )
+    def test_non_finite_values_exit_1(self, tmp_path, capsys, change):
+        code, err, out = self._gen(tmp_path, capsys, change)
+        assert code == 1
+        assert err.startswith(f"error: profile: {next(iter(change))} must be a finite number")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"pubs_location": 800},
+            {"citation_location": 800},
+            {"citation_sigma": 1e308},
+            {"citation_location": 1.7e308, "citation_sigma": 1e308},
+        ],
+    )
+    def test_extreme_finite_values_are_capped(self, tmp_path, capsys, change):
+        code, err, out = self._gen(tmp_path, capsys, change)
+        assert code == 0, err
+        lines = (out / "publications.jsonl").read_text().splitlines()
+        citations = [json.loads(line)["citations"] for line in lines]
+        assert all(0 <= c <= synth.MAX_CITATIONS for c in citations)
+        if "pubs_location" in change:  # each of the three researchers at the cap
+            assert len(citations) == 3 * synth.MAX_PUBS_PER_RESEARCHER
+        if "citation_location" in change:
+            assert set(citations) == {0, synth.MAX_CITATIONS}
+
+    def test_caps_apply_before_the_conversion(self):
+        assert synth._publication_count(float("inf")) == synth.MAX_PUBS_PER_RESEARCHER
+        assert synth._publication_count(199.4) == 199
+        assert synth._publication_count(0.2) == 1
+        assert synth._citation_count(709.5) == synth.MAX_CITATIONS
+        assert synth._citation_count(float("nan")) == synth.MAX_CITATIONS
+        assert synth._citation_count(-800.0) == 0
+        assert synth._citation_count(2.0) == round(np.exp(2.0))
+
+
 class TestGeneratedCorpus:
     def test_round_trips_through_the_loader(self, tmp_path):
         corpus = generate(SMALL)
