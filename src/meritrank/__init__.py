@@ -47,8 +47,8 @@ from .aggregation import (
     PSTAR_MEAN_OF_UNITS,
     PSTAR_POOLED,
     RankedUnit,
-    SdsUnitScore,
-    UdaUnitScore,
+    UnitScore,
+    level_unit_scores,
     national_averages,
     rank_units,
     sds_unit_scores,

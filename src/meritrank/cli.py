@@ -24,10 +24,10 @@ from .aggregation import (
     LEVEL_UDA,
     PSTAR_MEAN_OF_UNITS,
     PSTAR_POOLED,
+    level_unit_scores,
     national_averages,
     rank_units,
     sds_unit_scores,
-    uda_unit_scores,
 )
 from .corpus import DEFAULT_WINDOW, load_corpus, open_input
 from .errors import MeritrankError, UndefinedStatisticError, ValidationError
@@ -174,11 +174,8 @@ def cmd_indicators(cfg: dict) -> int:
 
 def _ranked_units(units, level: str, cfg: dict, taxonomy):
     """Rankings per field at `level` from the per-(university, SDS) unit scores."""
-    if level == LEVEL_SDS:
-        return rank_units(units, LEVEL_SDS, cfg["min_staff"])
     p_stars = national_averages(units, cfg["pstar"])
-    area_units = uda_unit_scores(units, p_stars, taxonomy)
-    return rank_units(area_units, LEVEL_UDA, cfg["min_staff"])
+    return rank_units(level_unit_scores(units, level, p_stars, taxonomy), cfg["min_staff"])
 
 
 def _fund_area(scored, ranking, uda: str, budget, cfg: dict, selection):
@@ -234,15 +231,15 @@ def cmd_counterfactual(cfg: dict) -> int:
     scored = score_corpus(corpus, _credit_scheme(cfg))
     selection = select_top(scored.scores, SCOPE_UNIT, cfg["share"], cfg["min_staff"])
     cf = counterfactual_rankings(
-        corpus,
+        corpus.taxonomy,
         scored.scores,
+        sds_unit_scores(scored.scores),
         selection,
         level,
         min_staff=cfg["min_staff"],
         k_classes=cfg["classes"],
         pstar_mode=cfg["pstar"],
         refit_pstar=cfg["refit_pstar"],
-        observed_units=sds_unit_scores(scored.scores),
     )
     if field is not None and field not in cf:
         raise ValidationError(f"--field {field!r}: no counterfactual report at level {level}")
@@ -324,14 +321,14 @@ def cmd_report_all(cfg: dict) -> int:
 
     selection = select_top(scored.scores, SCOPE_UNIT, cfg["share"], cfg["min_staff"])
     cf_uda = counterfactual_rankings(
-        corpus,
+        corpus.taxonomy,
         scored.scores,
+        units,
         selection,
         LEVEL_UDA,
         min_staff=cfg["min_staff"],
         k_classes=cfg["transition_classes"],
         pstar_mode=cfg["pstar"],
-        observed_units=units,
     )
     reports.write_counterfactual_csv(
         out_dir / "counterfactual_uda.csv", [cf_uda[c] for c in sorted(cf_uda)], with_field=True
@@ -345,14 +342,14 @@ def cmd_report_all(cfg: dict) -> int:
                 out_dir / f"scatter_{code}.svg", shift_gini_scatter(report), title=code
             )
     cf_sds = counterfactual_rankings(
-        corpus,
+        corpus.taxonomy,
         scored.scores,
+        units,
         selection,
         LEVEL_SDS,
         min_staff=cfg["min_staff"],
         k_classes=cfg["transition_classes"],
         pstar_mode=cfg["pstar"],
-        observed_units=units,
     )
     reports.write_counterfactual_summary_csv(
         out_dir / "counterfactual_sds_summary.csv", [cf_sds[c] for c in sorted(cf_sds)]

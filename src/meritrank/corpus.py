@@ -415,6 +415,13 @@ def publications_problem(
     return first, next(message(first) for rows, message in rules if rows[first])
 
 
+def window_problem(window) -> str | None:
+    """What makes `window` (first year, last year) no observation window, or None."""
+    if window[0] > window[1]:
+        return f"empty window {tuple(window)}: the first year is after the last"
+    return None
+
+
 def researcher_problem(researcher: Researcher, taxonomy: Taxonomy, window) -> str | None:
     """The first rule `researcher` breaks, as a message, or None."""
     if researcher.sds not in taxonomy.sds_to_uda:
@@ -596,7 +603,11 @@ def load_corpus(pub_path, res_path, tax_path, window=DEFAULT_WINDOW) -> Corpus:
     ValidationError with file/line context. The loaders apply the same
     per-record rules as `Corpus.validate`, so it is not run again here.
     The corpus comes back in canonical order (see the module docstring).
+    An empty window is rejected before any file is read.
     """
+    problem = window_problem(window)
+    if problem:
+        raise ValidationError(problem)
     taxonomy = load_taxonomy(tax_path)
     researchers, universities = load_researchers(res_path, taxonomy, window)
     publications = load_publications(pub_path, window, researchers)

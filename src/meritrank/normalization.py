@@ -13,6 +13,7 @@ the corpus's publication columns. The per-record `standardize` and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,8 +62,11 @@ class CreditScheme:
     def __post_init__(self):
         if self.mode not in (EQUAL_FRACTIONAL, POSITIONAL):
             raise ValidationError(f"unknown credit mode {self.mode!r}")
-        if min(self.first_weight, self.last_weight, self.middle_weight) <= 0:
-            raise ValidationError("positional weights must be positive")
+        weights = (self.first_weight, self.middle_weight, self.last_weight)
+        if not all(0 < w < math.inf for w in weights):
+            raise ValidationError(
+                f"positional weights must be finite and positive, got first/middle/last {weights}"
+            )
         if not 0 < self.extramural_discount <= 1:
             raise ValidationError("extramural discount must be in (0, 1]")
 

@@ -15,18 +15,17 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .aggregation import (
-    LEVEL_SDS,
-    LEVEL_UDA,
     PSTAR_MEAN_OF_UNITS,
     DEFAULT_MIN_STAFF,
-    SdsUnitScore,
+    UnitScore,
+    level_field,
+    level_unit_scores,
     national_averages,
     order_units,
     rank_units,
     sds_unit_scores,
-    uda_unit_scores,
 )
-from .corpus import Corpus
+from .corpus import Taxonomy
 from .errors import UndefinedStatisticError, ValidationError
 from .indicators import ResearcherScore
 from .stats import SpearmanResult, classify_quantiles, gini, spearman, top_count
@@ -123,49 +122,39 @@ def _safe_spearman(x: Sequence[float], y: Sequence[float]) -> SpearmanResult | N
 
 
 def counterfactual_rankings(
-    corpus: Corpus,
+    taxonomy: Taxonomy,
     scores: Mapping[str, ResearcherScore],
+    units: Sequence[UnitScore],
     selection: TopSelection,
     level: str,
     min_staff: int = DEFAULT_MIN_STAFF,
     k_classes: int = DEFAULT_TRANSITION_CLASSES,
     pstar_mode: str = PSTAR_MEAN_OF_UNITS,
     refit_pstar: bool = False,
-    observed_units: Sequence[SdsUnitScore] | None = None,
 ) -> dict[str, CounterfactualReport]:
     """Observed vs top-scientists-removed rankings for every field at a level.
 
-    The hypothetical ranking re-ranks exactly the observed roster; a unit
-    that loses all staff scores 0 and is flagged. Baselines and national
-    averages are frozen at observed values unless refit_pstar is set.
-    `observed_units` is `sds_unit_scores(scores)`, for a caller that has it
-    already.
+    `units` is `sds_unit_scores(scores)`. The observed and the hypothetical
+    ranking are built by the same calls. The hypothetical ranking re-ranks
+    exactly the observed roster; a unit that loses all staff scores 0 and is
+    flagged. Baselines and national averages are frozen at observed values
+    unless refit_pstar is set.
     """
     if selection.scope != SCOPE_UNIT:
         raise ValidationError("counterfactual rankings need a unit-scoped selection")
-    if level not in (LEVEL_SDS, LEVEL_UDA):
-        raise ValidationError(f"unknown ranking level {level!r}")
     removed = selection.all_selected()
-    if observed_units is None:
-        observed_units = sds_unit_scores(scores)
     hyp_units = sds_unit_scores({rid: s for rid, s in scores.items() if rid not in removed})
-    if level == LEVEL_SDS:
-        observed = observed_units
-        hyp_scores = {(u.university_id, u.sds): (u.per_capita_ss, u.staff) for u in hyp_units}
-    else:
-        p_stars = national_averages(observed_units, pstar_mode)
-        observed = uda_unit_scores(observed_units, p_stars, corpus.taxonomy)
-        hyp_pstars = national_averages(hyp_units, pstar_mode) if refit_pstar else p_stars
-        hyp_scores = {
-            (u.university_id, u.uda): (u.ss_uda, u.staff)
-            for u in uda_unit_scores(hyp_units, hyp_pstars, corpus.taxonomy)
-        }
-    observed_rankings = rank_units(observed, level, min_staff)
+    p_stars = national_averages(units, pstar_mode)
+    observed_rankings = rank_units(level_unit_scores(units, level, p_stars, taxonomy), min_staff)
+    hyp_pstars = national_averages(hyp_units, pstar_mode) if refit_pstar else p_stars
+    hyp_scores = {
+        (u.university_id, u.field): (u.score, u.staff)
+        for u in level_unit_scores(hyp_units, level, hyp_pstars, taxonomy)
+    }
 
     unit_values: dict[tuple[str, str], list[float]] = defaultdict(list)
     for score in scores.values():
-        field = score.sds if level == LEVEL_SDS else corpus.taxonomy.uda_of(score.sds)
-        unit_values[(score.university_id, field)].append(score.ss)
+        unit_values[(score.university_id, level_field(score.sds, level, taxonomy))].append(score.ss)
     gini_values = {key: _unit_gini(values) for key, values in unit_values.items()}
 
     reports: dict[str, CounterfactualReport] = {}

@@ -31,10 +31,10 @@ from .corpus import (
     Taxonomy,
     open_input,
     row_offsets,
+    window_problem,
 )
 from .errors import ValidationError
 from .indicators import score_corpus
-from .normalization import CreditScheme
 from .reports import csv_file, json_file
 from .stats import top20_impact_share
 
@@ -156,8 +156,9 @@ class GeneratorProfile:
         lo, hi = self.staff_per_unit
         if lo < 0 or hi < lo or hi < 1:
             raise ValidationError(f"profile: infeasible staff range {self.staff_per_unit}")
-        if self.window[0] > self.window[1]:
-            raise ValidationError(f"profile: empty window {self.window}")
+        problem = window_problem(self.window)
+        if problem:
+            raise ValidationError(f"profile: {problem}")
         for name in (
             "p_nonproductive",
             "zero_citation_mass",
@@ -284,8 +285,9 @@ def _draw(profile: GeneratorProfile) -> tuple[Corpus, np.ndarray, np.ndarray]:
     count, second-category flag, zero-citation uniform, citation normal and
     document type; then, publication by publication, the sibling SDS of a
     second category and the co-author draws of `_draw_authors`. No draw
-    calls `Generator.choice`: the document types and the co-authors are its
-    own draws, made with cheaper calls (`_draw_doc_types`, `_sample_indices`).
+    calls `Generator.choice` at paper scale: the document types and the
+    co-authors are its own draws, made with cheaper calls (`_draw_doc_types`,
+    `_sample_indices`).
     Everything else is computed from those draws in bulk, straight into the
     `Publications` columns: a researcher's slot code is their index in
     generation order and a category's code is its SDS's index. The corpus
@@ -427,16 +429,12 @@ def _sample_indices(rng, n: int, k: int) -> list[int]:
     This is numpy's own algorithm: Floyd's sampler (draw from [0, j] for j
     from n - k to n - 1, taking j when the draw is already taken), then the
     draws of the shuffle that follows it, which the sort makes unread. For
-    a population above 10,000 with k above a fiftieth of it, numpy instead
-    runs the last k steps of a Fisher-Yates shuffle of `range(n)` and takes
-    the last k entries, and so does this.
+    a population above 10,000 with k above a fiftieth of it, numpy runs a
+    partial shuffle instead; that case, which no paper-scale unit reaches,
+    is left to `choice` itself.
     """
     if n > 10_000 and k > n // 50:
-        pool = list(range(n))
-        for i in range(n - 1, max(n - k, 1) - 1, -1):
-            j = rng.integers(0, i + 1)
-            pool[i], pool[j] = pool[j], pool[i]
-        return sorted(pool[n - k :])
+        return sorted(rng.choice(n, k, replace=False).tolist())
     taken: set[int] = set()
     for j in range(n - k, n):
         value = int(rng.integers(0, j + 1))
@@ -553,9 +551,9 @@ class MeasuredStats:
     n_researchers: int
 
 
-def measure_corpus(corpus: Corpus, scheme: CreditScheme | None = None) -> MeasuredStats:
+def measure_corpus(corpus: Corpus) -> MeasuredStats:
     """Shares of non-productives, nil impact, and top-20% impact concentration."""
-    scored = score_corpus(corpus, scheme)
+    scored = score_corpus(corpus)
     n = len(scored.scores)
     if n == 0:
         return MeasuredStats(0.0, 0.0, 0.0, 0)

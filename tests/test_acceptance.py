@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from meritrank.aggregation import RankedUnit, SdsUnitScore, rank_units, sds_unit_scores, uda_unit_scores
+from meritrank.aggregation import RankedUnit, UnitScore, rank_units, sds_unit_scores, uda_unit_scores
 from meritrank.cli import dispatch
 from meritrank.corpus import Taxonomy
 from meritrank.funding import FundingPolicy, allocate, national_top_census, paradox_report
@@ -144,10 +144,11 @@ def test_criterion_4_uda_identity():
         p_stars = {}
         for i in range(n_sds):
             per_capita = float(rng.uniform(0.05, 5.0))
-            units.append(SdsUnitScore("U1", f"S{i}", per_capita, int(rng.integers(1, 40))))
+            staff = int(rng.integers(1, 40))
+            units.append(UnitScore("U1", f"S{i}", per_capita, staff, staff))
             p_stars[f"S{i}"] = per_capita
         (score,) = uda_unit_scores(units, p_stars, taxonomy)
-        worst = max(worst, abs(score.ss_uda - 1.0))
+        worst = max(worst, abs(score.score - 1.0))
     _report(4, "SS_UDA identity on 100 random staff configurations", worst < 1e-12, f"max |score-1| {worst:.2e}")
 
 
@@ -204,13 +205,14 @@ def test_criterion_7_counterfactual_identity_and_demotion():
             ("UC", "S1"): [5.0, 4.0, 3.0, 2.0, 1.0],
         }
     )
+    units = sds_unit_scores(scores)
     identity = counterfactual_rankings(
-        corpus, scores, select_top(scores, SCOPE_UNIT, share=0.0), "sds"
+        corpus.taxonomy, scores, units, select_top(scores, SCOPE_UNIT, share=0.0), "sds"
     )["S1"]
     identity_ok = all(u.observed_rank == u.hypothetical_rank for u in identity.units)
 
     removed = counterfactual_rankings(
-        corpus, scores, select_top(scores, SCOPE_UNIT, share=0.2), "sds"
+        corpus.taxonomy, scores, units, select_top(scores, SCOPE_UNIT, share=0.2), "sds"
     )["S1"]
     by_univ = {u.university_id: u for u in removed.units}
     demotion_ok = (
@@ -235,7 +237,8 @@ def test_criterion_8_sign_reproduction():
         corpus = generate(profile)
         scored = score_corpus(corpus)
         selection = select_top(scored.scores, SCOPE_UNIT, 0.2)
-        report = counterfactual_rankings(corpus, scored.scores, selection, "sds")["A-01"]
+        units = sds_unit_scores(scored.scores)
+        report = counterfactual_rankings(corpus.taxonomy, scored.scores, units, selection, "sds")["A-01"]
         assert len(report.units) >= 30
         ginis = [u.gini_observed for u in report.units]
         gini_spans.append(max(ginis) - min(ginis))
@@ -276,7 +279,7 @@ def _funding_pipeline(groups):
 
     p_stars = national_averages(units)
     area = uda_unit_scores(units, p_stars, taxonomy)
-    ranking = rank_units(area, "uda")["X"]
+    ranking = rank_units(area)["X"]
     policy = FundingPolicy(budget=1000)
     allocation = allocate(ranking, policy)
     selection = select_top(scores, SCOPE_NATIONAL, 0.2)

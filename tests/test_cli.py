@@ -136,6 +136,33 @@ class TestExitCodes:
         assert code == 1
         assert "at least one quantile class" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--first-w", "nan"), ("--middle-w", "nan"), ("--last-w", "inf")]
+    )
+    def test_non_finite_credit_weight_rejected(self, corpus_dir, tmp_path, capsys, flag, value):
+        out = tmp_path / "s.csv"
+        argv = ["indicators", "--corpus", str(corpus_dir), "--credit", "positional", flag, value]
+        assert dispatch(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: positional weights must be finite and positive")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, config", [(["--window", "2008", "2004"], {}), ([], {"window": [2008, 2004]})],
+        ids=["flag", "config"],
+    )
+    def test_reversed_window_rejected_before_reading(
+        self, corpus_dir, tmp_path, capsys, caplog, flags, config
+    ):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"corpus": str(corpus_dir), **config}))
+        out = tmp_path / "s.csv"
+        assert dispatch(["indicators", "--config", str(config_path), *flags, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error: empty window (2008, 2004)" in err
+        assert "capped" not in err and not any("capped" in r.message for r in caplog.records)
+        assert not out.exists()
+
     def test_non_utf8_input_is_validation_error(self, corpus_dir, tmp_path, capsys):
         broken = tmp_path / "broken"
         broken.mkdir()

@@ -13,6 +13,7 @@ from meritrank.aggregation import (
     PSTAR_MEAN_OF_UNITS,
     PSTAR_POOLED,
     RankedUnit,
+    level_unit_scores,
     national_averages,
     rank_units,
     sds_unit_scores,
@@ -63,7 +64,10 @@ def test_share_zero_is_identity(roster, level, min_staff):
     corpus, scores = scores_with_ss(roster, taxonomy=TAXONOMY)
     selection = select_top(scores, SCOPE_UNIT, 0.0, min_staff)
     assert selection.all_selected() == frozenset()
-    reports = counterfactual_rankings(corpus, scores, selection, level, min_staff=min_staff)
+    units = sds_unit_scores(scores)
+    reports = counterfactual_rankings(
+        corpus.taxonomy, scores, units, selection, level, min_staff=min_staff
+    )
     for report in reports.values():
         assert all(u.hypothetical_rank == u.observed_rank and u.delta == 0 for u in report.units)
 
@@ -73,12 +77,43 @@ def test_share_zero_is_identity(roster, level, min_staff):
 def test_hypothetical_ranks_permute_the_observed_ones(roster, level, share, min_staff):
     corpus, scores = scores_with_ss(roster, taxonomy=TAXONOMY)
     selection = select_top(scores, SCOPE_UNIT, share, min_staff)
-    reports = counterfactual_rankings(corpus, scores, selection, level, min_staff=min_staff)
+    units = sds_unit_scores(scores)
+    reports = counterfactual_rankings(
+        corpus.taxonomy, scores, units, selection, level, min_staff=min_staff
+    )
     for report in reports.values():
         ranks = list(range(1, len(report.units) + 1))
         assert sorted(u.observed_rank for u in report.units) == ranks
         assert sorted(u.hypothetical_rank for u in report.units) == ranks
         assert sum(u.delta for u in report.units) == 0
+
+
+@SETTINGS
+@given(
+    roster=rosters,
+    level=levels,
+    share=shares,
+    min_staff=st.integers(1, 6),
+    pstar_mode=st.sampled_from([PSTAR_MEAN_OF_UNITS, PSTAR_POOLED]),
+    refit_pstar=st.booleans(),
+)
+def test_counterfactual_observed_side_is_the_observed_ranking(
+    roster, level, share, min_staff, pstar_mode, refit_pstar
+):
+    # The ranking `rank` writes: national averages, the level's units, then rank_units.
+    _, scores = scores_with_ss(roster, taxonomy=TAXONOMY)
+    units = sds_unit_scores(scores)
+    p_stars = national_averages(units, pstar_mode)
+    rankings = rank_units(level_unit_scores(units, level, p_stars, TAXONOMY), min_staff)
+    selection = select_top(scores, SCOPE_UNIT, share, min_staff)
+    reports = counterfactual_rankings(
+        TAXONOMY, scores, units, selection, level, min_staff,
+        pstar_mode=pstar_mode, refit_pstar=refit_pstar,
+    )
+    assert set(reports) == set(rankings)
+    for field, report in reports.items():
+        observed = [(u.university_id, u.observed_rank) for u in report.units]
+        assert observed == [(u.university_id, u.rank) for u in rankings[field]]
 
 
 @SETTINGS
@@ -110,8 +145,8 @@ def _orderings(roster, pstar_mode):
     fields = sds_unit_scores(scores)
     areas = uda_unit_scores(fields, national_averages(fields, pstar_mode), TAXONOMY)
     return [
-        {code: [u.university_id for u in ranking] for code, ranking in rank_units(x, level, 1).items()}
-        for x, level in ((fields, LEVEL_SDS), (areas, LEVEL_UDA))
+        {code: [u.university_id for u in ranking] for code, ranking in rank_units(x, 1).items()}
+        for x in (fields, areas)
     ]
 
 

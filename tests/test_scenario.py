@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from meritrank.aggregation import LEVEL_SDS, LEVEL_UDA
+from meritrank.aggregation import LEVEL_SDS, LEVEL_UDA, sds_unit_scores
 from meritrank.errors import UndefinedStatisticError, ValidationError
 from meritrank.scenario import (
     SCOPE_NATIONAL,
@@ -70,6 +70,11 @@ class TestSelectTop:
             select_top(self._scores(5), SCOPE_UNIT, share=1.5)
 
 
+def counterfactual(corpus, scores, selection, level, **options):
+    units = sds_unit_scores(scores)
+    return counterfactual_rankings(corpus.taxonomy, scores, units, selection, level, **options)
+
+
 class TestCounterfactual:
     def test_share_zero_is_identity(self):
         corpus, scores = scores_with_ss(
@@ -80,7 +85,7 @@ class TestCounterfactual:
             }
         )
         selection = select_top(scores, SCOPE_UNIT, share=0.0)
-        report = counterfactual_rankings(corpus, scores, selection, LEVEL_SDS)["S1"]
+        report = counterfactual(corpus, scores, selection, LEVEL_SDS)["S1"]
         assert all(u.delta == 0 for u in report.units)
         assert all(u.observed_rank == u.hypothetical_rank for u in report.units)
 
@@ -92,7 +97,7 @@ class TestCounterfactual:
             }
         )
         selection = select_top(scores, SCOPE_UNIT, share=0.2)
-        report = counterfactual_rankings(corpus, scores, selection, LEVEL_SDS)["S1"]
+        report = counterfactual(corpus, scores, selection, LEVEL_SDS)["S1"]
         by_univ = {u.university_id: u for u in report.units}
         assert by_univ["UA"].observed_rank == 1
         assert by_univ["UA"].hypothetical_rank == 2
@@ -104,7 +109,7 @@ class TestCounterfactual:
         groups = {(f"U{i}", "S1"): [8.0, 2.0, 2.0, 2.0, 2.0] for i in range(6)}
         corpus, scores = scores_with_ss(groups)
         selection = select_top(scores, SCOPE_UNIT, share=0.2)
-        report = counterfactual_rankings(corpus, scores, selection, LEVEL_SDS)["S1"]
+        report = counterfactual(corpus, scores, selection, LEVEL_SDS)["S1"]
         assert all(u.delta == 0 for u in report.units)
 
     def test_deltas_sum_to_zero(self):
@@ -115,7 +120,7 @@ class TestCounterfactual:
         }
         corpus, scores = scores_with_ss(groups)
         selection = select_top(scores, SCOPE_UNIT, share=0.2)
-        report = counterfactual_rankings(corpus, scores, selection, LEVEL_SDS)["S1"]
+        report = counterfactual(corpus, scores, selection, LEVEL_SDS)["S1"]
         assert sum(u.delta for u in report.units) == 0
         observed = sorted(u.observed_rank for u in report.units)
         hypothetical = sorted(u.hypothetical_rank for u in report.units)
@@ -129,7 +134,7 @@ class TestCounterfactual:
             }
         )
         selection = select_top(scores, SCOPE_UNIT, share=1.0)
-        report = counterfactual_rankings(corpus, scores, selection, LEVEL_SDS)["S1"]
+        report = counterfactual(corpus, scores, selection, LEVEL_SDS)["S1"]
         assert all(u.emptied for u in report.units)
         # Scored zero; order falls back to the deterministic tie-break.
         assert [u.university_id for u in sorted(report.units, key=lambda u: u.hypothetical_rank)] == [
@@ -145,7 +150,7 @@ class TestCounterfactual:
             }
         )
         selection = select_top(scores, SCOPE_UNIT, share=0.2)
-        report = counterfactual_rankings(corpus, scores, selection, LEVEL_SDS)["S1"]
+        report = counterfactual(corpus, scores, selection, LEVEL_SDS)["S1"]
         by_univ = {u.university_id: u for u in report.units}
         assert by_univ["U1"].gini_observed == 0.0
         assert by_univ["U2"].gini_observed == pytest.approx(0.8)
@@ -161,10 +166,8 @@ class TestCounterfactual:
         }
         corpus, scores = scores_with_ss(groups, taxonomy=taxonomy)
         selection = select_top(scores, SCOPE_UNIT, share=0.2)
-        frozen = counterfactual_rankings(corpus, scores, selection, LEVEL_UDA)["X"]
-        refit = counterfactual_rankings(
-            corpus, scores, selection, LEVEL_UDA, refit_pstar=True
-        )["X"]
+        frozen = counterfactual(corpus, scores, selection, LEVEL_UDA)["X"]
+        refit = counterfactual(corpus, scores, selection, LEVEL_UDA, refit_pstar=True)["X"]
         frozen_order = [
             u.university_id for u in sorted(frozen.units, key=lambda u: u.hypothetical_rank)
         ]
@@ -178,7 +181,7 @@ class TestCounterfactual:
         corpus, scores = scores_with_ss({("U1", "S1"): [1.0] * 5})
         national = select_top(scores, SCOPE_NATIONAL, share=0.2)
         with pytest.raises(ValidationError):
-            counterfactual_rankings(corpus, scores, national, LEVEL_SDS)
+            counterfactual(corpus, scores, national, LEVEL_SDS)
 
     def test_spearman_reported_on_larger_fields(self):
         rng = np.random.default_rng(53)
@@ -187,7 +190,7 @@ class TestCounterfactual:
         }
         corpus, scores = scores_with_ss(groups)
         selection = select_top(scores, SCOPE_UNIT, share=0.2)
-        report = counterfactual_rankings(corpus, scores, selection, LEVEL_SDS, k_classes=4)["S1"]
+        report = counterfactual(corpus, scores, selection, LEVEL_SDS, k_classes=4)["S1"]
         assert report.spearman_obs_hyp is not None
         assert report.transition is not None
         sizes = [sum(row) for row in report.transition]

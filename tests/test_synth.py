@@ -432,6 +432,10 @@ class TestProfile:
         with pytest.raises(ValidationError, match="staff range"):
             generate(replace(SMALL, staff_per_unit=(0, 0)))
 
+    def test_empty_window_rejected_by_the_loader_rule(self):
+        with pytest.raises(ValidationError, match=r"^profile: empty window \(2008, 2004\): the first"):
+            generate(replace(SMALL, window=(2008, 2004)))
+
     def test_share_out_of_bounds(self):
         with pytest.raises(ValidationError, match="p_nonproductive"):
             generate(replace(SMALL, p_nonproductive=1.2))
