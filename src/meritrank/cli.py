@@ -1,10 +1,11 @@
 """Command-line front end orchestrating the pipeline and emitting reports.
 
 Exit codes: 0 success, 1 validation error, 2 undefined statistic, 3 I/O
-error. Every run that gets through its command writes a JSON manifest
-(config echo, input digests, tool version) alongside its outputs. A JSON
-config file may supply any flag, parsed as the flag parses it; explicit
-flags win.
+error, 4 internal error: any other exception is a bug, which `main` reports
+with its traceback (`dispatch` lets it propagate). Every run that gets
+through its command writes a JSON manifest (config echo, input digests,
+tool version) alongside its outputs. A JSON config file may supply any
+flag, parsed as the flag parses it; explicit flags win.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import json
 import logging
 import sys
+import traceback
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -30,7 +32,7 @@ from .aggregation import (
     sds_unit_scores,
 )
 from .corpus import DEFAULT_WINDOW, load_corpus, open_input
-from .errors import MeritrankError, UndefinedStatisticError, ValidationError
+from .errors import AllocationError, MeritrankError, UndefinedStatisticError, ValidationError
 from .funding import FundingPolicy, allocate, national_top_census, paradox_report
 from .indicators import productivity_stats, score_corpus
 from .normalization import EQUAL_FRACTIONAL, POSITIONAL, CreditScheme
@@ -60,6 +62,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_UNDEFINED_STATISTIC = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 CREDIT_MODES = {"equal": EQUAL_FRACTIONAL, "positional": POSITIONAL}
 
@@ -178,28 +181,25 @@ def _ranked_units(units, level: str, cfg: dict, taxonomy):
     return rank_units(level_unit_scores(units, level, p_stars, taxonomy), cfg["min_staff"])
 
 
-def _fund_area(scored, ranking, uda: str, budget, cfg: dict, selection):
-    """Allocate one area's budget over its ranking and take the top-scientist census.
-
-    Returns (allocation, census, paradox findings). `selection` is the
-    national top selection.
-    """
-    policy = FundingPolicy(
+def _funding_policy(cfg: dict) -> FundingPolicy:
+    """The run's one funding policy; a global budget, where given, is its budget."""
+    return FundingPolicy(
         n_classes=cfg["classes"],
         adjacent_ratio=cfg["ratio"],
         bottom_class_funded=cfg["bottom_funded"],
-        budget=budget,
+        budget=cfg["budget"] if cfg.get("global_budget") is None else cfg["global_budget"],
     )
-    allocation = allocate(ranking, policy, uda)
-    census = national_top_census(
-        scored.scores,
-        scored.corpus.taxonomy,
-        uda,
-        allocation.class_of(),
-        selection,
-        n_classes=cfg["classes"],
-    )
-    return allocation, census, paradox_report(census, allocation)
+
+
+def _fund_area(scored, ranking, uda: str, policy: FundingPolicy, selection):
+    """Fund one area over its ranking and take the top-scientist census.
+
+    Returns (census, paradox findings); the census holds the allocation.
+    `selection` is the national top selection.
+    """
+    allocation = allocate(ranking, policy)
+    census = national_top_census(scored.scores, scored.corpus.taxonomy, uda, allocation, selection)
+    return census, paradox_report(census)
 
 
 def cmd_rank(cfg: dict) -> int:
@@ -262,16 +262,18 @@ def cmd_counterfactual(cfg: dict) -> int:
 def cmd_fund(cfg: dict) -> int:
     uda = _required(cfg, "uda", "--uda")
     out = _required(cfg, "out", "--out")
+    policy = _funding_policy(cfg)
     corpus = _load(cfg)
     scored = score_corpus(corpus, _credit_scheme(cfg))
     rankings = _ranked_units(sds_unit_scores(scored.scores), LEVEL_UDA, cfg, corpus.taxonomy)
     if uda not in rankings:
         raise ValidationError(f"--uda {uda!r}: no ranked universities in that area")
     selection = select_top(scored.scores, SCOPE_NATIONAL, cfg["share"], cfg["min_staff"])
-    allocation, census, findings = _fund_area(scored, rankings[uda], uda, cfg["budget"], cfg, selection)
+    census, findings = _fund_area(scored, rankings[uda], uda, policy, selection)
+    allocation = census.allocation
     reports.write_allocation_csv(out, allocation)
     if cfg["census"]:
-        reports.write_combined_census_csv(cfg["census"], [(uda, census, allocation)], with_uda=False)
+        reports.write_combined_census_csv(cfg["census"], [census], with_uda=False)
     if cfg["findings"]:
         reports.write_findings_json(cfg["findings"], {uda: findings})
     print(
@@ -284,6 +286,7 @@ def cmd_fund(cfg: dict) -> int:
 
 def cmd_report_all(cfg: dict) -> int:
     out_dir = Path(_required(cfg, "out", "--out"))
+    policy = _funding_policy(cfg)
     if cfg["corpus"]:
         corpus = _load(cfg)
     else:
@@ -362,27 +365,24 @@ def cmd_report_all(cfg: dict) -> int:
             uda: sum(u.staff for u in ranking) for uda, ranking in rankings_uda.items()
         }
         total_staff = sum(staff_by_uda.values())
-        budgets = {
-            uda: cfg["global_budget"] * staff / total_staff
-            for uda, staff in staff_by_uda.items()
-        }
+        budgets = {uda: policy.budget * staff / total_staff for uda, staff in staff_by_uda.items()}
     else:
-        budgets = {uda: cfg["budget"] for uda in rankings_uda}
+        budgets = {uda: policy.budget for uda in rankings_uda}
     national_selection = select_top(scored.scores, SCOPE_NATIONAL, cfg["share"], cfg["min_staff"])
-    census_entries = []
+    censuses = []
     findings_by_uda = {}
     skipped_udas = []
     for uda in sorted(rankings_uda):
+        area_policy = replace(policy, budget=budgets[uda])
         try:
-            allocation, census, findings = _fund_area(
-                scored, rankings_uda[uda], uda, budgets[uda], cfg, national_selection
-            )
-        except MeritrankError as exc:
+            census, findings = _fund_area(scored, rankings_uda[uda], uda, area_policy, national_selection)
+        except (UndefinedStatisticError, AllocationError) as exc:
+            # Fewer ranked universities than classes, or no weighted staff to fund.
             skipped_udas.append({"uda": uda, "reason": str(exc)})
             continue
         findings_by_uda[uda] = findings
-        census_entries.append((uda, census, allocation))
-    reports.write_combined_census_csv(out_dir / "funding_census.csv", census_entries, with_uda=True)
+        censuses.append(census)
+    reports.write_combined_census_csv(out_dir / "funding_census.csv", censuses, with_uda=True)
     reports.write_findings_json(out_dir / "paradoxes.json", findings_by_uda)
 
     summary = {
@@ -394,8 +394,8 @@ def cmd_report_all(cfg: dict) -> int:
         "non_productive_share": stats.overall_non_productive,
         "nil_impact_share": stats.overall_nil_impact,
         "top20_impact_share": top20_impact_share([s.ss for s in scored.scores.values()]),
-        "stranded_top_scientists": sum(c.stranded_count for _, c, _ in census_entries),
-        "total_top_scientists": sum(c.total_tops for _, c, _ in census_entries),
+        "stranded_top_scientists": sum(c.stranded_count for c in censuses),
+        "total_top_scientists": sum(c.total_tops for c in censuses),
         "skipped_udas": skipped_udas,
     }
     reports.json_file(out_dir / "summary.json", summary, sort_keys=True)
@@ -631,7 +631,11 @@ def dispatch(argv) -> int:
 
 
 def main(argv=None) -> int:
-    return dispatch(sys.argv[1:] if argv is None else argv)
+    try:
+        return dispatch(sys.argv[1:] if argv is None else argv)
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

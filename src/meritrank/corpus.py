@@ -332,6 +332,9 @@ class Corpus:
         researcher loader ensures by building `universities` itself.
         `load_corpus` does not call this.
         """
+        problem = window_problem(self.window)
+        if problem:
+            raise ValidationError(problem)
         problem = publications_problem(self.publications, self.window, self.researchers)
         if problem:
             row, message = problem

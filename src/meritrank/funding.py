@@ -67,7 +67,6 @@ class UnitAllocation:
 
 @dataclass(frozen=True)
 class FundingAllocation:
-    uda: str | None
     policy: FundingPolicy
     units: tuple[UnitAllocation, ...]
 
@@ -79,11 +78,7 @@ class FundingAllocation:
         return {u.university_id: u.class_index for u in self.units}
 
 
-def allocate(
-    ranked_units: Sequence[RankedUnit],
-    policy: FundingPolicy,
-    uda: str | None = None,
-) -> FundingAllocation:
+def allocate(ranked_units: Sequence[RankedUnit], policy: FundingPolicy) -> FundingAllocation:
     """Split the budget across a ranked roster, staff-proportional within class.
 
     amount_u = budget * staff_u * weight(class_u) / sum_v staff_v * weight(class_v),
@@ -104,7 +99,7 @@ def allocate(
         units.append(
             UnitAllocation(unit.university_id, class_index, unit.staff, amount, per_capita)
         )
-    return FundingAllocation(uda, policy, tuple(units))
+    return FundingAllocation(policy, tuple(units))
 
 
 @dataclass(frozen=True)
@@ -122,7 +117,7 @@ class TopCensus:
 
     uda: str
     share: float
-    n_classes: int
+    allocation: FundingAllocation
     universities: list[UniversityCensus]
     class_totals: list[int]
     total_tops: int
@@ -135,14 +130,13 @@ def national_top_census(
     scores: Mapping[str, ResearcherScore],
     taxonomy: Taxonomy,
     uda: str,
-    classes: Mapping[str, int],
+    allocation: FundingAllocation,
     selection: TopSelection,
-    n_classes: int = FundingPolicy.n_classes,
 ) -> TopCensus:
     """Count top national scientists per university and per funding class.
 
     Top status comes from a nationally scoped selection: per-SDS, independent
-    of employer. Classes come from the UDA-level funding classification.
+    of employer. The classes and their count come from the area's `allocation`.
     Tops employed outside the ranked roster are reported separately so the
     per-class totals always partition the classified total. Stranded means
     sitting in the bottom class.
@@ -160,8 +154,9 @@ def national_top_census(
         if score.researcher_id in top_ids:
             tops_by_univ[score.university_id] += 1
 
+    classes = allocation.class_of()
     universities = []
-    class_totals = [0] * n_classes
+    class_totals = [0] * allocation.policy.n_classes
     unclassified = 0
     for univ in sorted(staff_by_univ):
         staff = staff_by_univ[univ]
@@ -179,7 +174,7 @@ def national_top_census(
     return TopCensus(
         uda=uda,
         share=selection.share,
-        n_classes=n_classes,
+        allocation=allocation,
         universities=universities,
         class_totals=class_totals,
         total_tops=total,
@@ -199,19 +194,17 @@ KIND_CLASS_INVERSION = "class_funding_inversion"
 KIND_STRANDED_INCIDENCE = "stranded_high_incidence"
 
 
-def paradox_report(census: TopCensus, allocation: FundingAllocation) -> list[Finding]:
+def paradox_report(census: TopCensus) -> list[Finding]:
     """Flag cases where the class-based scheme contradicts individual merit.
 
     (a) a better-funded class hosting fewer top scientists than a worse one;
     (b) an unfunded university whose top-scientist incidence beats the
     staff-weighted incidence of the first class.
     """
-    weights = allocation.policy.class_weights()
-    if len(weights) != census.n_classes:
-        raise ValidationError("census and allocation use different class counts")
+    weights = census.allocation.policy.class_weights()
     findings: list[Finding] = []
     totals = census.class_totals
-    for i, j in combinations(range(census.n_classes), 2):
+    for i, j in combinations(range(len(weights)), 2):
         if weights[i] > weights[j] and totals[i] < totals[j]:
             findings.append(
                 Finding(

@@ -231,21 +231,19 @@ def write_allocation_csv(path, allocation: FundingAllocation) -> None:
 CENSUS_COLUMNS = ["university_id", "class", "staff", "top_count", "incidence", "amount"]
 
 
-def write_combined_census_csv(
-    path, entries: Sequence[tuple[str, TopCensus, FundingAllocation]], with_uda: bool
-) -> None:
-    """Census rows of one or more UDAs, amounts joined from the allocations.
+def write_combined_census_csv(path, censuses: Sequence[TopCensus], with_uda: bool) -> None:
+    """Census rows of one or more UDAs, amounts joined from each census's allocation.
 
     Classes come from the allocation: a university outside the ranked
     roster has an empty class and a zero amount.
     """
     header = (["uda"] if with_uda else []) + CENSUS_COLUMNS
     rows = []
-    for uda, census, allocation in entries:
-        amounts = {u.university_id: float(u.amount) for u in allocation.units}
+    for census in censuses:
+        amounts = {u.university_id: float(u.amount) for u in census.allocation.units}
         for row in census.universities:
             rows.append(
-                ([uda] if with_uda else [])
+                ([census.uda] if with_uda else [])
                 + [
                     row.university_id,
                     "" if row.class_index is None else row.class_index + 1,

@@ -81,6 +81,7 @@ _PUBLICATIONS_PER_WRITE = 4096  # lines encoded and written together by `write_p
 # As `Generator.choice` computes it: the cumulative sum, divided by its last entry.
 _DOC_TYPE_CDF = np.cumsum(DOC_TYPE_PROBS) / np.cumsum(DOC_TYPE_PROBS)[-1]
 _EXP_CAP = 709.0  # exp(709) > 8e307 is far above MAX_CITATIONS, and exp(710) overflows a float
+_INT64 = np.iinfo(np.int64)  # `Generator.integers` draws int64: both bounds must fit it
 
 RNG_DESCRIPTION = "numpy.random.PCG64 seeded via numpy.random.SeedSequence(seed)"
 
@@ -175,6 +176,11 @@ class GeneratorProfile:
         clo, chi = self.coauthor_range
         if clo < 1 or chi < clo:
             raise ValidationError(f"profile: infeasible coauthor range {self.coauthor_range}")
+        for name in ("staff_per_unit", "window", "coauthor_range"):
+            # `_draw` passes lo and hi + 1 to `integers`, and the window's length is a bound too.
+            lo, hi = getattr(self, name)
+            if lo < _INT64.min or hi > _INT64.max or hi - lo >= _INT64.max:
+                raise ValidationError(f"profile: {name} {(lo, hi)} does not fit 64-bit integer draws")
         unknown_life = set(self.life_science_udas) - set(self.sds_per_uda)
         if unknown_life:
             raise ValidationError(f"profile: life-science UDAs {sorted(unknown_life)} not in layout")

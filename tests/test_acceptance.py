@@ -283,10 +283,7 @@ def _funding_pipeline(groups):
     policy = FundingPolicy(budget=1000)
     allocation = allocate(ranking, policy)
     selection = select_top(scores, SCOPE_NATIONAL, 0.2)
-    census = national_top_census(
-        scores, taxonomy, "X", allocation.class_of(), selection=selection
-    )
-    return census, allocation
+    return national_top_census(scores, taxonomy, "X", allocation, selection=selection)
 
 
 def test_criterion_10_paradox_reproduction():
@@ -300,8 +297,8 @@ def test_criterion_10_paradox_reproduction():
         ("U7", "S1"): [3.0] * 5,
         ("U8", "S1"): [41.0] + [0.0] * 14,
     }
-    census, allocation = _funding_pipeline(dispersed)
-    findings = paradox_report(census, allocation)
+    census = _funding_pipeline(dispersed)
+    findings = paradox_report(census)
     dispersed_ok = (
         census.stranded_share > 0
         and any(f.kind == "class_funding_inversion" for f in findings)
@@ -317,7 +314,7 @@ def test_criterion_10_paradox_reproduction():
         ("U7", "S1"): [6.0] * 5,
         ("U8", "S1"): [5.0] * 5,
     }
-    census_c, _ = _funding_pipeline(concentrated)
+    census_c = _funding_pipeline(concentrated)
     concentrated_ok = census_c.stranded_share == 0.0 and census_c.total_tops > 0
     _report(
         10,

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from meritrank import cli, scenario
+from meritrank import cli, reports, scenario
 from meritrank.cli import dispatch
 from meritrank.synth import GeneratorProfile
 
@@ -16,6 +16,26 @@ PROFILE = {
     "staff_per_unit": [3, 9],
     "seed": 21,
 }
+
+
+# Acceptance criterion 11's profile: area A ranks 11 universities and area B 10.
+CRITERION_11_PROFILE = {
+    "n_universities": 12,
+    "sds_per_uda": {"A": 3, "B": 2},
+    "life_science_udas": ["B"],
+    "staff_per_unit": [3, 9],
+    "seed": 41,
+}
+
+
+@pytest.fixture(scope="module")
+def criterion_11_corpus(tmp_path_factory):
+    root = tmp_path_factory.mktemp("criterion_11")
+    profile_path = root / "profile.json"
+    profile_path.write_text(json.dumps(CRITERION_11_PROFILE))
+    out = root / "corpus"
+    assert dispatch(["gen", "--profile", str(profile_path), "--out", str(out)]) == 0
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -192,6 +212,45 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "score_corpus", broken_scoring)
         with pytest.raises(ValueError, match="internal bug"):
             dispatch(["indicators", "--corpus", str(corpus_dir), "--out", str(tmp_path / "s.csv")])
+
+    def test_internal_error_exits_4_with_its_traceback(self, tmp_path, monkeypatch, capsys):
+        def broken_handler(cfg):
+            raise RuntimeError("internal bug")
+
+        monkeypatch.setattr(cli, "cmd_gen", broken_handler)
+        assert cli.main(["gen", "--out", str(tmp_path / "corpus")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback")
+        assert "RuntimeError: internal bug" in err
+
+    @pytest.mark.parametrize("field, low", [("coauthor_range", 1), ("staff_per_unit", 3), ("window", 2004)])
+    def test_profile_range_beyond_int64_rejected(self, tmp_path, capsys, field, low):
+        profile_path = tmp_path / "profile.json"
+        profile_path.write_text(json.dumps({**CRITERION_11_PROFILE, field: [low, 10**20]}))
+        out = tmp_path / "corpus"
+        assert dispatch(["gen", "--profile", str(profile_path), "--out", str(out)]) == 1
+        assert f"error: profile: {field} ({low}, {10**20}) does not fit" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--budget", "0"], "budget must be positive"),
+            (["--global-budget", "-5"], "budget must be positive"),
+            (["--classes", "1"], "funding needs at least 2 classes"),
+            (["--ratio", "1"], "adjacent class ratio must exceed 1"),
+            (["--ratio", "1/2"], "adjacent class ratio must exceed 1"),
+        ],
+        ids=["budget", "global-budget", "classes", "ratio-1", "ratio-half"],
+    )
+    def test_invalid_funding_option_rejected_before_reading(
+        self, criterion_11_corpus, tmp_path, capsys, flags, message
+    ):
+        out = tmp_path / "run"
+        argv = ["report-all", "--corpus", str(criterion_11_corpus), *flags, "--out", str(out)]
+        assert dispatch(argv) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (out / "scores.csv").exists()
 
 
 class TestIndicators:
@@ -528,3 +587,15 @@ class TestReportAll:
         rows = read_csv(out / "funding_census.csv")
         total = sum(float(r[6]) for r in rows[1:])
         assert total == pytest.approx(5000.0, rel=1e-9)
+
+    def test_areas_with_fewer_universities_than_classes_are_skipped(self, criterion_11_corpus, tmp_path):
+        out = tmp_path / "run"
+        argv = ["report-all", "--corpus", str(criterion_11_corpus), "--classes", "50", "--out", str(out)]
+        assert dispatch(argv) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["skipped_udas"] == [
+            {"uda": "A", "reason": "cannot split 11 units into 50 classes"},
+            {"uda": "B", "reason": "cannot split 10 units into 50 classes"},
+        ]
+        assert summary["total_top_scientists"] == 0
+        assert read_csv(out / "funding_census.csv") == [["uda", *reports.CENSUS_COLUMNS]]

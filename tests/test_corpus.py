@@ -4,6 +4,7 @@ import json
 import logging
 import random
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -295,6 +296,12 @@ class TestSharedRules:
     def test_validate_rejects_years_beyond_window_that_the_loader_caps(self):
         with pytest.raises(ValidationError, match=r"years_in_post 9 outside \[1, 5\]"):
             _in_memory([VALID_PUBLICATION], "R3,U1,Uni One,S1,9").validate()
+
+    def test_validate_rejects_an_empty_window_before_any_record(self):
+        profile = GeneratorProfile(n_universities=2, sds_per_uda={"A": 1}, life_science_udas=(), seed=1)
+        corpus = replace(generate(profile), window=(2008, 2004))
+        with pytest.raises(ValidationError, match=r"^empty window \(2008, 2004\)"):
+            corpus.validate()
 
 
 class TestFirstBadLine:

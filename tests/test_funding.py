@@ -121,7 +121,11 @@ class TestAllocate:
 
 
 def census_fixture():
-    """Eight universities in one UDA, quartiles of two, tops steered by SS."""
+    """Eight universities in one UDA, quartiles of two, tops steered by SS.
+
+    Returns the corpus, the scores and the allocation over U01..U08 ranked in
+    that order, which puts U01-U02 in the first class and U07-U08 in the last.
+    """
     taxonomy = make_taxonomy({"S1": "X"})
     groups = {}
     # First class: 5 staff each, high scores; bottom class hosts one stranded top.
@@ -140,15 +144,14 @@ def census_fixture():
     corpus, scores = scores_with_ss(groups, taxonomy=taxonomy)
     # Observed per-capita ranking: U01..U07 descending, U08 last (19 per capita
     # for U08 vs 20.4+ for the rest).
-    classes = {f"U{i + 1:02d}": i // 2 for i in range(8)}
-    return corpus, scores, classes
+    return corpus, scores, allocate(ranked([5] * 8), FundingPolicy(budget=1000))
 
 
 class TestCensus:
     def test_counts_and_stranded_share(self):
-        corpus, scores, classes = census_fixture()
+        corpus, scores, allocation = census_fixture()
         selection = select_top(scores, SCOPE_NATIONAL, 0.2)
-        census = national_top_census(scores, corpus.taxonomy, "X", classes, selection)
+        census = national_top_census(scores, corpus.taxonomy, "X", allocation, selection)
         # 40 researchers nationally in S1 -> 8 tops: the pairs at 100/90/80,
         # U08's 95, and one of the tied 70s (id tie-break picks U04-S1-00).
         assert census.total_tops == 8
@@ -160,66 +163,56 @@ class TestCensus:
         assert by_univ["U08"].incidence == pytest.approx(0.2)
 
     def test_partition_into_classes(self):
-        corpus, scores, classes = census_fixture()
+        corpus, scores, allocation = census_fixture()
         selection = select_top(scores, SCOPE_NATIONAL, 0.2)
-        census = national_top_census(scores, corpus.taxonomy, "X", classes, selection)
+        census = national_top_census(scores, corpus.taxonomy, "X", allocation, selection)
+        assert census.allocation is allocation
         assert sum(census.class_totals) == census.total_tops
         assert sum(u.top_count for u in census.universities) == census.total_tops
 
     def test_unclassified_universities_tracked_separately(self):
-        corpus, scores, classes = census_fixture()
-        del classes["U08"]
+        corpus, scores, _ = census_fixture()
+        without_u08 = allocate(ranked([5] * 7), FundingPolicy(budget=1000))
         selection = select_top(scores, SCOPE_NATIONAL, 0.2)
-        census = national_top_census(scores, corpus.taxonomy, "X", classes, selection)
+        census = national_top_census(scores, corpus.taxonomy, "X", without_u08, selection)
         assert census.unclassified_tops == 1
         assert census.total_tops == 7
         assert sum(census.class_totals) == 7
 
     def test_rejects_unit_scope_selection(self):
-        corpus, scores, classes = census_fixture()
+        corpus, scores, allocation = census_fixture()
         bad = TopSelection("unit", 0.2, {})
         with pytest.raises(ValidationError):
-            national_top_census(scores, corpus.taxonomy, "X", classes, selection=bad)
+            national_top_census(scores, corpus.taxonomy, "X", allocation, selection=bad)
 
 
 class TestParadoxReport:
-    def _allocation(self, census_classes, staffs):
-        units = [
-            RankedUnit(i + 1, univ, float(len(staffs) - i), staffs[i])
-            for i, univ in enumerate(sorted(census_classes))
-        ]
-        return allocate(units, FundingPolicy(budget=1000))
+    def _census(self):
+        corpus, scores, allocation = census_fixture()
+        selection = select_top(scores, SCOPE_NATIONAL, 0.2)
+        return national_top_census(scores, corpus.taxonomy, "X", allocation, selection)
 
     def test_class_pair_inversion_flagged(self):
-        corpus, scores, classes = census_fixture()
-        selection = select_top(scores, SCOPE_NATIONAL, 0.2)
-        census = national_top_census(scores, corpus.taxonomy, "X", classes, selection)
+        census = self._census()
         # Force an inversion: pretend the first class hosts fewer tops.
         census.class_totals = [156, 204, 100, 50]
-        allocation = self._allocation(classes, [5] * 8)
-        findings = paradox_report(census, allocation)
+        findings = paradox_report(census)
         inversions = [f for f in findings if f.kind == KIND_CLASS_INVERSION]
         assert any(
             f.details["better_class"] == 1 and f.details["worse_class"] == 2 for f in inversions
         )
 
     def test_monotone_top_counts_no_class_findings(self):
-        corpus, scores, classes = census_fixture()
-        selection = select_top(scores, SCOPE_NATIONAL, 0.2)
-        census = national_top_census(scores, corpus.taxonomy, "X", classes, selection)
+        census = self._census()
         census.class_totals = [10, 6, 3, 1]
         for row in census.universities:  # silence rule (b) for this case
             object.__setattr__(row, "top_count", 0)
-        allocation = self._allocation(classes, [5] * 8)
-        findings = paradox_report(census, allocation)
+        findings = paradox_report(census)
         assert [f for f in findings if f.kind == KIND_CLASS_INVERSION] == []
 
     def test_stranded_high_incidence_flagged(self):
-        corpus, scores, classes = census_fixture()
-        selection = select_top(scores, SCOPE_NATIONAL, 0.2)
-        census = national_top_census(scores, corpus.taxonomy, "X", classes, selection)
-        allocation = self._allocation(classes, [5] * 8)
-        findings = paradox_report(census, allocation)
+        census = self._census()
+        findings = paradox_report(census)
         stranded = [f for f in findings if f.kind == KIND_STRANDED_INCIDENCE]
         # U08: 1 top of 5 staff (20%) vs first-class average 4/10 (40%) -> not
         # flagged; U07 holds no tops. Sharpen U08 to trigger the rule.
@@ -228,7 +221,7 @@ class TestParadoxReport:
         row = census.universities[by_univ["U08"]]
         object.__setattr__(row, "top_count", 3)
         object.__setattr__(row, "incidence", 0.6)
-        findings = paradox_report(census, allocation)
+        findings = paradox_report(census)
         stranded = [f for f in findings if f.kind == KIND_STRANDED_INCIDENCE]
         assert len(stranded) == 1
         assert stranded[0].details["university_id"] == "U08"

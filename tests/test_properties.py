@@ -22,7 +22,7 @@ from meritrank.aggregation import (
 from meritrank.cli import dispatch
 from meritrank.corpus import AuthorSlot, Publication
 from meritrank.errors import AllocationError, UndefinedStatisticError
-from meritrank.funding import FundingPolicy, allocate
+from meritrank.funding import FundingPolicy, allocate, national_top_census
 from meritrank.indicators import percentile_ranks, researcher_ss
 from meritrank.normalization import (
     EQUAL_FRACTIONAL,
@@ -373,6 +373,47 @@ def test_allocate_conserves_budget_and_adjacent_ratio(staffs, n_classes, ratio, 
             assert upper == lower * ratio
     if not bottom_funded and n_classes - 1 in per_capita:
         assert per_capita[n_classes - 1] == {Fraction(0)}
+
+
+# Up to ten universities, so an area can hold six ranked ones and still leave some unranked.
+census_rosters = st.dictionaries(
+    st.tuples(st.sampled_from([f"U{i:02d}" for i in range(10)]), st.sampled_from(TAXONOMY.sds_codes)),
+    st.lists(ss_values, min_size=1, max_size=8),
+    min_size=1,
+    max_size=30,
+)
+
+
+@SETTINGS
+@given(
+    roster=census_rosters,
+    min_staff=st.integers(1, 4),
+    share=shares,
+    ratio=st.fractions(min_value=Fraction(11, 10), max_value=5, max_denominator=20),
+    bottom_funded=st.booleans(),
+    data=st.data(),
+)
+def test_census_partitions_the_area_tops_over_its_allocation(
+    roster, min_staff, share, ratio, bottom_funded, data
+):
+    corpus, scores = scores_with_ss(roster, taxonomy=TAXONOMY)
+    units = sds_unit_scores(scores)
+    p_stars = national_averages(units)
+    rankings = rank_units(level_unit_scores(units, LEVEL_UDA, p_stars, TAXONOMY), min_staff)
+    assume(any(len(ranking) >= 2 for ranking in rankings.values()))
+    uda = data.draw(st.sampled_from(sorted(u for u, r in rankings.items() if len(r) >= 2)))
+    n_classes = data.draw(st.integers(2, min(6, len(rankings[uda]))))
+    policy = FundingPolicy(n_classes, ratio, bottom_funded, 1000)
+    allocation = allocate(rankings[uda], policy)
+    selection = select_top(scores, SCOPE_NATIONAL, share, min_staff)
+    census = national_top_census(scores, TAXONOMY, uda, allocation, selection)
+
+    assert len(census.class_totals) == policy.n_classes
+    classes = allocation.class_of()
+    for row in census.universities:
+        assert row.class_index == classes.get(row.university_id)
+    area_tops = [rid for rid in selection.all_selected() if TAXONOMY.uda_of(scores[rid].sds) == uda]
+    assert sum(census.class_totals) + census.unclassified_tops == len(area_tops)
 
 
 nonnegative = st.one_of(
