@@ -34,8 +34,10 @@ from .normalization import (
     standardize,
 )
 from .indicators import (
+    MeasuredStats,
     ResearcherScore,
     ScoredCorpus,
+    measured_shares,
     percentile_ranks,
     productivity_stats,
     researcher_ss,
@@ -91,7 +93,6 @@ from .synth import (
     CalibrationResult,
     CalibrationTargets,
     GeneratorProfile,
-    MeasuredStats,
     calibrate,
     generate,
     measure_corpus,

@@ -34,7 +34,7 @@ from .aggregation import (
 from .corpus import DEFAULT_WINDOW, load_corpus, open_input
 from .errors import AllocationError, MeritrankError, UndefinedStatisticError, ValidationError
 from .funding import FundingPolicy, allocate, national_top_census, paradox_report
-from .indicators import productivity_stats, score_corpus
+from .indicators import measured_shares, productivity_stats, score_corpus
 from .normalization import EQUAL_FRACTIONAL, POSITIONAL, CreditScheme
 from .scenario import (
     DEFAULT_SHARE,
@@ -45,7 +45,7 @@ from .scenario import (
     select_top,
     shift_gini_scatter,
 )
-from .stats import bottom_top_ratio, top20_impact_share
+from .stats import bottom_top_ratio
 from . import reports
 from .synth import (
     DEFAULT_TOLERANCE,
@@ -181,6 +181,17 @@ def _ranked_units(units, level: str, cfg: dict, taxonomy):
     return rank_units(level_unit_scores(units, level, p_stars, taxonomy), cfg["min_staff"])
 
 
+def _counterfactual(cfg: dict, scored, units, selection, level: str, k_classes: int):
+    """Counterfactual reports per field at `level`, in field-code order.
+
+    `report-all` has no --refit-pstar, so its national averages stay frozen.
+    """
+    return counterfactual_rankings(
+        scored.corpus.taxonomy, scored.scores, units, selection, level, min_staff=cfg["min_staff"],
+        k_classes=k_classes, pstar_mode=cfg["pstar"], refit_pstar=cfg.get("refit_pstar", False),
+    )
+
+
 def _funding_policy(cfg: dict) -> FundingPolicy:
     """The run's one funding policy; a global budget, where given, is its budget."""
     return FundingPolicy(
@@ -230,17 +241,7 @@ def cmd_counterfactual(cfg: dict) -> int:
     corpus = _load(cfg)
     scored = score_corpus(corpus, _credit_scheme(cfg))
     selection = select_top(scored.scores, SCOPE_UNIT, cfg["share"], cfg["min_staff"])
-    cf = counterfactual_rankings(
-        corpus.taxonomy,
-        scored.scores,
-        sds_unit_scores(scored.scores),
-        selection,
-        level,
-        min_staff=cfg["min_staff"],
-        k_classes=cfg["classes"],
-        pstar_mode=cfg["pstar"],
-        refit_pstar=cfg["refit_pstar"],
-    )
+    cf = _counterfactual(cfg, scored, sds_unit_scores(scored.scores), selection, level, cfg["classes"])
     if field is not None and field not in cf:
         raise ValidationError(f"--field {field!r}: no counterfactual report at level {level}")
     # Every check runs before the first write, so a rejected run leaves no files.
@@ -249,7 +250,7 @@ def cmd_counterfactual(cfg: dict) -> int:
         raise UndefinedStatisticError(
             f"field {field!r}: fewer ranked units than {cfg['classes']} classes"
         )
-    selected = [cf[field]] if field else [cf[code] for code in sorted(cf)]
+    selected = [cf[field]] if field else list(cf.values())
     reports.write_counterfactual_csv(out, selected, with_field=field is None)
     if scatter is not None:
         reports.write_scatter_svg(cfg["svg"], scatter, title=field)
@@ -323,40 +324,17 @@ def cmd_report_all(cfg: dict) -> int:
     reports.write_ranking_csv(out_dir / "ranks_uda.csv", rankings_uda)
 
     selection = select_top(scored.scores, SCOPE_UNIT, cfg["share"], cfg["min_staff"])
-    cf_uda = counterfactual_rankings(
-        corpus.taxonomy,
-        scored.scores,
-        units,
-        selection,
-        LEVEL_UDA,
-        min_staff=cfg["min_staff"],
-        k_classes=cfg["transition_classes"],
-        pstar_mode=cfg["pstar"],
-    )
-    reports.write_counterfactual_csv(
-        out_dir / "counterfactual_uda.csv", [cf_uda[c] for c in sorted(cf_uda)], with_field=True
-    )
-    for code in sorted(cf_uda):
-        report = cf_uda[code]
+    cf_uda = _counterfactual(cfg, scored, units, selection, LEVEL_UDA, cfg["transition_classes"])
+    reports.write_counterfactual_csv(out_dir / "counterfactual_uda.csv", cf_uda.values(), with_field=True)
+    for report in cf_uda.values():
         if report.transition is not None:
-            reports.write_transition_csv(out_dir / f"transition_{code}.csv", report)
+            reports.write_transition_csv(out_dir / f"transition_{report.field}.csv", report)
         if len(report.units) >= 5:
             reports.write_scatter_svg(
-                out_dir / f"scatter_{code}.svg", shift_gini_scatter(report), title=code
+                out_dir / f"scatter_{report.field}.svg", shift_gini_scatter(report), title=report.field
             )
-    cf_sds = counterfactual_rankings(
-        corpus.taxonomy,
-        scored.scores,
-        units,
-        selection,
-        LEVEL_SDS,
-        min_staff=cfg["min_staff"],
-        k_classes=cfg["transition_classes"],
-        pstar_mode=cfg["pstar"],
-    )
-    reports.write_counterfactual_summary_csv(
-        out_dir / "counterfactual_sds_summary.csv", [cf_sds[c] for c in sorted(cf_sds)]
-    )
+    cf_sds = _counterfactual(cfg, scored, units, selection, LEVEL_SDS, cfg["transition_classes"])
+    reports.write_counterfactual_summary_csv(out_dir / "counterfactual_sds_summary.csv", cf_sds.values())
 
     # A global budget splits across areas proportionally to their ranked staff;
     # otherwise every area gets the per-UDA budget.
@@ -385,15 +363,16 @@ def cmd_report_all(cfg: dict) -> int:
     reports.write_combined_census_csv(out_dir / "funding_census.csv", censuses, with_uda=True)
     reports.write_findings_json(out_dir / "paradoxes.json", findings_by_uda)
 
+    shares = measured_shares(scored.scores)
     summary = {
         "researchers": len(corpus.researchers),
         "publications": len(corpus.publications),
         "universities": len(corpus.universities),
         "active_sds": len(scored.active_sds),
         "scored_researchers": len(scored.scores),
-        "non_productive_share": stats.overall_non_productive,
-        "nil_impact_share": stats.overall_nil_impact,
-        "top20_impact_share": top20_impact_share([s.ss for s in scored.scores.values()]),
+        "non_productive_share": shares.non_productive_share,
+        "nil_impact_share": shares.nil_impact_share,
+        "top20_impact_share": shares.top20_impact_share,
         "stranded_top_scientists": sum(c.stranded_count for c in censuses),
         "total_top_scientists": sum(c.total_tops for c in censuses),
         "skipped_udas": skipped_udas,

@@ -354,12 +354,12 @@ def publications_problem(
 
     The rules, in order: an id not seen in an earlier row, a year inside
     `window`, a known document type, citations in [0, CITATION_LIMIT], at
-    least one category, at least one author, author positions exactly
-    1..n, and every non-null author id in `researchers`. Each rule is one
-    array operation over the table; only the reported row's message is
-    built in Python. The year, citation and position columns may hold
-    Python ints (dtype object) that do not fit int64; every rule compares
-    them as they are.
+    least one category, no category twice, at least one author, author
+    positions exactly 1..n, and every non-null author id in `researchers`.
+    Each rule is one array operation over the table; only the reported
+    row's message is built in Python. The year, citation and position
+    columns may hold Python ints (dtype object) that do not fit int64;
+    every rule compares them as they are.
     """
     n = len(pubs)
     ids, year, citations, doc_type = pubs.ids, pubs.year, pubs.citations, pubs.doc_type
@@ -371,6 +371,11 @@ def publications_problem(
             duplicate[i] = pid in seen
             seen.add(pid)
     known_type = np.array([name in DOC_TYPES for name in pubs.doc_type_names], dtype=bool)
+    # Sorted by (row, category), a row's repeated category sits next to its first entry.
+    order = np.lexsort((pubs.category, pubs.category_publication))
+    cat_row, cat = pubs.category_publication[order], pubs.category[order]
+    repeats = (cat_row[1:] == cat_row[:-1]) & (cat[1:] == cat[:-1])
+    repeated = np.bincount(cat_row[1:][repeats], minlength=n) > 0
     n_slots = np.diff(pubs.slot_offsets)
     slot_row = pubs.slot_publication
     positions = pubs.slot_position
@@ -387,6 +392,11 @@ def publications_problem(
 
     def slots(i: int) -> slice:
         return slice(pubs.slot_offsets[i], pubs.slot_offsets[i + 1])
+
+    def repeated_message(i: int) -> str:
+        codes = pubs.category[pubs.category_offsets[i] : pubs.category_offsets[i + 1]].tolist()
+        code = next(c for j, c in enumerate(codes) if c in codes[:j])
+        return f"categories must be distinct, {pubs.category_names[code]!r} is repeated"
 
     def misplaced_message(i: int) -> str:
         ordered = sorted(positions[slots(i)].tolist())
@@ -408,6 +418,7 @@ def publications_problem(
         (citations < 0, lambda i: f"citations must be >= 0, got {citations[i]}"),
         (citations > CITATION_LIMIT, lambda i: f"citations must be <= {CITATION_LIMIT}, got {citations[i]}"),
         (np.diff(pubs.category_offsets) == 0, lambda i: "categories must not be empty"),
+        (repeated, repeated_message),
         (n_slots == 0, lambda i: "authors must not be empty"),
         (rows_with(misplaced), misplaced_message),
         (rows_with(unknown), unknown_message),
@@ -422,6 +433,13 @@ def window_problem(window) -> str | None:
     """What makes `window` (first year, last year) no observation window, or None."""
     if window[0] > window[1]:
         return f"empty window {tuple(window)}: the first year is after the last"
+    return None
+
+
+def uda_code_problem(code: str) -> str | None:
+    """What keeps `code` from being a UDA code, or None; a UDA code names output files."""
+    if code in (".", "..") or any(c in code for c in "/\\\0"):
+        return f"UDA code {code!r} cannot name an output file (no '/', '\\' or NUL; not '.' or '..')"
     return None
 
 
@@ -476,6 +494,9 @@ def load_taxonomy(tax_path) -> Taxonomy:
             sds, uda, uda_name, life = (row[column] for column in TAXONOMY_COLUMNS)
             if not sds or not uda:
                 _fail(tax_path, line_no, "empty sds or uda code")
+            problem = uda_code_problem(uda)
+            if problem:
+                _fail(tax_path, line_no, problem)
             if sds in sds_to_uda:
                 _fail(tax_path, line_no, f"SDS {sds!r} mapped to more than one UDA")
             if life not in ("0", "1"):

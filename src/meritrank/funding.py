@@ -116,7 +116,6 @@ class TopCensus:
     """Where the nation's top scientists sit relative to the funding classes."""
 
     uda: str
-    share: float
     allocation: FundingAllocation
     universities: list[UniversityCensus]
     class_totals: list[int]
@@ -173,7 +172,6 @@ def national_top_census(
     stranded = class_totals[-1]
     return TopCensus(
         uda=uda,
-        share=selection.share,
         allocation=allocation,
         universities=universities,
         class_totals=class_totals,

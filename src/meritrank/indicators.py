@@ -15,7 +15,7 @@ from .normalization import (
     slot_credit_shares,
     standardized_citations,
 )
-from .stats import average_ranks, ordered_sum
+from .stats import average_ranks, ordered_sum, top20_impact_share
 
 
 @dataclass
@@ -110,8 +110,6 @@ class ProductivityStats:
     sds_nil_impact: dict[str, float]
     uda_non_productive: dict[str, ShareStats]
     uda_nil_impact: dict[str, ShareStats]
-    overall_non_productive: float
-    overall_nil_impact: float
 
 
 def _uda_stats(shares_by_uda: dict[str, list[float]]) -> dict[str, ShareStats]:
@@ -143,17 +141,30 @@ def productivity_stats(scores: dict[str, ResearcherScore], taxonomy) -> Producti
         uda = taxonomy.uda_of(sds)
         np_by_uda[uda].append(np_share)
         nil_by_uda[uda].append(nil_share)
-    total = len(scores)
-    overall_np = sum(s.non_productive for s in scores.values()) / total if total else 0.0
-    overall_nil = sum(s.nil_impact for s in scores.values()) / total if total else 0.0
     return ProductivityStats(
         sds_non_productive=sds_np,
         sds_nil_impact=sds_nil,
         uda_non_productive=_uda_stats(np_by_uda),
         uda_nil_impact=_uda_stats(nil_by_uda),
-        overall_non_productive=overall_np,
-        overall_nil_impact=overall_nil,
     )
+
+
+@dataclass(frozen=True)
+class MeasuredStats:
+    non_productive_share: float
+    nil_impact_share: float
+    top20_impact_share: float
+    n_researchers: int
+
+
+def measured_shares(scores: dict[str, ResearcherScore]) -> MeasuredStats:
+    """Shares of non-productives, nil impact, and top-20% impact concentration; all 0 when empty."""
+    n = len(scores)
+    if n == 0:
+        return MeasuredStats(0.0, 0.0, 0.0, 0)
+    non_productive = sum(s.non_productive for s in scores.values()) / n
+    nil_impact = sum(s.nil_impact for s in scores.values()) / n
+    return MeasuredStats(non_productive, nil_impact, top20_impact_share([s.ss for s in scores.values()]), n)
 
 
 @dataclass

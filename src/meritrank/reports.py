@@ -102,7 +102,7 @@ COUNTERFACTUAL_COLUMNS = [
 ]
 
 
-def write_counterfactual_csv(path, reports: Sequence[CounterfactualReport], with_field: bool) -> None:
+def write_counterfactual_csv(path, reports: Iterable[CounterfactualReport], with_field: bool) -> None:
     """Rank-shift table: one row per unit, observed order, absolute shift plus sign."""
     header = (["field"] if with_field else []) + COUNTERFACTUAL_COLUMNS
     rows = (
@@ -121,7 +121,7 @@ def write_counterfactual_csv(path, reports: Sequence[CounterfactualReport], with
     csv_file(path, header, rows)
 
 
-def write_counterfactual_summary_csv(path, reports: Sequence[CounterfactualReport]) -> None:
+def write_counterfactual_summary_csv(path, reports: Iterable[CounterfactualReport]) -> None:
     header = [
         "field",
         "n_units",
@@ -147,7 +147,7 @@ def write_transition_csv(path, report: CounterfactualReport) -> None:
     matrix = report.transition
     if matrix is None:
         raise UndefinedStatisticError(f"field {report.field!r} has no transition matrix")
-    k = report.k_classes
+    k = len(matrix)
     header = ["observed\\hypothetical"] + [f"class_{j + 1}" for j in range(k)] + ["total"]
     rows = [[f"class_{i + 1}"] + list(row) + [sum(row)] for i, row in enumerate(matrix)]
     col_totals = [sum(matrix[i][j] for i in range(k)) for j in range(k)]
@@ -185,6 +185,8 @@ def write_scatter_svg(path, scatter: ScatterData, title: str = "") -> None:
         'fill="none" stroke="#222222" stroke-width="1"/>',
     ]
     if title:
+        # Escaped by hand: xml.sax.saxutils would import urllib.request, and http and email with it.
+        title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         parts.append(
             f'<text x="{(left + right) / 2:.1f}" y="24" text-anchor="middle" '
             f'font-family="sans-serif" font-size="16">{title}</text>'

@@ -42,7 +42,6 @@ class TopSelection:
     """Top scientists per group: (university, SDS) units or national SDS rosters."""
 
     scope: str
-    share: float
     selected: Mapping
 
     def all_selected(self) -> frozenset[str]:
@@ -78,7 +77,7 @@ def select_top(
         k = top_count(share, len(members))
         members.sort(key=lambda s: (-s.ss, s.researcher_id))
         selected[key] = tuple(s.researcher_id for s in members[:k])
-    return TopSelection(scope, share, selected)
+    return TopSelection(scope, selected)
 
 
 @dataclass(frozen=True)
@@ -99,12 +98,9 @@ class UnitShift:
 @dataclass
 class CounterfactualReport:
     field: str
-    level: str
-    share: float
     units: list[UnitShift]
     spearman_obs_hyp: SpearmanResult | None
     spearman_shift_gini: SpearmanResult | None
-    k_classes: int
     transition: list[list[int]] | None
 
 
@@ -138,7 +134,8 @@ def counterfactual_rankings(
     ranking are built by the same calls. The hypothetical ranking re-ranks
     exactly the observed roster; a unit that loses all staff scores 0 and is
     flagged. Baselines and national averages are frozen at observed values
-    unless refit_pstar is set.
+    unless refit_pstar is set. The dict is built in field-code order, so its
+    `.values()` need no sorting.
     """
     if selection.scope != SCOPE_UNIT:
         raise ValidationError("counterfactual rankings need a unit-scoped selection")
@@ -159,67 +156,51 @@ def counterfactual_rankings(
 
     reports: dict[str, CounterfactualReport] = {}
     for field_code, observed_ranking in sorted(observed_rankings.items()):
-        roster = [u.university_id for u in observed_ranking]
-        entries = []
-        emptied: set[str] = set()
-        for univ in roster:
-            hyp_score, hyp_staff = hyp_scores.get((univ, field_code), (0.0, 0))
-            if hyp_staff == 0:
-                emptied.add(univ)
-            entries.append((univ, hyp_score, hyp_staff))
-        hypothetical_ranking = order_units(entries)
-        hyp_rank = {u.university_id: u.rank for u in hypothetical_ranking}
-
-        units = [
+        entries = [
+            (u.university_id, *hyp_scores.get((u.university_id, field_code), (0.0, 0))) for u in observed_ranking
+        ]
+        hyp_rank = {u.university_id: u.rank for u in order_units(entries)}
+        shifts = [
             UnitShift(
-                university_id=u.university_id,
+                university_id=univ,
                 field=field_code,
                 observed_rank=u.rank,
-                hypothetical_rank=hyp_rank[u.university_id],
-                delta=u.rank - hyp_rank[u.university_id],
-                gini_observed=gini_values.get((u.university_id, field_code), 0.0),
-                emptied=u.university_id in emptied,
+                hypothetical_rank=hyp_rank[univ],
+                delta=u.rank - hyp_rank[univ],
+                gini_observed=gini_values.get((univ, field_code), 0.0),
+                emptied=hyp_staff == 0,
             )
-            for u in observed_ranking
+            for u, (univ, _, hyp_staff) in zip(observed_ranking, entries)
         ]
+        observed = [s.observed_rank for s in shifts]
+        hypothetical = [s.hypothetical_rank for s in shifts]
 
-        obs_ranks = [float(u.observed_rank) for u in units]
-        hyp_ranks = [float(u.hypothetical_rank) for u in units]
-        deltas = [float(u.delta) for u in units]
-        ginis = [u.gini_observed for u in units]
-
-        if len(roster) >= k_classes:
-            class_list = classify_quantiles(roster, k_classes)
-            observed_classes = {u.university_id: c for u, c in zip(observed_ranking, class_list)}
-            hypothetical_classes = {
-                u.university_id: c for u, c in zip(hypothetical_ranking, class_list)
-            }
-            transition = transition_matrix(observed_classes, hypothetical_classes, k_classes)
-        else:
-            transition = None
+        transition = None
+        if len(shifts) >= k_classes:
+            # Both rankings order this one roster, so rank r falls in class classes[r - 1] in either.
+            classes = classify_quantiles(shifts, k_classes)
+            transition = transition_matrix(
+                [classes[r - 1] for r in observed], [classes[r - 1] for r in hypothetical], k_classes
+            )
 
         reports[field_code] = CounterfactualReport(
             field=field_code,
-            level=level,
-            share=selection.share,
-            units=units,
-            spearman_obs_hyp=_safe_spearman(obs_ranks, hyp_ranks) if len(units) >= 3 else None,
-            spearman_shift_gini=_safe_spearman(deltas, ginis) if len(units) >= 3 else None,
-            k_classes=k_classes,
+            units=shifts,
+            spearman_obs_hyp=_safe_spearman(observed, hypothetical),
+            spearman_shift_gini=_safe_spearman([s.delta for s in shifts], [s.gini_observed for s in shifts]),
             transition=transition,
         )
     return reports
 
 
-def transition_matrix(
-    observed: Mapping[str, int], hypothetical: Mapping[str, int], k: int
-) -> list[list[int]]:
-    """Counts of units moving from observed class i to hypothetical class j."""
-    if set(observed) != set(hypothetical):
-        raise ValidationError("transition matrix needs identical unit sets in both classifications")
+def transition_matrix(observed: Sequence[int], hypothetical: Sequence[int], k: int) -> list[list[int]]:
+    """Counts of units moving from observed class i to hypothetical class j.
+
+    `observed` and `hypothetical` hold each unit's class, unit by unit in the same order.
+    """
     matrix = [[0] * k for _ in range(k)]
-    for unit, observed_class in observed.items():
-        matrix[observed_class][hypothetical[unit]] += 1
+    for observed_class, hypothetical_class in zip(observed, hypothetical, strict=True):
+        matrix[observed_class][hypothetical_class] += 1
     return matrix
 
 

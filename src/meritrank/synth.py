@@ -31,12 +31,12 @@ from .corpus import (
     Taxonomy,
     open_input,
     row_offsets,
+    uda_code_problem,
     window_problem,
 )
 from .errors import ValidationError
-from .indicators import score_corpus
+from .indicators import MeasuredStats, measured_shares, score_corpus
 from .reports import csv_file, json_file
-from .stats import top20_impact_share
 
 # Mirrors the nine-area / 183-field layout of a national hard-science system.
 DEFAULT_SDS_PER_UDA = {
@@ -154,6 +154,10 @@ class GeneratorProfile:
             raise ValidationError(f"profile: seed must be non-negative, got {self.seed}")
         if not self.sds_per_uda or any(n < 1 for n in self.sds_per_uda.values()):
             raise ValidationError("profile: sds_per_uda needs positive counts")
+        for uda in self.sds_per_uda:
+            problem = uda_code_problem(uda)
+            if problem:
+                raise ValidationError(f"profile: sds_per_uda: {problem}")
         lo, hi = self.staff_per_unit
         if lo < 0 or hi < lo or hi < 1:
             raise ValidationError(f"profile: infeasible staff range {self.staff_per_unit}")
@@ -549,24 +553,9 @@ def write_publications(publications: Publications, path) -> None:
             fh.write("".join(lines))
 
 
-@dataclass(frozen=True)
-class MeasuredStats:
-    non_productive_share: float
-    nil_impact_share: float
-    top20_impact_share: float
-    n_researchers: int
-
-
 def measure_corpus(corpus: Corpus) -> MeasuredStats:
-    """Shares of non-productives, nil impact, and top-20% impact concentration."""
-    scored = score_corpus(corpus)
-    n = len(scored.scores)
-    if n == 0:
-        return MeasuredStats(0.0, 0.0, 0.0, 0)
-    non_productive = sum(s.non_productive for s in scored.scores.values()) / n
-    nil_impact = sum(s.nil_impact for s in scored.scores.values()) / n
-    top_share = top20_impact_share([s.ss for s in scored.scores.values()])
-    return MeasuredStats(non_productive, nil_impact, top_share, n)
+    """The headline shares of the corpus's scored researchers."""
+    return measured_shares(score_corpus(corpus).scores)
 
 
 @dataclass(frozen=True)

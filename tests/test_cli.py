@@ -2,6 +2,7 @@
 
 import csv
 import json
+from xml.dom import minidom
 
 import pytest
 
@@ -587,6 +588,22 @@ class TestReportAll:
         rows = read_csv(out / "funding_census.csv")
         total = sum(float(r[6]) for r in rows[1:])
         assert total == pytest.approx(5000.0, rel=1e-9)
+
+    def test_scatter_title_is_escaped(self, tmp_path):
+        profile_path = tmp_path / "p.json"
+        profile_path.write_text(json.dumps(dict(CRITERION_11_PROFILE, sds_per_uda={"R&D": 3, "B": 2})))
+        out = tmp_path / "run"
+        assert dispatch(["report-all", "--profile", str(profile_path), "--out", str(out)]) == 0
+        title = minidom.parse(str(out / "scatter_R&D.svg")).getElementsByTagName("text")[0]
+        assert title.firstChild.data == "R&D"
+
+    def test_uda_code_that_cannot_name_a_file_exits_1(self, tmp_path, capsys):
+        profile_path = tmp_path / "p.json"
+        profile_path.write_text(json.dumps(dict(CRITERION_11_PROFILE, sds_per_uda={"x/../../..": 3, "B": 2})))
+        out = tmp_path / "a" / "run"
+        assert dispatch(["report-all", "--profile", str(profile_path), "--out", str(out)]) == 1
+        assert "sds_per_uda: UDA code 'x/../../..'" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
 
     def test_areas_with_fewer_universities_than_classes_are_skipped(self, criterion_11_corpus, tmp_path):
         out = tmp_path / "run"

@@ -3,6 +3,7 @@
 import json
 import logging
 import random
+import re
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -177,6 +178,19 @@ class TestLoadCorpus:
         with pytest.raises(ValidationError, match="life_science"):
             load_corpus(*write_files(tmp_path, taxonomy=taxonomy))
 
+    @pytest.mark.parametrize("uda", ["B/x", "x/../../..", "..", ".", "B\\x", "B\0x"])
+    def test_uda_code_that_cannot_name_a_file_rejected(self, tmp_path, uda):
+        taxonomy = VALID_TAXONOMY.replace("S3,LIFE,Life area,1", f"S3,{uda},Life area,1")
+        with pytest.raises(ValidationError, match=f"taxonomy.csv line 4: UDA code {re.escape(repr(uda))} cannot name"):
+            load_corpus(*write_files(tmp_path, taxonomy=taxonomy))
+
+    def test_sds_code_with_a_slash_loads(self, tmp_path):
+        taxonomy = VALID_TAXONOMY + "FIS/01,PHYS,Physics,0\n"
+        researchers = VALID_RESEARCHERS + "R3,U1,Uni One,FIS/01,5\n"
+        corpus = load_corpus(*write_files(tmp_path, researchers=researchers, taxonomy=taxonomy))
+        assert corpus.researchers["R3"].sds == "FIS/01"
+        assert corpus.taxonomy.uda_of("FIS/01") == "PHYS"
+
 
 def _broken(**fields):
     return dict(VALID_PUBLICATION, **fields)
@@ -219,6 +233,11 @@ SHARED_RULES = [
         [_broken(categories=[])], None,
         "publications.jsonl line 1", "publication 'P1'", "categories must not be empty",
         id="empty-categories",
+    ),
+    pytest.param(
+        [_broken(categories=["C1", "C2", "C1"])], None,
+        "publications.jsonl line 1", "publication 'P1'", "categories must be distinct, 'C1' is repeated",
+        id="repeated-category",
     ),
     pytest.param(
         [_broken(authors=[])], None,
@@ -377,6 +396,9 @@ def _first_problem_record_by_record(records, window, researchers):
             return row, f"citations must be <= {CITATION_LIMIT}, got {pub.citations}"
         if not pub.categories:
             return row, "categories must not be empty"
+        repeats = [c for i, c in enumerate(pub.categories) if c in pub.categories[:i]]
+        if repeats:
+            return row, f"categories must be distinct, {repeats[0]!r} is repeated"
         if not positions:
             return row, "authors must not be empty"
         if sorted(positions) != list(range(1, len(positions) + 1)):
@@ -410,7 +432,7 @@ def nearly_valid_records(draw):
         field("year", 2005, 2003, 2009, 2**64),
         field("type", "article", "preprint"),
         field("citations", draw(st.sampled_from([0, 7, CITATION_LIMIT])), -1, CITATION_LIMIT + 1, -(2**70)),
-        field("categories", ("C1",), ()),
+        field("categories", draw(st.sampled_from([("C1",), ("C2", "C1")])), (), ("C1", "C1"), ("C2", "C1", "C2")),
         tuple(AuthorSlot(position, True, rid) for position, rid in zip(positions, rids)),
     )
 

@@ -181,7 +181,7 @@ class TestCensus:
 
     def test_rejects_unit_scope_selection(self):
         corpus, scores, allocation = census_fixture()
-        bad = TopSelection("unit", 0.2, {})
+        bad = TopSelection("unit", {})
         with pytest.raises(ValidationError):
             national_top_census(scores, corpus.taxonomy, "X", allocation, selection=bad)
 

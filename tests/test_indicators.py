@@ -5,6 +5,7 @@ import pytest
 
 from meritrank.corpus import active_sds_filter
 from meritrank.indicators import (
+    measured_shares,
     percentile_ranks,
     productivity_stats,
     researcher_ss,
@@ -134,7 +135,7 @@ class TestProductivityStats:
         scores = researcher_ss(corpus, compute_baselines(corpus), CreditScheme())
         stats = productivity_stats(scores, corpus.taxonomy)
         assert stats.sds_non_productive["S1"] == pytest.approx(0.2)
-        assert stats.overall_non_productive == pytest.approx(0.2)
+        assert measured_shares(scores).non_productive_share == pytest.approx(0.2)
 
     def test_uda_average_is_unweighted_over_sds(self):
         entries = (
@@ -162,7 +163,8 @@ class TestProductivityStats:
         stats = productivity_stats(scores, corpus.taxonomy)
         for sds, nil in stats.sds_nil_impact.items():
             assert nil >= stats.sds_non_productive[sds]
-        assert stats.overall_nil_impact >= stats.overall_non_productive
+        shares = measured_shares(scores)
+        assert shares.nil_impact_share >= shares.non_productive_share
 
 
 class TestScoreCorpus:

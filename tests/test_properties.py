@@ -88,6 +88,57 @@ def test_hypothetical_ranks_permute_the_observed_ones(roster, level, share, min_
         assert sum(u.delta for u in report.units) == 0
 
 
+def _transition_from_class_maps(units, k):
+    """The matrix built from two {university: class} maps, each over its own ranking."""
+    classes = classify_quantiles(units, k)
+    by_observed = sorted(units, key=lambda u: u.observed_rank)
+    by_hypothetical = sorted(units, key=lambda u: u.hypothetical_rank)
+    observed = {u.university_id: c for u, c in zip(by_observed, classes)}
+    hypothetical = {u.university_id: c for u, c in zip(by_hypothetical, classes)}
+    matrix = [[0] * k for _ in range(k)]
+    for university, observed_class in observed.items():
+        matrix[observed_class][hypothetical[university]] += 1
+    return matrix
+
+
+# Up to 12 universities per field, so that units can move around a cycle of classes and give a
+# matrix that is not symmetric; `rosters` above has too few for that.
+wide_rosters = st.lists(
+    st.tuples(st.sampled_from(TAXONOMY.sds_codes), st.lists(ss_values, min_size=1, max_size=9)),
+    min_size=6,
+    max_size=30,
+).map(lambda units: {(f"U{i % 12:02d}", sds): values for i, (sds, values) in enumerate(units)})
+
+
+@SETTINGS
+@given(roster=wide_rosters, level=levels, share=shares, min_staff=st.integers(1, 6), k=st.integers(1, 5))
+# Ranks 1, 2, 3 become 3, 1, 2: a class cycle, so a transposed matrix would fail.
+@example(
+    roster={("U3", "S1"): [0.0, 1.0], ("U2", "S1"): [0.0, 0.0, 0.0], ("U1", "S1"): [0.0, 0.0]},
+    level=LEVEL_SDS,
+    share=0.2,
+    min_staff=1,
+    k=3,
+)
+def test_transition_matrix_counts_each_units_rank_classes(roster, level, share, min_staff, k):
+    corpus, scores = scores_with_ss(roster, taxonomy=TAXONOMY)
+    selection = select_top(scores, SCOPE_UNIT, share, min_staff)
+    reports = counterfactual_rankings(
+        corpus.taxonomy, scores, sds_unit_scores(scores), selection, level, min_staff=min_staff, k_classes=k
+    )
+    for report in reports.values():
+        matrix = report.transition
+        if len(report.units) < k:
+            assert matrix is None
+            continue
+        sizes = quantile_class_sizes(len(report.units), k)
+        assert [sum(row) for row in matrix] == sizes
+        assert [sum(column) for column in zip(*matrix)] == sizes
+        if share == 0:
+            assert all(matrix[i][j] == 0 for i in range(k) for j in range(k) if i != j)
+        assert matrix == _transition_from_class_maps(report.units, k)
+
+
 @SETTINGS
 @given(
     roster=rosters,

@@ -199,32 +199,27 @@ class TestCounterfactual:
 
 class TestTransitionMatrix:
     def test_identity_is_diagonal(self):
-        classes = {"A": 0, "B": 1, "C": 2}
+        classes = [0, 1, 2]
         matrix = transition_matrix(classes, classes, 3)
         assert matrix == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
     def test_adjacent_swap(self):
-        observed = {"A": 0, "B": 1}
-        hypothetical = {"A": 1, "B": 0}
-        matrix = transition_matrix(observed, hypothetical, 2)
+        matrix = transition_matrix([0, 1], [1, 0], 2)
         assert matrix == [[0, 1], [1, 0]]
 
     def test_mismatched_units_rejected(self):
-        with pytest.raises(ValidationError):
-            transition_matrix({"A": 0}, {"B": 0}, 1)
+        with pytest.raises(ValueError):
+            transition_matrix([0], [0, 0], 1)
 
     def test_marginals_match_class_sizes(self):
         rng = np.random.default_rng(59)
         k = 5
-        units = [f"U{i}" for i in range(42)]
-        observed = {u: int(rng.integers(0, k)) for u in units}
-        hypothetical = {u: int(rng.integers(0, k)) for u in units}
+        observed = [int(c) for c in rng.integers(0, k, size=42)]
+        hypothetical = [int(c) for c in rng.integers(0, k, size=42)]
         matrix = transition_matrix(observed, hypothetical, k)
         for c in range(k):
-            assert sum(matrix[c]) == sum(1 for v in observed.values() if v == c)
-            assert sum(matrix[i][c] for i in range(k)) == sum(
-                1 for v in hypothetical.values() if v == c
-            )
+            assert sum(matrix[c]) == observed.count(c)
+            assert sum(matrix[i][c] for i in range(k)) == hypothetical.count(c)
 
 
 def _report_from_points(points):
@@ -232,7 +227,7 @@ def _report_from_points(points):
         UnitShift(f"U{i}", "S1", i + 1, i + 1 - int(d), int(d), g, False)
         for i, (d, g) in enumerate(points)
     ]
-    return CounterfactualReport("S1", LEVEL_SDS, 0.2, units, None, None, 5, None)
+    return CounterfactualReport("S1", units, None, None, None)
 
 
 class TestScatter:

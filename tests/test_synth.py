@@ -344,7 +344,7 @@ def publication_records(draw):
             draw(st.integers(2004, 2008)),
             draw(st.sampled_from(DOC_TYPES)),
             draw(st.integers(0, 10**9)),
-            tuple(draw(st.lists(st.sampled_from(names) | NAMES, min_size=1, max_size=3))),
+            tuple(draw(st.lists(st.sampled_from(names) | NAMES, min_size=1, max_size=3, unique=True))),
             slots,
         ))
     return names, records
@@ -435,6 +435,10 @@ class TestProfile:
     def test_empty_window_rejected_by_the_loader_rule(self):
         with pytest.raises(ValidationError, match=r"^profile: empty window \(2008, 2004\): the first"):
             generate(replace(SMALL, window=(2008, 2004)))
+
+    def test_uda_code_that_cannot_name_a_file_rejected(self):
+        with pytest.raises(ValidationError, match=r"^profile: sds_per_uda: UDA code 'B/x' cannot name"):
+            generate(replace(SMALL, sds_per_uda={"A": 2, "B/x": 2}, life_science_udas=()))
 
     def test_share_out_of_bounds(self):
         with pytest.raises(ValidationError, match="p_nonproductive"):
