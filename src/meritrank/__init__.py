@@ -58,7 +58,6 @@ from .aggregation import (
 )
 from .stats import (
     ConcentrationRatio,
-    GiniResult,
     SpearmanResult,
     bottom_top_ratio,
     classify_quantiles,

@@ -43,9 +43,10 @@ from .scenario import (
     SCOPE_UNIT,
     counterfactual_rankings,
     select_top,
+    share_problem,
     shift_gini_scatter,
 )
-from .stats import bottom_top_ratio
+from .stats import bottom_top_ratio, class_count_problem
 from . import reports
 from .synth import (
     DEFAULT_TOLERANCE,
@@ -287,7 +288,13 @@ def cmd_fund(cfg: dict) -> int:
 
 def cmd_report_all(cfg: dict) -> int:
     out_dir = Path(_required(cfg, "out", "--out"))
+    # Every option is checked before any input is read, so a rejected run leaves no files.
     policy = _funding_policy(cfg)
+    if cfg["corpus"] and (cfg["profile"] is not None or cfg["seed"] is not None):
+        raise ValidationError("--corpus cannot be combined with --profile or --seed, which generate a corpus")
+    problem = share_problem(cfg["share"]) or class_count_problem(cfg["transition_classes"])
+    if problem:
+        raise ValidationError(problem)
     if cfg["corpus"]:
         corpus = _load(cfg)
     else:
@@ -401,6 +408,9 @@ def _add_corpus_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--extramural-discount", dest="extramural_discount", type=float,
                         default=CreditScheme.extramural_discount,
                         help="multiplier for extramural author slots, in (0, 1] (default %(default)s)")
+
+
+def _add_ranking_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--min-staff", dest="min_staff", type=int, default=DEFAULT_MIN_STAFF,
                         help="minimum unit staff for rankings and selections (default %(default)s)")
     parser.add_argument("--pstar", choices=[PSTAR_MEAN_OF_UNITS, PSTAR_POOLED], default=PSTAR_MEAN_OF_UNITS,
@@ -463,6 +473,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = sub.add_parser("rank", help="university rankings per field")
     _add_corpus_options(p)
+    _add_ranking_options(p)
     p.add_argument("--level", choices=[LEVEL_SDS, LEVEL_UDA])
     p.add_argument("--field", metavar="CODE", help="restrict to one SDS/UDA code")
     p.add_argument("--out", metavar="FILE", help="ranking CSV path")
@@ -472,6 +483,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = sub.add_parser("counterfactual", help="observed vs top-removed rankings")
     _add_corpus_options(p)
+    _add_ranking_options(p)
     p.add_argument("--level", choices=[LEVEL_SDS, LEVEL_UDA])
     p.add_argument("--field", metavar="CODE")
     p.add_argument("--share", type=float, default=DEFAULT_SHARE,
@@ -488,6 +500,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = sub.add_parser("fund", help="class-weighted funding simulation for one UDA")
     _add_corpus_options(p)
+    _add_ranking_options(p)
     p.add_argument("--uda", metavar="CODE")
     p.add_argument("--budget", type=_fraction("--budget"), default=FundingPolicy.budget,
                    help="budget for the area, exact rational (default %(default)s)")
@@ -502,6 +515,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = sub.add_parser("report-all", help="full pipeline into one output directory")
     _add_corpus_options(p)
+    _add_ranking_options(p)
     p.add_argument("--profile", metavar="FILE", help="generate a corpus from this profile instead of --corpus")
     p.add_argument("--seed", type=int)
     p.add_argument("--out", metavar="DIR")

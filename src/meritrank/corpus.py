@@ -335,6 +335,10 @@ class Corpus:
         problem = window_problem(self.window)
         if problem:
             raise ValidationError(problem)
+        for uda in self.taxonomy.sds_to_uda.values():
+            problem = uda_code_problem(uda)
+            if problem:
+                raise ValidationError(f"taxonomy: {problem}")
         problem = publications_problem(self.publications, self.window, self.researchers)
         if problem:
             row, message = problem

@@ -122,7 +122,6 @@ class TopCensus:
     total_tops: int
     stranded_count: int
     stranded_share: float
-    unclassified_tops: int
 
 
 def national_top_census(
@@ -136,9 +135,9 @@ def national_top_census(
 
     Top status comes from a nationally scoped selection: per-SDS, independent
     of employer. The classes and their count come from the area's `allocation`.
-    Tops employed outside the ranked roster are reported separately so the
-    per-class totals always partition the classified total. Stranded means
-    sitting in the bottom class.
+    Universities outside the ranked roster have class None and add to no
+    class total, so the per-class totals partition the classified tops.
+    Stranded means sitting in the bottom class.
     """
     if selection.scope != SCOPE_NATIONAL:
         raise ValidationError("the census needs a nationally scoped selection")
@@ -156,18 +155,13 @@ def national_top_census(
     classes = allocation.class_of()
     universities = []
     class_totals = [0] * allocation.policy.n_classes
-    unclassified = 0
     for univ in sorted(staff_by_univ):
         staff = staff_by_univ[univ]
         tops = tops_by_univ.get(univ, 0)
         class_index = classes.get(univ)
-        if class_index is None:
-            unclassified += tops
-        else:
+        if class_index is not None:
             class_totals[class_index] += tops
-        universities.append(
-            UniversityCensus(univ, class_index, staff, tops, tops / staff if staff else 0.0)
-        )
+        universities.append(UniversityCensus(univ, class_index, staff, tops, tops / staff))
     total = sum(class_totals)
     stranded = class_totals[-1]
     return TopCensus(
@@ -178,7 +172,6 @@ def national_top_census(
         total_tops=total,
         stranded_count=stranded,
         stranded_share=stranded / total if total else 0.0,
-        unclassified_tops=unclassified,
     )
 
 

@@ -24,7 +24,6 @@ class ResearcherScore:
     university_id: str
     sds: str
     ss: float
-    raw_pub_count: int
     non_productive: bool
     nil_impact: bool
     percentile: float | None = None
@@ -55,19 +54,16 @@ def researcher_ss(
     # bincount adds each researcher's terms in slot order, as the per-record loop does.
     totals = np.bincount(holders, weights=terms, minlength=len(researchers))
     ss = totals / np.array([r.years_in_post for r in researchers], dtype=np.int64)
-    # A researcher in two slots of one publication counts it once.
-    pairs = np.unique(rows * len(researchers) + holders)
-    pub_counts = np.bincount(pairs % len(researchers), minlength=len(researchers))
+    holds_no_slot = np.bincount(holders, minlength=len(researchers)) == 0
 
     scores: dict[str, ResearcherScore] = {}
-    for researcher, value, raw in zip(researchers, ss.tolist(), pub_counts.tolist()):
+    for researcher, value, no_slot in zip(researchers, ss.tolist(), holds_no_slot.tolist()):
         scores[researcher.id] = ResearcherScore(
             researcher_id=researcher.id,
             university_id=researcher.university_id,
             sds=researcher.sds,
             ss=value,
-            raw_pub_count=raw,
-            non_productive=raw == 0,
+            non_productive=no_slot,
             nil_impact=value == 0.0,
         )
     return scores
@@ -106,8 +102,6 @@ class ShareStats:
 
 @dataclass
 class ProductivityStats:
-    sds_non_productive: dict[str, float]
-    sds_nil_impact: dict[str, float]
     uda_non_productive: dict[str, ShareStats]
     uda_nil_impact: dict[str, ShareStats]
 
@@ -120,7 +114,7 @@ def _uda_stats(shares_by_uda: dict[str, list[float]]) -> dict[str, ShareStats]:
 
 
 def productivity_stats(scores: dict[str, ResearcherScore], taxonomy) -> ProductivityStats:
-    """Shares of non-productive and nil-impact researchers per SDS and per UDA.
+    """Shares of non-productive and nil-impact researchers per SDS, summarized per UDA.
 
     UDA aggregates are unweighted over the constituent SDS shares, mirroring
     a per-SDS min/max/average presentation.
@@ -128,22 +122,16 @@ def productivity_stats(scores: dict[str, ResearcherScore], taxonomy) -> Producti
     by_sds: dict[str, list[ResearcherScore]] = defaultdict(list)
     for score in scores.values():
         by_sds[score.sds].append(score)
-    sds_np: dict[str, float] = {}
-    sds_nil: dict[str, float] = {}
     np_by_uda: dict[str, list[float]] = defaultdict(list)
     nil_by_uda: dict[str, list[float]] = defaultdict(list)
     for sds, group in sorted(by_sds.items()):
         n = len(group)
         np_share = sum(s.non_productive for s in group) / n
         nil_share = sum(s.nil_impact for s in group) / n
-        sds_np[sds] = np_share
-        sds_nil[sds] = nil_share
         uda = taxonomy.uda_of(sds)
         np_by_uda[uda].append(np_share)
         nil_by_uda[uda].append(nil_share)
     return ProductivityStats(
-        sds_non_productive=sds_np,
-        sds_nil_impact=sds_nil,
         uda_non_productive=_uda_stats(np_by_uda),
         uda_nil_impact=_uda_stats(nil_by_uda),
     )

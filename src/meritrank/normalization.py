@@ -30,11 +30,8 @@ Baselines = dict[tuple[str, int], "CategoryBaseline"]
 
 @dataclass(frozen=True)
 class CategoryBaseline:
-    category: str
-    year: int
     median_citations: float
     mean_citations: float
-    fallback_used: bool
 
     @property
     def scale(self) -> float:
@@ -113,7 +110,7 @@ def compute_baselines(corpus: Corpus) -> Baselines:
     ):
         cat, year = pair(key)
         mean = total / count  # Python division of the exact integers
-        baselines[(cat, year)] = CategoryBaseline(cat, year, median, mean, median == 0 and mean > 0)
+        baselines[(cat, year)] = CategoryBaseline(median, mean)
     return baselines
 
 

@@ -48,6 +48,13 @@ class TopSelection:
         return frozenset(rid for members in self.selected.values() for rid in members)
 
 
+def share_problem(share: float) -> str | None:
+    """What keeps `share` from being a top share in [0, 1], or None; NaN is rejected too."""
+    if not 0 <= share <= 1:
+        return f"selection share must be in [0, 1], got {share}"
+    return None
+
+
 def select_top(
     scores: Mapping[str, ResearcherScore],
     scope: str = SCOPE_UNIT,
@@ -59,8 +66,9 @@ def select_top(
     Groups below the staff minimum are skipped. Ties on SS break by
     researcher id so the selection is deterministic.
     """
-    if not 0 <= share <= 1:
-        raise ValidationError(f"selection share must be in [0, 1], got {share}")
+    problem = share_problem(share)
+    if problem:
+        raise ValidationError(problem)
     groups: dict = defaultdict(list)
     for score in scores.values():
         if scope == SCOPE_UNIT:
@@ -83,12 +91,10 @@ def select_top(
 @dataclass(frozen=True)
 class UnitShift:
     university_id: str
-    field: str
     observed_rank: int
     hypothetical_rank: int
     delta: int
     gini_observed: float
-    emptied: bool
 
     @property
     def sign(self) -> str:
@@ -107,7 +113,7 @@ class CounterfactualReport:
 def _unit_gini(values: Sequence[float]) -> float:
     if len(values) < 2:
         return 0.0
-    return gini(values).value
+    return gini(values)
 
 
 def _safe_spearman(x: Sequence[float], y: Sequence[float]) -> SpearmanResult | None:
@@ -132,9 +138,9 @@ def counterfactual_rankings(
 
     `units` is `sds_unit_scores(scores)`. The observed and the hypothetical
     ranking are built by the same calls. The hypothetical ranking re-ranks
-    exactly the observed roster; a unit that loses all staff scores 0 and is
-    flagged. Baselines and national averages are frozen at observed values
-    unless refit_pstar is set. The dict is built in field-code order, so its
+    exactly the observed roster; a unit that loses all staff scores 0.
+    Baselines and national averages are frozen at observed values unless
+    refit_pstar is set. The dict is built in field-code order, so its
     `.values()` need no sorting.
     """
     if selection.scope != SCOPE_UNIT:
@@ -152,7 +158,6 @@ def counterfactual_rankings(
     unit_values: dict[tuple[str, str], list[float]] = defaultdict(list)
     for score in scores.values():
         unit_values[(score.university_id, level_field(score.sds, level, taxonomy))].append(score.ss)
-    gini_values = {key: _unit_gini(values) for key, values in unit_values.items()}
 
     reports: dict[str, CounterfactualReport] = {}
     for field_code, observed_ranking in sorted(observed_rankings.items()):
@@ -162,15 +167,13 @@ def counterfactual_rankings(
         hyp_rank = {u.university_id: u.rank for u in order_units(entries)}
         shifts = [
             UnitShift(
-                university_id=univ,
-                field=field_code,
+                university_id=u.university_id,
                 observed_rank=u.rank,
-                hypothetical_rank=hyp_rank[univ],
-                delta=u.rank - hyp_rank[univ],
-                gini_observed=gini_values.get((univ, field_code), 0.0),
-                emptied=hyp_staff == 0,
+                hypothetical_rank=hyp_rank[u.university_id],
+                delta=u.rank - hyp_rank[u.university_id],
+                gini_observed=_unit_gini(unit_values.get((u.university_id, field_code), ())),
             )
-            for u, (univ, _, hyp_staff) in zip(observed_ranking, entries)
+            for u in observed_ranking
         ]
         observed = [s.observed_rank for s in shifts]
         hypothetical = [s.hypothetical_rank for s in shifts]

@@ -20,12 +20,6 @@ EXACT_PERMUTATION_MAX_N = 9
 
 
 @dataclass(frozen=True)
-class GiniResult:
-    value: float
-    n: int
-
-
-@dataclass(frozen=True)
 class SpearmanResult:
     rho: float
     p_value: float
@@ -57,7 +51,7 @@ def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def gini(values: Sequence[float]) -> GiniResult:
+def gini(values: Sequence[float]) -> float:
     """Population Gini coefficient of a non-negative vector.
 
     Equals sum_ij |x_i - x_j| / (2 n^2 mean), computed here in the
@@ -73,11 +67,10 @@ def gini(values: Sequence[float]) -> GiniResult:
         raise ValidationError("gini is defined for non-negative values only")
     total = float(x.sum())
     if total == 0.0:
-        return GiniResult(0.0, n)
+        return 0.0
     xs = np.sort(x)
     i = np.arange(1, n + 1)
-    value = float(((2 * i - n - 1) * xs).sum() / (n * total))
-    return GiniResult(value, n)
+    return float(((2 * i - n - 1) * xs).sum() / (n * total))
 
 
 def average_ranks(x: np.ndarray) -> np.ndarray:
@@ -212,14 +205,22 @@ def top20_impact_share(values: Sequence[float]) -> float:
     return ordered_sum(ranked[: top_count(0.2, len(ranked))]) / total
 
 
+def class_count_problem(k: int) -> str | None:
+    """What keeps `k` from being a number of quantile classes, or None."""
+    if k < 1:
+        return f"need at least one quantile class, got {k}"
+    return None
+
+
 def quantile_class_sizes(n: int, k: int) -> list[int]:
     """Class sizes differing by at most one, remainder going to the extremes first.
 
     The r = n mod k extra units are assigned one at a time alternating from
     the outside inward: first class, last class, second class, second-to-last...
     """
-    if k < 1:
-        raise ValidationError(f"need at least one quantile class, got {k}")
+    problem = class_count_problem(k)
+    if problem:
+        raise ValidationError(problem)
     if n < k:
         raise UndefinedStatisticError(f"cannot split {n} units into {k} classes")
     base, extra = divmod(n, k)

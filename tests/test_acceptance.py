@@ -54,11 +54,11 @@ def test_criterion_1_gini_oracle_equivalence():
         x[rng.random(n) < 0.25] = 0.0
         if x.sum() == 0:
             x[0] = 1.0
-        worst = max(worst, abs(gini(x).value - _gini_pairwise_oracle(x)))
+        worst = max(worst, abs(gini(x) - _gini_pairwise_oracle(x)))
     fixed = (
-        gini([5, 5, 5, 5]).value == 0.0
-        and abs(gini([0, 0, 0, 1]).value - 0.75) < 1e-15
-        and abs(gini([1, 2, 3, 4]).value - 0.25) < 1e-15
+        gini([5, 5, 5, 5]) == 0.0
+        and abs(gini([0, 0, 0, 1]) - 0.75) < 1e-15
+        and abs(gini([1, 2, 3, 4]) - 0.25) < 1e-15
     )
     elapsed = time.perf_counter() - started
     _report(

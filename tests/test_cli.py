@@ -605,6 +605,31 @@ class TestReportAll:
         assert "sds_per_uda: UDA code 'x/../../..'" in capsys.readouterr().err
         assert not (tmp_path / "a").exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--share", "2"], "selection share must be in [0, 1], got 2.0"),
+            (["--share", "nan"], "selection share must be in [0, 1], got nan"),
+            (["--transition-classes", "0"], "need at least one quantile class, got 0"),
+        ],
+        ids=["share-2", "share-nan", "transition-classes-0"],
+    )
+    def test_invalid_scenario_option_leaves_no_file(self, tmp_path, capsys, flags, message):
+        profile_path = tmp_path / "p.json"
+        profile_path.write_text(json.dumps(CRITERION_11_PROFILE))
+        out = tmp_path / "run"
+        assert dispatch(["report-all", "--profile", str(profile_path), *flags, "--out", str(out)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--profile", "absent.json"], ["--seed", "3"]], ids=["profile", "seed"])
+    def test_corpus_with_a_generator_option_rejected(self, criterion_11_corpus, tmp_path, capsys, flags):
+        out = tmp_path / "run"
+        argv = ["report-all", "--corpus", str(criterion_11_corpus), *flags, "--out", str(out)]
+        assert dispatch(argv) == 1
+        assert "error: --corpus cannot be combined with --profile or --seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_areas_with_fewer_universities_than_classes_are_skipped(self, criterion_11_corpus, tmp_path):
         out = tmp_path / "run"
         argv = ["report-all", "--corpus", str(criterion_11_corpus), "--classes", "50", "--out", str(out)]

@@ -322,6 +322,12 @@ class TestSharedRules:
         with pytest.raises(ValidationError, match=r"^empty window \(2008, 2004\)"):
             corpus.validate()
 
+    def test_validate_rejects_a_uda_code_that_cannot_name_a_file(self):
+        corpus = _in_memory([VALID_PUBLICATION], None)
+        taxonomy = make_taxonomy({"S1": "X", "S2": "X", "S3": "x/../.."})
+        with pytest.raises(ValidationError, match=r"^taxonomy: UDA code 'x/\.\./\.\.' cannot name"):
+            replace(corpus, taxonomy=taxonomy).validate()
+
 
 class TestFirstBadLine:
     """The loader type-checks each line as it reads it and checks the rules over the whole table once,

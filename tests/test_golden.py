@@ -142,9 +142,7 @@ GOLDEN_CONFIGS = {
         "first_w": 2.0,
         "last_w": 2.0,
         "middle_w": 1.0,
-        "min_staff": 5,
         "out": "TMP/indicators/scores.csv",
-        "pstar": "mean-of-units",
         "window": [2004, 2008],
     },
     "indicators-positional/scores.manifest.json": {
@@ -154,9 +152,7 @@ GOLDEN_CONFIGS = {
         "first_w": 2.0,
         "last_w": 2.0,
         "middle_w": 1.0,
-        "min_staff": 5,
         "out": "TMP/indicators-positional/scores.csv",
-        "pstar": "mean-of-units",
         "window": [2004, 2008],
     },
     "rank/rank.manifest.json": {

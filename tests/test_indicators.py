@@ -17,7 +17,7 @@ from conftest import make_corpus, make_pub, make_slot, make_taxonomy, solo_corpu
 
 
 def fixed_baselines(median, category="C1", year=2005):
-    return {(category, year): CategoryBaseline(category, year, float(median), float(median), False)}
+    return {(category, year): CategoryBaseline(float(median), float(median))}
 
 
 class TestResearcherSS:
@@ -29,7 +29,6 @@ class TestResearcherSS:
         )
         scores = researcher_ss(corpus, fixed_baselines(3), CreditScheme())
         assert scores["R1"].ss == pytest.approx(0.4)
-        assert scores["R1"].raw_pub_count == 1
         assert not scores["R1"].non_productive
         assert not scores["R1"].nil_impact
 
@@ -38,7 +37,7 @@ class TestResearcherSS:
         scores = researcher_ss(corpus, {}, CreditScheme())
         s = scores["R1"]
         assert s.non_productive and s.nil_impact
-        assert s.ss == 0.0 and s.raw_pub_count == 0
+        assert s.ss == 0.0
 
     def test_two_publications_summed(self):
         # (std 3.0 split three ways) + (std 1.0 solo), two years in post -> 1.0.
@@ -134,7 +133,9 @@ class TestProductivityStats:
         corpus = solo_corpus(entries)
         scores = researcher_ss(corpus, compute_baselines(corpus), CreditScheme())
         stats = productivity_stats(scores, corpus.taxonomy)
-        assert stats.sds_non_productive["S1"] == pytest.approx(0.2)
+        share = stats.uda_non_productive["X"]
+        assert share.n_sds == 1
+        assert share.minimum == share.maximum == share.average == pytest.approx(0.2)
         assert measured_shares(scores).non_productive_share == pytest.approx(0.2)
 
     def test_uda_average_is_unweighted_over_sds(self):
@@ -161,8 +162,11 @@ class TestProductivityStats:
         corpus = solo_corpus(entries)
         scores = researcher_ss(corpus, compute_baselines(corpus), CreditScheme())
         stats = productivity_stats(scores, corpus.taxonomy)
-        for sds, nil in stats.sds_nil_impact.items():
-            assert nil >= stats.sds_non_productive[sds]
+        for uda, nil in stats.uda_nil_impact.items():
+            non_productive = stats.uda_non_productive[uda]
+            assert nil.minimum >= non_productive.minimum
+            assert nil.maximum >= non_productive.maximum
+            assert nil.average >= non_productive.average
         shares = measured_shares(scores)
         assert shares.nil_impact_share >= shares.non_productive_share
 

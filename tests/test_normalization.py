@@ -31,20 +31,18 @@ class TestBaselines:
         b = baselines[("C1", 2005)]
         assert b.median_citations == 1.5
         assert b.mean_citations == 3.25
-        assert not b.fallback_used
+        assert b.scale == 1.5
 
     def test_all_zero_stratum_no_fallback(self):
         b = compute_baselines(_stratum_corpus([0, 0, 0]))[("C1", 2005)]
         assert b.median_citations == 0.0
         assert b.mean_citations == 0.0
-        assert not b.fallback_used
         assert b.scale == 0.0
 
     def test_zero_median_falls_back_to_mean(self):
         b = compute_baselines(_stratum_corpus([0, 0, 5]))[("C1", 2005)]
         assert b.median_citations == 0.0
         assert b.mean_citations == pytest.approx(5 / 3)
-        assert b.fallback_used
         assert b.scale == pytest.approx(5 / 3)
 
     def test_multicategory_pub_feeds_both_strata(self):

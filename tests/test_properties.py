@@ -168,6 +168,23 @@ def test_counterfactual_observed_side_is_the_observed_ranking(
 
 
 @SETTINGS
+@given(roster=rosters, level=levels, share=shares, min_staff=st.integers(1, 6))
+@example(roster={("U1", "S1"): [3.0], ("U2", "S1"): [1.0, 2.0]}, level=LEVEL_SDS, share=0.2, min_staff=1)
+def test_each_units_gini_is_that_of_its_researchers(roster, level, share, min_staff):
+    _, scores = scores_with_ss(roster, taxonomy=TAXONOMY)
+    selection = select_top(scores, SCOPE_UNIT, share, min_staff)
+    reports = counterfactual_rankings(TAXONOMY, scores, sds_unit_scores(scores), selection, level, min_staff)
+    for field, report in reports.items():
+        for unit in report.units:
+            values = [
+                s.ss for s in scores.values()
+                if s.university_id == unit.university_id
+                and (s.sds if level == LEVEL_SDS else TAXONOMY.uda_of(s.sds)) == field
+            ]
+            assert unit.gini_observed == (gini(values) if len(values) >= 2 else 0.0)
+
+
+@SETTINGS
 @given(
     roster=rosters,
     scope=st.sampled_from([SCOPE_UNIT, SCOPE_NATIONAL]),
@@ -302,7 +319,6 @@ def test_researcher_ss_matches_a_per_researcher_sum(corpus, scheme):
                     total += standardize(pub, baselines) * credit_shares(pub, scheme, life)[slot.position]
                     pub_ids.add(pub.id)
         assert scores[rid].ss == total / researcher.years_in_post
-        assert scores[rid].raw_pub_count == len(pub_ids)
         assert scores[rid].non_productive == (not pub_ids)
         assert scores[rid].nil_impact == (total == 0.0)
 
@@ -336,10 +352,9 @@ def test_compute_baselines_matches_a_median_and_mean_oracle(records):
         baseline = baselines[(category, year)]
         median = float(statistics.median(cites))
         mean = sum(cites) / len(cites)
-        assert (baseline.category, baseline.year) == (category, year)
         assert baseline.median_citations == median
         assert baseline.mean_citations == mean
-        assert baseline.fallback_used == (median == 0 and mean > 0)
+        assert baseline.scale == (median if median > 0 else mean)
 
 
 @SETTINGS
@@ -464,7 +479,8 @@ def test_census_partitions_the_area_tops_over_its_allocation(
     for row in census.universities:
         assert row.class_index == classes.get(row.university_id)
     area_tops = [rid for rid in selection.all_selected() if TAXONOMY.uda_of(scores[rid].sds) == uda]
-    assert sum(census.class_totals) + census.unclassified_tops == len(area_tops)
+    unclassified_tops = sum(row.top_count for row in census.universities if row.class_index is None)
+    assert sum(census.class_totals) + unclassified_tops == len(area_tops)
 
 
 nonnegative = st.one_of(
@@ -478,14 +494,13 @@ nonnegative = st.one_of(
 def test_gini_bounds_and_pairwise_oracle(values):
     n = len(values)
     result = gini(values)
-    assert result.n == n
-    assert -1e-12 <= result.value <= (n - 1) / n + 1e-12
+    assert -1e-12 <= result <= (n - 1) / n + 1e-12
     total = sum(values)
     if total == 0:
-        assert result.value == 0.0
+        assert result == 0.0
         return
     pairwise = sum(abs(a - b) for a in values for b in values) / (2 * n * total)
-    assert result.value == pytest.approx(pairwise, rel=1e-9, abs=1e-12)
+    assert result == pytest.approx(pairwise, rel=1e-9, abs=1e-12)
 
 
 @SETTINGS

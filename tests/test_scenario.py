@@ -135,7 +135,8 @@ class TestCounterfactual:
         )
         selection = select_top(scores, SCOPE_UNIT, share=1.0)
         report = counterfactual(corpus, scores, selection, LEVEL_SDS)["S1"]
-        assert all(u.emptied for u in report.units)
+        by_univ = {u.university_id: u for u in report.units}
+        assert (by_univ["U2"].observed_rank, by_univ["U1"].observed_rank) == (1, 2)
         # Scored zero; order falls back to the deterministic tie-break.
         assert [u.university_id for u in sorted(report.units, key=lambda u: u.hypothetical_rank)] == [
             "U1",
@@ -224,7 +225,7 @@ class TestTransitionMatrix:
 
 def _report_from_points(points):
     units = [
-        UnitShift(f"U{i}", "S1", i + 1, i + 1 - int(d), int(d), g, False)
+        UnitShift(f"U{i}", i + 1, i + 1 - int(d), int(d), g)
         for i, (d, g) in enumerate(points)
     ]
     return CounterfactualReport("S1", units, None, None, None)
