@@ -125,7 +125,7 @@ def _corpus_paths(corpus_dir) -> list[Path]:
 def _load(cfg: dict):
     corpus_dir = _required(cfg, "corpus", "--corpus")
     pub, res, tax = _corpus_paths(corpus_dir)
-    return load_corpus(pub, res, tax, tuple(cfg["window"]))
+    return load_corpus(pub, res, tax, tuple(cfg["window"] or DEFAULT_WINDOW))
 
 
 def _load_profile(cfg: dict) -> GeneratorProfile:
@@ -239,6 +239,9 @@ def cmd_counterfactual(cfg: dict) -> int:
         raise ValidationError("--svg needs --field to pick one scatter")
     if field is None and cfg["transition"]:
         raise ValidationError("--transition needs --field to pick one matrix")
+    problem = share_problem(cfg["share"]) or class_count_problem(cfg["classes"])
+    if problem:
+        raise ValidationError(problem)
     corpus = _load(cfg)
     scored = score_corpus(corpus, _credit_scheme(cfg))
     selection = select_top(scored.scores, SCOPE_UNIT, cfg["share"], cfg["min_staff"])
@@ -265,6 +268,9 @@ def cmd_fund(cfg: dict) -> int:
     uda = _required(cfg, "uda", "--uda")
     out = _required(cfg, "out", "--out")
     policy = _funding_policy(cfg)
+    problem = share_problem(cfg["share"])
+    if problem:
+        raise ValidationError(problem)
     corpus = _load(cfg)
     scored = score_corpus(corpus, _credit_scheme(cfg))
     rankings = _ranked_units(sds_unit_scores(scored.scores), LEVEL_UDA, cfg, corpus.taxonomy)
@@ -292,6 +298,8 @@ def cmd_report_all(cfg: dict) -> int:
     policy = _funding_policy(cfg)
     if cfg["corpus"] and (cfg["profile"] is not None or cfg["seed"] is not None):
         raise ValidationError("--corpus cannot be combined with --profile or --seed, which generate a corpus")
+    if not cfg["corpus"] and cfg["window"] is not None:
+        raise ValidationError("--window needs --corpus: a generated corpus spans its profile's window")
     problem = share_problem(cfg["share"]) or class_count_problem(cfg["transition_classes"])
     if problem:
         raise ValidationError(problem)
@@ -302,6 +310,7 @@ def cmd_report_all(cfg: dict) -> int:
         corpus = generate(profile)
         write_corpus(corpus, out_dir / "corpus", profile)
         log.info("generated corpus: %d researchers", len(corpus.researchers))
+    cfg["window"] = corpus.window  # the manifest echoes the window the run observed
 
     scored = score_corpus(corpus, _credit_scheme(cfg))
     reports.write_scores_csv(out_dir / "scores.csv", scored.scores)
@@ -392,11 +401,12 @@ def cmd_report_all(cfg: dict) -> int:
     return EXIT_OK
 
 
-def _add_corpus_options(parser: argparse.ArgumentParser) -> None:
+def _add_corpus_options(parser: argparse.ArgumentParser, window=DEFAULT_WINDOW) -> None:
+    """The corpus options, with `window` as the --window default."""
     parser.add_argument("--corpus", metavar="DIR",
                         help="directory with publications.jsonl, researchers.csv, taxonomy.csv")
-    parser.add_argument("--window", nargs=2, type=int, default=DEFAULT_WINDOW, metavar=("START", "END"),
-                        help="first and last year of the observation window, default %(default)s")
+    parser.add_argument("--window", nargs=2, type=int, default=window, metavar=("START", "END"),
+                        help=f"first and last year of the observation window, default {DEFAULT_WINDOW}")
     parser.add_argument("--credit", choices=sorted(CREDIT_MODES), default="equal",
                         help="author credit mode (default %(default)s)")
     parser.add_argument("--first-w", dest="first_w", type=float, default=CreditScheme.first_weight,
@@ -514,7 +524,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.set_defaults(handler=cmd_fund)
 
     p = sub.add_parser("report-all", help="full pipeline into one output directory")
-    _add_corpus_options(p)
+    # --window applies to --corpus only; a generated corpus takes its profile's window.
+    _add_corpus_options(p, window=None)
     _add_ranking_options(p)
     p.add_argument("--profile", metavar="FILE", help="generate a corpus from this profile instead of --corpus")
     p.add_argument("--seed", type=int)

@@ -14,6 +14,7 @@ import math
 import zlib
 from array import array
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -297,7 +298,9 @@ def _draw(profile: GeneratorProfile) -> tuple[Corpus, np.ndarray, np.ndarray]:
     second category and the co-author draws of `_draw_authors`. No draw
     calls `Generator.choice` at paper scale: the document types and the
     co-authors are its own draws, made with cheaper calls (`_draw_doc_types`,
-    `_sample_indices`).
+    `_sample_indices`). The bounded integers and the co-authors' uniforms
+    are drawn one at a time, straight from the bit generator
+    (`_scalar_draws`), as `Generator.integers` and `random` would draw them.
     Everything else is computed from those draws in bulk, straight into the
     `Publications` columns: a researcher's slot code is their index in
     generation order and a category's code is its SDS's index. The corpus
@@ -312,8 +315,10 @@ def _draw(profile: GeneratorProfile) -> tuple[Corpus, np.ndarray, np.ndarray]:
     ]
     y0, y1 = profile.window
     window_length = y1 - y0 + 1
+    partial_span = max(2, window_length) - 1  # partial years in post are 1 + a draw below this
     staff_lo, staff_hi = profile.staff_per_unit
     co_lo, co_hi = profile.coauthor_range
+    co_span = co_hi - co_lo + 1
     p_external = profile.p_external_coauthor
 
     researchers: list[Researcher] = []
@@ -329,15 +334,16 @@ def _draw(profile: GeneratorProfile) -> tuple[Corpus, np.ndarray, np.ndarray]:
     university_seeds = np.random.SeedSequence(profile.seed).spawn(profile.n_universities)
     for uni_index in range(profile.n_universities):
         rng = np.random.default_rng(university_seeds[uni_index])
+        random, below = _scalar_draws(rng)
         uid = f"U{uni_index + 1:03d}"
         universities[uid] = f"Synthetic University {uni_index + 1:03d}"
         university_pubs = 0
         for sds_code, sds in enumerate(sds_codes):
-            staff_n = int(rng.integers(staff_lo, staff_hi + 1))
+            staff_n = staff_lo + below(staff_hi - staff_lo + 1)
             if staff_n == 0:
                 continue
             full_window = (rng.random(staff_n) < profile.p_full_window).tolist()
-            partial_years = rng.integers(1, max(2, window_length), size=staff_n).tolist()
+            partial_years = [1 + below(partial_span) for _ in range(staff_n)]
             productive = (rng.random(staff_n) >= profile.p_nonproductive).tolist()
             first = len(researchers)
             for k in range(staff_n):
@@ -347,8 +353,8 @@ def _draw(profile: GeneratorProfile) -> tuple[Corpus, np.ndarray, np.ndarray]:
             sds_siblings = siblings[sds_code]
             for code in pool:
                 m = _publication_count(rng.lognormal(profile.pubs_location, profile.pubs_dispersion))
-                years.extend(rng.integers(y0, y1 + 1, size=m).tolist())
-                n_authors = rng.integers(co_lo, co_hi + 1, size=m).tolist()
+                years.extend([y0 + below(window_length) for _ in range(m)])
+                n_authors = [co_lo + below(co_span) for _ in range(m)]
                 second = (rng.random(m) < profile.p_second_category).tolist()
                 if not sds_siblings:
                     second = [False] * m  # no sibling SDS to take a second category from
@@ -358,8 +364,10 @@ def _draw(profile: GeneratorProfile) -> tuple[Corpus, np.ndarray, np.ndarray]:
                 colleagues = [c for c in pool if c != code]
                 for p in range(m):
                     if second[p]:
-                        second_category.append(sds_siblings[rng.integers(0, len(sds_siblings))])
-                    slot_researcher.extend(_draw_authors(rng, code, colleagues, n_authors[p], p_external))
+                        second_category.append(sds_siblings[below(len(sds_siblings))])
+                    slot_researcher.extend(
+                        _draw_authors(rng, random, below, code, colleagues, n_authors[p], p_external)
+                    )
                 author_counts.extend(n_authors)
                 primary_category.extend([sds_code] * m)
                 with_second.extend(second)
@@ -411,30 +419,62 @@ def _publication_count(draw: float) -> int:
     return max(1, int(round(draw)))
 
 
-def _draw_authors(rng, code, colleagues, n_authors, p_external) -> list[int]:
+def _scalar_draws(rng) -> tuple[Callable[[], float], Callable[[int], int]]:
+    """`(random, below)`: `random()` is `rng.random()` and `below(n)` is `int(rng.integers(0, n))`, for
+    n >= 1, drawn straight from the bit generator's C functions without a `Generator` call.
+
+    Both act on `rng`'s own PCG64 state (numpy's `bit_generator.ctypes`
+    interface), including the half of a 64-bit output it keeps for the next
+    32-bit draw, so they mix freely with `rng`'s other calls. `random` is
+    `next_double`. `below` is numpy's 32-bit Lemire draw, as
+    `Generator.integers` makes it for a bound under 2**32: no draw for
+    n == 1, else the high word of `next_uint32() * n`, drawn again while the
+    low word is under (2**32 - n) % n. From 2**32 on, `below` calls
+    `integers`. Both hold the address of `rng`'s state, so `rng` must
+    outlive them; `below` keeps a reference to it.
+    """
+    interface = rng.bit_generator.ctypes
+    state, next_uint32 = interface.state, interface.next_uint32
+
+    def below(n: int) -> int:
+        if n == 1:
+            return 0
+        if n > 0xFFFFFFFF:
+            return int(rng.integers(0, n))
+        m = next_uint32(state) * n
+        if m & 0xFFFFFFFF < n:
+            threshold = (0x100000000 - n) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = next_uint32(state) * n
+        return m >> 32
+
+    return partial(interface.next_double, state), below
+
+
+def _draw_authors(rng, random, below, code, colleagues, n_authors, p_external) -> list[int]:
     """Researcher code per author position, mixing the originating researcher, colleagues, externals.
 
     Internal co-authors come from `colleagues`, the other productive members
     of the same unit (never a non-productive colleague, which would
     contradict their zero publication count), in unit order; externals get
     code -1. The originating researcher `code` takes a uniformly drawn position.
+    `random` and `below` are `rng`'s `_scalar_draws`.
     """
-    # Counting in Python and indexing with numpy integers skip numpy calls that cost more than a draw.
     others = n_authors - 1
     picked: list[int] = []
     if others:
-        wanted = len([u for u in rng.random(others).tolist() if u >= p_external])
+        wanted = sum([random() >= p_external for _ in range(others)])
         n_internal = min(wanted, len(colleagues))
         if n_internal:
-            picked = [colleagues[i] for i in _sample_indices(rng, len(colleagues), n_internal)]
+            picked = [colleagues[i] for i in _sample_indices(rng, below, len(colleagues), n_internal)]
         picked += [-1] * (others - n_internal)
-    picked.insert(rng.integers(1, n_authors + 1) - 1, code)
+    picked.insert(below(n_authors), code)
     return picked
 
 
-def _sample_indices(rng, n: int, k: int) -> list[int]:
+def _sample_indices(rng, below, n: int, k: int) -> list[int]:
     """The k of `range(n)` that `Generator.choice` picks without replacement, sorted, leaving `rng` in
-    the same state, with scalar draws.
+    the same state, with scalar draws; `below` is `rng`'s from `_scalar_draws`.
 
     This is numpy's own algorithm: Floyd's sampler (draw from [0, j] for j
     from n - k to n - 1, taking j when the draw is already taken), then the
@@ -447,10 +487,10 @@ def _sample_indices(rng, n: int, k: int) -> list[int]:
         return sorted(rng.choice(n, k, replace=False).tolist())
     taken: set[int] = set()
     for j in range(n - k, n):
-        value = int(rng.integers(0, j + 1))
+        value = below(j + 1)
         taken.add(j if value in taken else value)
     for i in range(k - 1, 0, -1):
-        rng.integers(0, i + 1)
+        below(i + 1)
     return sorted(taken)
 
 

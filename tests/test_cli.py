@@ -452,6 +452,21 @@ class TestCounterfactual:
         assert code == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--share", "2"], "selection share must be in [0, 1], got 2.0"),
+            (["--classes", "0"], "need at least one quantile class, got 0"),
+        ],
+        ids=["share-2", "classes-0"],
+    )
+    def test_invalid_scenario_option_rejected_before_reading(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "cf.csv"
+        argv = ["counterfactual", "--level", "sds", "--corpus", str(tmp_path / "missing"), *flags]
+        assert dispatch(argv + ["--out", str(out)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_transition_marginals_match_class_sizes(self, corpus_dir, tmp_path):
         out = tmp_path / "cf.csv"
         tr = tmp_path / "tr.csv"
@@ -514,6 +529,13 @@ class TestFund:
         assert census_rows[0] == ["university_id", "class", "staff", "top_count", "incidence", "amount"]
         payload = json.loads(findings.read_text())
         assert payload[0]["uda"] == "A"
+
+    def test_invalid_share_rejected_before_reading(self, tmp_path, capsys):
+        out = tmp_path / "a.csv"
+        argv = ["fund", "--uda", "A", "--corpus", str(tmp_path / "missing"), "--share", "2", "--out", str(out)]
+        assert dispatch(argv) == 1
+        assert "error: selection share must be in [0, 1], got 2.0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_uda(self, corpus_dir, tmp_path):
         code = dispatch(
@@ -621,6 +643,27 @@ class TestReportAll:
         assert dispatch(["report-all", "--profile", str(profile_path), *flags, "--out", str(out)]) == 1
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, config", [(["--window", "2006", "2007"], {}), ([], {"window": [2006, 2007]})], ids=["flag", "config"]
+    )
+    def test_window_without_corpus_rejected(self, tmp_path, capsys, flags, config):
+        # A generated corpus spans its profile's window, which --window would not change.
+        profile_path = tmp_path / "p.json"
+        profile_path.write_text(json.dumps(CRITERION_11_PROFILE))
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        out = tmp_path / "run"
+        argv = ["report-all", "--profile", str(profile_path), "--config", str(config_path), *flags]
+        assert dispatch(argv + ["--out", str(out)]) == 1
+        assert "error: --window needs --corpus" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_corpus_window_is_echoed(self, criterion_11_corpus, tmp_path):
+        out = tmp_path / "run"
+        argv = ["report-all", "--corpus", str(criterion_11_corpus), "--window", "2003", "2009", "--out", str(out)]
+        assert dispatch(argv) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["window"] == [2003, 2009]
 
     @pytest.mark.parametrize("flags", [["--profile", "absent.json"], ["--seed", "3"]], ids=["profile", "seed"])
     def test_corpus_with_a_generator_option_rejected(self, criterion_11_corpus, tmp_path, capsys, flags):

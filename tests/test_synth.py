@@ -6,7 +6,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from meritrank import synth
@@ -93,8 +93,47 @@ def _twin_rngs(seed, warmup):
     return pair
 
 
+# Bounds of `below`: no draw at 1, rejections likely at 3 * 2**30, the widest 32-bit draws, and 64-bit ones.
+BELOW_BOUNDS = (1, 2, 3, 7, 3 * 2**30, 2**32 - 1, 2**32, 2**40)
+
+
 class TestChoiceFreeDraws:
-    """The generator makes `Generator.choice`'s draws with cheaper calls; these pin them to numpy's own."""
+    """The generator makes `Generator`'s draws with cheaper calls; these pin them to numpy's own."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        warmup=st.integers(0, 3),
+        calls=st.lists(
+            st.one_of(
+                st.tuples(
+                    st.sampled_from(["below", "below_array"]),
+                    st.one_of(st.sampled_from(BELOW_BOUNDS), st.integers(1, 100), st.integers(1, 2**63 - 1)),
+                ),
+                st.tuples(st.sampled_from(["random", "standard_normal"]), st.none()),
+                st.tuples(st.just("random_array"), st.integers(0, 5)),
+            ),
+            max_size=30,
+        ),
+    )
+    @example(seed=11, warmup=1, calls=[(call, n) for n in BELOW_BOUNDS for call in ("below", "below_array")])
+    def test_scalar_draws_are_numpy_integers_and_random(self, seed, warmup, calls):
+        # Interleaved with `Generator` calls, which must see the same state, buffered half-words included.
+        # `below_array`: the generator replaces `integers(lo, hi, size=m)` with m calls of `below`.
+        ours, theirs = _twin_rngs(seed, warmup)
+        random, below = synth._scalar_draws(ours)
+        for call, arg in calls:
+            if call == "below":
+                assert below(arg) == int(theirs.integers(0, arg))
+            elif call == "below_array":
+                assert [below(arg) for _ in range(3)] == theirs.integers(0, arg, size=3).tolist()
+            elif call == "random":
+                assert random() == theirs.random()
+            elif call == "standard_normal":
+                assert ours.standard_normal() == theirs.standard_normal()
+            else:
+                assert ours.random(arg).tolist() == theirs.random(arg).tolist()
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
     @settings(max_examples=400, deadline=None)
     @given(
@@ -107,7 +146,8 @@ class TestChoiceFreeDraws:
         # Above 10,000, k crosses n // 50, where numpy switches from Floyd's sampler to a partial shuffle.
         k = max(1, round(k_share * min(n, 400)))
         ours, theirs = _twin_rngs(seed, warmup)
-        assert synth._sample_indices(ours, n, k) == sorted(theirs.choice(n, k, replace=False).tolist())
+        _, below = synth._scalar_draws(ours)
+        assert synth._sample_indices(ours, below, n, k) == sorted(theirs.choice(n, k, replace=False).tolist())
         assert ours.bit_generator.state == theirs.bit_generator.state
 
     @settings(max_examples=200, deadline=None)
@@ -265,6 +305,12 @@ GENERATOR_PINS = {
         {"window": [2006, 2006]},
         "bea9ec7d6ee88ed30e4aabd697b7a3cbf21ae8d461b3ab2aa36a84424015b3c6",
         "c21b0fc2146223d1b0dda8ede1ca9d681441b8ffc8a21d906aab0f7521c53214",
+    ),
+    # Years, partial years, author counts and author positions each come from one value, with no draw.
+    "one-year-single-author": (
+        {"window": [2006, 2006], "coauthor_range": [1, 1]},
+        "34e0490f6a97c728a3b5c4552349467fd851b3f950790d7c7cb907a8dbd0d2a2",
+        "02a04a11a8a793cc8ad4933b50d5cb8c831fd936961ca73f45838d61c6c0be1d",
     ),
     "partial-window": (
         {"p_full_window": 0.0},
