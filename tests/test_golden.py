@@ -1,10 +1,12 @@
-"""Golden outputs: pinned SHA-256 digests and manifest echoes of ten CLI runs.
+"""Golden outputs: pinned SHA-256 digests and manifest echoes of twelve CLI runs.
 
 The runs use criterion 11's 12-university profile (seed 41): `report-all`
 and `gen` generate the corpus from it, `calibrate` tunes it (it converges),
 `calibrate --tolerance 0` cannot converge (so it exits 1 and still writes a
 best-effort profile and a manifest), and `indicators` (with equal and with positional
-credit), `rank`, `counterfactual`, `fund` and `report-all --corpus` (with
+credit), `rank`, `counterfactual` (at UDA level; and at SDS and at UDA level
+with pooled national averages refitted after a 25% removal, which only the
+UDA composites read), `fund` and `report-all --corpus` (with
 positional credit, as the benchmark's corpus workload runs it) read the
 corpus `report-all` wrote. A refactor must reproduce every non-manifest byte and every
 manifest's `command`, `config` and `inputs`; a change that alters them on
@@ -31,6 +33,8 @@ GOLDEN_DIGESTS = {
     "counterfactual/cf.csv": "7a27dd320ed7d6496e7cae2608018bf28b2abb294858af8be09371161ea536ec",
     "counterfactual/scatter.svg": "643af35ab695cc881fb3244a73c25fc2c059a1741a7e3eefe8f0345ca9fe854e",
     "counterfactual/transition.csv": "7e3a6cc6699578227a064ba95a4680709ad4d6d9f921b5c3273fec9d20ed7e29",
+    "counterfactual-sds-pooled/cf.csv": "79b19c20eee2b4a92de55fab81a513002d997d1f935f86a2e99cf3e695c38ee4",
+    "counterfactual-uda-pooled/cf.csv": "1a04e6776c67fde4f872bdd51f75ae870381417fbe310977e40da3e37f1bc455",
     "fund/alloc.csv": "4ec0167cd01c219ae0c0f1e96c5308e8abad14d03fd108c60a8b442c8f804864",
     "fund/census.csv": "43bad6aa03cbe02846c7602d8b845fa715157e87ecd1fe5f120a70b10b7a3d1c",
     "fund/findings.json": "89b22ae144f58cd7a94833cbebf3ee8736a7cc2ada250ce90a571d58483ed236",
@@ -112,6 +116,44 @@ GOLDEN_CONFIGS = {
         "share": 0.2,
         "svg": "TMP/counterfactual/scatter.svg",
         "transition": "TMP/counterfactual/transition.csv",
+        "window": [2004, 2008],
+    },
+    "counterfactual-sds-pooled/cf.manifest.json": {
+        "classes": 5,
+        "corpus": "TMP/report-all/corpus",
+        "credit": "equal",
+        "extramural_discount": 1.0,
+        "field": None,
+        "first_w": 2.0,
+        "last_w": 2.0,
+        "level": "sds",
+        "middle_w": 1.0,
+        "min_staff": 5,
+        "out": "TMP/counterfactual-sds-pooled/cf.csv",
+        "pstar": "pooled",
+        "refit_pstar": True,
+        "share": 0.25,
+        "svg": None,
+        "transition": None,
+        "window": [2004, 2008],
+    },
+    "counterfactual-uda-pooled/cf.manifest.json": {
+        "classes": 5,
+        "corpus": "TMP/report-all/corpus",
+        "credit": "equal",
+        "extramural_discount": 1.0,
+        "field": None,
+        "first_w": 2.0,
+        "last_w": 2.0,
+        "level": "uda",
+        "middle_w": 1.0,
+        "min_staff": 5,
+        "out": "TMP/counterfactual-uda-pooled/cf.csv",
+        "pstar": "pooled",
+        "refit_pstar": True,
+        "share": 0.25,
+        "svg": None,
+        "transition": None,
         "window": [2004, 2008],
     },
     "fund/alloc.manifest.json": {
@@ -225,6 +267,8 @@ GOLDEN_MANIFEST_SOURCES = {
     "calibrate/profile.manifest.json": {"command": "calibrate", "inputs": PROFILE_INPUT},
     "calibrate-tolerance-0/profile.manifest.json": {"command": "calibrate", "inputs": PROFILE_INPUT},
     "counterfactual/cf.manifest.json": {"command": "counterfactual", "inputs": CORPUS_INPUTS},
+    "counterfactual-sds-pooled/cf.manifest.json": {"command": "counterfactual", "inputs": CORPUS_INPUTS},
+    "counterfactual-uda-pooled/cf.manifest.json": {"command": "counterfactual", "inputs": CORPUS_INPUTS},
     "fund/alloc.manifest.json": {"command": "fund", "inputs": CORPUS_INPUTS},
     "gen/manifest.json": {"command": "gen", "inputs": PROFILE_INPUT},
     "indicators/scores.manifest.json": {"command": "indicators", "inputs": CORPUS_INPUTS},
@@ -258,6 +302,14 @@ def _runs(tmp):
             "--transition", str(tmp / "counterfactual" / "transition.csv"),
         ],
         [
+            "counterfactual", "--corpus", corpus, "--level", "sds", "--pstar", "pooled", "--refit-pstar",
+            "--share", "0.25", "--out", str(tmp / "counterfactual-sds-pooled" / "cf.csv"),
+        ],
+        [
+            "counterfactual", "--corpus", corpus, "--level", "uda", "--pstar", "pooled", "--refit-pstar",
+            "--share", "0.25", "--out", str(tmp / "counterfactual-uda-pooled" / "cf.csv"),
+        ],
+        [
             "fund", "--corpus", corpus, "--uda", "A",
             "--out", str(tmp / "fund" / "alloc.csv"),
             "--census", str(tmp / "fund" / "census.csv"),
@@ -277,7 +329,7 @@ def _runs(tmp):
 
 
 def run_golden(tmp):
-    """Run the ten commands under `tmp`.
+    """Run the twelve commands under `tmp`.
 
     Returns (digests, manifest configs, manifest commands and inputs), each
     keyed by path relative to `tmp`.
