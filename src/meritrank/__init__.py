@@ -35,13 +35,14 @@ from .normalization import (
 )
 from .indicators import (
     MeasuredStats,
-    ResearcherScore,
     ScoredCorpus,
+    ScoreTable,
     measured_shares,
     percentile_ranks,
     productivity_stats,
     researcher_ss,
     score_corpus,
+    score_table,
 )
 from .aggregation import (
     LEVEL_SDS,

@@ -13,9 +13,11 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .corpus import Taxonomy
 from .errors import ValidationError
-from .indicators import ResearcherScore
+from .indicators import ScoreTable
 from .stats import ordered_sum
 
 LEVEL_SDS = "sds"
@@ -50,14 +52,19 @@ class RankedUnit:
     staff: int
 
 
-def sds_unit_scores(scores: Mapping[str, ResearcherScore]) -> list[UnitScore]:
-    """Per-capita SS of every (university, SDS) unit present in the scores."""
-    groups: dict[tuple[str, str], list[float]] = defaultdict(list)
-    for score in scores.values():
-        groups[(score.university_id, score.sds)].append(score.ss)
+def sds_unit_scores(scores: ScoreTable) -> list[UnitScore]:
+    """Per-capita SS of every (university, SDS) unit present in the scores, in that name order.
+
+    `bincount` adds each unit's SS in row order, as `ordered_sum` would.
+    """
+    n_sds = len(scores.sds_names)
+    units = scores.unit_codes()
+    staff = np.bincount(units)
+    totals = np.bincount(units, weights=scores.ss, minlength=len(staff))
+    present = np.flatnonzero(staff)
     return [
-        UnitScore(university, sds, ordered_sum(values) / len(values), len(values), len(values))
-        for (university, sds), values in sorted(groups.items())
+        UnitScore(scores.universities[unit // n_sds], scores.sds_names[unit % n_sds], total / n, n, n)
+        for unit, total, n in zip(present.tolist(), totals[present].tolist(), staff[present].tolist())
     ]
 
 
@@ -70,6 +77,8 @@ def national_averages(
     weight; pooled divides the national SS total by the national staff count
     (equivalent to staff-weighting the units).
     """
+    if mode not in (PSTAR_MEAN_OF_UNITS, PSTAR_POOLED):
+        raise ValidationError(f"unknown national-average mode {mode!r}")
     by_sds: dict[str, list[UnitScore]] = defaultdict(list)
     for unit in unit_scores:
         by_sds[unit.field].append(unit)
@@ -77,11 +86,9 @@ def national_averages(
     for sds, units in by_sds.items():
         if mode == PSTAR_MEAN_OF_UNITS:
             averages[sds] = ordered_sum(u.score for u in units) / len(units)
-        elif mode == PSTAR_POOLED:
+        else:
             staff = sum(u.staff for u in units)
             averages[sds] = ordered_sum(u.score * u.staff for u in units) / staff
-        else:
-            raise ValidationError(f"unknown national-average mode {mode!r}")
     return averages
 
 

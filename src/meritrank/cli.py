@@ -34,7 +34,7 @@ from .aggregation import (
 from .corpus import DEFAULT_WINDOW, load_corpus, open_input
 from .errors import AllocationError, MeritrankError, UndefinedStatisticError, ValidationError
 from .funding import FundingPolicy, allocate, national_top_census, paradox_report
-from .indicators import measured_shares, productivity_stats, score_corpus
+from .indicators import group_rows, measured_shares, productivity_stats, score_corpus
 from .normalization import EQUAL_FRACTIONAL, POSITIONAL, CreditScheme
 from .scenario import (
     DEFAULT_SHARE,
@@ -318,19 +318,16 @@ def cmd_report_all(cfg: dict) -> int:
     stats = productivity_stats(scored.scores, corpus.taxonomy)
     reports.write_productivity_csv(out_dir / "productivity_uda.csv", stats)
 
-    ss_by_sds: dict[str, list[float]] = {}
-    for score in scored.scores.values():
-        ss_by_sds.setdefault(score.sds, []).append(score.ss)
     concentration_rows = []
-    for sds in sorted(ss_by_sds):
-        values = ss_by_sds[sds]
-        if len(values) < 5:
+    by_sds = group_rows(scored.scores.sds, len(scored.scores.sds_names))
+    for sds, rows in zip(scored.scores.sds_names, by_sds):
+        if len(rows) < 5:
             continue
         try:
-            ratio = bottom_top_ratio(values)
+            ratio = bottom_top_ratio(scored.scores.ss[rows])
         except UndefinedStatisticError:
             ratio = None
-        concentration_rows.append((sds, len(values), ratio))
+        concentration_rows.append((sds, len(rows), ratio))
     reports.write_concentration_csv(out_dir / "concentration_sds.csv", concentration_rows)
 
     units = sds_unit_scores(scored.scores)
@@ -402,11 +399,14 @@ def cmd_report_all(cfg: dict) -> int:
 
 
 def _add_corpus_options(parser: argparse.ArgumentParser, window=DEFAULT_WINDOW) -> None:
-    """The corpus options, with `window` as the --window default."""
+    """The corpus options, with `window` as the --window default; None takes it only with --corpus."""
     parser.add_argument("--corpus", metavar="DIR",
                         help="directory with publications.jsonl, researchers.csv, taxonomy.csv")
+    window_help = f"first and last year of the observation window, default {DEFAULT_WINDOW}"
+    if window is None:
+        window_help += "; only with --corpus, as a generated corpus spans its profile's window"
     parser.add_argument("--window", nargs=2, type=int, default=window, metavar=("START", "END"),
-                        help=f"first and last year of the observation window, default {DEFAULT_WINDOW}")
+                        help=window_help)
     parser.add_argument("--credit", choices=sorted(CREDIT_MODES), default="equal",
                         help="author credit mode (default %(default)s)")
     parser.add_argument("--first-w", dest="first_w", type=float, default=CreditScheme.first_weight,

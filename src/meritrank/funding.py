@@ -8,16 +8,17 @@ ratios hold without rounding slack.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .aggregation import RankedUnit
 from .corpus import Taxonomy
 from .errors import AllocationError, ValidationError
-from .indicators import ResearcherScore
+from .indicators import ScoreTable
 from .scenario import SCOPE_NATIONAL, TopSelection
 from .stats import classify_quantiles
 
@@ -125,7 +126,7 @@ class TopCensus:
 
 
 def national_top_census(
-    scores: Mapping[str, ResearcherScore],
+    scores: ScoreTable,
     taxonomy: Taxonomy,
     uda: str,
     allocation: FundingAllocation,
@@ -141,27 +142,21 @@ def national_top_census(
     """
     if selection.scope != SCOPE_NATIONAL:
         raise ValidationError("the census needs a nationally scoped selection")
-    top_ids = selection.all_selected()
-
-    staff_by_univ: dict[str, int] = defaultdict(int)
-    tops_by_univ: dict[str, int] = defaultdict(int)
-    for score in scores.values():
-        if taxonomy.uda_of(score.sds) != uda:
-            continue
-        staff_by_univ[score.university_id] += 1
-        if score.researcher_id in top_ids:
-            tops_by_univ[score.university_id] += 1
+    in_area = np.array([taxonomy.uda_of(sds) == uda for sds in scores.sds_names], dtype=bool)[scores.sds]
+    n_universities = len(scores.universities)
+    staff = np.bincount(scores.university[in_area], minlength=n_universities).tolist()
+    tops = np.bincount(scores.university[in_area & selection.selected], minlength=n_universities).tolist()
 
     classes = allocation.class_of()
     universities = []
     class_totals = [0] * allocation.policy.n_classes
-    for univ in sorted(staff_by_univ):
-        staff = staff_by_univ[univ]
-        tops = tops_by_univ.get(univ, 0)
+    for univ, univ_staff, univ_tops in zip(scores.universities, staff, tops):
+        if not univ_staff:
+            continue
         class_index = classes.get(univ)
         if class_index is not None:
-            class_totals[class_index] += tops
-        universities.append(UniversityCensus(univ, class_index, staff, tops, tops / staff))
+            class_totals[class_index] += univ_tops
+        universities.append(UniversityCensus(univ, class_index, univ_staff, univ_tops, univ_tops / univ_staff))
     total = sum(class_totals)
     stranded = class_totals[-1]
     return TopCensus(

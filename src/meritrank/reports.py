@@ -22,7 +22,7 @@ from ._version import __version__
 from .aggregation import RankedUnit
 from .errors import UndefinedStatisticError
 from .funding import Finding, FundingAllocation, TopCensus
-from .indicators import ProductivityStats, ResearcherScore
+from .indicators import ProductivityStats, ScoreTable
 from .scenario import CounterfactualReport, ScatterData
 
 
@@ -47,19 +47,18 @@ def json_file(path, data, sort_keys: bool = False) -> None:
     _text_file(path, json.dumps(data, indent=2, sort_keys=sort_keys) + "\n")
 
 
-def write_scores_csv(path, scores: Mapping[str, ResearcherScore]) -> None:
+def write_scores_csv(path, scores: ScoreTable) -> None:
+    """One row per scored researcher, in id order."""
     header = ["researcher_id", "university_id", "sds", "ss", "percentile", "non_productive", "nil_impact"]
-    rows = (
-        [
-            s.researcher_id,
-            s.university_id,
-            s.sds,
-            s.ss,
-            "" if s.percentile is None else s.percentile,
-            int(s.non_productive),
-            int(s.nil_impact),
-        ]
-        for _, s in sorted(scores.items())
+    order = scores.id_order()
+    rows = zip(
+        [scores.researcher_ids[i] for i in order.tolist()],
+        [scores.universities[code] for code in scores.university[order].tolist()],
+        [scores.sds_names[code] for code in scores.sds[order].tolist()],
+        scores.ss[order].tolist(),
+        scores.percentile[order].tolist(),
+        scores.non_productive[order].astype(int).tolist(),
+        scores.nil_impact[order].astype(int).tolist(),
     )
     csv_file(path, header, rows)
 

@@ -8,9 +8,8 @@ judged against the same yardstick in both scenarios.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from .aggregation import (
 )
 from .corpus import Taxonomy
 from .errors import UndefinedStatisticError, ValidationError
-from .indicators import ResearcherScore
+from .indicators import ScoreTable, group_rows
 from .stats import SpearmanResult, classify_quantiles, gini, spearman, top_count
 
 SCOPE_UNIT = "unit"
@@ -39,13 +38,11 @@ DEFAULT_TRANSITION_CLASSES = 5
 
 @dataclass(frozen=True)
 class TopSelection:
-    """Top scientists per group: (university, SDS) units or national SDS rosters."""
+    """Top scientists per group, (university, SDS) units or national SDS rosters,
+    as a boolean mask over the rows of the score table they were selected from."""
 
     scope: str
-    selected: Mapping
-
-    def all_selected(self) -> frozenset[str]:
-        return frozenset(rid for members in self.selected.values() for rid in members)
+    selected: np.ndarray
 
 
 def share_problem(share: float) -> str | None:
@@ -56,7 +53,7 @@ def share_problem(share: float) -> str | None:
 
 
 def select_top(
-    scores: Mapping[str, ResearcherScore],
+    scores: ScoreTable,
     scope: str = SCOPE_UNIT,
     share: float = DEFAULT_SHARE,
     min_staff: int = DEFAULT_MIN_STAFF,
@@ -69,22 +66,20 @@ def select_top(
     problem = share_problem(share)
     if problem:
         raise ValidationError(problem)
-    groups: dict = defaultdict(list)
-    for score in scores.values():
-        if scope == SCOPE_UNIT:
-            key = (score.university_id, score.sds)
-        elif scope == SCOPE_NATIONAL:
-            key = score.sds
-        else:
-            raise ValidationError(f"unknown selection scope {scope!r}")
-        groups[key].append(score)
-    selected = {}
-    for key, members in groups.items():
-        if len(members) < min_staff:
-            continue
-        k = top_count(share, len(members))
-        members.sort(key=lambda s: (-s.ss, s.researcher_id))
-        selected[key] = tuple(s.researcher_id for s in members[:k])
+    if scope == SCOPE_UNIT:
+        groups = scores.unit_codes()
+    elif scope == SCOPE_NATIONAL:
+        groups = scores.sds
+    else:
+        raise ValidationError(f"unknown selection scope {scope!r}")
+    # One stable sort of the id order by group, then SS descending: each group's
+    # members sit together, best first, ties in id order.
+    order = scores.id_order()
+    order = order[np.lexsort((-scores.ss[order], groups[order]))]
+    selected = np.zeros(len(scores), dtype=bool)
+    for members in np.split(order, np.cumsum(np.bincount(groups))[:-1]):
+        if len(members) >= min_staff:
+            selected[members[: top_count(share, len(members))]] = True
     return TopSelection(scope, selected)
 
 
@@ -116,6 +111,20 @@ def _unit_gini(values: Sequence[float]) -> float:
     return gini(values)
 
 
+def _unit_values(scores: ScoreTable, level: str, taxonomy: Taxonomy) -> dict[tuple[str, str], np.ndarray]:
+    """Each (university, field at `level`) unit's SS, in row order: `gini` sums its input unsorted."""
+    fields = sorted({level_field(sds, level, taxonomy) for sds in scores.sds_names})
+    index = {field_code: i for i, field_code in enumerate(fields)}
+    field_of_sds = np.array([index[level_field(sds, level, taxonomy)] for sds in scores.sds_names], dtype=np.int64)
+    codes = scores.university * len(fields) + field_of_sds[scores.sds]
+    rows = group_rows(codes, len(scores.universities) * len(fields))
+    return {
+        (university, field_code): scores.ss[rows[u * len(fields) + f]]
+        for u, university in enumerate(scores.universities)
+        for f, field_code in enumerate(fields)
+    }
+
+
 def _safe_spearman(x: Sequence[float], y: Sequence[float]) -> SpearmanResult | None:
     try:
         return spearman(x, y)
@@ -125,7 +134,7 @@ def _safe_spearman(x: Sequence[float], y: Sequence[float]) -> SpearmanResult | N
 
 def counterfactual_rankings(
     taxonomy: Taxonomy,
-    scores: Mapping[str, ResearcherScore],
+    scores: ScoreTable,
     units: Sequence[UnitScore],
     selection: TopSelection,
     level: str,
@@ -145,8 +154,7 @@ def counterfactual_rankings(
     """
     if selection.scope != SCOPE_UNIT:
         raise ValidationError("counterfactual rankings need a unit-scoped selection")
-    removed = selection.all_selected()
-    hyp_units = sds_unit_scores({rid: s for rid, s in scores.items() if rid not in removed})
+    hyp_units = sds_unit_scores(scores.rows(~selection.selected))
     p_stars = national_averages(units, pstar_mode)
     observed_rankings = rank_units(level_unit_scores(units, level, p_stars, taxonomy), min_staff)
     hyp_pstars = national_averages(hyp_units, pstar_mode) if refit_pstar else p_stars
@@ -154,10 +162,7 @@ def counterfactual_rankings(
         (u.university_id, u.field): (u.score, u.staff)
         for u in level_unit_scores(hyp_units, level, hyp_pstars, taxonomy)
     }
-
-    unit_values: dict[tuple[str, str], list[float]] = defaultdict(list)
-    for score in scores.values():
-        unit_values[(score.university_id, level_field(score.sds, level, taxonomy))].append(score.ss)
+    unit_values = _unit_values(scores, level, taxonomy)
 
     reports: dict[str, CounterfactualReport] = {}
     for field_code, observed_ranking in sorted(observed_rankings.items()):

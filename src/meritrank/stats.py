@@ -73,18 +73,24 @@ def gini(values: Sequence[float]) -> float:
     return float(((2 * i - n - 1) * xs).sum() / (n * total))
 
 
-def average_ranks(x: np.ndarray) -> np.ndarray:
-    """Ranks 1..n; tied values share the mean of the ranks they span."""
-    order = np.argsort(x, kind="mergesort")
-    sx = x[order]
-    ranks = np.empty(x.size, dtype=float)
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and sx[j + 1] == sx[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+def average_ranks(x, groups: np.ndarray | None = None) -> np.ndarray:
+    """Ranks 1..n within each group (all of `x` is one group when `groups` is None).
+
+    Tied values of a group share the mean of the ranks they span: a run of
+    equal values at sorted positions i..j of its group ranks 0.5 * (i + j) + 1.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    if n == 0:
+        return np.empty(0)
+    g = np.zeros(n, dtype=np.int64) if groups is None else np.asarray(groups)
+    order = np.lexsort((x, g))
+    sx, sg = x[order], g[order]
+    run_first = np.flatnonzero(np.r_[True, (sg[1:] != sg[:-1]) | (sx[1:] != sx[:-1])])
+    run_last = np.r_[run_first[1:], n] - 1
+    group_first = np.searchsorted(sg, sg[run_first])
+    ranks = np.empty(n)
+    ranks[order] = np.repeat(0.5 * (run_first + run_last - 2 * group_first) + 1.0, run_last - run_first + 1)
     return ranks
 
 

@@ -71,29 +71,44 @@ def solo_corpus(entries, taxonomy: Taxonomy | None = None, category: str = "C1",
 
 
 def scores_with_ss(groups, taxonomy: Taxonomy | None = None):
-    """Researcher scores with hand-picked SS values.
+    """A corpus and its score table with hand-picked SS values.
 
     groups: mapping (university, sds) -> list of ss values. Researchers are
-    created non-productive and their ss overridden, so tests control the
-    exact score distribution of every unit.
+    created non-productive and the table is built with the given SS, so
+    tests control the exact score distribution of every unit. Rows follow
+    the groups, each group's values in order.
     """
-    from meritrank.indicators import researcher_ss
-    from meritrank.normalization import CreditScheme
+    from meritrank.indicators import score_table
 
     entries = []
-    values = {}
+    values = []
     for (univ, sds), ss_list in groups.items():
         for i, ss in enumerate(ss_list):
-            rid = f"{univ}-{sds}-{i:02d}"
-            entries.append((rid, univ, sds, None))
-            values[rid] = float(ss)
+            entries.append((f"{univ}-{sds}-{i:02d}", univ, sds, None))
+            values.append(float(ss))
     taxonomy = taxonomy or make_taxonomy({sds: "X" for _, sds in groups})
     corpus = solo_corpus(entries, taxonomy=taxonomy)
-    scores = researcher_ss(corpus, {}, CreditScheme())
-    for rid, ss in values.items():
-        scores[rid].ss = ss
-        scores[rid].nil_impact = ss == 0.0
-    return corpus, scores
+    return corpus, score_table(list(corpus.researchers.values()), values, [True] * len(values))
+
+
+def table_rows(scores) -> dict[str, dict]:
+    """Each row of a score table as a dict of its values, keyed by researcher id."""
+    return {
+        rid: {
+            "university_id": scores.universities[scores.university[i]],
+            "sds": scores.sds_names[scores.sds[i]],
+            "ss": float(scores.ss[i]),
+            "percentile": float(scores.percentile[i]),
+            "non_productive": bool(scores.non_productive[i]),
+            "nil_impact": bool(scores.nil_impact[i]),
+        }
+        for i, rid in enumerate(scores.researcher_ids)
+    }
+
+
+def selected_ids(scores, selection) -> list[str]:
+    """The researcher ids a top selection's mask picks, in row order."""
+    return [rid for rid, picked in zip(scores.researcher_ids, selection.selected.tolist()) if picked]
 
 
 @pytest.fixture

@@ -14,10 +14,8 @@ from meritrank.aggregation import (
     uda_unit_scores,
 )
 from meritrank.errors import ValidationError
-from meritrank.indicators import researcher_ss
-from meritrank.normalization import CreditScheme
 
-from conftest import make_taxonomy, scores_with_ss as _scores_with_ss, solo_corpus
+from conftest import scores_with_ss as _scores_with_ss
 
 
 def scores_with_ss(groups):
@@ -70,6 +68,10 @@ class TestNationalAverages:
     def test_unknown_mode(self):
         with pytest.raises(ValidationError):
             national_averages([sds_unit("U1", "S1", 1.0, 1)], "median")
+
+    def test_unknown_mode_rejected_without_units(self):
+        with pytest.raises(ValidationError, match="unknown national-average mode"):
+            national_averages([], "bogus")
 
 
 class TestUdaUnitScores:
@@ -189,10 +191,9 @@ class TestRankUnits:
             for sds in ("S1", "S2"):
                 groups[(univ, sds)] = rng.uniform(0, 2, size=int(rng.integers(5, 12))).tolist()
         scores = scores_with_ss(groups)
-        scaled = scores_with_ss(groups)
-        for s in scaled.values():
-            if s.sds == "S1":
-                s.ss *= 7.3
+        scaled = scores_with_ss(
+            {(univ, sds): [v * 7.3 for v in values] if sds == "S1" else values for (univ, sds), values in groups.items()}
+        )
 
         def orderings(score_map):
             units = sds_unit_scores(score_map)

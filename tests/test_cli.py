@@ -98,6 +98,11 @@ class TestExitCodes:
     def test_help_exits_zero(self):
         assert dispatch(["--help"]) == 0
 
+    def test_report_all_help_ties_window_to_corpus(self, capsys):
+        assert dispatch(["report-all", "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "default (2004, 2008); only with --corpus, as a generated corpus spans its profile's window" in text
+
     def test_missing_required_flag(self, capsys):
         assert dispatch(["indicators"]) == 1
         err = capsys.readouterr().err

@@ -10,14 +10,27 @@ from meritrank.indicators import (
     productivity_stats,
     researcher_ss,
     score_corpus,
+    score_table,
 )
 from meritrank.normalization import CategoryBaseline, CreditScheme, compute_baselines
 
-from conftest import make_corpus, make_pub, make_slot, make_taxonomy, solo_corpus
+from conftest import make_corpus, make_pub, make_slot, make_taxonomy, solo_corpus, table_rows
 
 
 def fixed_baselines(median, category="C1", year=2005):
     return {(category, year): CategoryBaseline(float(median), float(median))}
+
+
+def scored_table(corpus, baselines=None):
+    """The score table of every researcher of `corpus`; the baselines default to the corpus's own."""
+    baselines = compute_baselines(corpus) if baselines is None else baselines
+    ss, non_productive = researcher_ss(corpus, baselines, CreditScheme())
+    return score_table(list(corpus.researchers.values()), ss, non_productive)
+
+
+def scored_rows(corpus, baselines=None):
+    """The rows of `scored_table`, keyed by researcher id."""
+    return table_rows(scored_table(corpus, baselines))
 
 
 class TestResearcherSS:
@@ -27,17 +40,16 @@ class TestResearcherSS:
             [("R1", "U1", "S1", 5)],
             [make_pub("P1", ["R1"], citations=6)],
         )
-        scores = researcher_ss(corpus, fixed_baselines(3), CreditScheme())
-        assert scores["R1"].ss == pytest.approx(0.4)
-        assert not scores["R1"].non_productive
-        assert not scores["R1"].nil_impact
+        row = scored_rows(corpus, fixed_baselines(3))["R1"]
+        assert row["ss"] == pytest.approx(0.4)
+        assert not row["non_productive"]
+        assert not row["nil_impact"]
 
     def test_non_productive_researcher(self):
         corpus = make_corpus([("R1", "U1", "S1", 5)])
-        scores = researcher_ss(corpus, {}, CreditScheme())
-        s = scores["R1"]
-        assert s.non_productive and s.nil_impact
-        assert s.ss == 0.0
+        row = scored_rows(corpus, {})["R1"]
+        assert row["non_productive"] and row["nil_impact"]
+        assert row["ss"] == 0.0
 
     def test_two_publications_summed(self):
         # (std 3.0 split three ways) + (std 1.0 solo), two years in post -> 1.0.
@@ -47,8 +59,8 @@ class TestResearcherSS:
             [("R1", "U1", "S1", 2), ("R2", "U1", "S1", 5), ("R3", "U1", "S1", 5)],
             [pub1, pub2],
         )
-        scores = researcher_ss(corpus, fixed_baselines(3), CreditScheme())
-        assert scores["R1"].ss == pytest.approx(1.0)
+        ss, _ = researcher_ss(corpus, fixed_baselines(3), CreditScheme())
+        assert ss[0] == pytest.approx(1.0)
 
     def test_positional_credit_applies_to_life_science_researchers(self):
         taxonomy = make_taxonomy({"S1": "X", "S3": "LIFE"})
@@ -58,80 +70,67 @@ class TestResearcherSS:
             [pub],
             taxonomy=taxonomy,
         )
-        scores = researcher_ss(corpus, fixed_baselines(3), CreditScheme(mode="positional"))
-        # std 2.0, credits (0.4, 0.2, 0.4), five years in post.
-        assert scores["L1"].ss == pytest.approx(2.0 * 0.4 / 5)
-        assert scores["L2"].ss == pytest.approx(2.0 * 0.2 / 5)
-        assert scores["L3"].ss == pytest.approx(2.0 * 0.4 / 5)
+        ss, _ = researcher_ss(corpus, fixed_baselines(3), CreditScheme(mode="positional"))
+        # std 2.0, credits (0.4, 0.2, 0.4), five years in post; rows L1, L2, L3.
+        assert ss.tolist() == pytest.approx([2.0 * 0.4 / 5, 2.0 * 0.2 / 5, 2.0 * 0.4 / 5])
 
     def test_nil_impact_iff_zero_ss(self):
         corpus = solo_corpus(
             [("R1", "U1", "S1", 0), ("R2", "U1", "S1", 5), ("R3", "U1", "S1", None)]
         )
-        scores = researcher_ss(corpus, compute_baselines(corpus), CreditScheme())
-        assert scores["R1"].nil_impact and not scores["R1"].non_productive
-        assert not scores["R2"].nil_impact
-        assert scores["R3"].nil_impact and scores["R3"].non_productive
+        rows = scored_rows(corpus, compute_baselines(corpus))
+        assert rows["R1"]["nil_impact"] and not rows["R1"]["non_productive"]
+        assert not rows["R2"]["nil_impact"]
+        assert rows["R3"]["nil_impact"] and rows["R3"]["non_productive"]
 
 
 class TestPercentileRanks:
-    def _scores(self, ss_values, sds="S1"):
-        entries = [(f"R{i}", "U1", sds, None) for i in range(len(ss_values))]
-        corpus = solo_corpus(entries)
-        scores = researcher_ss(corpus, {}, CreditScheme())
-        for i, value in enumerate(ss_values):
-            scores[f"R{i}"].ss = float(value)
-        return scores
+    def _percentiles(self, ss_values, sds=None):
+        sds = np.zeros(len(ss_values), dtype=np.int64) if sds is None else np.asarray(sds)
+        return percentile_ranks(sds, np.asarray(ss_values, dtype=float)).tolist()
 
     def test_five_distinct_values(self):
-        scores = percentile_ranks(self._scores([5.0, 4.0, 3.0, 2.0, 1.0]))
-        assert [scores[f"R{i}"].percentile for i in range(5)] == [100.0, 75.0, 50.0, 25.0, 0.0]
+        assert self._percentiles([5.0, 4.0, 3.0, 2.0, 1.0]) == [100.0, 75.0, 50.0, 25.0, 0.0]
 
     def test_tie_at_top_averages_ranks(self):
-        scores = percentile_ranks(self._scores([7.0, 7.0, 1.0]))
-        assert scores["R0"].percentile == pytest.approx(75.0)
-        assert scores["R1"].percentile == pytest.approx(75.0)
-        assert scores["R2"].percentile == 0.0
+        assert self._percentiles([7.0, 7.0, 1.0]) == [75.0, 75.0, 0.0]
 
     def test_singleton_group(self):
-        scores = percentile_ranks(self._scores([3.0]))
-        assert scores["R0"].percentile == 100.0
+        assert self._percentiles([3.0]) == [100.0]
+
+    def test_empty(self):
+        assert self._percentiles([]) == []
 
     def test_monotone_in_ss(self):
         rng = np.random.default_rng(13)
         values = rng.uniform(0, 5, size=30).tolist()
-        scores = percentile_ranks(self._scores(values))
-        items = sorted(scores.values(), key=lambda s: s.ss)
-        for a, b in zip(items, items[1:]):
-            if b.ss > a.ss:
-                assert b.percentile > a.percentile
+        items = sorted(zip(values, self._percentiles(values)))
+        for (ss_a, pct_a), (ss_b, pct_b) in zip(items, items[1:]):
+            if ss_b > ss_a:
+                assert pct_b > pct_a
 
     def test_mean_percentile_is_fifty_for_distinct(self):
         rng = np.random.default_rng(19)
         for n in (2, 5, 17):
             values = rng.permutation(n).astype(float).tolist()
-            scores = percentile_ranks(self._scores(values))
-            mean = sum(s.percentile for s in scores.values()) / n
-            assert mean == pytest.approx(50.0)
+            assert sum(self._percentiles(values)) / n == pytest.approx(50.0)
 
     def test_groups_are_independent(self):
+        assert self._percentiles([2.0, 0.5, 1.0], sds=[0, 1, 0]) == [100.0, 100.0, 0.0]
+
+    def test_table_percentiles_are_per_sds(self):
         entries = [("A1", "U1", "S1", None), ("A2", "U1", "S1", None), ("B1", "U1", "S2", None)]
         corpus = solo_corpus(entries)
-        scores = researcher_ss(corpus, {}, CreditScheme())
-        scores["A1"].ss = 2.0
-        scores["A2"].ss = 1.0
-        scores["B1"].ss = 0.5
-        percentile_ranks(scores)
-        assert scores["A1"].percentile == 100.0
-        assert scores["A2"].percentile == 0.0
-        assert scores["B1"].percentile == 100.0
+        table = score_table(list(corpus.researchers.values()), [2.0, 1.0, 0.5], [True] * 3)
+        assert table.sds_names == ("S1", "S2")
+        assert table.percentile.tolist() == [100.0, 0.0, 100.0]
 
 
 class TestProductivityStats:
     def test_share_example(self):
         entries = [(f"R{i}", "U1", "S1", 1 if i >= 2 else None) for i in range(10)]
         corpus = solo_corpus(entries)
-        scores = researcher_ss(corpus, compute_baselines(corpus), CreditScheme())
+        scores = scored_table(corpus)
         stats = productivity_stats(scores, corpus.taxonomy)
         share = stats.uda_non_productive["X"]
         assert share.n_sds == 1
@@ -144,7 +143,7 @@ class TestProductivityStats:
             + [(f"B{i}", "U1", "S2", 1 if i else None) for i in range(10)]  # 10%
         )
         corpus = solo_corpus(entries)
-        scores = researcher_ss(corpus, compute_baselines(corpus), CreditScheme())
+        scores = scored_table(corpus)
         stats = productivity_stats(scores, corpus.taxonomy)
         uda = stats.uda_non_productive["X"]
         assert uda.n_sds == 2
@@ -160,7 +159,7 @@ class TestProductivityStats:
             citations = None if roll < 0.3 else (0 if roll < 0.6 else int(rng.integers(1, 9)))
             entries.append((f"R{i}", "U1", f"S{int(rng.integers(1, 3))}", citations))
         corpus = solo_corpus(entries)
-        scores = researcher_ss(corpus, compute_baselines(corpus), CreditScheme())
+        scores = scored_table(corpus)
         stats = productivity_stats(scores, corpus.taxonomy)
         for uda, nil in stats.uda_nil_impact.items():
             non_productive = stats.uda_non_productive[uda]
@@ -180,5 +179,10 @@ class TestScoreCorpus:
         corpus = solo_corpus(entries)
         scored = score_corpus(corpus)
         assert scored.active_sds == active_sds_filter(corpus) == {"S1"}
-        assert {s.sds for s in scored.scores.values()} == {"S1"}
-        assert all(s.percentile is not None for s in scored.scores.values())
+        assert scored.scores.sds_names == ("S1",)
+        assert scored.scores.researcher_ids == ("A0", "A1", "A2", "A3")
+
+    def test_table_is_read_only(self):
+        scored = score_corpus(solo_corpus([("R1", "U1", "S1", 1)]))
+        with pytest.raises(ValueError):
+            scored.scores.ss[0] = 2.0

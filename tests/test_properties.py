@@ -3,6 +3,7 @@
 import statistics
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -33,9 +34,9 @@ from meritrank.normalization import (
     standardize,
 )
 from meritrank.scenario import SCOPE_NATIONAL, SCOPE_UNIT, counterfactual_rankings, select_top
-from meritrank.stats import classify_quantiles, gini, quantile_class_sizes, top_count
+from meritrank.stats import average_ranks, classify_quantiles, gini, ordered_sum, quantile_class_sizes, top_count
 
-from conftest import make_corpus, make_pub, make_taxonomy, scores_with_ss
+from conftest import make_corpus, make_pub, make_taxonomy, scores_with_ss, selected_ids, table_rows
 
 TAXONOMY = make_taxonomy({"S1": "X", "S2": "X", "S3": "Y", "S4": "Y"})
 
@@ -63,7 +64,7 @@ SETTINGS = settings(max_examples=60, deadline=None)
 def test_share_zero_is_identity(roster, level, min_staff):
     corpus, scores = scores_with_ss(roster, taxonomy=TAXONOMY)
     selection = select_top(scores, SCOPE_UNIT, 0.0, min_staff)
-    assert selection.all_selected() == frozenset()
+    assert not selection.selected.any()
     units = sds_unit_scores(scores)
     reports = counterfactual_rankings(
         corpus.taxonomy, scores, units, selection, level, min_staff=min_staff
@@ -174,12 +175,13 @@ def test_each_units_gini_is_that_of_its_researchers(roster, level, share, min_st
     _, scores = scores_with_ss(roster, taxonomy=TAXONOMY)
     selection = select_top(scores, SCOPE_UNIT, share, min_staff)
     reports = counterfactual_rankings(TAXONOMY, scores, sds_unit_scores(scores), selection, level, min_staff)
+    rows = table_rows(scores).values()
     for field, report in reports.items():
         for unit in report.units:
             values = [
-                s.ss for s in scores.values()
-                if s.university_id == unit.university_id
-                and (s.sds if level == LEVEL_SDS else TAXONOMY.uda_of(s.sds)) == field
+                row["ss"] for row in rows
+                if row["university_id"] == unit.university_id
+                and (row["sds"] if level == LEVEL_SDS else TAXONOMY.uda_of(row["sds"])) == field
             ]
             assert unit.gini_observed == (gini(values) if len(values) >= 2 else 0.0)
 
@@ -192,20 +194,19 @@ def test_each_units_gini_is_that_of_its_researchers(roster, level, share, min_st
     min_staff=st.integers(1, 6),
 )
 def test_select_top_picks_the_top_count_of_every_qualifying_group(roster, scope, share, min_staff):
+    # Oracle: sort each qualifying group by (-ss, id) and take its top count.
     _, scores = scores_with_ss(roster, taxonomy=TAXONOMY)
     groups: dict = {}
-    for score in scores.values():
-        key = (score.university_id, score.sds) if scope == SCOPE_UNIT else score.sds
-        groups.setdefault(key, []).append(score)
+    for rid, row in table_rows(scores).items():
+        key = (row["university_id"], row["sds"]) if scope == SCOPE_UNIT else row["sds"]
+        groups.setdefault(key, []).append((-row["ss"], rid))
+    expected = set()
+    for members in groups.values():
+        if len(members) >= min_staff:
+            expected.update(rid for _, rid in sorted(members)[: top_count(share, len(members))])
     selection = select_top(scores, scope, share, min_staff)
-    qualifying = {key for key, members in groups.items() if len(members) >= min_staff}
-    assert set(selection.selected) == qualifying
-    for key, picked in selection.selected.items():
-        members = groups[key]
-        assert len(picked) == top_count(share, len(members))
-        picked_ss = [scores[rid].ss for rid in picked]
-        rest_ss = [s.ss for s in members if s.researcher_id not in picked]
-        assert not rest_ss or not picked_ss or min(picked_ss) >= max(rest_ss)
+    assert selection.selected.dtype == bool
+    assert selection.selected.tolist() == [rid in expected for rid in scores.researcher_ids]
 
 
 def _orderings(roster, pstar_mode):
@@ -307,9 +308,9 @@ EIGHT_AUTHORS = make_corpus(
 @example(corpus=EIGHT_AUTHORS, scheme=CreditScheme(POSITIONAL, 1.3, 0.7, 0.1, 1.0))
 def test_researcher_ss_matches_a_per_researcher_sum(corpus, scheme):
     baselines = compute_baselines(corpus)
-    scores = researcher_ss(corpus, baselines, scheme)
-    assert list(scores) == list(corpus.researchers)
-    for rid, researcher in corpus.researchers.items():
+    ss, non_productive = researcher_ss(corpus, baselines, scheme)
+    assert len(ss) == len(non_productive) == len(corpus.researchers)
+    for row, (rid, researcher) in enumerate(corpus.researchers.items()):
         life = corpus.taxonomy.is_life_science(researcher.sds)
         total = 0.0
         pub_ids = set()
@@ -318,9 +319,8 @@ def test_researcher_ss_matches_a_per_researcher_sum(corpus, scheme):
                 if slot.researcher_id == rid:
                     total += standardize(pub, baselines) * credit_shares(pub, scheme, life)[slot.position]
                     pub_ids.add(pub.id)
-        assert scores[rid].ss == total / researcher.years_in_post
-        assert scores[rid].non_productive == (not pub_ids)
-        assert scores[rid].nil_impact == (total == 0.0)
+        assert ss[row] == total / researcher.years_in_post
+        assert non_productive[row] == (not pub_ids)
 
 
 @SETTINGS
@@ -378,14 +378,78 @@ def test_credit_shares_sum_to_one(corpus, scheme, life):
 )
 def test_percentiles_are_bounded_and_follow_ss(roster):
     _, scores = scores_with_ss(roster)
-    percentile_ranks(scores)
-    for a in scores.values():
-        assert 0.0 <= a.percentile <= 100.0
-        for b in scores.values():
-            if a.sds == b.sds and a.ss == b.ss:
-                assert a.percentile == b.percentile
-            if a.sds == b.sds and a.ss > b.ss:
-                assert a.percentile > b.percentile
+    rows = list(table_rows(scores).values())
+    for a in rows:
+        assert 0.0 <= a["percentile"] <= 100.0
+        assert a["nil_impact"] == (a["ss"] == 0.0)
+        for b in rows:
+            if a["sds"] == b["sds"] and a["ss"] == b["ss"]:
+                assert a["percentile"] == b["percentile"]
+            if a["sds"] == b["sds"] and a["ss"] > b["ss"]:
+                assert a["percentile"] > b["percentile"]
+
+
+# --- the score table's grouping against per-group oracles -----------------------
+
+
+def average_ranks_loop(x):
+    """Ranks 1..n, ties sharing the mean of the ranks they span: one run of equal values at a time."""
+    order = np.argsort(x, kind="mergesort")
+    sx = x[order]
+    ranks = np.empty(x.size, dtype=float)
+    i = 0
+    while i < x.size:
+        j = i
+        while j + 1 < x.size and sx[j + 1] == sx[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+def percentiles_per_group(groups, values):
+    """Percentiles group by group, from the loop's ranks: 100 * (r - 1) / (n - 1), 100 alone."""
+    out = np.empty(len(values))
+    for group in set(groups.tolist()):
+        rows = np.flatnonzero(groups == group)
+        n = len(rows)
+        out[rows] = 100.0 if n == 1 else 100.0 * (average_ranks_loop(values[rows]) - 1) / (n - 1)
+    return out
+
+
+tied_values = st.lists(ss_values, min_size=0, max_size=40)
+
+
+@SETTINGS
+@given(values=tied_values)
+@example(values=[1.0, 0.0, 1.0, 1.0, 0.5, 0.0])
+def test_average_ranks_matches_the_loop(values):
+    x = np.array(values, dtype=float)
+    assert average_ranks(x).tolist() == average_ranks_loop(x).tolist()
+
+
+@SETTINGS
+@given(rows=st.lists(st.tuples(st.integers(0, 4), ss_values), min_size=0, max_size=40))
+@example(rows=[(1, 2.0), (0, 2.0), (1, 2.0), (1, 0.0), (2, 5.0), (0, 1.0)])
+def test_percentiles_match_per_sds_oracle_ranks(rows):
+    groups = np.array([g for g, _ in rows], dtype=np.int64)
+    values = np.array([v for _, v in rows], dtype=float)
+    assert percentile_ranks(groups, values).tolist() == percentiles_per_group(groups, values).tolist()
+
+
+@SETTINGS
+@given(roster=rosters, data=st.data())
+def test_sds_unit_scores_match_ordered_sums_per_unit(roster, data):
+    _, scores = scores_with_ss(roster, taxonomy=TAXONOMY)
+    keep = data.draw(st.lists(st.booleans(), min_size=len(scores), max_size=len(scores)))
+    kept = scores.rows(np.array(keep, dtype=bool))
+    expected: dict = {}
+    for row in table_rows(kept).values():
+        expected.setdefault((row["university_id"], row["sds"]), []).append(row["ss"])
+    assert [(u.university_id, u.field, u.score, u.staff, u.max_sds_staff) for u in sds_unit_scores(kept)] == [
+        (university, sds, ordered_sum(values) / len(values), len(values), len(values))
+        for (university, sds), values in sorted(expected.items())
+    ]
 
 
 def test_loading_and_scoring_build_no_records(tmp_path, monkeypatch):
@@ -478,7 +542,8 @@ def test_census_partitions_the_area_tops_over_its_allocation(
     classes = allocation.class_of()
     for row in census.universities:
         assert row.class_index == classes.get(row.university_id)
-    area_tops = [rid for rid in selection.all_selected() if TAXONOMY.uda_of(scores[rid].sds) == uda]
+    rows = table_rows(scores)
+    area_tops = [rid for rid in selected_ids(scores, selection) if TAXONOMY.uda_of(rows[rid]["sds"]) == uda]
     unclassified_tops = sum(row.top_count for row in census.universities if row.class_index is None)
     assert sum(census.class_totals) + unclassified_tops == len(area_tops)
 

@@ -18,7 +18,7 @@ from meritrank.scenario import (
 )
 from meritrank.stats import spearman
 
-from conftest import make_taxonomy, scores_with_ss
+from conftest import make_taxonomy, scores_with_ss, selected_ids
 
 
 def ols_normal_equations_oracle(xs, ys):
@@ -42,32 +42,37 @@ class TestSelectTop:
     def test_quota_examples(self):
         for n, expected in ((10, 2), (8, 2), (7, 1), (5, 1)):
             selection = select_top(self._scores(n), SCOPE_UNIT, share=0.2)
-            assert len(selection.selected[("U1", "S1")]) == expected
+            assert int(selection.selected.sum()) == expected
 
     def test_share_zero_selects_nobody(self):
         selection = select_top(self._scores(10), SCOPE_UNIT, share=0.0)
-        assert selection.all_selected() == frozenset()
+        assert not selection.selected.any()
 
     def test_selects_highest_with_deterministic_ties(self):
         _, scores = scores_with_ss({("U1", "S1"): [5.0, 5.0, 5.0, 1.0, 1.0]})
         selection = select_top(scores, SCOPE_UNIT, share=0.2)
-        assert selection.selected[("U1", "S1")] == ("U1-S1-00",)
+        assert selected_ids(scores, selection) == ["U1-S1-00"]
 
     def test_groups_below_min_staff_skipped(self):
         _, scores = scores_with_ss({("U1", "S1"): [3.0, 2.0, 1.0]})
         selection = select_top(scores, SCOPE_UNIT, share=0.2, min_staff=5)
-        assert selection.selected == {}
+        assert not selection.selected.any()
 
     def test_national_scope_groups_by_sds(self):
         _, scores = scores_with_ss(
             {("U1", "S1"): [9.0, 1.0, 1.0], ("U2", "S1"): [5.0, 1.0, 1.0]}
         )
         selection = select_top(scores, SCOPE_NATIONAL, share=0.2, min_staff=5)
-        assert selection.selected["S1"] == ("U1-S1-00",)
+        assert selected_ids(scores, selection) == ["U1-S1-00"]
 
     def test_invalid_share(self):
         with pytest.raises(ValidationError):
             select_top(self._scores(5), SCOPE_UNIT, share=1.5)
+
+    def test_unknown_scope_rejected_on_empty_scores(self):
+        _, scores = scores_with_ss({})
+        with pytest.raises(ValidationError, match="unknown selection scope"):
+            select_top(scores, "bogus")
 
 
 def counterfactual(corpus, scores, selection, level, **options):
