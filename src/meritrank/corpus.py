@@ -12,15 +12,17 @@ only when the table is indexed or iterated.
 Each rule is written once. The publication rules are one columnar check,
 `publications_problem`: a few array operations over a whole `Publications`
 table that find the first row breaking a rule and that row's first rule.
-`researcher_problem` checks one researcher. `load_publications` parses and
-type-checks each line as it reads, then runs the columnar check once and
-names the file and line, so the first bad line is reported whether it
-breaks a rule or fails to parse; `load_researchers` applies
-`researcher_problem` row by row. `Corpus.validate` runs both checks on a
-corpus built in memory, such as a generated one, and names the record. A
-violation is rejected rather than silently repaired. `load_corpus` and the generator return the
-corpus in canonical order (`Corpus.in_canonical_order`): publications by id,
-each publication's slots by position, and researchers by id, so neither the
+`researcher_problem` checks one researcher. `load_publications` decodes each
+line once and type-checks and codes the lines a block at a time, in columns;
+only a block that fails that check goes through the per-line checks, which
+name its first bad line. It then runs the columnar check once and names the
+file and line, so the first bad line is reported whether it breaks a rule or
+fails to parse. `load_researchers` applies `researcher_problem` row by row.
+`Corpus.validate` runs both checks on a corpus built in memory, such as a
+generated one, and names the record. A violation is rejected rather than
+silently repaired. `load_corpus` and the generator return the corpus in
+canonical order (`Corpus.in_canonical_order`): publications by id, each
+publication's slots by position, and researchers by id, so neither the
 order of the input files nor the order of generation reaches a score.
 """
 
@@ -50,6 +52,12 @@ DEFAULT_WINDOW = (2004, 2008)
 
 # Far above any real citation count; a stratum's int64 citation total stays exact under it.
 CITATION_LIMIT = 10**9
+
+# Publications decoded, type-checked and appended together by `load_publications`. A block's decoded
+# records stay alive until it is appended: 64 lines make about 450 dicts and lists, under the garbage
+# collector's default threshold of 700 allocations, so a paper-scale load triggers almost no collection.
+# Blocks of 256 or 4,096 lines triggered about 900 collections, 7-9 of them full, and loaded slower.
+PUBLICATIONS_PER_BLOCK = 64
 
 RESEARCHER_COLUMNS = ("id", "university_id", "university_name", "sds", "years_in_post")
 TAXONOMY_COLUMNS = ("sds", "uda", "uda_name", "life_science")
@@ -148,14 +156,16 @@ class Publications(Sequence):
 
     @classmethod
     def from_records(cls, records: Iterable[Publication]) -> "Publications":
+        pubs = list(records)
+        slots = [slot for pub in pubs for slot in pub.authors]
         builder = PublicationsBuilder()
-        for pub in records:
-            builder.add(
-                pub.id, pub.year, pub.doc_type, pub.citations, pub.categories,
-                [slot.position for slot in pub.authors],
-                [slot.intramural for slot in pub.authors],
-                [slot.researcher_id for slot in pub.authors],
-            )
+        builder.extend(
+            [pub.id for pub in pubs], [pub.year for pub in pubs], [pub.doc_type for pub in pubs],
+            [pub.citations for pub in pubs], [len(pub.categories) for pub in pubs],
+            [c for pub in pubs for c in pub.categories], [len(pub.authors) for pub in pubs],
+            [slot.position for slot in slots], [slot.intramural for slot in slots],
+            [slot.researcher_id for slot in slots],
+        )
         return builder.build()
 
     def __len__(self) -> int:
@@ -208,13 +218,18 @@ class Publications(Sequence):
 
     def in_canonical_order(self, order: np.ndarray | None = None) -> "Publications":
         """This table with rows sorted by id (or in `id_order()` computed already) and each row's slots
-        by position."""
+        by position; the table itself when it is in that order already."""
         ids = self.ids
         if order is None:
             order = self.id_order()
+        slot_row, positions = self.slot_publication, self.slot_position
+        if np.array_equal(order, np.arange(len(order))) and not np.any(
+            (positions[1:] < positions[:-1]) & (slot_row[1:] == slot_row[:-1])
+        ):
+            return self
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order))
-        slot_order = np.lexsort((self.slot_position, rank[self.slot_publication]))
+        slot_order = np.lexsort((positions, rank[slot_row]))
         category_order = np.argsort(rank[self.category_publication], kind="stable")
         return Publications(
             ids=[ids[i] for i in order.tolist()],
@@ -242,7 +257,7 @@ def _int_column(values: list[int]) -> np.ndarray:
 
 
 class PublicationsBuilder:
-    """Collects publications one at a time, unchecked, and freezes them into a `Publications` table."""
+    """Collects publications a block at a time, unchecked, and freezes them into a `Publications` table."""
 
     def __init__(self):
         self._ids: list[str] = []
@@ -260,21 +275,26 @@ class PublicationsBuilder:
         self._category_codes: dict[str, int] = {}
         self._researcher_codes: dict[str, int] = {}
 
-    def add(self, pid, year, doc_type, citations, categories, positions, intramural, researcher_ids):
-        """Append one publication; the last three arguments list its author slots in the same order."""
+    def extend(
+        self, ids, years, doc_types, citations, category_counts, categories,
+        slot_counts, positions, intramural, researcher_ids,
+    ):
+        """Append publications given as columns: per publication its id, year, doc type, citations,
+        category count and slot count; `categories` and the last three list every category and
+        author slot, publication after publication, each publication's in its own order."""
         doc_codes, cat_codes, res_codes = self._doc_type_codes, self._category_codes, self._researcher_codes
-        self._ids.append(pid)
-        self._years.append(year)
-        self._doc_types.append(doc_codes.setdefault(doc_type, len(doc_codes)))
-        self._citations.append(citations)
-        self._category_counts.append(len(categories))
-        self._categories.extend([cat_codes.setdefault(c, len(cat_codes)) for c in categories])
-        self._slot_counts.append(len(positions))
-        self._researchers.extend(
-            [-1 if rid is None else res_codes.setdefault(rid, len(res_codes)) for rid in researcher_ids]
-        )
-        self._positions.extend(positions)
-        self._intramural.extend(intramural)
+        self._ids += ids
+        self._years += years
+        self._doc_types += [doc_codes.setdefault(name, len(doc_codes)) for name in doc_types]
+        self._citations += citations
+        self._category_counts += category_counts
+        self._categories += [cat_codes.setdefault(name, len(cat_codes)) for name in categories]
+        self._slot_counts += slot_counts
+        self._researchers += [
+            -1 if rid is None else res_codes.setdefault(rid, len(res_codes)) for rid in researcher_ids
+        ]
+        self._positions += positions
+        self._intramural += intramural
 
     def build(self) -> Publications:
         return Publications(
@@ -467,6 +487,9 @@ def open_input(path):
         raise ValidationError(f"{path}: not UTF-8 text: {exc}") from None
 
 
+_decode_json = json.JSONDecoder().raw_decode
+
+
 def _fail(path, line_no: int, message: str):
     raise ValidationError(f"{path} line {line_no}: {message}")
 
@@ -565,10 +588,13 @@ def load_researchers(res_path, taxonomy: Taxonomy, window) -> tuple[dict[str, Re
 def load_publications(pub_path, window, researchers: Mapping[str, Researcher]) -> Publications:
     """Read publications.jsonl; every non-null author id must name one of `researchers`.
 
-    Each line is parsed and its fields' types are checked as it is read;
-    the rules then run once over the whole table (`publications_problem`).
-    The first bad line is reported: a rule broken on an earlier line wins
-    over a parse or type error on a later one.
+    The lines are read in blocks of `PUBLICATIONS_PER_BLOCK`: each line is
+    decoded once, and each block's fields are type-checked and coded in
+    columns. Only a block that fails that check goes through the per-line
+    checks, which name its first bad line; the table stops before it. The
+    rules then run once over the whole table (`publications_problem`). The
+    first bad line is reported: a rule broken on an earlier line wins over a
+    parse or type error on a later one.
     """
     pub_path = Path(pub_path)
     # Parsing in a function of its own frees the builder's lists before the check allocates its arrays.
@@ -587,7 +613,22 @@ def _parse_publications(pub_path: Path) -> tuple[Publications, array, Validation
     row's line number, and that line's error (None when every line passed)."""
     builder = PublicationsBuilder()
     line_numbers = array("q")  # per table row
-    line_error = None
+    try:
+        for numbers, records in _decoded_blocks(pub_path):
+            _append_block(builder, line_numbers, numbers, records, pub_path)
+    except ValidationError as exc:
+        return builder.build(), line_numbers, exc
+    return builder.build(), line_numbers, None
+
+
+def _decoded_blocks(pub_path: Path) -> Iterator[tuple[list[int], list]]:
+    """The non-blank lines of `pub_path` as blocks of (line numbers, decoded JSON values).
+
+    A line that is not one JSON value, or text that is not UTF-8, ends the
+    blocks: the lines before it come as a last block, then its
+    ValidationError is raised.
+    """
+    numbers, records = [], []
     try:
         with open_input(pub_path) as fh:
             for line_no, line in enumerate(fh, start=1):
@@ -595,33 +636,102 @@ def _parse_publications(pub_path: Path) -> tuple[Publications, array, Validation
                 if not line:
                     continue
                 try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    _fail(pub_path, line_no, f"invalid JSON: {exc}")
-                if not isinstance(record, dict):
-                    _fail(pub_path, line_no, "expected a JSON object")
-                pid = _require(record, "id", str, pub_path, line_no)
-                year = _require(record, "year", int, pub_path, line_no)
-                doc_type = _require(record, "type", str, pub_path, line_no)
-                citations = _require(record, "citations", int, pub_path, line_no)
-                categories = _require(record, "categories", list, pub_path, line_no)
-                if not all(isinstance(c, str) and c for c in categories):
-                    _fail(pub_path, line_no, "field 'categories': entries must be non-empty strings")
-                positions, intramural, rids = [], [], []
-                for slot in _require(record, "authors", list, pub_path, line_no):
-                    if not isinstance(slot, dict):
-                        _fail(pub_path, line_no, "field 'authors': entries must be objects")
-                    rid = slot.get("researcher_id")
-                    if rid is not None and not isinstance(rid, str):
-                        _fail(pub_path, line_no, "field 'researcher_id': expected string or null")
-                    positions.append(_require(slot, "position", int, pub_path, line_no))
-                    intramural.append(_require(slot, "intramural", bool, pub_path, line_no))
-                    rids.append(rid)
-                builder.add(pid, year, doc_type, citations, categories, positions, intramural, rids)
-                line_numbers.append(line_no)
-    except ValidationError as exc:
-        line_error = exc
-    return builder.build(), line_numbers, line_error
+                    record, end = _decode_json(line)
+                except json.JSONDecodeError:
+                    end = None
+                if end != len(line):  # not one JSON value; `json.loads` gives the message
+                    try:
+                        record = json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        _fail(pub_path, line_no, f"invalid JSON: {exc}")
+                numbers.append(line_no)
+                records.append(record)
+                if len(records) == PUBLICATIONS_PER_BLOCK:
+                    yield numbers, records
+                    numbers, records = [], []
+    except ValidationError:
+        yield numbers, records
+        raise
+    yield numbers, records
+
+
+def _append_block(builder: PublicationsBuilder, line_numbers: array, numbers, records, path) -> None:
+    """Type-check `records` (decoded from lines `numbers`) and append them to `builder`.
+
+    A block that fails the column check goes through `_checked` line by
+    line; the lines before the first it rejects are appended, then its
+    ValidationError is raised.
+    """
+    columns = _block_columns(records)
+    if columns is None:
+        for k, (line_no, record) in enumerate(zip(numbers, records)):
+            try:
+                _checked(record, path, line_no)
+            except ValidationError:
+                _append_block(builder, line_numbers, numbers[:k], records[:k], path)
+                raise
+        raise AssertionError(f"{path}: the column check rejected lines that the per-line checks accept")
+    builder.extend(*columns)
+    line_numbers.extend(numbers)
+
+
+def _block_columns(records: list) -> tuple | None:
+    """`PublicationsBuilder.extend`'s arguments for decoded `records`, or None when a record misses a
+    field or holds a value of the wrong type; `_checked` names which."""
+    try:
+        ids = [r["id"] for r in records]
+        years = [r["year"] for r in records]
+        doc_types = [r["type"] for r in records]
+        citations = [r["citations"] for r in records]
+        categories = [r["categories"] for r in records]
+        authors = [r["authors"] for r in records]
+        # A decoded JSON value's type is exactly dict, list, str, int, float, bool or NoneType, so
+        # `type(v) is int` already excludes booleans.
+        if not (
+            {*map(type, ids)} <= {str} and {*map(type, years)} <= {int} and {*map(type, doc_types)} <= {str}
+            and {*map(type, citations)} <= {int} and {*map(type, categories)} <= {list}
+            and {*map(type, authors)} <= {list}
+        ):
+            return None
+        flat_categories = [c for row in categories for c in row]
+        slots = [slot for row in authors for slot in row]
+        positions = [slot["position"] for slot in slots]  # a TypeError for a slot that is no object
+        intramural = [slot["intramural"] for slot in slots]
+        rids = [slot.get("researcher_id") for slot in slots]
+    except (KeyError, TypeError):
+        return None
+    if not (
+        {*map(type, flat_categories)} <= {str} and all(flat_categories) and {*map(type, positions)} <= {int}
+        and {*map(type, intramural)} <= {bool} and {*map(type, rids)} <= {str, type(None)}
+    ):
+        return None
+    return (
+        ids, years, doc_types, citations, [len(row) for row in categories], flat_categories,
+        [len(row) for row in authors], positions, intramural, rids,
+    )
+
+
+def _checked(record, path, line_no: int):
+    """`record`, decoded from line `line_no` of `path`, if it has every field with the right type;
+    otherwise raises the ValidationError of its first missing or mistyped field."""
+    if not isinstance(record, dict):
+        _fail(path, line_no, "expected a JSON object")
+    _require(record, "id", str, path, line_no)
+    _require(record, "year", int, path, line_no)
+    _require(record, "type", str, path, line_no)
+    _require(record, "citations", int, path, line_no)
+    categories = _require(record, "categories", list, path, line_no)
+    if not all(isinstance(c, str) and c for c in categories):
+        _fail(path, line_no, "field 'categories': entries must be non-empty strings")
+    for slot in _require(record, "authors", list, path, line_no):
+        if not isinstance(slot, dict):
+            _fail(path, line_no, "field 'authors': entries must be objects")
+        rid = slot.get("researcher_id")
+        if rid is not None and not isinstance(rid, str):
+            _fail(path, line_no, "field 'researcher_id': expected string or null")
+        _require(slot, "position", int, path, line_no)
+        _require(slot, "intramural", bool, path, line_no)
+    return record
 
 
 def load_corpus(pub_path, res_path, tax_path, window=DEFAULT_WINDOW) -> Corpus:

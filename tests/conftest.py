@@ -3,10 +3,18 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import strategies as st
 
 from meritrank.corpus import AuthorSlot, Corpus, Publication, Publications, Researcher, Taxonomy
 
 DEFAULT_WINDOW = (2004, 2008)
+
+# Names that JSON must escape: quotes, backslashes, control and non-ASCII characters.
+NAMES = st.text(
+    st.characters(exclude_categories=("Cs",)) | st.sampled_from('"\\/\x00\x1f\x7f\n\r\u2028é😀'),
+    min_size=1,
+    max_size=6,
+)
 
 
 def make_taxonomy(

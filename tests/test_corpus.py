@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from meritrank.corpus import (
     CITATION_LIMIT,
     DOC_TYPES,
+    PUBLICATIONS_PER_BLOCK,
     AuthorSlot,
     Corpus,
     Publication,
@@ -23,13 +24,14 @@ from meritrank.corpus import (
     Researcher,
     active_sds_filter,
     load_corpus,
+    load_publications,
     publications_problem,
 )
 from meritrank.cli import dispatch
 from meritrank.errors import ValidationError
-from meritrank.synth import GeneratorProfile, generate, write_corpus
+from meritrank.synth import GeneratorProfile, generate, write_corpus, write_publications
 
-from conftest import DEFAULT_WINDOW, make_corpus, make_pub, make_taxonomy, solo_corpus
+from conftest import DEFAULT_WINDOW, NAMES, make_corpus, make_pub, make_taxonomy, solo_corpus
 
 VALID_TAXONOMY = "sds,uda,uda_name,life_science\nS1,X,Area X,0\nS2,X,Area X,0\nS3,LIFE,Life area,1\n"
 
@@ -383,6 +385,171 @@ class TestFirstBadLine:
             _in_memory([record], None).validate()
 
 
+def _author(**values):
+    return dict(_slot("R1", 1), **values)
+
+
+# One bad line per fault the loader reports, with the start of its message: parse and type faults, found as
+# the lines are read ...
+UNREADABLE_LINES = [
+    pytest.param("{not json", "invalid JSON: Expecting property name", id="bad-json"),
+    pytest.param(json.dumps(_broken(id="PX")) + " 7", "invalid JSON: Extra data", id="extra-data"),
+    pytest.param("[1, 2]", "expected a JSON object", id="not-an-object"),
+    pytest.param(
+        json.dumps({k: v for k, v in _broken(id="PX").items() if k != "citations"}),
+        "missing field 'citations'", id="missing-field",
+    ),
+    pytest.param(
+        json.dumps(_broken(id="PX", year=True)), "field 'year': expected integer, got boolean", id="bool-as-int"
+    ),
+    pytest.param(
+        json.dumps(_broken(id="PX", citations="4")), "field 'citations': expected int, got str", id="string-as-int"
+    ),
+    pytest.param(
+        json.dumps(_broken(id="PX", categories="C1")), "field 'categories': expected list, got str",
+        id="categories-not-a-list",
+    ),
+    pytest.param(
+        json.dumps(_broken(id="PX", authors=_author())), "field 'authors': expected list, got dict",
+        id="authors-not-a-list",
+    ),
+    pytest.param(
+        json.dumps(_broken(id="PX", categories=["C1", ""])), "field 'categories': entries must be non-empty strings",
+        id="empty-category",
+    ),
+    pytest.param(
+        json.dumps(_broken(id="PX", authors=[_author(), "R2"])), "field 'authors': entries must be objects",
+        id="author-not-an-object",
+    ),
+    pytest.param(
+        json.dumps(_broken(id="PX", authors=[_author(researcher_id=7)])),
+        "field 'researcher_id': expected string or null", id="researcher-id-not-a-string",
+    ),
+    pytest.param(
+        json.dumps(_broken(id="PX", authors=[_author(position=1.0)])), "field 'position': expected int, got float",
+        id="float-position",
+    ),
+    pytest.param(
+        json.dumps(_broken(id="PX", authors=[{"researcher_id": "R1", "intramural": True}])),
+        "missing field 'position'", id="missing-position",
+    ),
+    pytest.param(
+        json.dumps(_broken(id="PX", authors=[_author(intramural=1)])), "field 'intramural': expected bool, got int",
+        id="int-intramural",
+    ),
+]
+# ... and broken rules, checked over the whole table.
+RULE_BROKEN_LINES = [
+    pytest.param(json.dumps(_broken(id="PX", year=2009)), "year 2009 outside", id="year-outside-window"),
+    pytest.param(
+        json.dumps(_broken(id="PX", citations=10**30)), f"citations must be <= {CITATION_LIMIT}, got {10**30}",
+        id="citations-beyond-int64",
+    ),
+    pytest.param(json.dumps(_broken(id="PX", year=2**64)), f"year {2**64} outside", id="year-beyond-int64"),
+    pytest.param(
+        json.dumps(_broken(id="PX", authors=[_author(position=2**64)])), f"author positions [{2**64}] must be",
+        id="position-beyond-int64",
+    ),
+    pytest.param(
+        json.dumps(_broken(id="PX", authors=[_author(researcher_id="GHOST")])),
+        "author position 1 references unknown researcher 'GHOST'", id="unknown-author",
+    ),
+]
+
+
+class TestBlockBoundary:
+    """The loader decodes and type-checks its lines a block at a time, yet names every bad line with the
+    message it gives for that line alone, wherever the line sits in a block."""
+
+    LAST_OF_FIRST = PUBLICATIONS_PER_BLOCK
+    FIRST_OF_SECOND = PUBLICATIONS_PER_BLOCK + 1
+
+    def _error(self, tmp_path, lines) -> str:
+        tmp_path.mkdir(exist_ok=True)
+        pub_path, res_path, tax_path = write_files(tmp_path)
+        pub_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValidationError) as caught:
+            load_corpus(pub_path, res_path, tax_path)
+        return str(caught.value)
+
+    def _lines(self, bad: dict[int, str]) -> list[str]:
+        """Two full blocks and one more line of valid publications, with line k replaced by `bad[k]`."""
+        return [
+            bad.get(k, json.dumps(_broken(id=f"P{k}"))) for k in range(1, 2 * PUBLICATIONS_PER_BLOCK + 2)
+        ]
+
+    @pytest.mark.parametrize("line_no", [1, LAST_OF_FIRST, FIRST_OF_SECOND])
+    @pytest.mark.parametrize("bad, message_start", UNREADABLE_LINES + RULE_BROKEN_LINES)
+    def test_message_of_a_line_alone(self, tmp_path, bad, message_start, line_no):
+        alone = self._error(tmp_path / "alone", [bad])
+        prefix = f"{tmp_path / 'alone' / 'publications.jsonl'} line 1: "
+        assert alone.startswith(prefix + message_start)
+        message = alone[len(prefix):]
+        got = self._error(tmp_path / "placed", self._lines({line_no: bad}))
+        assert got == f"{tmp_path / 'placed' / 'publications.jsonl'} line {line_no}: {message}"
+
+    @pytest.mark.parametrize("bad, message_start", UNREADABLE_LINES)
+    def test_rule_broken_in_the_first_block_beats_a_fault_in_the_second(self, tmp_path, bad, message_start):
+        lines = self._lines({2: json.dumps(_broken(id="P2", year=2009)), self.FIRST_OF_SECOND: bad})
+        error = self._error(tmp_path, lines)
+        assert error.endswith("publications.jsonl line 2: year 2009 outside the observation window 2004-2008")
+        assert message_start not in error
+
+
+@st.composite
+def loadable_tables(draw):
+    """Publications that pass every rule, up to three blocks of them, and the researcher ids they may name.
+
+    Each row repeats one of a few drawn publications under an id of its own, so a block may bring names
+    that no earlier block has.
+    """
+    n_rows = draw(st.integers(0, 3 * PUBLICATIONS_PER_BLOCK))
+    rids = draw(st.lists(NAMES, min_size=1, max_size=6, unique=True))
+    categories = draw(st.lists(NAMES, min_size=1, max_size=6, unique=True))
+    drawn = [
+        Publication(
+            "",
+            draw(st.integers(*DEFAULT_WINDOW)),
+            draw(st.sampled_from(DOC_TYPES)),
+            draw(st.integers(0, CITATION_LIMIT)),
+            tuple(draw(st.lists(st.sampled_from(categories), min_size=1, max_size=3, unique=True))),
+            tuple(
+                AuthorSlot(position, draw(st.booleans()), draw(st.none() | st.sampled_from(rids)))
+                for position in draw(st.permutations(range(1, draw(st.integers(1, 3)) + 1)))
+            ),
+        )
+        for _ in range(draw(st.integers(1, 8)))
+    ]
+    picks = draw(st.lists(st.integers(0, len(drawn) - 1), min_size=n_rows, max_size=n_rows))
+    return [replace(drawn[i], id=f"P{row}") for row, i in enumerate(picks)], set(rids)
+
+
+BLANK_LINES = st.tuples(st.integers(0, 3 * PUBLICATIONS_PER_BLOCK), st.sampled_from(["", " ", "\t\r"]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(loadable_tables(), st.lists(BLANK_LINES))
+def test_written_tables_load_back_column_for_column(tmp_path_factory, table, blanks):
+    """Loading what `write_publications` wrote, with blank lines put in, gives the table `from_records` builds,
+    name codes included."""
+    records, rids = table
+    expected = Publications.from_records(records)
+    path = tmp_path_factory.mktemp("roundtrip") / "publications.jsonl"
+    write_publications(expected, path)
+    lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+    for at, blank in sorted(blanks, reverse=True):
+        lines.insert(min(at, len(lines)), blank)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("".join(line + "\n" for line in lines))
+    loaded = load_publications(path, DEFAULT_WINDOW, rids)
+    for name, want in vars(expected).items():
+        got = getattr(loaded, name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        else:
+            assert got == want, name
+
+
 def _first_problem_record_by_record(records, window, researchers):
     """The per-record loop that `publications_problem` replaced, kept as its reference."""
     lo, hi = window
@@ -541,6 +708,29 @@ class TestCanonicalOrder:
         files = [corpus_dir / name for name in ("publications.jsonl", "researchers.csv", "taxonomy.csv")]
         pubs = load_corpus(*files).publications
         assert list(pubs.in_canonical_order()) == list(pubs)
+
+    def test_canonical_table_comes_back_as_itself(self, generated):
+        corpus_dir, _ = generated
+        files = [corpus_dir / name for name in ("publications.jsonl", "researchers.csv", "taxonomy.csv")]
+        pubs = load_corpus(*files).publications
+        assert pubs.in_canonical_order() is pubs
+        assert pubs.in_canonical_order(pubs.id_order()) is pubs
+
+    @pytest.mark.parametrize("shuffle_rows, shuffle_slots", [(True, False), (False, True), (True, True)])
+    def test_shuffled_table_comes_back_in_canonical_order(self, generated, shuffle_rows, shuffle_slots):
+        corpus_dir, _ = generated
+        files = [corpus_dir / name for name in ("publications.jsonl", "researchers.csv", "taxonomy.csv")]
+        canonical = list(load_corpus(*files).publications)
+        rng = random.Random(5)
+        records = [
+            replace(pub, authors=tuple(rng.sample(pub.authors, len(pub.authors)))) if shuffle_slots else pub
+            for pub in canonical
+        ]
+        if shuffle_rows:
+            rng.shuffle(records)
+        shuffled = Publications.from_records(records)
+        assert list(shuffled) != canonical
+        assert list(shuffled.in_canonical_order()) == canonical
 
     def test_indexing_builds_the_iterated_records(self, generated):
         corpus_dir, _ = generated

@@ -32,6 +32,8 @@ from meritrank.synth import (
     write_publications,
 )
 
+from conftest import NAMES
+
 SMALL = GeneratorProfile(
     n_universities=8,
     sds_per_uda={"A": 2, "B": 2},
@@ -363,14 +365,6 @@ def test_generated_corpus_is_in_canonical_order():
     corpus = generate(large)
     assert list(corpus.researchers) == sorted(corpus.researchers)
     assert list(corpus.publications.in_canonical_order()) == list(corpus.publications)
-
-
-# Names that JSON must escape: quotes, backslashes, control and non-ASCII characters.
-NAMES = st.text(
-    st.characters(exclude_categories=("Cs",)) | st.sampled_from('"\\/\x00\x1f\x7f\n\r\u2028é😀'),
-    min_size=1,
-    max_size=6,
-)
 
 
 @st.composite
