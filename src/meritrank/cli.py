@@ -169,8 +169,7 @@ def cmd_calibrate(cfg: dict) -> int:
 
 def cmd_indicators(cfg: dict) -> int:
     out = _required(cfg, "out", "--out")
-    corpus = _load(cfg)
-    scored = score_corpus(corpus, _credit_scheme(cfg))
+    scored = score_corpus(_load(cfg), _credit_scheme(cfg))
     reports.write_scores_csv(out, scored.scores)
     print(f"wrote {len(scored.scores)} researcher scores ({len(scored.active_sds)} active SDSs) to {out}")
     return EXIT_OK
@@ -188,7 +187,7 @@ def _counterfactual(cfg: dict, scored, units, selection, level: str, k_classes: 
     `report-all` has no --refit-pstar, so its national averages stay frozen.
     """
     return counterfactual_rankings(
-        scored.corpus.taxonomy, scored.scores, units, selection, level, min_staff=cfg["min_staff"],
+        scored.taxonomy, scored.scores, units, selection, level, min_staff=cfg["min_staff"],
         k_classes=k_classes, pstar_mode=cfg["pstar"], refit_pstar=cfg.get("refit_pstar", False),
     )
 
@@ -210,16 +209,15 @@ def _fund_area(scored, ranking, uda: str, policy: FundingPolicy, selection):
     `selection` is the national top selection.
     """
     allocation = allocate(ranking, policy)
-    census = national_top_census(scored.scores, scored.corpus.taxonomy, uda, allocation, selection)
+    census = national_top_census(scored.scores, scored.taxonomy, uda, allocation, selection)
     return census, paradox_report(census)
 
 
 def cmd_rank(cfg: dict) -> int:
     level = _required(cfg, "level", "--level")
     out = _required(cfg, "out", "--out")
-    corpus = _load(cfg)
-    scored = score_corpus(corpus, _credit_scheme(cfg))
-    rankings = _ranked_units(sds_unit_scores(scored.scores), level, cfg, corpus.taxonomy)
+    scored = score_corpus(_load(cfg), _credit_scheme(cfg))
+    rankings = _ranked_units(sds_unit_scores(scored.scores), level, cfg, scored.taxonomy)
     field = cfg["field"]
     if field is not None and field not in rankings:
         raise ValidationError(f"--field {field!r}: no ranked units at level {level}")
@@ -239,11 +237,12 @@ def cmd_counterfactual(cfg: dict) -> int:
         raise ValidationError("--svg needs --field to pick one scatter")
     if field is None and cfg["transition"]:
         raise ValidationError("--transition needs --field to pick one matrix")
+    if cfg["refit_pstar"] and level != LEVEL_UDA:
+        raise ValidationError("--refit-pstar applies only at --level uda, the one level that reads national averages")
     problem = share_problem(cfg["share"]) or class_count_problem(cfg["classes"])
     if problem:
         raise ValidationError(problem)
-    corpus = _load(cfg)
-    scored = score_corpus(corpus, _credit_scheme(cfg))
+    scored = score_corpus(_load(cfg), _credit_scheme(cfg))
     selection = select_top(scored.scores, SCOPE_UNIT, cfg["share"], cfg["min_staff"])
     cf = _counterfactual(cfg, scored, sds_unit_scores(scored.scores), selection, level, cfg["classes"])
     if field is not None and field not in cf:
@@ -271,9 +270,8 @@ def cmd_fund(cfg: dict) -> int:
     problem = share_problem(cfg["share"])
     if problem:
         raise ValidationError(problem)
-    corpus = _load(cfg)
-    scored = score_corpus(corpus, _credit_scheme(cfg))
-    rankings = _ranked_units(sds_unit_scores(scored.scores), LEVEL_UDA, cfg, corpus.taxonomy)
+    scored = score_corpus(_load(cfg), _credit_scheme(cfg))
+    rankings = _ranked_units(sds_unit_scores(scored.scores), LEVEL_UDA, cfg, scored.taxonomy)
     if uda not in rankings:
         raise ValidationError(f"--uda {uda!r}: no ranked universities in that area")
     selection = select_top(scored.scores, SCOPE_NATIONAL, cfg["share"], cfg["min_staff"])
@@ -311,11 +309,16 @@ def cmd_report_all(cfg: dict) -> int:
         write_corpus(corpus, out_dir / "corpus", profile)
         log.info("generated corpus: %d researchers", len(corpus.researchers))
     cfg["window"] = corpus.window  # the manifest echoes the window the run observed
-
+    counts = {
+        "researchers": len(corpus.researchers),
+        "publications": len(corpus.publications),
+        "universities": len(corpus.universities),
+    }
     scored = score_corpus(corpus, _credit_scheme(cfg))
+    del corpus  # every later step reads the scores, so the publications can go
     reports.write_scores_csv(out_dir / "scores.csv", scored.scores)
 
-    stats = productivity_stats(scored.scores, corpus.taxonomy)
+    stats = productivity_stats(scored.scores, scored.taxonomy)
     reports.write_productivity_csv(out_dir / "productivity_uda.csv", stats)
 
     concentration_rows = []
@@ -331,9 +334,9 @@ def cmd_report_all(cfg: dict) -> int:
     reports.write_concentration_csv(out_dir / "concentration_sds.csv", concentration_rows)
 
     units = sds_unit_scores(scored.scores)
-    rankings_sds = _ranked_units(units, LEVEL_SDS, cfg, corpus.taxonomy)
+    rankings_sds = _ranked_units(units, LEVEL_SDS, cfg, scored.taxonomy)
     reports.write_ranking_csv(out_dir / "ranks_sds.csv", rankings_sds)
-    rankings_uda = _ranked_units(units, LEVEL_UDA, cfg, corpus.taxonomy)
+    rankings_uda = _ranked_units(units, LEVEL_UDA, cfg, scored.taxonomy)
     reports.write_ranking_csv(out_dir / "ranks_uda.csv", rankings_uda)
 
     selection = select_top(scored.scores, SCOPE_UNIT, cfg["share"], cfg["min_staff"])
@@ -378,9 +381,7 @@ def cmd_report_all(cfg: dict) -> int:
 
     shares = measured_shares(scored.scores)
     summary = {
-        "researchers": len(corpus.researchers),
-        "publications": len(corpus.publications),
-        "universities": len(corpus.universities),
+        **counts,
         "active_sds": len(scored.active_sds),
         "scored_researchers": len(scored.scores),
         "non_productive_share": shares.non_productive_share,

@@ -86,7 +86,7 @@ class Publication:
     authors: tuple[AuthorSlot, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Researcher:
     id: str
     university_id: str
@@ -401,18 +401,25 @@ def publications_problem(
     repeats = (cat_row[1:] == cat_row[:-1]) & (cat[1:] == cat[:-1])
     repeated = np.bincount(cat_row[1:][repeats], minlength=n) > 0
     n_slots = np.diff(pubs.slot_offsets)
-    slot_row = pubs.slot_publication
     positions = pubs.slot_position
-    # Positions are exactly 1..n when each lies in [1, n] and no two share a place in the row.
-    in_range = (positions >= 1) & (positions <= n_slots[slot_row])
-    places = pubs.slot_offsets[slot_row[in_range]] + positions[in_range].astype(np.int64) - 1
-    misplaced = ~in_range | (np.bincount(places, minlength=len(positions)) > 1)
+    n_positions = len(positions)
+    # Positions are exactly 1..n when each lies in [1, n] and no two share a place in the row. Only
+    # an in-range position is taken as int64 and given a place; the others count at place n_positions.
+    in_range = positions >= 1
+    in_range &= positions <= np.repeat(n_slots, n_slots)
+    places = np.where(in_range, positions, 0).astype(np.int64, copy=False)
+    places += np.repeat(pubs.slot_offsets[:-1] - 1, n_slots)
+    places[~in_range] = n_positions
+    misplaced = np.bincount(places, minlength=n_positions + 1)[:n_positions] > 1
+    del places
+    misplaced |= ~in_range
     # Code -1 (outside the population) indexes the appended True.
     known = np.array([rid in researchers for rid in pubs.researcher_names] + [True], dtype=bool)
     unknown = ~known[pubs.slot_researcher]
 
     def rows_with(slot_mask: np.ndarray) -> np.ndarray:
-        return np.bincount(slot_row[slot_mask], minlength=n) > 0
+        rows = np.searchsorted(pubs.slot_offsets, np.flatnonzero(slot_mask), side="right") - 1
+        return np.bincount(rows, minlength=n) > 0
 
     def slots(i: int) -> slice:
         return slice(pubs.slot_offsets[i], pubs.slot_offsets[i + 1])
@@ -542,39 +549,49 @@ def load_taxonomy(tax_path) -> Taxonomy:
 
 
 def load_researchers(res_path, taxonomy: Taxonomy, window) -> tuple[dict[str, Researcher], dict[str, str]]:
+    """Read researchers.csv. Its researchers share one string object per university id and per SDS code.
+
+    Blank rows are skipped and not counted in the line numbers; a row with
+    too few fields reads None for the missing ones, and fields past the
+    fifth are ignored.
+    """
     res_path = Path(res_path)
     window_length = window[1] - window[0] + 1
     researchers: dict[str, Researcher] = {}
     universities: dict[str, str] = {}
+    shared: dict[str, str] = {}
+    n_columns = len(RESEARCHER_COLUMNS)
     with open_input(res_path) as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != RESEARCHER_COLUMNS:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or tuple(header) != RESEARCHER_COLUMNS:
             raise ValidationError(
-                f"{res_path}: expected header {','.join(RESEARCHER_COLUMNS)}, "
-                f"got {','.join(reader.fieldnames or [])}"
+                f"{res_path}: expected header {','.join(RESEARCHER_COLUMNS)}, got {','.join(header or [])}"
             )
-        for line_no, row in enumerate(reader, start=2):
-            rid = row["id"]
+        for line_no, row in enumerate(filter(None, reader), start=2):
+            if len(row) != n_columns:
+                row = (row + [None] * n_columns)[:n_columns]
+            rid, uid, uname, sds, years_text = row
             if not rid:
                 _fail(res_path, line_no, "empty researcher id")
             if rid in researchers:
                 _fail(res_path, line_no, f"duplicate researcher id {rid!r}")
-            uid, uname = row["university_id"], row["university_name"]
             if not uid:
                 _fail(res_path, line_no, "empty university_id")
             if uid in universities and universities[uid] != uname:
                 _fail(res_path, line_no, f"conflicting names for university {uid!r}")
             try:
-                years = int(row["years_in_post"])
-            except ValueError:
-                _fail(res_path, line_no, f"field 'years_in_post': not an integer: {row['years_in_post']!r}")
+                years = int(years_text)
+            except (TypeError, ValueError):
+                _fail(res_path, line_no, f"field 'years_in_post': not an integer: {years_text!r}")
             if years > window_length:
                 log.warning(
                     "%s line %d: years_in_post %d capped at window length %d",
                     res_path, line_no, years, window_length,
                 )
                 years = window_length
-            researcher = Researcher(rid, uid, row["sds"], years)
+            uid = shared.setdefault(uid, uid)
+            researcher = Researcher(rid, uid, shared.setdefault(sds, sds), years)
             problem = researcher_problem(researcher, taxonomy, window)
             if problem:
                 _fail(res_path, line_no, problem)

@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Researcher, active_sds_filter
+from .corpus import Corpus, Researcher, Taxonomy, active_sds_filter
 from .normalization import (
     Baselines,
     CreditScheme,
@@ -88,11 +88,15 @@ def researcher_ss(corpus: Corpus, baselines: Baselines, scheme: CreditScheme) ->
     row_of_code = np.array([row_of[rid] for rid in pubs.researcher_names], dtype=np.int64)
     life_science = np.array([corpus.taxonomy.is_life_science(r.sds) for r in researchers], dtype=bool)
 
-    slots = np.flatnonzero(pubs.slot_researcher >= 0)
-    holders = row_of_code[pubs.slot_researcher[slots]]
-    rows = pubs.slot_publication[slots]
     std = standardized_citations(pubs, baselines)
-    terms = std[rows] * slot_credit_shares(pubs, scheme, slots, life_science[holders])
+    # Per researcher code, then False for code -1 (outside the population).
+    life_science_of_code = np.append(life_science[row_of_code], False)
+    shares = slot_credit_shares(pubs, scheme, life_science_of_code[pubs.slot_researcher])
+    slots = np.flatnonzero(pubs.slot_researcher >= 0)
+    terms = std[pubs.slot_publication[slots]]
+    terms *= shares[slots]
+    del shares
+    holders = row_of_code[pubs.slot_researcher[slots]]
     # bincount adds each researcher's terms in slot order, as the per-record loop does.
     totals = np.bincount(holders, weights=terms, minlength=len(researchers))
     ss = totals / np.array([r.years_in_post for r in researchers], dtype=np.int64)
@@ -196,9 +200,13 @@ def measured_shares(scores: ScoreTable) -> MeasuredStats:
 
 @dataclass
 class ScoredCorpus:
-    """Corpus plus everything the downstream analyses need from indicators."""
+    """Everything the downstream analyses need from a scored corpus.
 
-    corpus: Corpus
+    It holds the corpus's taxonomy, not the corpus, so a caller that drops
+    the corpus after scoring frees its publications.
+    """
+
+    taxonomy: Taxonomy
     active_sds: set[str]
     scores: ScoreTable = field(repr=False)
 
@@ -214,4 +222,4 @@ def score_corpus(corpus: Corpus, scheme: CreditScheme | None = None) -> ScoredCo
     ss, non_productive = researcher_ss(corpus, compute_baselines(corpus), scheme or CreditScheme())
     keep = np.array([r.sds in active for r in corpus.researchers.values()], dtype=bool)
     researchers = list(compress(corpus.researchers.values(), keep.tolist()))
-    return ScoredCorpus(corpus, active, score_table(researchers, ss[keep], non_productive[keep]))
+    return ScoredCorpus(corpus.taxonomy, active, score_table(researchers, ss[keep], non_productive[keep]))

@@ -134,25 +134,26 @@ def standardized_citations(pubs: Publications, baselines: Baselines) -> np.ndarr
     return np.divide(pubs.citations, denominators, out=np.zeros(n), where=cited)
 
 
-def slot_credit_shares(
-    pubs: Publications, scheme: CreditScheme, slots: np.ndarray, is_life_science: np.ndarray
-) -> np.ndarray:
-    """`credit_shares` of the author slots at indices `slots`; `is_life_science` is per slot in `slots`."""
-    rows = pubs.slot_publication
+def slot_credit_shares(pubs: Publications, scheme: CreditScheme, is_life_science: np.ndarray) -> np.ndarray:
+    """`credit_shares` of every author slot; `is_life_science` is per slot too.
+
+    The positional weights of all slots are taken first, in place, and the
+    equal shares then fill the slots outside the life sciences.
+    """
     n_authors = np.diff(pubs.slot_offsets)
-    equal = 1.0 / n_authors[rows[slots]]
+    slot_authors = np.repeat(n_authors, n_authors)  # per slot, its publication's author count
     if scheme.mode == EQUAL_FRACTIONAL or not is_life_science.any():
-        return equal
+        return 1.0 / slot_authors
     positions = pubs.slot_position
-    weights = np.where(
-        positions == 1,
-        scheme.first_weight,
-        np.where(positions == n_authors[rows], scheme.last_weight, scheme.middle_weight),
-    )
-    weights = np.where(pubs.slot_intramural, weights, weights * scheme.extramural_discount)
+    shares = np.full(len(positions), scheme.middle_weight)
+    shares[positions == slot_authors] = scheme.last_weight
+    shares[positions == 1] = scheme.first_weight
+    shares[~pubs.slot_intramural] *= scheme.extramural_discount
     # bincount adds in slot order like `ordered_sum`; np.sum's pairwise order differs from 8 slots on.
-    totals = np.bincount(rows, weights=weights, minlength=len(pubs))
-    return np.where(is_life_science, (weights / totals[rows])[slots], equal)
+    shares /= np.repeat(np.bincount(pubs.slot_publication, weights=shares, minlength=len(pubs)), n_authors)
+    equal = ~is_life_science
+    shares[equal] = 1.0 / slot_authors[equal]
+    return shares
 
 
 def standardize(pub: Publication, baselines: Baselines) -> float:

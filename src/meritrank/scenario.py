@@ -14,6 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .aggregation import (
+    LEVEL_UDA,
     PSTAR_MEAN_OF_UNITS,
     DEFAULT_MIN_STAFF,
     UnitScore,
@@ -149,15 +150,19 @@ def counterfactual_rankings(
     ranking are built by the same calls. The hypothetical ranking re-ranks
     exactly the observed roster; a unit that loses all staff scores 0.
     Baselines and national averages are frozen at observed values unless
-    refit_pstar is set. The dict is built in field-code order, so its
-    `.values()` need no sorting.
+    refit_pstar is set. Only the UDA composites read national averages, so
+    they are computed at the UDA level alone, and at the SDS level
+    `pstar_mode` and `refit_pstar` change nothing. The dict is built in
+    field-code order, so its `.values()` need no sorting.
     """
     if selection.scope != SCOPE_UNIT:
         raise ValidationError("counterfactual rankings need a unit-scoped selection")
     hyp_units = sds_unit_scores(scores.rows(~selection.selected))
-    p_stars = national_averages(units, pstar_mode)
+    p_stars = hyp_pstars = {}
+    if level == LEVEL_UDA:
+        p_stars = national_averages(units, pstar_mode)
+        hyp_pstars = national_averages(hyp_units, pstar_mode) if refit_pstar else p_stars
     observed_rankings = rank_units(level_unit_scores(units, level, p_stars, taxonomy), min_staff)
-    hyp_pstars = national_averages(hyp_units, pstar_mode) if refit_pstar else p_stars
     hyp_scores = {
         (u.university_id, u.field): (u.score, u.staff)
         for u in level_unit_scores(hyp_units, level, hyp_pstars, taxonomy)

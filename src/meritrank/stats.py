@@ -1,6 +1,9 @@
 """Inequality and association statistics: Gini, rank correlation, concentration ratios.
 
-All functions are pure and safe to call concurrently.
+All functions are pure and safe to call concurrently. scipy is imported at
+the first t-approximation p-value (`spearman` with more than
+`EXACT_PERMUTATION_MAX_N` pairs), not with this module: most of its cost is
+memory, and a run that never needs such a p-value never pays it.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.special import stdtr
 
 from .errors import UndefinedStatisticError, ValidationError
 
@@ -121,22 +123,26 @@ def _permutation_matrix(n: int) -> np.ndarray:
 def _exact_permutation_p(rx: np.ndarray, ry: np.ndarray, rho_obs: float) -> float:
     """Two-sided p over all n! equally likely pairings of the rank vectors."""
     n = int(rx.size)
-    perms = _permutation_matrix(n)
     dx = rx - rx.mean()
     dy = ry - ry.mean()
     denom = math.sqrt(float((dx * dx).sum() * (dy * dy).sum()))
-    # sum(dx) == 0, so permuted-ry dot dx already equals the centered product. Gathering
-    # (n - 1)! rows at a time bounds the copy of ry to 1/n of the matrix.
+    # sum(dx) == 0, so permuted-ry dot dx already equals the centered product. The pairings that put
+    # ry[n - 1] against dx[i] pair the other ranks by one of the (n - 1)! permutations P, so their sums
+    # are dx[i] * ry[n - 1] + ry[P] @ (dx without entry i). Ranks and centred ranks are multiples of
+    # 0.5, so every partial sum is exact and the split leaves each rho unchanged.
+    others = ry[_permutation_matrix(n - 1)]
     hits = 0
-    for rows in perms.reshape(n, -1, n):
-        rhos = (ry[rows] @ dx) / denom
+    for i in range(n):
+        rhos = (dx[i] * ry[n - 1] + others @ np.delete(dx, i)) / denom
         hits += int(np.count_nonzero(np.abs(rhos) >= abs(rho_obs) - 1e-12))
-    return hits / perms.shape[0]
+    return hits / math.factorial(n)
 
 
 def _t_approximation_p(rho: float, n: int) -> float:
     if abs(rho) >= 1.0:
         return 0.0
+    from scipy.special import stdtr
+
     t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
     return float(2.0 * stdtr(n - 2, -abs(t)))
 

@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from xml.dom import minidom
 
 import pytest
 
+import meritrank
 from meritrank import cli, reports, scenario
 from meritrank.cli import dispatch
 from meritrank.synth import GeneratorProfile
@@ -52,6 +57,26 @@ def corpus_dir(tmp_path_factory):
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
+
+
+def test_cli_import_and_gen_leave_scipy_unloaded(tmp_path):
+    """scipy loads at the first t-approximation p-value, so neither importing the CLI nor `gen` loads it."""
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps(PROFILE))
+    argv = ["gen", "--profile", str(profile), "--out", str(tmp_path / "corpus")]
+    program = (
+        "import sys\n"
+        "import meritrank.cli\n"
+        "assert 'scipy' not in sys.modules, 'import meritrank.cli loaded scipy'\n"
+        f"assert meritrank.cli.main({argv!r}) == 0\n"
+        "assert 'scipy' not in sys.modules, 'gen loaded scipy'\n"
+    )
+    src = str(Path(meritrank.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-c", program], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
 
 
 class TestGen:
@@ -462,8 +487,9 @@ class TestCounterfactual:
         [
             (["--share", "2"], "selection share must be in [0, 1], got 2.0"),
             (["--classes", "0"], "need at least one quantile class, got 0"),
+            (["--refit-pstar"], "--refit-pstar applies only at --level uda"),
         ],
-        ids=["share-2", "classes-0"],
+        ids=["share-2", "classes-0", "refit-pstar-at-sds"],
     )
     def test_invalid_scenario_option_rejected_before_reading(self, tmp_path, capsys, flags, message):
         out = tmp_path / "cf.csv"

@@ -75,6 +75,16 @@ class TestLoadCorpus:
         assert corpus.taxonomy.is_life_science("S3")
         assert not corpus.taxonomy.is_life_science("S1")
 
+    def test_researchers_share_university_and_sds_strings(self, tmp_path):
+        researchers = VALID_RESEARCHERS + "R3,U2,Uni Two,S2,5\nR4,U1,Uni One,S2,4\nR5,U2,Uni Two,S1,2\n"
+        corpus = load_corpus(*write_files(tmp_path, researchers=researchers))
+        first_university: dict[str, str] = {}
+        first_sds: dict[str, str] = {}
+        for r in corpus.researchers.values():
+            assert first_university.setdefault(r.university_id, r.university_id) is r.university_id
+            assert first_sds.setdefault(r.sds, r.sds) is r.sds
+        assert (sorted(first_university), sorted(first_sds)) == (["U1", "U2"], ["S1", "S2"])
+
     def test_missing_file_is_io_error(self, tmp_path):
         pub, res, tax = write_files(tmp_path)
         tax.unlink()

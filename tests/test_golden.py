@@ -4,9 +4,9 @@ The runs use criterion 11's 12-university profile (seed 41): `report-all`
 and `gen` generate the corpus from it, `calibrate` tunes it (it converges),
 `calibrate --tolerance 0` cannot converge (so it exits 1 and still writes a
 best-effort profile and a manifest), and `indicators` (with equal and with positional
-credit), `rank`, `counterfactual` (at UDA level; and at SDS and at UDA level
-with pooled national averages refitted after a 25% removal, which only the
-UDA composites read), `fund` and `report-all --corpus` (with
+credit), `rank`, `counterfactual` (at UDA level; at SDS level with pooled
+national averages, which no SDS unit reads; and at UDA level with pooled
+national averages refitted after a 25% removal), `fund` and `report-all --corpus` (with
 positional credit, as the benchmark's corpus workload runs it) read the
 corpus `report-all` wrote. A refactor must reproduce every non-manifest byte and every
 manifest's `command`, `config` and `inputs`; a change that alters them on
@@ -131,7 +131,7 @@ GOLDEN_CONFIGS = {
         "min_staff": 5,
         "out": "TMP/counterfactual-sds-pooled/cf.csv",
         "pstar": "pooled",
-        "refit_pstar": True,
+        "refit_pstar": False,
         "share": 0.25,
         "svg": None,
         "transition": None,
@@ -302,7 +302,7 @@ def _runs(tmp):
             "--transition", str(tmp / "counterfactual" / "transition.csv"),
         ],
         [
-            "counterfactual", "--corpus", corpus, "--level", "sds", "--pstar", "pooled", "--refit-pstar",
+            "counterfactual", "--corpus", corpus, "--level", "sds", "--pstar", "pooled",
             "--share", "0.25", "--out", str(tmp / "counterfactual-sds-pooled" / "cf.csv"),
         ],
         [

@@ -1,5 +1,8 @@
 """Researcher SS values, percentile ranks, and productivity shares."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -181,6 +184,15 @@ class TestScoreCorpus:
         assert scored.active_sds == active_sds_filter(corpus) == {"S1"}
         assert scored.scores.sds_names == ("S1",)
         assert scored.scores.researcher_ids == ("A0", "A1", "A2", "A3")
+
+    def test_scored_corpus_releases_the_publications(self):
+        corpus = solo_corpus([("R1", "U1", "S1", 3), ("R2", "U1", "S1", None)])
+        scored = score_corpus(corpus)
+        publications = weakref.ref(corpus.publications)
+        del corpus
+        gc.collect()
+        assert publications() is None
+        assert scored.taxonomy.uda_of("S1") == "X"
 
     def test_table_is_read_only(self):
         scored = score_corpus(solo_corpus([("R1", "U1", "S1", 1)]))

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from meritrank.aggregation import LEVEL_SDS, LEVEL_UDA, sds_unit_scores
+from meritrank import scenario
+from meritrank.aggregation import LEVEL_SDS, LEVEL_UDA, national_averages, sds_unit_scores
 from meritrank.errors import UndefinedStatisticError, ValidationError
 from meritrank.scenario import (
     SCOPE_NATIONAL,
@@ -182,6 +183,23 @@ class TestCounterfactual:
         ]
         assert frozen_order == ["U1", "U2"]
         assert refit_order == ["U2", "U1"]
+
+    @pytest.mark.parametrize(
+        "level, refit_pstar, calls",
+        [(LEVEL_SDS, False, 0), (LEVEL_SDS, True, 0), (LEVEL_UDA, False, 1), (LEVEL_UDA, True, 2)],
+    )
+    def test_national_averages_taken_only_for_uda_composites(self, monkeypatch, level, refit_pstar, calls):
+        corpus, scores = scores_with_ss({("U1", "S1"): [1.0, 2.0, 3.0], ("U2", "S1"): [2.0, 2.0, 2.0]})
+        taken = []
+
+        def counted(units, mode):
+            taken.append(mode)
+            return national_averages(units, mode)
+
+        monkeypatch.setattr(scenario, "national_averages", counted)
+        selection = select_top(scores, SCOPE_UNIT, share=0.34, min_staff=1)
+        counterfactual(corpus, scores, selection, level, min_staff=1, refit_pstar=refit_pstar)
+        assert len(taken) == calls
 
     def test_requires_unit_scope(self):
         corpus, scores = scores_with_ss({("U1", "S1"): [1.0] * 5})
