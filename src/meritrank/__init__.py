@@ -13,7 +13,7 @@ from .corpus import (
     Corpus,
     Publication,
     Publications,
-    Researcher,
+    Researchers,
     Taxonomy,
     active_sds_filter,
     load_corpus,

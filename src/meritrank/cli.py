@@ -176,8 +176,8 @@ def cmd_indicators(cfg: dict) -> int:
 
 
 def _ranked_units(units, level: str, cfg: dict, taxonomy):
-    """Rankings per field at `level` from the per-(university, SDS) unit scores."""
-    p_stars = national_averages(units, cfg["pstar"])
+    """Rankings per field at `level` from the per-(university, SDS) unit scores; p* only for UDA composites."""
+    p_stars = national_averages(units, cfg["pstar"]) if level == LEVEL_UDA else {}
     return rank_units(level_unit_scores(units, level, p_stars, taxonomy), cfg["min_staff"])
 
 

@@ -1,13 +1,15 @@
 """Domain model, input-file loading and validation, and the field activity filter.
 
 A corpus is immutable after load: every analysis step reads it, none mutates
-it. Its publications form one columnar table, `Publications`: numpy columns
-for citations, year and document type, a CSR (flat values plus row offsets)
-of category codes, and a CSR of author slots holding researcher code,
-position and intramural flag. `PublicationsBuilder` fills it from the
-loader or a list of records; the generator fills the columns straight from
-its draws. Scoring reads the columns, and `Publication` records are built
-only when the table is indexed or iterated.
+it. Its researchers form one columnar table, `Researchers`, in id order; its
+publications another, `Publications`: numpy columns for citations, year and
+document type, a CSR (flat values plus row offsets) of category codes, and a
+CSR of author slots holding the researcher's row, position and intramural
+flag. `PublicationsBuilder` fills it from the loader, seeded with the
+researcher ids, or from a list of records; the generator fills the columns
+straight from its draws, and a `Corpus` recodes a table coded otherwise.
+Scoring reads the columns, and `Publication` records are built only when
+the table is indexed or iterated.
 
 Each rule is written once. The publication rules are one columnar check,
 `publications_problem`: a few array operations over a whole `Publications`
@@ -21,9 +23,9 @@ fails to parse. `load_researchers` applies `researcher_problem` row by row.
 `Corpus.validate` runs both checks on a corpus built in memory, such as a
 generated one, and names the record. A violation is rejected rather than
 silently repaired. `load_corpus` and the generator return the corpus in
-canonical order (`Corpus.in_canonical_order`): publications by id, each
-publication's slots by position, and researchers by id, so neither the
-order of the input files nor the order of generation reaches a score.
+canonical order (`Publications.in_canonical_order`): publications by id and
+each publication's slots by position, beside researchers by id, so neither
+the order of the input files nor the order of generation reaches a score.
 """
 
 from __future__ import annotations
@@ -32,14 +34,14 @@ import csv
 import json
 import logging
 from array import array
-from collections import Counter, defaultdict
+from collections import defaultdict
 from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import starmap
+from itertools import compress, starmap
 from pathlib import Path
-from typing import Container, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -86,12 +88,49 @@ class Publication:
     authors: tuple[AuthorSlot, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class Researcher:
-    id: str
-    university_id: str
-    sds: str
-    years_in_post: int
+def name_codes(names: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """The sorted distinct names, and each name's index among them: the one coding of names."""
+    distinct = sorted(set(names))
+    index = {name: i for i, name in enumerate(distinct)}
+    return tuple(distinct), np.array([index[name] for name in names], dtype=np.int64)
+
+
+@dataclass(frozen=True, eq=False)
+class Researchers:
+    """The evaluated researchers as read-only columns, one row per researcher, in id order.
+
+    `university` and `sds` are codes into the sorted name tuples `universities` and `sds_names`, so
+    ordering by code is ordering by name.
+    """
+
+    ids: tuple[str, ...]
+    universities: tuple[str, ...]
+    university: np.ndarray
+    sds_names: tuple[str, ...]
+    sds: np.ndarray
+    years_in_post: np.ndarray
+
+    @classmethod
+    def from_columns(cls, ids: list[str], university_ids: list[str], sds: list[str], years_in_post: list[int]):
+        """The table of the researchers given column by column, in any order; rows come out sorted by id."""
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        universities, university = name_codes([university_ids[i] for i in order])
+        sds_names, sds_codes = name_codes([sds[i] for i in order])
+        years = np.array(years_in_post, dtype=np.int64)[np.array(order, dtype=np.int64)]
+        return cls(tuple(ids[i] for i in order), universities, university, sds_names, sds_codes, years)
+
+    def __post_init__(self):
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def rows(self, mask: np.ndarray):
+        """The rows where `mask` is set, in row order, over the same name tuples: a name may have no row."""
+        columns = {name: value[mask] for name, value in vars(self).items() if isinstance(value, np.ndarray)}
+        return replace(self, ids=tuple(compress(self.ids, mask.tolist())), **columns)
 
 
 @dataclass(frozen=True)
@@ -136,8 +175,9 @@ class Publications(Sequence):
     `category_names[category[category_offsets[i]:category_offsets[i + 1]]]`
     and its author slots the same span of the three `slot_*` columns under
     `slot_offsets`. `slot_researcher` is a code into `researcher_names`, or
-    -1 for a co-author outside the evaluated population; `doc_type` is a
-    code into `doc_type_names`, which starts with `DOC_TYPES`.
+    -1 for a co-author outside the evaluated population; in a corpus, it is
+    the researcher's row. `doc_type` is a code into `doc_type_names`, which
+    starts with `DOC_TYPES`.
     """
 
     ids: list[str]
@@ -211,6 +251,17 @@ class Publications(Sequence):
         """Row of the publication each category entry belongs to."""
         return np.repeat(np.arange(len(self.ids)), np.diff(self.category_offsets))
 
+    def coded_by(self, researcher_ids: Sequence[str]) -> "Publications":
+        """This table with each slot's researcher code its row in `researcher_ids`; a name outside them
+        gets a code past the last row. The table itself when it is coded so already."""
+        names = self.researcher_names
+        if names[: len(researcher_ids)] == list(researcher_ids):
+            return self
+        codes = {rid: row for row, rid in enumerate(researcher_ids)}
+        # Code -1 (outside the population) indexes the appended -1.
+        recode = np.array([codes.setdefault(name, len(codes)) for name in names] + [-1], dtype=np.int64)
+        return replace(self, slot_researcher=recode[self.slot_researcher], researcher_names=list(codes))
+
     def id_order(self) -> np.ndarray:
         """The row order that sorts the table by id."""
         ids = self.ids
@@ -218,7 +269,8 @@ class Publications(Sequence):
 
     def in_canonical_order(self, order: np.ndarray | None = None) -> "Publications":
         """This table with rows sorted by id (or in `id_order()` computed already) and each row's slots
-        by position; the table itself when it is in that order already."""
+        by position; the table itself when it is in that order already. The one canonicalisation of
+        every corpus the package builds: the loader and the generator both end with it."""
         ids = self.ids
         if order is None:
             order = self.id_order()
@@ -259,7 +311,7 @@ def _int_column(values: list[int]) -> np.ndarray:
 class PublicationsBuilder:
     """Collects publications a block at a time, unchecked, and freezes them into a `Publications` table."""
 
-    def __init__(self):
+    def __init__(self, researcher_ids: Sequence[str] = ()):
         self._ids: list[str] = []
         self._years: list[int] = []
         self._doc_types: list[int] = []
@@ -270,10 +322,10 @@ class PublicationsBuilder:
         self._researchers: list[int] = []
         self._positions: list[int] = []
         self._intramural: list[bool] = []
-        # Name -> code; the codes are the order of first appearance.
+        # Name -> code; the codes are the order of first appearance, after the seeded researcher ids.
         self._doc_type_codes = {name: code for code, name in enumerate(DOC_TYPES)}
         self._category_codes: dict[str, int] = {}
-        self._researcher_codes: dict[str, int] = {}
+        self._researcher_codes = {rid: code for code, rid in enumerate(researcher_ids)}
 
     def extend(
         self, ids, years, doc_types, citations, category_counts, categories,
@@ -317,23 +369,14 @@ class PublicationsBuilder:
 @dataclass
 class Corpus:
     publications: Publications
-    researchers: dict[str, Researcher]
+    researchers: Researchers
     universities: dict[str, str]
     taxonomy: Taxonomy
     window: tuple[int, int]
 
-    def in_canonical_order(self, order: np.ndarray | None = None) -> "Corpus":
-        """This corpus with its publications in canonical order and its researchers sorted by id.
-
-        The one canonicalisation of every corpus the package builds: the loader
-        and the generator both end with it. `order` is the publications'
-        `id_order()`, when the caller has it already.
-        """
-        return replace(
-            self,
-            publications=self.publications.in_canonical_order(order),
-            researchers=dict(sorted(self.researchers.items())),
-        )
+    def __post_init__(self):
+        # The one place that makes slot codes researcher rows; the loader's table is coded so already.
+        self.publications = self.publications.coded_by(self.researchers.ids)
 
     # Unread by the package; kept because `benchmarks/tracer.py` patches it by name.
     @cached_property
@@ -359,27 +402,28 @@ class Corpus:
             problem = uda_code_problem(uda)
             if problem:
                 raise ValidationError(f"taxonomy: {problem}")
-        problem = publications_problem(self.publications, self.window, self.researchers)
+        res = self.researchers
+        problem = publications_problem(self.publications, self.window, len(res))
         if problem:
             row, message = problem
             raise ValidationError(f"publication {self.publications.ids[row]!r}: {message}")
-        for r in self.researchers.values():
-            problem = researcher_problem(r, self.taxonomy, self.window)
-            if not problem and r.university_id not in self.universities:
-                problem = f"unknown university {r.university_id!r}"
+        for rid, university, sds, years in zip(
+            res.ids, res.university.tolist(), res.sds.tolist(), res.years_in_post.tolist()
+        ):
+            problem = researcher_problem(res.sds_names[sds], years, self.taxonomy, self.window)
+            if not problem and res.universities[university] not in self.universities:
+                problem = f"unknown university {res.universities[university]!r}"
             if problem:
-                raise ValidationError(f"researcher {r.id!r}: {problem}")
+                raise ValidationError(f"researcher {rid!r}: {problem}")
 
 
-def publications_problem(
-    pubs: Publications, window, researchers: Container[str]
-) -> tuple[int, str] | None:
+def publications_problem(pubs: Publications, window, n_researchers: int) -> tuple[int, str] | None:
     """The first row of `pubs` that breaks a rule and the first rule it breaks, as (row, message), or None.
 
     The rules, in order: an id not seen in an earlier row, a year inside
     `window`, a known document type, citations in [0, CITATION_LIMIT], at
     least one category, no category twice, at least one author, author
-    positions exactly 1..n, and every non-null author id in `researchers`.
+    positions exactly 1..n, and each author a row below `n_researchers` or -1.
     Each rule is one array operation over the table; only the reported
     row's message is built in Python. The year, citation and position
     columns may hold Python ints (dtype object) that do not fit int64;
@@ -413,9 +457,7 @@ def publications_problem(
     misplaced = np.bincount(places, minlength=n_positions + 1)[:n_positions] > 1
     del places
     misplaced |= ~in_range
-    # Code -1 (outside the population) indexes the appended True.
-    known = np.array([rid in researchers for rid in pubs.researcher_names] + [True], dtype=bool)
-    unknown = ~known[pubs.slot_researcher]
+    unknown = pubs.slot_researcher >= n_researchers
 
     def rows_with(slot_mask: np.ndarray) -> np.ndarray:
         rows = np.searchsorted(pubs.slot_offsets, np.flatnonzero(slot_mask), side="right") - 1
@@ -474,13 +516,13 @@ def uda_code_problem(code: str) -> str | None:
     return None
 
 
-def researcher_problem(researcher: Researcher, taxonomy: Taxonomy, window) -> str | None:
-    """The first rule `researcher` breaks, as a message, or None."""
-    if researcher.sds not in taxonomy.sds_to_uda:
-        return f"SDS {researcher.sds!r} is absent from the taxonomy"
+def researcher_problem(sds: str, years_in_post: int, taxonomy: Taxonomy, window) -> str | None:
+    """The first rule a researcher of `sds` with `years_in_post` breaks, as a message, or None."""
+    if sds not in taxonomy.sds_to_uda:
+        return f"SDS {sds!r} is absent from the taxonomy"
     window_length = window[1] - window[0] + 1
-    if not 1 <= researcher.years_in_post <= window_length:
-        return f"years_in_post {researcher.years_in_post} outside [1, {window_length}]"
+    if not 1 <= years_in_post <= window_length:
+        return f"years_in_post {years_in_post} outside [1, {window_length}]"
     return None
 
 
@@ -512,20 +554,26 @@ def _require(record: dict, key: str, kind, path, line_no: int):
     return value
 
 
+def _csv_rows(path: Path, fh, columns: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
+    """The rows of a CSV file after its header `columns`, with their line numbers; blank rows are
+    skipped and not counted. A row with more or fewer fields than the header is a ValidationError."""
+    rows = filter(None, csv.reader(fh))
+    header = next(rows, None)
+    if header is None or tuple(header) != columns:
+        raise ValidationError(f"{path}: expected header {','.join(columns)}, got {','.join(header or [])}")
+    for line_no, row in enumerate(rows, start=2):
+        if len(row) != len(columns):
+            _fail(path, line_no, f"expected {len(columns)} fields, got {len(row)}")
+        yield line_no, row
+
+
 def load_taxonomy(tax_path) -> Taxonomy:
     tax_path = Path(tax_path)
     sds_to_uda: dict[str, str] = {}
     uda_names: dict[str, str] = {}
     life_flags: dict[str, str] = {}
     with open_input(tax_path) as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != TAXONOMY_COLUMNS:
-            raise ValidationError(
-                f"{tax_path}: expected header {','.join(TAXONOMY_COLUMNS)}, "
-                f"got {','.join(reader.fieldnames or [])}"
-            )
-        for line_no, row in enumerate(reader, start=2):
-            sds, uda, uda_name, life = (row[column] for column in TAXONOMY_COLUMNS)
+        for line_no, (sds, uda, uda_name, life) in _csv_rows(tax_path, fh, TAXONOMY_COLUMNS):
             if not sds or not uda:
                 _fail(tax_path, line_no, "empty sds or uda code")
             problem = uda_code_problem(uda)
@@ -548,33 +596,24 @@ def load_taxonomy(tax_path) -> Taxonomy:
     return Taxonomy(sds_to_uda, uda_names, life_udas)
 
 
-def load_researchers(res_path, taxonomy: Taxonomy, window) -> tuple[dict[str, Researcher], dict[str, str]]:
-    """Read researchers.csv. Its researchers share one string object per university id and per SDS code.
+def load_researchers(res_path, taxonomy: Taxonomy, window) -> tuple[Researchers, dict[str, str]]:
+    """Read researchers.csv into a `Researchers` table, and each university id's name.
 
-    Blank rows are skipped and not counted in the line numbers; a row with
-    too few fields reads None for the missing ones, and fields past the
-    fifth are ignored.
+    The values are gathered column by column, with no object per researcher;
+    `_csv_rows` skips blank rows and rejects a row that is not five fields.
     """
     res_path = Path(res_path)
     window_length = window[1] - window[0] + 1
-    researchers: dict[str, Researcher] = {}
+    ids: dict[str, None] = {}  # the ids in file order, as a set
+    university_ids: list[str] = []
+    sds_codes: list[str] = []
+    years_in_post: list[int] = []
     universities: dict[str, str] = {}
-    shared: dict[str, str] = {}
-    n_columns = len(RESEARCHER_COLUMNS)
     with open_input(res_path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != RESEARCHER_COLUMNS:
-            raise ValidationError(
-                f"{res_path}: expected header {','.join(RESEARCHER_COLUMNS)}, got {','.join(header or [])}"
-            )
-        for line_no, row in enumerate(filter(None, reader), start=2):
-            if len(row) != n_columns:
-                row = (row + [None] * n_columns)[:n_columns]
-            rid, uid, uname, sds, years_text = row
+        for line_no, (rid, uid, uname, sds, years_text) in _csv_rows(res_path, fh, RESEARCHER_COLUMNS):
             if not rid:
                 _fail(res_path, line_no, "empty researcher id")
-            if rid in researchers:
+            if rid in ids:
                 _fail(res_path, line_no, f"duplicate researcher id {rid!r}")
             if not uid:
                 _fail(res_path, line_no, "empty university_id")
@@ -582,7 +621,7 @@ def load_researchers(res_path, taxonomy: Taxonomy, window) -> tuple[dict[str, Re
                 _fail(res_path, line_no, f"conflicting names for university {uid!r}")
             try:
                 years = int(years_text)
-            except (TypeError, ValueError):
+            except ValueError:
                 _fail(res_path, line_no, f"field 'years_in_post': not an integer: {years_text!r}")
             if years > window_length:
                 log.warning(
@@ -590,20 +629,21 @@ def load_researchers(res_path, taxonomy: Taxonomy, window) -> tuple[dict[str, Re
                     res_path, line_no, years, window_length,
                 )
                 years = window_length
-            uid = shared.setdefault(uid, uid)
-            researcher = Researcher(rid, uid, shared.setdefault(sds, sds), years)
-            problem = researcher_problem(researcher, taxonomy, window)
+            problem = researcher_problem(sds, years, taxonomy, window)
             if problem:
                 _fail(res_path, line_no, problem)
             universities[uid] = uname
-            researchers[rid] = researcher
-    if not researchers:
+            ids[rid] = None
+            university_ids.append(uid)
+            sds_codes.append(sds)
+            years_in_post.append(years)
+    if not ids:
         raise ValidationError(f"{res_path}: no researcher rows")
-    return researchers, universities
+    return Researchers.from_columns(list(ids), university_ids, sds_codes, years_in_post), universities
 
 
-def load_publications(pub_path, window, researchers: Mapping[str, Researcher]) -> Publications:
-    """Read publications.jsonl; every non-null author id must name one of `researchers`.
+def load_publications(pub_path, window, researcher_ids: Sequence[str]) -> Publications:
+    """Read publications.jsonl; a slot's code is its author's row in `researcher_ids`, which must hold them all.
 
     The lines are read in blocks of `PUBLICATIONS_PER_BLOCK`: each line is
     decoded once, and each block's fields are type-checked and coded in
@@ -615,8 +655,8 @@ def load_publications(pub_path, window, researchers: Mapping[str, Researcher]) -
     """
     pub_path = Path(pub_path)
     # Parsing in a function of its own frees the builder's lists before the check allocates its arrays.
-    publications, line_numbers, line_error = _parse_publications(pub_path)
-    problem = publications_problem(publications, window, researchers)
+    publications, line_numbers, line_error = _parse_publications(pub_path, researcher_ids)
+    problem = publications_problem(publications, window, len(researcher_ids))
     if problem:
         row, message = problem
         _fail(pub_path, line_numbers[row], message)
@@ -625,10 +665,10 @@ def load_publications(pub_path, window, researchers: Mapping[str, Researcher]) -
     return publications
 
 
-def _parse_publications(pub_path: Path) -> tuple[Publications, array, ValidationError | None]:
-    """The table of the lines of `pub_path` up to the first that fails to parse or type-check, each
-    row's line number, and that line's error (None when every line passed)."""
-    builder = PublicationsBuilder()
+def _parse_publications(pub_path: Path, researcher_ids) -> tuple[Publications, array, ValidationError | None]:
+    """The table of the lines of `pub_path` up to the first that fails to parse or type-check, coded by
+    `researcher_ids`, each row's line number, and that line's error (None when every line passed)."""
+    builder = PublicationsBuilder(researcher_ids)
     line_numbers = array("q")  # per table row
     try:
         for numbers, records in _decoded_blocks(pub_path):
@@ -765,8 +805,8 @@ def load_corpus(pub_path, res_path, tax_path, window=DEFAULT_WINDOW) -> Corpus:
         raise ValidationError(problem)
     taxonomy = load_taxonomy(tax_path)
     researchers, universities = load_researchers(res_path, taxonomy, window)
-    publications = load_publications(pub_path, window, researchers)
-    return Corpus(publications, researchers, universities, taxonomy, tuple(window)).in_canonical_order()
+    publications = load_publications(pub_path, window, researchers.ids)
+    return Corpus(publications.in_canonical_order(), researchers, universities, taxonomy, tuple(window))
 
 
 def active_sds_filter(corpus: Corpus) -> set[str]:
@@ -775,9 +815,9 @@ def active_sds_filter(corpus: Corpus) -> set[str]:
     The threshold is inclusive: exactly 50% active keeps the SDS. Downstream
     analyses restrict to this set.
     """
-    totals = Counter(r.sds for r in corpus.researchers.values())
-    pubs = corpus.publications
-    codes = np.unique(pubs.slot_researcher)
-    publishers = [pubs.researcher_names[code] for code in codes[codes >= 0].tolist()]
-    active = Counter(corpus.researchers[rid].sds for rid in publishers)
-    return {sds for sds, total in totals.items() if 2 * active[sds] >= total}
+    res = corpus.researchers
+    codes = corpus.publications.slot_researcher
+    publishes = np.bincount(codes[codes >= 0], minlength=len(res)) > 0
+    totals = np.bincount(res.sds, minlength=len(res.sds_names)).tolist()
+    active = np.bincount(res.sds[publishes], minlength=len(res.sds_names)).tolist()
+    return {sds for sds, total, n in zip(res.sds_names, totals, active) if 2 * n >= total}

@@ -1,15 +1,15 @@
-"""Per-researcher Scientific Strength, field percentiles, and productivity shares."""
+"""Per-researcher Scientific Strength, field percentiles, and productivity shares.
+
+Scoring indexes `corpus.researchers` by row, an author slot's code; a `ScoreTable` is that table plus scores."""
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
-from itertools import compress
-from typing import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Corpus, Researcher, Taxonomy, active_sds_filter
+from .corpus import Corpus, Researchers, Taxonomy, active_sds_filter
 from .normalization import (
     Baselines,
     CreditScheme,
@@ -20,45 +20,14 @@ from .normalization import (
 from .stats import average_ranks, ordered_sum, top20_impact_share
 
 
-# The columns of a ScoreTable that hold one value per row.
-_ROW_COLUMNS = ("university", "sds", "ss", "percentile", "non_productive", "nil_impact")
+@dataclass(frozen=True, eq=False)
+class ScoreTable(Researchers):
+    """The scored researchers: a `Researchers` table, rows in id order, with read-only score columns."""
 
-
-@dataclass(frozen=True)
-class ScoreTable:
-    """The scored researchers as read-only columns, one row per researcher.
-
-    `university` and `sds` are codes into the sorted name lists `universities`
-    and `sds_names`, so ordering by code is ordering by name. A table taken
-    with `rows` keeps the lists, so a name may have no row there.
-    """
-
-    researcher_ids: tuple[str, ...]
-    universities: tuple[str, ...]
-    university: np.ndarray
-    sds_names: tuple[str, ...]
-    sds: np.ndarray
     ss: np.ndarray
     percentile: np.ndarray
     non_productive: np.ndarray
     nil_impact: np.ndarray
-
-    def __post_init__(self):
-        for name in _ROW_COLUMNS:
-            getattr(self, name).flags.writeable = False
-
-    def __len__(self) -> int:
-        return len(self.researcher_ids)
-
-    def rows(self, mask: np.ndarray) -> ScoreTable:
-        """The rows where `mask` is set, in row order, over the same name lists."""
-        ids = tuple(compress(self.researcher_ids, mask.tolist()))
-        return replace(self, researcher_ids=ids, **{name: getattr(self, name)[mask] for name in _ROW_COLUMNS})
-
-    def id_order(self) -> np.ndarray:
-        """The row order that sorts the table by researcher id."""
-        ids = self.researcher_ids
-        return np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.int64)
 
     def unit_codes(self) -> np.ndarray:
         """Each row's (university, SDS) unit as one code, in (university, SDS) name order."""
@@ -79,28 +48,26 @@ def researcher_ss(corpus: Corpus, baselines: Baselines, scheme: CreditScheme) ->
     credit applies when the researcher's field is a life-science area.
     Each total receives its terms in publication order, then slot order, so
     it equals the per-record sum of `standardize` times `credit_shares`.
-    Returns the columns (ss, non_productive) in `corpus.researchers` order;
+    Returns the columns (ss, non_productive) by row of `corpus.researchers`;
     non-productive means holding no author slot.
     """
     pubs = corpus.publications
-    researchers = list(corpus.researchers.values())
-    row_of = {r.id: i for i, r in enumerate(researchers)}
-    row_of_code = np.array([row_of[rid] for rid in pubs.researcher_names], dtype=np.int64)
-    life_science = np.array([corpus.taxonomy.is_life_science(r.sds) for r in researchers], dtype=bool)
+    res = corpus.researchers
+    life_science = np.array([corpus.taxonomy.is_life_science(sds) for sds in res.sds_names], dtype=bool)
 
     std = standardized_citations(pubs, baselines)
-    # Per researcher code, then False for code -1 (outside the population).
-    life_science_of_code = np.append(life_science[row_of_code], False)
+    # Per row, then False for code -1 (outside the population).
+    life_science_of_code = np.append(life_science[res.sds], False)
     shares = slot_credit_shares(pubs, scheme, life_science_of_code[pubs.slot_researcher])
     slots = np.flatnonzero(pubs.slot_researcher >= 0)
     terms = std[pubs.slot_publication[slots]]
     terms *= shares[slots]
     del shares
-    holders = row_of_code[pubs.slot_researcher[slots]]
+    holders = pubs.slot_researcher[slots]
     # bincount adds each researcher's terms in slot order, as the per-record loop does.
-    totals = np.bincount(holders, weights=terms, minlength=len(researchers))
-    ss = totals / np.array([r.years_in_post for r in researchers], dtype=np.int64)
-    return ss, np.bincount(holders, minlength=len(researchers)) == 0
+    totals = np.bincount(holders, weights=terms, minlength=len(res))
+    ss = totals / res.years_in_post
+    return ss, np.bincount(holders, minlength=len(res)) == 0
 
 
 def percentile_ranks(sds: np.ndarray, ss: np.ndarray) -> np.ndarray:
@@ -114,22 +81,13 @@ def percentile_ranks(sds: np.ndarray, ss: np.ndarray) -> np.ndarray:
     return np.divide(100.0 * (average_ranks(ss, sds) - 1), n - 1, out=np.full(len(ss), 100.0), where=n > 1)
 
 
-def _codes(names: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
-    """The sorted distinct names, and each name's index among them."""
-    distinct = sorted(set(names))
-    index = {name: i for i, name in enumerate(distinct)}
-    return tuple(distinct), np.array([index[name] for name in names], dtype=np.int64)
-
-
-def score_table(researchers: Sequence[Researcher], ss, non_productive) -> ScoreTable:
+def score_table(researchers: Researchers, ss, non_productive) -> ScoreTable:
     """The table of `researchers` with their SS and non-productive flags, row for row,
     adding the SDS percentiles and the nil-impact flags (SS exactly 0)."""
     ss = np.array(ss, dtype=float)
-    universities, university = _codes([r.university_id for r in researchers])
-    sds_names, sds = _codes([r.sds for r in researchers])
     return ScoreTable(
-        tuple(r.id for r in researchers), universities, university, sds_names, sds,
-        ss, percentile_ranks(sds, ss), np.array(non_productive, dtype=bool), ss == 0.0,
+        **vars(researchers), ss=ss, percentile=percentile_ranks(researchers.sds, ss),
+        non_productive=np.array(non_productive, dtype=bool), nil_impact=ss == 0.0,
     )
 
 
@@ -216,10 +174,10 @@ def score_corpus(corpus: Corpus, scheme: CreditScheme | None = None) -> ScoredCo
 
     Baselines use every publication in the corpus; scores are then restricted
     to researchers in active SDSs before percentiles are assigned. The
-    table's rows keep the order of `corpus.researchers`.
+    table's rows are the kept rows of `corpus.researchers`.
     """
     active = active_sds_filter(corpus)
     ss, non_productive = researcher_ss(corpus, compute_baselines(corpus), scheme or CreditScheme())
-    keep = np.array([r.sds in active for r in corpus.researchers.values()], dtype=bool)
-    researchers = list(compress(corpus.researchers.values(), keep.tolist()))
-    return ScoredCorpus(corpus.taxonomy, active, score_table(researchers, ss[keep], non_productive[keep]))
+    res = corpus.researchers
+    keep = np.array([sds in active for sds in res.sds_names], dtype=bool)[res.sds]
+    return ScoredCorpus(corpus.taxonomy, active, score_table(res.rows(keep), ss[keep], non_productive[keep]))

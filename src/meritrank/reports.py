@@ -50,15 +50,14 @@ def json_file(path, data, sort_keys: bool = False) -> None:
 def write_scores_csv(path, scores: ScoreTable) -> None:
     """One row per scored researcher, in id order."""
     header = ["researcher_id", "university_id", "sds", "ss", "percentile", "non_productive", "nil_impact"]
-    order = scores.id_order()
     rows = zip(
-        [scores.researcher_ids[i] for i in order.tolist()],
-        [scores.universities[code] for code in scores.university[order].tolist()],
-        [scores.sds_names[code] for code in scores.sds[order].tolist()],
-        scores.ss[order].tolist(),
-        scores.percentile[order].tolist(),
-        scores.non_productive[order].astype(int).tolist(),
-        scores.nil_impact[order].astype(int).tolist(),
+        scores.ids,
+        [scores.universities[code] for code in scores.university.tolist()],
+        [scores.sds_names[code] for code in scores.sds.tolist()],
+        scores.ss.tolist(),
+        scores.percentile.tolist(),
+        scores.non_productive.astype(int).tolist(),
+        scores.nil_impact.astype(int).tolist(),
     )
     csv_file(path, header, rows)
 

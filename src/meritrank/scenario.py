@@ -25,7 +25,7 @@ from .aggregation import (
     rank_units,
     sds_unit_scores,
 )
-from .corpus import Taxonomy
+from .corpus import Taxonomy, name_codes
 from .errors import UndefinedStatisticError, ValidationError
 from .indicators import ScoreTable, group_rows
 from .stats import SpearmanResult, classify_quantiles, gini, spearman, top_count
@@ -73,10 +73,9 @@ def select_top(
         groups = scores.sds
     else:
         raise ValidationError(f"unknown selection scope {scope!r}")
-    # One stable sort of the id order by group, then SS descending: each group's
-    # members sit together, best first, ties in id order.
-    order = scores.id_order()
-    order = order[np.lexsort((-scores.ss[order], groups[order]))]
+    # One stable sort of the rows, which are in id order, by group, then SS descending: each
+    # group's members sit together, best first, ties in id order.
+    order = np.lexsort((-scores.ss, groups))
     selected = np.zeros(len(scores), dtype=bool)
     for members in np.split(order, np.cumsum(np.bincount(groups))[:-1]):
         if len(members) >= min_staff:
@@ -114,9 +113,7 @@ def _unit_gini(values: Sequence[float]) -> float:
 
 def _unit_values(scores: ScoreTable, level: str, taxonomy: Taxonomy) -> dict[tuple[str, str], np.ndarray]:
     """Each (university, field at `level`) unit's SS, in row order: `gini` sums its input unsorted."""
-    fields = sorted({level_field(sds, level, taxonomy) for sds in scores.sds_names})
-    index = {field_code: i for i, field_code in enumerate(fields)}
-    field_of_sds = np.array([index[level_field(sds, level, taxonomy)] for sds in scores.sds_names], dtype=np.int64)
+    fields, field_of_sds = name_codes([level_field(sds, level, taxonomy) for sds in scores.sds_names])
     codes = scores.university * len(fields) + field_of_sds[scores.sds]
     rows = group_rows(codes, len(scores.universities) * len(fields))
     return {

@@ -28,7 +28,7 @@ from .corpus import (
     TAXONOMY_COLUMNS,
     Corpus,
     Publications,
-    Researcher,
+    Researchers,
     Taxonomy,
     open_input,
     row_offsets,
@@ -303,8 +303,9 @@ def _draw(profile: GeneratorProfile) -> tuple[Corpus, np.ndarray, np.ndarray]:
     (`_scalar_draws`), as `Generator.integers` and `random` would draw them.
     Everything else is computed from those draws in bulk, straight into the
     `Publications` columns: a researcher's slot code is their index in
-    generation order and a category's code is its SDS's index. The corpus
-    is then put in canonical order once, and the two draws with it.
+    generation order (their row below 1,000 staff per unit; else `Corpus`
+    recodes it), a category's code its SDS's index. The publications are
+    then put in canonical order once, and the two draws with them.
     """
     taxonomy = build_taxonomy(profile)
     sds_codes = taxonomy.sds_codes
@@ -321,7 +322,10 @@ def _draw(profile: GeneratorProfile) -> tuple[Corpus, np.ndarray, np.ndarray]:
     co_span = co_hi - co_lo + 1
     p_external = profile.p_external_coauthor
 
-    researchers: list[Researcher] = []
+    researcher_ids: list[str] = []
+    university_ids: list[str] = []
+    researcher_sds: list[str] = []
+    years_in_post: list[int] = []
     universities: dict[str, str] = {}
     ids: list[str] = []
     # Per publication in generation order, then per second category and per author slot.
@@ -345,10 +349,11 @@ def _draw(profile: GeneratorProfile) -> tuple[Corpus, np.ndarray, np.ndarray]:
             full_window = (rng.random(staff_n) < profile.p_full_window).tolist()
             partial_years = [1 + below(partial_span) for _ in range(staff_n)]
             productive = (rng.random(staff_n) >= profile.p_nonproductive).tolist()
-            first = len(researchers)
-            for k in range(staff_n):
-                years_in_post = window_length if full_window[k] else partial_years[k]
-                researchers.append(Researcher(f"{uid}-{sds}-{k + 1:03d}", uid, sds, years_in_post))
+            first = len(researcher_ids)
+            researcher_ids += [f"{uid}-{sds}-{k + 1:03d}" for k in range(staff_n)]
+            university_ids += [uid] * staff_n
+            researcher_sds += [sds] * staff_n
+            years_in_post += [window_length if full_window[k] else partial_years[k] for k in range(staff_n)]
             pool = [first + k for k in range(staff_n) if productive[k]]
             sds_siblings = siblings[sds_code]
             for code in pool:
@@ -395,11 +400,12 @@ def _draw(profile: GeneratorProfile) -> tuple[Corpus, np.ndarray, np.ndarray]:
         slot_intramural=slot_codes >= 0,
         doc_type_names=list(DOC_TYPES),
         category_names=[f"SC-{sds}" for sds in sds_codes],
-        researcher_names=[r.id for r in researchers],
+        researcher_names=researcher_ids,
     )
-    corpus = Corpus(publications, {r.id: r for r in researchers}, universities, taxonomy, tuple(profile.window))
+    researchers = Researchers.from_columns(researcher_ids, university_ids, researcher_sds, years_in_post)
     order = publications.id_order()
-    return corpus.in_canonical_order(order), np.array(zero_uniform)[order], np.array(citation_normal)[order]
+    corpus = Corpus(publications.in_canonical_order(order), researchers, universities, taxonomy, tuple(profile.window))
+    return corpus, np.array(zero_uniform)[order], np.array(citation_normal)[order]
 
 
 def _draw_doc_types(rng, m: int) -> list[int]:
@@ -509,9 +515,14 @@ def write_corpus(corpus: Corpus, out_dir, profile: GeneratorProfile | None = Non
         "taxonomy": out / "taxonomy.csv",
         "metadata": out / "metadata.json",
     }
-    researcher_rows = (
-        [r.id, r.university_id, corpus.universities[r.university_id], r.sds, r.years_in_post]
-        for _, r in sorted(corpus.researchers.items())
+    res = corpus.researchers
+    university_ids = [res.universities[code] for code in res.university.tolist()]
+    researcher_rows = zip(
+        res.ids,
+        university_ids,
+        [corpus.universities[uid] for uid in university_ids],
+        [res.sds_names[code] for code in res.sds.tolist()],
+        res.years_in_post.tolist(),
     )
     csv_file(paths["researchers"], RESEARCHER_COLUMNS, researcher_rows)
     tax = corpus.taxonomy

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import strategies as st
 
-from meritrank.corpus import AuthorSlot, Corpus, Publication, Publications, Researcher, Taxonomy
+from meritrank.corpus import AuthorSlot, Corpus, Publication, Publications, Researchers, Taxonomy
 
 DEFAULT_WINDOW = (2004, 2008)
 
@@ -45,6 +45,12 @@ def make_pub(
     return Publication(pid, year, doc_type, citations, tuple(categories), slots)
 
 
+def make_researchers(rows) -> Researchers:
+    """The table of researchers given as (id, university_id, sds, years_in_post) rows."""
+    columns = [list(column) for column in zip(*rows)] or [[], [], [], []]
+    return Researchers.from_columns(*columns)
+
+
 def make_corpus(
     researchers,
     publications=(),
@@ -53,8 +59,8 @@ def make_corpus(
 ) -> Corpus:
     """researchers: iterable of (id, university_id, sds, years_in_post)."""
     taxonomy = taxonomy or make_taxonomy()
-    res = {rid: Researcher(rid, univ, sds, years) for rid, univ, sds, years in researchers}
-    universities = {r.university_id: f"University {r.university_id}" for r in res.values()}
+    res = make_researchers(researchers)
+    universities = {uid: f"University {uid}" for uid in res.universities}
     corpus = Corpus(Publications.from_records(publications), res, universities, taxonomy, tuple(window))
     corpus.validate()
     return corpus
@@ -83,20 +89,21 @@ def scores_with_ss(groups, taxonomy: Taxonomy | None = None):
 
     groups: mapping (university, sds) -> list of ss values. Researchers are
     created non-productive and the table is built with the given SS, so
-    tests control the exact score distribution of every unit. Rows follow
-    the groups, each group's values in order.
+    tests control the exact score distribution of every unit. Rows are in id
+    order, which is each group's values in order.
     """
     from meritrank.indicators import score_table
 
     entries = []
-    values = []
+    values = {}
     for (univ, sds), ss_list in groups.items():
         for i, ss in enumerate(ss_list):
             entries.append((f"{univ}-{sds}-{i:02d}", univ, sds, None))
-            values.append(float(ss))
+            values[entries[-1][0]] = float(ss)
     taxonomy = taxonomy or make_taxonomy({sds: "X" for _, sds in groups})
     corpus = solo_corpus(entries, taxonomy=taxonomy)
-    return corpus, score_table(list(corpus.researchers.values()), values, [True] * len(values))
+    ids = corpus.researchers.ids
+    return corpus, score_table(corpus.researchers, [values[rid] for rid in ids], [True] * len(ids))
 
 
 def table_rows(scores) -> dict[str, dict]:
@@ -110,13 +117,18 @@ def table_rows(scores) -> dict[str, dict]:
             "non_productive": bool(scores.non_productive[i]),
             "nil_impact": bool(scores.nil_impact[i]),
         }
-        for i, rid in enumerate(scores.researcher_ids)
+        for i, rid in enumerate(scores.ids)
     }
+
+
+def table_columns(table) -> dict:
+    """A researchers or score table's fields, numpy columns as lists, to compare two tables."""
+    return {name: value.tolist() if hasattr(value, "tolist") else value for name, value in vars(table).items()}
 
 
 def selected_ids(scores, selection) -> list[str]:
     """The researcher ids a top selection's mask picks, in row order."""
-    return [rid for rid, picked in zip(scores.researcher_ids, selection.selected.tolist()) if picked]
+    return [rid for rid, picked in zip(scores.ids, selection.selected.tolist()) if picked]
 
 
 @pytest.fixture

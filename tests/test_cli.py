@@ -214,17 +214,32 @@ class TestExitCodes:
         assert "capped" not in err and not any("capped" in r.message for r in caplog.records)
         assert not out.exists()
 
-    def test_non_utf8_input_is_validation_error(self, corpus_dir, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "name, first_row, message",
+        [
+            ("taxonomy.csv", None, ": not UTF-8 text: 'utf-8' codec"),
+            ("researchers.csv", lambda row: row + ",extra", " line 2: expected 5 fields, got 6"),
+            ("researchers.csv", lambda row: row.rsplit(",", 1)[0], " line 2: expected 5 fields, got 4"),
+            ("taxonomy.csv", lambda row: row + ",extra", " line 2: expected 4 fields, got 5"),
+            ("taxonomy.csv", lambda row: row.rsplit(",", 1)[0], " line 2: expected 4 fields, got 3"),
+        ],
+        ids=[
+            "non-utf8", "researchers-extra-field", "researchers-short-row", "taxonomy-extra-field", "taxonomy-short-row"
+        ],
+    )
+    def test_unreadable_input_is_validation_error(self, corpus_dir, tmp_path, capsys, name, first_row, message):
         broken = tmp_path / "broken"
         broken.mkdir()
-        for name in ("publications.jsonl", "researchers.csv"):
-            (broken / name).write_bytes((corpus_dir / name).read_bytes())
-        (broken / "taxonomy.csv").write_bytes(b"\xff\xfe not text\n")
+        for file in ("publications.jsonl", "researchers.csv", "taxonomy.csv"):
+            (broken / file).write_bytes((corpus_dir / file).read_bytes())
+        if first_row is None:
+            (broken / name).write_bytes(b"\xff\xfe not text\n")
+        else:
+            header, row, *rest = (broken / name).read_text().split("\n")
+            (broken / name).write_text("\n".join([header, first_row(row), *rest]))
         code = dispatch(["indicators", "--corpus", str(broken), "--out", str(tmp_path / "s.csv")])
         assert code == 1
-        err = capsys.readouterr().err
-        assert "utf-8" in err
-        assert str(broken / "taxonomy.csv") in err
+        assert f"{broken / name}{message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--config", "--profile"])
     def test_non_utf8_config_or_profile_names_the_file(self, tmp_path, capsys, flag):
@@ -623,6 +638,25 @@ class TestReportAll:
         assert dispatch(["report-all", "--corpus", str(corpus_dir), "--out", str(tmp_path / "run")]) == 0
         # The rankings' aggregation feeds both counterfactual levels, which add one hypothetical each.
         assert calls == ["observed", "hypothetical", "hypothetical"]
+
+    @pytest.mark.parametrize(
+        "argv, calls",
+        [
+            (["rank", "--level", "sds", "--out", "rank.csv"], ["rank.csv"]),
+            (["report-all", "--out", "run"], ["ranks_sds.csv", "national_averages", "ranks_uda.csv"]),
+        ],
+        ids=["rank-sds", "report-all"],
+    )
+    def test_national_averages_taken_only_for_uda_rankings(self, corpus_dir, tmp_path, monkeypatch, argv, calls):
+        taken = []
+        real_averages, real_write = cli.national_averages, reports.write_ranking_csv
+        monkeypatch.setattr(cli, "national_averages", lambda *a: taken.append("national_averages") or real_averages(*a))
+        monkeypatch.setattr(
+            reports, "write_ranking_csv", lambda path, *a: taken.append(Path(path).name) or real_write(path, *a)
+        )
+        argv = [*argv[:-1], str(tmp_path / argv[-1]), "--corpus", str(corpus_dir)]
+        assert dispatch(argv) == 0
+        assert taken == calls
 
     def test_global_budget_splits_across_areas(self, corpus_dir, tmp_path):
         out = tmp_path / "run"

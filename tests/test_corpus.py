@@ -21,7 +21,6 @@ from meritrank.corpus import (
     Corpus,
     Publication,
     Publications,
-    Researcher,
     active_sds_filter,
     load_corpus,
     load_publications,
@@ -31,7 +30,9 @@ from meritrank.cli import dispatch
 from meritrank.errors import ValidationError
 from meritrank.synth import GeneratorProfile, generate, write_corpus, write_publications
 
-from conftest import DEFAULT_WINDOW, NAMES, make_corpus, make_pub, make_taxonomy, solo_corpus
+from conftest import (
+    DEFAULT_WINDOW, NAMES, make_corpus, make_pub, make_researchers, make_taxonomy, solo_corpus, table_columns,
+)
 
 VALID_TAXONOMY = "sds,uda,uda_name,life_science\nS1,X,Area X,0\nS2,X,Area X,0\nS3,LIFE,Life area,1\n"
 
@@ -75,15 +76,14 @@ class TestLoadCorpus:
         assert corpus.taxonomy.is_life_science("S3")
         assert not corpus.taxonomy.is_life_science("S1")
 
-    def test_researchers_share_university_and_sds_strings(self, tmp_path):
+    def test_researcher_columns_are_read_only_int64(self, tmp_path):
         researchers = VALID_RESEARCHERS + "R3,U2,Uni Two,S2,5\nR4,U1,Uni One,S2,4\nR5,U2,Uni Two,S1,2\n"
-        corpus = load_corpus(*write_files(tmp_path, researchers=researchers))
-        first_university: dict[str, str] = {}
-        first_sds: dict[str, str] = {}
-        for r in corpus.researchers.values():
-            assert first_university.setdefault(r.university_id, r.university_id) is r.university_id
-            assert first_sds.setdefault(r.sds, r.sds) is r.sds
-        assert (sorted(first_university), sorted(first_sds)) == (["U1", "U2"], ["S1", "S2"])
+        res = load_corpus(*write_files(tmp_path, researchers=researchers)).researchers
+        assert (res.universities, res.sds_names) == (("U1", "U2"), ("S1", "S2"))
+        for column in (res.university, res.sds, res.years_in_post):
+            assert column.dtype == np.int64 and not column.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0
 
     def test_missing_file_is_io_error(self, tmp_path):
         pub, res, tax = write_files(tmp_path)
@@ -168,7 +168,7 @@ class TestLoadCorpus:
         researchers = VALID_RESEARCHERS.replace("R2,U1,Uni One,S1,3", "R2,U1,Uni One,S1,9")
         with caplog.at_level(logging.WARNING):
             corpus = load_corpus(*write_files(tmp_path, researchers=researchers))
-        assert corpus.researchers["R2"].years_in_post == 5
+        assert corpus.researchers.years_in_post[corpus.researchers.ids.index("R2")] == 5
         assert any("capped" in record.message for record in caplog.records)
 
     def test_conflicting_university_names(self, tmp_path):
@@ -200,7 +200,8 @@ class TestLoadCorpus:
         taxonomy = VALID_TAXONOMY + "FIS/01,PHYS,Physics,0\n"
         researchers = VALID_RESEARCHERS + "R3,U1,Uni One,FIS/01,5\n"
         corpus = load_corpus(*write_files(tmp_path, researchers=researchers, taxonomy=taxonomy))
-        assert corpus.researchers["R3"].sds == "FIS/01"
+        res = corpus.researchers
+        assert res.sds_names[res.sds[res.ids.index("R3")]] == "FIS/01"
         assert corpus.taxonomy.uda_of("FIS/01") == "PHYS"
 
 
@@ -282,10 +283,9 @@ SHARED_RULES = [
 def _in_memory(pubs, extra_researcher):
     """The corpus that `load_corpus` would build from the same records, without its checks."""
     rows = VALID_RESEARCHERS.splitlines()[1:] + ([extra_researcher] if extra_researcher else [])
-    researchers = {}
-    for row in rows:
-        rid, uid, _, sds, years = row.split(",")
-        researchers[rid] = Researcher(rid, uid, sds, int(years))
+    researchers = make_researchers(
+        (rid, uid, sds, int(years)) for rid, uid, _, sds, years in (row.split(",") for row in rows)
+    )
     publications = Publications.from_records(
         Publication(
             p["id"], p["year"], p["type"], p["citations"], tuple(p["categories"]),
@@ -540,10 +540,16 @@ BLANK_LINES = st.tuples(st.integers(0, 3 * PUBLICATIONS_PER_BLOCK), st.sampled_f
 @settings(max_examples=40, deadline=None)
 @given(loadable_tables(), st.lists(BLANK_LINES))
 def test_written_tables_load_back_column_for_column(tmp_path_factory, table, blanks):
-    """Loading what `write_publications` wrote, with blank lines put in, gives the table `from_records` builds,
-    name codes included."""
+    """Loading what `write_publications` wrote, with blank lines put in, gives the table `from_records` builds
+    as a corpus of the same researchers codes it, name codes included."""
     records, rids = table
-    expected = Publications.from_records(records)
+    corpus = Corpus(
+        Publications.from_records(records), make_researchers((rid, "U1", "S1", 5) for rid in rids),
+        {"U1": "Uni One"}, make_taxonomy(), DEFAULT_WINDOW,
+    )
+    corpus.validate()
+    assert_slots_coded_by_row(corpus, [slot.researcher_id for pub in records for slot in pub.authors])
+    expected = corpus.publications
     path = tmp_path_factory.mktemp("roundtrip") / "publications.jsonl"
     write_publications(expected, path)
     lines = path.read_text(encoding="utf-8").split("\n")[:-1]
@@ -551,13 +557,29 @@ def test_written_tables_load_back_column_for_column(tmp_path_factory, table, bla
         lines.insert(min(at, len(lines)), blank)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("".join(line + "\n" for line in lines))
-    loaded = load_publications(path, DEFAULT_WINDOW, rids)
+    loaded = load_publications(path, DEFAULT_WINDOW, corpus.researchers.ids)
     for name, want in vars(expected).items():
         got = getattr(loaded, name)
         if isinstance(want, np.ndarray):
             assert got.dtype == want.dtype and np.array_equal(got, want), name
         else:
             assert got == want, name
+
+
+def assert_slots_coded_by_row(corpus, slot_ids):
+    """The researchers of `corpus` are in id order; each author slot's code is its researcher's row, or -1
+    outside the population, and names its id (`slot_ids`, slot by slot); and without the researcher of the
+    first named slot, `validate` rejects the corpus and names that id."""
+    res, pubs = corpus.researchers, corpus.publications
+    assert list(res.ids) == sorted(res.ids)
+    row = {rid: i for i, rid in enumerate(res.ids)}
+    assert pubs.slot_researcher.tolist() == [-1 if rid is None else row[rid] for rid in slot_ids]
+    assert [None if code < 0 else pubs.researcher_names[code] for code in pubs.slot_researcher.tolist()] == slot_ids
+    named = [rid for rid in slot_ids if rid is not None]
+    if named:
+        without = replace(corpus, researchers=res.rows(np.array([rid != named[0] for rid in res.ids])))
+        with pytest.raises(ValidationError, match=f"references unknown researcher {re.escape(repr(named[0]))}$"):
+            without.validate()
 
 
 def _first_problem_record_by_record(records, window, researchers):
@@ -623,9 +645,10 @@ def nearly_valid_records(draw):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(nearly_valid_records(), max_size=6))
 def test_columnar_rules_match_the_record_by_record_loop(records):
-    researchers = {"R1", "R2"}
+    researchers = ("R1", "R2")
     expected = _first_problem_record_by_record(records, DEFAULT_WINDOW, researchers)
-    assert publications_problem(Publications.from_records(records), DEFAULT_WINDOW, researchers) == expected
+    pubs = Publications.from_records(records).coded_by(researchers)
+    assert publications_problem(pubs, DEFAULT_WINDOW, len(researchers)) == expected
 
 
 class TestActiveSdsFilter:
@@ -656,13 +679,13 @@ class TestActiveSdsFilter:
             before = active_sds_filter(corpus)
             # Hand one previously non-productive researcher a publication.
             authors = {slot.researcher_id for pub in corpus.publications for slot in pub.authors}
-            idle = [rid for rid in corpus.researchers if rid not in authors]
+            idle = [rid for rid in corpus.researchers.ids if rid not in authors]
             if not idle:
                 continue
             rid = idle[0]
             extra = make_pub("P-extra", [rid], citations=1)
             grown = make_corpus(
-                [(r.id, r.university_id, r.sds, r.years_in_post) for r in corpus.researchers.values()],
+                [(researcher, univ, sds, 5) for researcher, univ, sds, _ in entries],
                 [*corpus.publications, extra],
                 taxonomy=corpus.taxonomy,
             )
@@ -756,8 +779,11 @@ class TestCanonicalOrder:
         names = ("publications.jsonl", "researchers.csv", "taxonomy.csv")
         original = load_corpus(*(corpus_dir / name for name in names))
         shuffled = load_corpus(*(tmp_path / "shuffled" / name for name in names))
-        assert list(shuffled.researchers.items()) == list(original.researchers.items())
+        assert table_columns(shuffled.researchers) == table_columns(original.researchers)
         assert list(shuffled.publications) == list(original.publications)
+        records = [json.loads(line) for line in (corpus_dir / "publications.jsonl").read_text().splitlines()]
+        slot_ids = [slot["researcher_id"] for record in records for slot in record["authors"]]
+        assert_slots_coded_by_row(shuffled, slot_ids)
 
     @settings(max_examples=4, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))

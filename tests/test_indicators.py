@@ -28,7 +28,7 @@ def scored_table(corpus, baselines=None):
     """The score table of every researcher of `corpus`; the baselines default to the corpus's own."""
     baselines = compute_baselines(corpus) if baselines is None else baselines
     ss, non_productive = researcher_ss(corpus, baselines, CreditScheme())
-    return score_table(list(corpus.researchers.values()), ss, non_productive)
+    return score_table(corpus.researchers, ss, non_productive)
 
 
 def scored_rows(corpus, baselines=None):
@@ -124,7 +124,7 @@ class TestPercentileRanks:
     def test_table_percentiles_are_per_sds(self):
         entries = [("A1", "U1", "S1", None), ("A2", "U1", "S1", None), ("B1", "U1", "S2", None)]
         corpus = solo_corpus(entries)
-        table = score_table(list(corpus.researchers.values()), [2.0, 1.0, 0.5], [True] * 3)
+        table = score_table(corpus.researchers, [2.0, 1.0, 0.5], [True] * 3)
         assert table.sds_names == ("S1", "S2")
         assert table.percentile.tolist() == [100.0, 0.0, 100.0]
 
@@ -182,8 +182,8 @@ class TestScoreCorpus:
         corpus = solo_corpus(entries)
         scored = score_corpus(corpus)
         assert scored.active_sds == active_sds_filter(corpus) == {"S1"}
-        assert scored.scores.sds_names == ("S1",)
-        assert scored.scores.researcher_ids == ("A0", "A1", "A2", "A3")
+        assert [row["sds"] for row in table_rows(scored.scores).values()] == ["S1"] * 4
+        assert scored.scores.ids == ("A0", "A1", "A2", "A3")
 
     def test_scored_corpus_releases_the_publications(self):
         corpus = solo_corpus([("R1", "U1", "S1", 3), ("R2", "U1", "S1", None)])

@@ -206,7 +206,7 @@ def test_select_top_picks_the_top_count_of_every_qualifying_group(roster, scope,
             expected.update(rid for _, rid in sorted(members)[: top_count(share, len(members))])
     selection = select_top(scores, scope, share, min_staff)
     assert selection.selected.dtype == bool
-    assert selection.selected.tolist() == [rid in expected for rid in scores.researcher_ids]
+    assert selection.selected.tolist() == [rid in expected for rid in scores.ids]
 
 
 def _orderings(roster, pstar_mode):
@@ -310,8 +310,9 @@ def test_researcher_ss_matches_a_per_researcher_sum(corpus, scheme):
     baselines = compute_baselines(corpus)
     ss, non_productive = researcher_ss(corpus, baselines, scheme)
     assert len(ss) == len(non_productive) == len(corpus.researchers)
-    for row, (rid, researcher) in enumerate(corpus.researchers.items()):
-        life = corpus.taxonomy.is_life_science(researcher.sds)
+    res = corpus.researchers
+    for row, rid in enumerate(res.ids):
+        life = corpus.taxonomy.is_life_science(res.sds_names[res.sds[row]])
         total = 0.0
         pub_ids = set()
         for pub in corpus.publications:
@@ -319,7 +320,7 @@ def test_researcher_ss_matches_a_per_researcher_sum(corpus, scheme):
                 if slot.researcher_id == rid:
                     total += standardize(pub, baselines) * credit_shares(pub, scheme, life)[slot.position]
                     pub_ids.add(pub.id)
-        assert ss[row] == total / researcher.years_in_post
+        assert ss[row] == total / res.years_in_post[row]
         assert non_productive[row] == (not pub_ids)
 
 
