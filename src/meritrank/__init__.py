@@ -30,8 +30,6 @@ from .normalization import (
     CategoryBaseline,
     CreditScheme,
     compute_baselines,
-    credit_shares,
-    standardize,
 )
 from .indicators import (
     MeasuredStats,

@@ -9,7 +9,7 @@ flag. `PublicationsBuilder` fills it from the loader, seeded with the
 researcher ids, or from a list of records; the generator fills the columns
 straight from its draws, and a `Corpus` recodes a table coded otherwise.
 Scoring reads the columns, and `Publication` records are built only when
-the table is indexed or iterated.
+the table is iterated.
 
 Each rule is written once. The publication rules are one columnar check,
 `publications_problem`: a few array operations over a whole `Publications`
@@ -33,13 +33,14 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import re
 from array import array
 from collections import defaultdict
 from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import compress, starmap
+from itertools import compress, pairwise
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -60,6 +61,9 @@ CITATION_LIMIT = 10**9
 # collector's default threshold of 700 allocations, so a paper-scale load triggers almost no collection.
 # Blocks of 256 or 4,096 lines triggered about 900 collections, 7-9 of them full, and loaded slower.
 PUBLICATIONS_PER_BLOCK = 64
+
+# An integer cell: ASCII digits after an optional minus. `int` also reads " 5", "+5", "1_0" and other scripts' digits.
+INTEGER_TEXT = re.compile("-?[0-9]+")
 
 RESEARCHER_COLUMNS = ("id", "university_id", "university_name", "sds", "years_in_post")
 TAXONOMY_COLUMNS = ("sds", "uda", "uda_name", "life_science")
@@ -112,12 +116,17 @@ class Researchers:
 
     @classmethod
     def from_columns(cls, ids: list[str], university_ids: list[str], sds: list[str], years_in_post: list[int]):
-        """The table of the researchers given column by column, in any order; rows come out sorted by id."""
+        """The table of the researchers given column by column, in any order; rows come out sorted by id.
+        An id given twice is a ValidationError."""
         order = sorted(range(len(ids)), key=ids.__getitem__)
+        sorted_ids = tuple(ids[i] for i in order)
+        for rid, next_rid in pairwise(sorted_ids):
+            if rid == next_rid:
+                raise ValidationError(f"duplicate researcher id {rid!r}")
         universities, university = name_codes([university_ids[i] for i in order])
         sds_names, sds_codes = name_codes([sds[i] for i in order])
         years = np.array(years_in_post, dtype=np.int64)[np.array(order, dtype=np.int64)]
-        return cls(tuple(ids[i] for i in order), universities, university, sds_names, sds_codes, years)
+        return cls(sorted_ids, universities, university, sds_names, sds_codes, years)
 
     def __post_init__(self):
         for value in vars(self).values():
@@ -155,11 +164,6 @@ class Taxonomy:
         return tuple(sorted(self.sds_to_uda))
 
 
-def _record(pid, year, doc_type, citations, categories, positions, intramural, rids) -> Publication:
-    slots = tuple(map(AuthorSlot, positions, intramural, rids))
-    return Publication(pid, year, doc_type, citations, tuple(categories), slots)
-
-
 def row_offsets(counts) -> np.ndarray:
     """Row offsets of a CSR whose rows hold `counts` values."""
     offsets = np.zeros(len(counts) + 1, dtype=np.int64)
@@ -168,8 +172,8 @@ def row_offsets(counts) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class Publications(Sequence):
-    """All publications of a corpus as columns; indexing or iterating builds `Publication` records.
+class Publications:
+    """All publications of a corpus as columns; iterating builds `Publication` records.
 
     Row i is publication i. Its categories are
     `category_names[category[category_offsets[i]:category_offsets[i + 1]]]`
@@ -211,35 +215,21 @@ class Publications(Sequence):
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __getitem__(self, index: int) -> Publication:
-        i = range(len(self.ids))[index]
-        return _record(*next(self.rows(i, i + 1)))
-
     def __iter__(self) -> Iterator[Publication]:
-        return starmap(_record, self.rows())
-
-    def rows(self, start: int = 0, stop: int | None = None) -> Iterator[tuple]:
-        """Per publication from `start` to `stop`: id, year, doc type, citations, then lists of
-        categories, positions, intramural flags and researcher ids (None outside the population),
-        as Python values."""
-        stop = len(self.ids) if stop is None else stop
-        c0, c1 = self.category_offsets[[start, stop]].tolist()
-        s0, s1 = self.slot_offsets[[start, stop]].tolist()
-        years, citations = self.year[start:stop].tolist(), self.citations[start:stop].tolist()
-        doc_types = [self.doc_type_names[code] for code in self.doc_type[start:stop].tolist()]
-        categories = [self.category_names[code] for code in self.category[c0:c1].tolist()]
+        """Each row as a `Publication` record, its values and its slots' as Python values; an author
+        outside the population has researcher id None."""
+        years, citations = self.year.tolist(), self.citations.tolist()
+        doc_types = [self.doc_type_names[code] for code in self.doc_type.tolist()]
+        categories = [self.category_names[code] for code in self.category.tolist()]
         names = self.researcher_names
-        rids = [None if code < 0 else names[code] for code in self.slot_researcher[s0:s1].tolist()]
-        positions, intramural = self.slot_position[s0:s1].tolist(), self.slot_intramural[s0:s1].tolist()
-        cat_offsets = (self.category_offsets[start : stop + 1] - c0).tolist()
-        slot_offsets = (self.slot_offsets[start : stop + 1] - s0).tolist()
-        for i, pid in enumerate(self.ids[start:stop]):
+        rids = [None if code < 0 else names[code] for code in self.slot_researcher.tolist()]
+        positions, intramural = self.slot_position.tolist(), self.slot_intramural.tolist()
+        cat_offsets, slot_offsets = self.category_offsets.tolist(), self.slot_offsets.tolist()
+        for i, pid in enumerate(self.ids):
             c0, c1 = cat_offsets[i], cat_offsets[i + 1]
             s0, s1 = slot_offsets[i], slot_offsets[i + 1]
-            yield (
-                pid, years[i], doc_types[i], citations[i], categories[c0:c1],
-                positions[s0:s1], intramural[s0:s1], rids[s0:s1],
-            )
+            slots = tuple(map(AuthorSlot, positions[s0:s1], intramural[s0:s1], rids[s0:s1]))
+            yield Publication(pid, years[i], doc_types[i], citations[i], tuple(categories[c0:c1]), slots)
 
     @property
     def slot_publication(self) -> np.ndarray:
@@ -555,16 +545,17 @@ def _require(record: dict, key: str, kind, path, line_no: int):
 
 
 def _csv_rows(path: Path, fh, columns: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
-    """The rows of a CSV file after its header `columns`, with their line numbers; blank rows are
-    skipped and not counted. A row with more or fewer fields than the header is a ValidationError."""
-    rows = filter(None, csv.reader(fh))
+    """The rows of a CSV file after its header `columns`, each with the number of the line it ends on;
+    blank rows are skipped. A row with more or fewer fields than the header is a ValidationError."""
+    reader = csv.reader(fh)
+    rows = filter(None, reader)
     header = next(rows, None)
     if header is None or tuple(header) != columns:
         raise ValidationError(f"{path}: expected header {','.join(columns)}, got {','.join(header or [])}")
-    for line_no, row in enumerate(rows, start=2):
+    for row in rows:
         if len(row) != len(columns):
-            _fail(path, line_no, f"expected {len(columns)} fields, got {len(row)}")
-        yield line_no, row
+            _fail(path, reader.line_num, f"expected {len(columns)} fields, got {len(row)}")
+        yield reader.line_num, row
 
 
 def load_taxonomy(tax_path) -> Taxonomy:
@@ -619,10 +610,9 @@ def load_researchers(res_path, taxonomy: Taxonomy, window) -> tuple[Researchers,
                 _fail(res_path, line_no, "empty university_id")
             if uid in universities and universities[uid] != uname:
                 _fail(res_path, line_no, f"conflicting names for university {uid!r}")
-            try:
-                years = int(years_text)
-            except ValueError:
+            if not INTEGER_TEXT.fullmatch(years_text):
                 _fail(res_path, line_no, f"field 'years_in_post': not an integer: {years_text!r}")
+            years = int(years_text)
             if years > window_length:
                 log.warning(
                     "%s line %d: years_in_post %d capped at window length %d",

@@ -43,11 +43,11 @@ def group_rows(codes: np.ndarray, n_groups: int) -> list[np.ndarray]:
 def researcher_ss(corpus: Corpus, baselines: Baselines, scheme: CreditScheme) -> tuple[np.ndarray, np.ndarray]:
     """Standardized, author-fractionalized, per-year impact of every researcher.
 
-    ss = sum over the researcher's publications of standardized citations
-    times their author-credit share, divided by years in post. Positional
-    credit applies when the researcher's field is a life-science area.
-    Each total receives its terms in publication order, then slot order, so
-    it equals the per-record sum of `standardize` times `credit_shares`.
+    ss = sum over the researcher's author slots of the publication's
+    `standardized_citations` times the slot's `slot_credit_shares`, divided
+    by years in post. Positional credit applies when the researcher's field
+    is a life-science area. Each total receives its terms in publication
+    order, then slot order, as a loop over the records would add them.
     Returns the columns (ss, non_productive) by row of `corpus.researchers`;
     non-productive means holding no author slot.
     """

@@ -7,8 +7,8 @@ zero fall back to the stratum mean so that any existing citations keep a
 positive scale.
 
 `compute_baselines`, `standardized_citations` and `slot_credit_shares` read
-the corpus's publication columns. The per-record `standardize` and
-`credit_shares` are the plain reference they must equal exactly.
+the corpus's publication columns. Each sum adds its terms in category or
+slot order, as a loop over the records would.
 """
 
 from __future__ import annotations
@@ -18,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, Publication, Publications
+from .corpus import Corpus, Publications
 from .errors import ValidationError
-from .stats import ordered_sum
 
 EQUAL_FRACTIONAL = "equal_fractional"
 POSITIONAL = "positional"
@@ -115,7 +114,11 @@ def compute_baselines(corpus: Corpus) -> Baselines:
 
 
 def standardized_citations(pubs: Publications, baselines: Baselines) -> np.ndarray:
-    """`standardize` of every publication, as one array."""
+    """Every publication's citations divided by the mean of its categories' scales, as one array.
+
+    A publication scores 0 when uncited, or when its mean scale is 0, which
+    only uncited strata give. A stratum absent from `baselines` is an error.
+    """
     rows, keys, pair = _strata(pubs)
     strata, stratum_of_entry = np.unique(keys, return_inverse=True)
     scales = []
@@ -127,7 +130,7 @@ def standardized_citations(pubs: Publications, baselines: Baselines) -> np.ndarr
             raise ValidationError(f"no baseline for category {cat!r} year {year} (publication {pid!r})")
         scales.append(baseline.scale)
     n = len(pubs)
-    # bincount adds each publication's scales in category order, as `ordered_sum` does.
+    # bincount adds each publication's scales in category order, left to right.
     scale_sums = np.bincount(rows, weights=np.array(scales, dtype=float)[stratum_of_entry], minlength=n)
     denominators = scale_sums / np.diff(pubs.category_offsets)
     cited = (pubs.citations != 0) & (denominators != 0)
@@ -135,8 +138,10 @@ def standardized_citations(pubs: Publications, baselines: Baselines) -> np.ndarr
 
 
 def slot_credit_shares(pubs: Publications, scheme: CreditScheme, is_life_science: np.ndarray) -> np.ndarray:
-    """`credit_shares` of every author slot; `is_life_science` is per slot too.
+    """Credit of every author slot; `is_life_science` is per slot too. Each publication's shares sum to 1.
 
+    A slot gets 1/n of its publication's n authors, except a life-science slot under a positional
+    scheme: its position's weight, discounted if extramural, over its publication's total weight.
     The positional weights of all slots are taken first, in place, and the
     equal shares then fill the slots outside the life sciences.
     """
@@ -149,49 +154,8 @@ def slot_credit_shares(pubs: Publications, scheme: CreditScheme, is_life_science
     shares[positions == slot_authors] = scheme.last_weight
     shares[positions == 1] = scheme.first_weight
     shares[~pubs.slot_intramural] *= scheme.extramural_discount
-    # bincount adds in slot order like `ordered_sum`; np.sum's pairwise order differs from 8 slots on.
+    # bincount adds in slot order, left to right; np.sum's pairwise order differs from 8 slots on.
     shares /= np.repeat(np.bincount(pubs.slot_publication, weights=shares, minlength=len(pubs)), n_authors)
     equal = ~is_life_science
     shares[equal] = 1.0 / slot_authors[equal]
     return shares
-
-
-def standardize(pub: Publication, baselines: Baselines) -> float:
-    """Citations scaled by the mean of the per-category baseline scales.
-
-    Multi-category publications divide by the average of their categories'
-    scales. A zero overall scale can only occur when the stratum is entirely
-    uncited, which forces the publication's own count to zero as well.
-    """
-    scales = []
-    for cat in pub.categories:
-        baseline = baselines.get((cat, pub.year))
-        if baseline is None:
-            raise ValidationError(
-                f"no baseline for category {cat!r} year {pub.year} (publication {pub.id!r})"
-            )
-        scales.append(baseline.scale)
-    denominator = ordered_sum(scales) / len(scales)
-    if pub.citations == 0 or denominator == 0:
-        return 0.0
-    return pub.citations / denominator
-
-
-def credit_shares(pub: Publication, scheme: CreditScheme, is_life_science: bool) -> dict[int, float]:
-    """Credit per author position; shares always sum to 1 per publication."""
-    n = len(pub.authors)
-    if scheme.mode == EQUAL_FRACTIONAL or not is_life_science:
-        return {slot.position: 1.0 / n for slot in pub.authors}
-    weights: dict[int, float] = {}
-    for slot in pub.authors:
-        if slot.position == 1:
-            w = scheme.first_weight
-        elif slot.position == n:
-            w = scheme.last_weight
-        else:
-            w = scheme.middle_weight
-        if not slot.intramural:
-            w *= scheme.extramural_discount
-        weights[slot.position] = w
-    total = ordered_sum(weights.values())
-    return {position: w / total for position, w in weights.items()}

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from meritrank.corpus import AuthorSlot, Corpus, Publication, Publications, Researchers, Taxonomy
+from meritrank.normalization import CreditScheme, slot_credit_shares
 
 DEFAULT_WINDOW = (2004, 2008)
 
@@ -43,6 +45,13 @@ def make_pub(
         for i, a in enumerate(authors)
     )
     return Publication(pid, year, doc_type, citations, tuple(categories), slots)
+
+
+def credit_by_position(pub: Publication, scheme: CreditScheme, is_life_science: bool) -> dict[int, float]:
+    """`slot_credit_shares` of the one publication `pub`, every slot flagged `is_life_science`, by position."""
+    pubs = Publications.from_records([pub])
+    shares = slot_credit_shares(pubs, scheme, np.full(len(pub.authors), is_life_science))
+    return dict(zip(pubs.slot_position.tolist(), shares.tolist()))
 
 
 def make_researchers(rows) -> Researchers:

@@ -18,12 +18,12 @@ from meritrank.cli import dispatch
 from meritrank.corpus import Taxonomy
 from meritrank.funding import FundingPolicy, allocate, national_top_census, paradox_report
 from meritrank.indicators import score_corpus
-from meritrank.normalization import EQUAL_FRACTIONAL, POSITIONAL, CreditScheme, credit_shares
+from meritrank.normalization import EQUAL_FRACTIONAL, POSITIONAL, CreditScheme
 from meritrank.scenario import SCOPE_NATIONAL, SCOPE_UNIT, counterfactual_rankings, select_top
 from meritrank.stats import gini, quantile_class_sizes, spearman
 from meritrank.synth import CalibrationTargets, GeneratorProfile, calibrate, generate
 
-from conftest import make_pub, make_slot, scores_with_ss, make_taxonomy
+from conftest import credit_by_position, make_pub, make_slot, scores_with_ss, make_taxonomy
 
 
 def _report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -128,7 +128,7 @@ def test_criterion_3_credit_conservation():
             middle_weight=float(rng.uniform(0.5, 4.0)),
             extramural_discount=float(rng.uniform(0.05, 1.0)),
         )
-        total = sum(credit_shares(pub, scheme, bool(rng.random() < 0.5)).values())
+        total = sum(credit_by_position(pub, scheme, bool(rng.random() < 0.5)).values())
         worst = max(worst, abs(total - 1.0))
     _report(3, "credit conservation over 1,000 random publications", worst < 1e-12, f"max |sum-1| {worst:.2e}")
 

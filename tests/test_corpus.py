@@ -151,8 +151,20 @@ class TestLoadCorpus:
 
     def test_duplicate_researcher_id(self, tmp_path):
         researchers = VALID_RESEARCHERS + "R1,U1,Uni One,S1,5\n"
-        with pytest.raises(ValidationError, match="duplicate researcher id"):
+        with pytest.raises(ValidationError, match="researchers.csv line 4: duplicate researcher id 'R1'"):
             load_corpus(*write_files(tmp_path, researchers=researchers))
+
+    @pytest.mark.parametrize(
+        "researchers, taxonomy, message",
+        [
+            (VALID_RESEARCHERS + "\n\nR1,U1,Uni One,S1,5\n", VALID_TAXONOMY, "researchers.csv line 6: duplicate"),
+            (VALID_RESEARCHERS, "\n" + VALID_TAXONOMY + "\nS4,Y,Area Y\n", "taxonomy.csv line 7: expected 4 fields"),
+        ],
+        ids=["researchers", "taxonomy"],
+    )
+    def test_csv_blank_lines_keep_the_line_numbers(self, tmp_path, researchers, taxonomy, message):
+        with pytest.raises(ValidationError, match=message):
+            load_corpus(*write_files(tmp_path, researchers=researchers, taxonomy=taxonomy))
 
     def test_wrong_researcher_header(self, tmp_path):
         researchers = "id,university,name,sds,years\nR1,U1,Uni One,S1,5\n"
@@ -162,6 +174,13 @@ class TestLoadCorpus:
     def test_years_in_post_below_one(self, tmp_path):
         researchers = VALID_RESEARCHERS.replace("R2,U1,Uni One,S1,3", "R2,U1,Uni One,S1,0")
         with pytest.raises(ValidationError, match="years_in_post"):
+            load_corpus(*write_files(tmp_path, researchers=researchers))
+
+    @pytest.mark.parametrize("years", [" 3", "+3", "1_0", "\u0663", "3.0", ""])
+    def test_years_in_post_must_be_decimal_digits(self, tmp_path, years):
+        researchers = VALID_RESEARCHERS.replace("R2,U1,Uni One,S1,3", f"R2,U1,Uni One,S1,{years}")
+        message = f"researchers.csv line 3: field 'years_in_post': not an integer: {years!r}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
             load_corpus(*write_files(tmp_path, researchers=researchers))
 
     def test_years_in_post_capped_with_warning(self, tmp_path, caplog):
@@ -323,6 +342,14 @@ class TestSharedRules:
         corpus = _in_memory([VALID_PUBLICATION], "R3,U9,Uni Nine,S1,5")
         with pytest.raises(ValidationError, match="researcher 'R3': unknown university 'U9'"):
             corpus.validate()
+
+    def test_researchers_table_rejects_an_id_given_twice(self):
+        # Two rows of one id hold a single code, so the unknown author GHOST would get R2's row as its code.
+        with pytest.raises(ValidationError, match="^duplicate researcher id 'R1'$"):
+            make_corpus(
+                [("R1", "U1", "S1", 5), ("R1", "U1", "S2", 3), ("R2", "U1", "S1", 4)],
+                [make_pub("P1", ["R1", "GHOST"], citations=3)],
+            )
 
     def test_validate_rejects_years_beyond_window_that_the_loader_caps(self):
         with pytest.raises(ValidationError, match=r"years_in_post 9 outside \[1, 5\]"):
@@ -764,14 +791,6 @@ class TestCanonicalOrder:
         shuffled = Publications.from_records(records)
         assert list(shuffled) != canonical
         assert list(shuffled.in_canonical_order()) == canonical
-
-    def test_indexing_builds_the_iterated_records(self, generated):
-        corpus_dir, _ = generated
-        files = [corpus_dir / name for name in ("publications.jsonl", "researchers.csv", "taxonomy.csv")]
-        pubs = load_corpus(*files).publications
-        assert [pubs[i] for i in range(-len(pubs), len(pubs))] == list(pubs) * 2
-        with pytest.raises(IndexError):
-            pubs[len(pubs)]
 
     def test_shuffled_input_loads_as_the_written_one(self, generated, tmp_path):
         corpus_dir, _ = generated

@@ -3,17 +3,17 @@
 import numpy as np
 import pytest
 
+from meritrank.corpus import Publications
 from meritrank.errors import ValidationError
 from meritrank.normalization import (
     EQUAL_FRACTIONAL,
     POSITIONAL,
     CreditScheme,
     compute_baselines,
-    credit_shares,
-    standardize,
+    standardized_citations,
 )
 
-from conftest import make_corpus, make_pub, make_slot
+from conftest import credit_by_position, make_corpus, make_pub, make_slot
 
 
 def _stratum_corpus(citations_list, category="C1", year=2005):
@@ -63,14 +63,15 @@ class TestBaselines:
         assert compute_baselines(forward) == compute_baselines(backward)
 
 
-class TestStandardize:
-    def _baselines(self, corpus):
-        return compute_baselines(corpus)
+def _standardized(corpus, pubs=None):
+    """`standardized_citations` of `pubs`, by default the corpus's, against the corpus's baselines."""
+    return standardized_citations(corpus.publications if pubs is None else pubs, compute_baselines(corpus))
 
+
+class TestStandardize:
     def test_single_category_division(self):
         corpus = _stratum_corpus([3, 3, 6])  # median 3
-        pub = corpus.publications[2]
-        assert standardize(pub, self._baselines(corpus)) == 2.0
+        assert _standardized(corpus)[2] == 2.0
 
     def test_two_categories_use_average_of_medians(self):
         researchers = [("R1", "U1", "S1", 5)]
@@ -82,33 +83,30 @@ class TestStandardize:
             make_pub("X", ["R1"], citations=6, categories=("C1", "C2")),
         ]
         corpus = make_corpus(researchers, pubs)
-        baselines = compute_baselines(corpus)
         # C1 stratum {2, 2, 6} -> median 2; C2 stratum {4, 4, 6} -> median 4.
-        assert standardize(corpus.publications[4], baselines) == pytest.approx(6 / 3)
+        assert _standardized(corpus)[4] == pytest.approx(6 / 3)
 
     def test_zero_citation_pub_is_zero(self):
         corpus = _stratum_corpus([0, 5, 9])
-        assert standardize(corpus.publications[0], self._baselines(corpus)) == 0.0
+        assert _standardized(corpus)[0] == 0.0
 
     def test_missing_baseline_is_hard_error(self):
         corpus = _stratum_corpus([1, 2, 3])
-        orphan = make_pub("Q", ["R1"], citations=1, categories=("UNSEEN",))
-        with pytest.raises(ValidationError, match="UNSEEN"):
-            standardize(orphan, self._baselines(corpus))
+        orphan = Publications.from_records([make_pub("Q", ["R1"], citations=1, categories=("UNSEEN",))])
+        message = r"^no baseline for category 'UNSEEN' year 2005 \(publication 'Q'\)$"
+        with pytest.raises(ValidationError, match=message):
+            _standardized(corpus, orphan)
 
     def test_homogeneous_in_citations(self):
         corpus = _stratum_corpus([1, 2, 8])
-        baselines = self._baselines(corpus)
-        single = standardize(corpus.publications[1], baselines)
-        doubled = make_pub("D", ["R1"], citations=4, categories=("C1",))
-        assert standardize(doubled, baselines) == pytest.approx(2 * single)
+        single = _standardized(corpus)[1]
+        doubled = Publications.from_records([make_pub("D", ["R1"], citations=4, categories=("C1",))])
+        assert _standardized(corpus, doubled)[0] == pytest.approx(2 * single)
 
     def test_zero_iff_zero_citations_when_scale_positive(self):
         corpus = _stratum_corpus([0, 1, 2, 10])
-        baselines = self._baselines(corpus)
-        for pub in corpus.publications:
-            value = standardize(pub, baselines)
-            assert (value == 0.0) == (pub.citations == 0)
+        values = _standardized(corpus)
+        assert ((values == 0.0) == (corpus.publications.citations == 0)).all()
 
 
 def _pub_with_authors(n, intramural_flags=None):
@@ -121,31 +119,31 @@ class TestAuthorCredit:
     def test_equal_split_for_non_life_science(self):
         pub = _pub_with_authors(4)
         scheme = CreditScheme(mode=POSITIONAL)
-        shares = credit_shares(pub, scheme, is_life_science=False)
+        shares = credit_by_position(pub, scheme, is_life_science=False)
         assert all(v == 0.25 for v in shares.values())
 
     def test_single_author_gets_everything(self):
         pub = _pub_with_authors(1)
         for mode in (EQUAL_FRACTIONAL, POSITIONAL):
-            assert credit_shares(pub, CreditScheme(mode=mode), True)[1] == 1.0
+            assert credit_by_position(pub, CreditScheme(mode=mode), True)[1] == 1.0
 
     def test_default_positional_weights(self):
         pub = _pub_with_authors(3)
-        shares = credit_shares(pub, CreditScheme(mode=POSITIONAL), True)
+        shares = credit_by_position(pub, CreditScheme(mode=POSITIONAL), True)
         assert shares[1] == pytest.approx(0.4)
         assert shares[2] == pytest.approx(0.2)
         assert shares[3] == pytest.approx(0.4)
 
     def test_two_authors_first_and_last(self):
         pub = _pub_with_authors(2)
-        shares = credit_shares(pub, CreditScheme(mode=POSITIONAL), True)
+        shares = credit_by_position(pub, CreditScheme(mode=POSITIONAL), True)
         assert shares[1] == pytest.approx(0.5)
         assert shares[2] == pytest.approx(0.5)
 
     def test_extramural_discount_renormalizes(self):
         pub = _pub_with_authors(3, [True, True, False])
         scheme = CreditScheme(mode=POSITIONAL, extramural_discount=0.5)
-        shares = credit_shares(pub, scheme, True)
+        shares = credit_by_position(pub, scheme, True)
         # Weights 2, 1, 2*0.5 -> normalized over 4.
         assert shares[1] == pytest.approx(0.5)
         assert shares[2] == pytest.approx(0.25)
@@ -166,7 +164,7 @@ class TestAuthorCredit:
                 extramural_discount=float(rng.uniform(0.1, 1.0)),
             )
             life = bool(rng.random() < 0.5)
-            total = sum(credit_shares(pub, scheme, life).values())
+            total = sum(credit_by_position(pub, scheme, life).values())
             assert abs(total - 1.0) < 1e-12
 
     def test_scheme_validation(self):

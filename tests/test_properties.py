@@ -30,13 +30,13 @@ from meritrank.normalization import (
     POSITIONAL,
     CreditScheme,
     compute_baselines,
-    credit_shares,
-    standardize,
+    slot_credit_shares,
 )
 from meritrank.scenario import SCOPE_NATIONAL, SCOPE_UNIT, counterfactual_rankings, select_top
 from meritrank.stats import average_ranks, classify_quantiles, gini, ordered_sum, quantile_class_sizes, top_count
 
 from conftest import make_corpus, make_pub, make_taxonomy, scores_with_ss, selected_ids, table_rows
+from oracles import credit_shares, standardize
 
 TAXONOMY = make_taxonomy({"S1": "X", "S2": "X", "S3": "Y", "S4": "Y"})
 
@@ -361,11 +361,13 @@ def test_compute_baselines_matches_a_median_and_mean_oracle(records):
 @SETTINGS
 @given(corpus=small_corpora(), scheme=credit_schemes, life=st.booleans())
 def test_credit_shares_sum_to_one(corpus, scheme, life):
-    for pub in corpus.publications:
-        shares = credit_shares(pub, scheme, life)
-        assert sorted(shares) == list(range(1, len(pub.authors) + 1))
-        assert all(share > 0 for share in shares.values())
-        assert sum(shares.values()) == pytest.approx(1.0, abs=1e-12)
+    pubs = corpus.publications
+    shares = slot_credit_shares(pubs, scheme, np.full(len(pubs.slot_position), life))
+    assert len(shares) == len(pubs.slot_position)
+    offsets = pubs.slot_offsets.tolist()
+    for start, stop in zip(offsets, offsets[1:]):
+        assert all(share > 0 for share in shares[start:stop].tolist())
+        assert sum(shares[start:stop].tolist()) == pytest.approx(1.0, abs=1e-12)
 
 
 @SETTINGS
