@@ -48,7 +48,7 @@ from .aggregation import (
     PSTAR_MEAN_OF_UNITS,
     PSTAR_POOLED,
     RankedUnit,
-    UnitScore,
+    Units,
     level_unit_scores,
     national_averages,
     rank_units,

@@ -3,22 +3,20 @@
 The UDA composite normalizes each SDS unit score by the national average for
 that SDS and weights it by the unit's share of the university's area staff,
 so fields with different citation fertility and different sizes compare
-fairly inside one area score. Both kinds of unit are a `UnitScore`, and
-`level_unit_scores` picks the kind that a ranking level ranks.
+fairly inside one area score. Both kinds of unit are rows of a `Units`
+table, and `level_unit_scores` picks the kind that a ranking level ranks.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .corpus import Taxonomy
+from .corpus import Taxonomy, name_codes
 from .errors import ValidationError
 from .indicators import ScoreTable
-from .stats import ordered_sum
 
 LEVEL_SDS = "sds"
 LEVEL_UDA = "uda"
@@ -29,19 +27,22 @@ PSTAR_POOLED = "pooled"
 DEFAULT_MIN_STAFF = 5
 
 
-@dataclass(frozen=True)
-class UnitScore:
-    """One university's score in one field: an SDS, or a UDA composite.
+@dataclass(frozen=True, eq=False)
+class Units:
+    """SDS units or UDA composites, one row per (university, field) unit in code order; `university`
+    and `field` are codes into the sorted name tuples `universities` and `fields`.
 
     `max_sds_staff` is the staff of the unit's largest SDS, the one that
-    puts it on the minimum-staff roster; an SDS unit's is its own staff.
+    puts it on the minimum-staff roster; an SDS unit's is its own full staff.
     """
 
-    university_id: str
-    field: str
-    score: float
-    staff: int
-    max_sds_staff: int
+    universities: tuple[str, ...]
+    fields: tuple[str, ...]
+    university: np.ndarray
+    field: np.ndarray
+    score: np.ndarray
+    staff: np.ndarray
+    max_sds_staff: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -52,26 +53,29 @@ class RankedUnit:
     staff: int
 
 
-def sds_unit_scores(scores: ScoreTable) -> list[UnitScore]:
-    """Per-capita SS of every (university, SDS) unit present in the scores, in that name order.
+def sds_unit_scores(scores: ScoreTable, kept: np.ndarray | None = None) -> Units:
+    """Per-capita SS of every (university, SDS) unit present in the scores.
 
-    `bincount` adds each unit's SS in row order, as `ordered_sum` would.
+    With `kept`, a row mask, each unit counts only its kept rows; a unit
+    left without staff scores 0.0 with staff 0 and keeps its full staff as
+    `max_sds_staff`, so it stays on its roster. `bincount` adds each unit's
+    SS in row order, as `ordered_sum` would.
     """
     n_sds = len(scores.sds_names)
     units = scores.unit_codes()
-    staff = np.bincount(units)
-    totals = np.bincount(units, weights=scores.ss, minlength=len(staff))
-    present = np.flatnonzero(staff)
-    return [
-        UnitScore(scores.universities[unit // n_sds], scores.sds_names[unit % n_sds], total / n, n, n)
-        for unit, total, n in zip(present.tolist(), totals[present].tolist(), staff[present].tolist())
-    ]
+    full_staff = np.bincount(units)
+    present = np.flatnonzero(full_staff)
+    rows = slice(None) if kept is None else kept
+    staff = np.bincount(units[rows], minlength=len(full_staff))[present]
+    totals = np.bincount(units[rows], weights=scores.ss[rows], minlength=len(full_staff))[present]
+    score = np.divide(totals, staff, out=np.zeros(len(present)), where=staff > 0)
+    return Units(
+        scores.universities, scores.sds_names, present // n_sds, present % n_sds, score, staff, full_staff[present]
+    )
 
 
-def national_averages(
-    unit_scores: Iterable[UnitScore], mode: str = PSTAR_MEAN_OF_UNITS
-) -> dict[str, float]:
-    """National yardstick per SDS, from the SDS units.
+def national_averages(units: Units, mode: str = PSTAR_MEAN_OF_UNITS) -> dict[str, float]:
+    """National yardstick per SDS, from the SDS units that have staff.
 
     mean-of-units averages the university per-capita values with equal
     weight; pooled divides the national SS total by the national staff count
@@ -79,54 +83,49 @@ def national_averages(
     """
     if mode not in (PSTAR_MEAN_OF_UNITS, PSTAR_POOLED):
         raise ValidationError(f"unknown national-average mode {mode!r}")
-    by_sds: dict[str, list[UnitScore]] = defaultdict(list)
-    for unit in unit_scores:
-        by_sds[unit.field].append(unit)
-    averages: dict[str, float] = {}
-    for sds, units in by_sds.items():
-        if mode == PSTAR_MEAN_OF_UNITS:
-            averages[sds] = ordered_sum(u.score for u in units) / len(units)
-        else:
-            staff = sum(u.staff for u in units)
-            averages[sds] = ordered_sum(u.score * u.staff for u in units) / staff
-    return averages
+    staffed = units.staff > 0
+    weight = units.staff[staffed] if mode == PSTAR_POOLED else np.ones(np.count_nonzero(staffed))
+    totals = np.bincount(units.field[staffed], weights=units.score[staffed] * weight)
+    counts = np.bincount(units.field[staffed], weights=weight)
+    present = np.flatnonzero(counts)
+    averages = totals[present] / counts[present]
+    return {units.fields[sds]: average for sds, average in zip(present.tolist(), averages.tolist())}
 
 
-def uda_unit_scores(
-    unit_scores: Iterable[UnitScore],
-    p_stars: Mapping[str, float],
-    taxonomy: Taxonomy,
-) -> list[UnitScore]:
+def uda_unit_scores(units: Units, p_stars: Mapping[str, float], taxonomy: Taxonomy) -> Units:
     """Area score per (university, UDA): staff-weighted sum of normalized SDS ratios.
 
     Each term is (unit per-capita / national average) * (unit staff / area
-    staff). An SDS with a zero national average cannot differentiate units
-    and contributes 0.
+    staff), added in SDS order. An SDS with a zero national average cannot
+    differentiate units and contributes 0; an SDS unit without staff adds
+    nothing and needs no national average.
     """
-    by_unit: dict[tuple[str, str], list[UnitScore]] = defaultdict(list)
-    for unit in unit_scores:
-        by_unit[(unit.university_id, taxonomy.uda_of(unit.field))].append(unit)
-    out: list[UnitScore] = []
-    for (university, uda), parts in sorted(by_unit.items()):
-        area_staff = sum(p.staff for p in parts)
-        total = 0.0
-        for part in parts:
-            p_star = p_stars.get(part.field)
-            if p_star is None:
-                raise ValidationError(f"no national average for SDS {part.field!r}")
-            if p_star > 0:
-                total += (part.score / p_star) * (part.staff / area_staff)
-        out.append(UnitScore(university, uda, total, area_staff, max(p.staff for p in parts)))
-    return out
+    udas, uda_of_sds = name_codes([taxonomy.uda_of(sds) for sds in units.fields])
+    areas = units.university * len(udas) + uda_of_sds[units.field]
+    staffed = units.staff > 0
+    missing = staffed & ~np.array([sds in p_stars for sds in units.fields], dtype=bool)[units.field]
+    if missing.any():
+        first = min(np.flatnonzero(missing), key=lambda row: (areas[row], units.field[row]))
+        raise ValidationError(f"no national average for SDS {units.fields[units.field[first]]!r}")
+    p_star = np.array([p_stars.get(sds, 0.0) for sds in units.fields], dtype=float)[units.field]
+    area_staff = np.bincount(areas, weights=units.staff).astype(np.int64)
+    share = np.divide(units.staff, area_staff[areas], out=np.zeros(len(areas)), where=staffed)
+    ratio = np.divide(units.score, p_star, out=np.zeros(len(areas)), where=p_star > 0)
+    totals = np.bincount(areas, weights=ratio * share)
+    largest = np.zeros(len(totals), dtype=np.int64)
+    np.maximum.at(largest, areas, units.max_sds_staff)
+    present = np.unique(areas)
+    return Units(
+        units.universities, udas, present // len(udas), present % len(udas),
+        totals[present], area_staff[present], largest[present],
+    )
 
 
-def level_unit_scores(
-    units: Sequence[UnitScore], level: str, p_stars: Mapping[str, float], taxonomy: Taxonomy
-) -> list[UnitScore]:
+def level_unit_scores(units: Units, level: str, p_stars: Mapping[str, float], taxonomy: Taxonomy) -> Units:
     """The units ranked at `level`: the SDS units as they are, or their UDA composites
     against the national averages `p_stars`. The one place that rejects an unknown level."""
     if level == LEVEL_SDS:
-        return list(units)
+        return units
     if level == LEVEL_UDA:
         return uda_unit_scores(units, p_stars, taxonomy)
     raise ValidationError(f"unknown ranking level {level!r}")
@@ -137,26 +136,19 @@ def level_field(sds: str, level: str, taxonomy: Taxonomy) -> str:
     return sds if level == LEVEL_SDS else taxonomy.uda_of(sds)
 
 
-def order_units(entries: Sequence[tuple[str, float, int]]) -> list[RankedUnit]:
-    """Deterministic total order: score desc, staff desc, university id asc."""
-    ordered = sorted(entries, key=lambda e: (-e[1], -e[2], e[0]))
-    return [
-        RankedUnit(rank, university, score, staff)
-        for rank, (university, score, staff) in enumerate(ordered, start=1)
-    ]
-
-
-def rank_units(
-    units: Iterable[UnitScore], min_staff: int = DEFAULT_MIN_STAFF
-) -> dict[str, list[RankedUnit]]:
-    """Rankings per field code, restricted to the minimum-staff roster.
+def rank_units(units: Units, min_staff: int = DEFAULT_MIN_STAFF) -> dict[str, list[RankedUnit]]:
+    """Rankings per field code, in field-code order, restricted to the minimum-staff roster.
 
     A unit qualifies when its largest SDS meets the staff minimum: an SDS
     unit on its own staff, a university's UDA composite when at least one
-    of its SDS units in the area does.
+    of its SDS units in the area does. Each ranking orders its units by
+    score descending, then staff descending, then university name.
     """
-    by_field: dict[str, list] = defaultdict(list)
-    for unit in units:
-        if unit.max_sds_staff >= min_staff:
-            by_field[unit.field].append((unit.university_id, unit.score, unit.staff))
-    return {field_code: order_units(entries) for field_code, entries in by_field.items()}
+    order = np.lexsort((units.university, -units.staff, -units.score, units.field))
+    order = order[units.max_sds_staff[order] >= min_staff]
+    columns = (units.field, units.university, units.score, units.staff)
+    rankings: dict[str, list[RankedUnit]] = {}
+    for field, university, score, staff in zip(*(column[order].tolist() for column in columns)):
+        ranking = rankings.setdefault(units.fields[field], [])
+        ranking.append(RankedUnit(len(ranking) + 1, units.universities[university], score, staff))
+    return rankings

@@ -518,9 +518,9 @@ def researcher_problem(sds: str, years_in_post: int, taxonomy: Taxonomy, window)
 
 @contextmanager
 def open_input(path):
-    """An input file opened as UTF-8 text; text that is not UTF-8 is a ValidationError naming the file."""
+    """An input file read as UTF-8 past a leading byte-order mark; non-UTF-8 is a ValidationError naming it."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text: {exc}") from None

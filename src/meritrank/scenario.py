@@ -17,11 +17,10 @@ from .aggregation import (
     LEVEL_UDA,
     PSTAR_MEAN_OF_UNITS,
     DEFAULT_MIN_STAFF,
-    UnitScore,
+    Units,
     level_field,
     level_unit_scores,
     national_averages,
-    order_units,
     rank_units,
     sds_unit_scores,
 )
@@ -133,7 +132,7 @@ def _safe_spearman(x: Sequence[float], y: Sequence[float]) -> SpearmanResult | N
 def counterfactual_rankings(
     taxonomy: Taxonomy,
     scores: ScoreTable,
-    units: Sequence[UnitScore],
+    units: Units,
     selection: TopSelection,
     level: str,
     min_staff: int = DEFAULT_MIN_STAFF,
@@ -144,8 +143,8 @@ def counterfactual_rankings(
     """Observed vs top-scientists-removed rankings for every field at a level.
 
     `units` is `sds_unit_scores(scores)`. The observed and the hypothetical
-    ranking are built by the same calls. The hypothetical ranking re-ranks
-    exactly the observed roster; a unit that loses all staff scores 0.
+    ranking are built by the same calls, on the same units: the hypothetical
+    units keep their observed roster, and a unit that loses all staff scores 0.
     Baselines and national averages are frozen at observed values unless
     refit_pstar is set. Only the UDA composites read national averages, so
     they are computed at the UDA level alone, and at the SDS level
@@ -154,24 +153,18 @@ def counterfactual_rankings(
     """
     if selection.scope != SCOPE_UNIT:
         raise ValidationError("counterfactual rankings need a unit-scoped selection")
-    hyp_units = sds_unit_scores(scores.rows(~selection.selected))
+    hyp_units = sds_unit_scores(scores, ~selection.selected)
     p_stars = hyp_pstars = {}
     if level == LEVEL_UDA:
         p_stars = national_averages(units, pstar_mode)
         hyp_pstars = national_averages(hyp_units, pstar_mode) if refit_pstar else p_stars
     observed_rankings = rank_units(level_unit_scores(units, level, p_stars, taxonomy), min_staff)
-    hyp_scores = {
-        (u.university_id, u.field): (u.score, u.staff)
-        for u in level_unit_scores(hyp_units, level, hyp_pstars, taxonomy)
-    }
+    hyp_rankings = rank_units(level_unit_scores(hyp_units, level, hyp_pstars, taxonomy), min_staff)
     unit_values = _unit_values(scores, level, taxonomy)
 
     reports: dict[str, CounterfactualReport] = {}
-    for field_code, observed_ranking in sorted(observed_rankings.items()):
-        entries = [
-            (u.university_id, *hyp_scores.get((u.university_id, field_code), (0.0, 0))) for u in observed_ranking
-        ]
-        hyp_rank = {u.university_id: u.rank for u in order_units(entries)}
+    for field_code, observed_ranking in observed_rankings.items():
+        hyp_rank = {u.university_id: u.rank for u in hyp_rankings[field_code]}
         shifts = [
             UnitShift(
                 university_id=u.university_id,

@@ -8,6 +8,7 @@ memory, and a run that never needs such a p-value never pays it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -106,18 +107,9 @@ def _rank_correlation(rx: np.ndarray, ry: np.ndarray) -> float:
 
 @lru_cache(maxsize=None)
 def _permutation_matrix(n: int) -> np.ndarray:
-    """All n! permutations of 0..n-1, one per row, as int8; cached, treat as read-only."""
-    if n == 1:
-        return np.zeros((1, 1), dtype=np.int8)
-    smaller = _permutation_matrix(n - 1)
-    m = smaller.shape[0]
-    out = np.empty((m * n, n), dtype=np.int8)
-    for i in range(n):
-        block = out[i * m : (i + 1) * m]
-        block[:, :i] = smaller[:, :i]
-        block[:, i] = n - 1
-        block[:, i + 1 :] = smaller[:, i:]
-    return out
+    """All n! permutations of 0..n-1 as int8 rows, built without a list of n! tuples; cached, treat as read-only."""
+    permutations = itertools.chain.from_iterable(itertools.permutations(range(n)))
+    return np.fromiter(permutations, dtype=np.int8).reshape(-1, n)
 
 
 def _exact_permutation_p(rx: np.ndarray, ry: np.ndarray, rho_obs: float) -> float:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from meritrank.corpus import AuthorSlot, Corpus, Publication, Publications, Researchers, Taxonomy
+from meritrank.aggregation import Units
+from meritrank.corpus import AuthorSlot, Corpus, Publication, Publications, Researchers, Taxonomy, name_codes
 from meritrank.normalization import CreditScheme, slot_credit_shares
 
 DEFAULT_WINDOW = (2004, 2008)
@@ -113,6 +114,29 @@ def scores_with_ss(groups, taxonomy: Taxonomy | None = None):
     corpus = solo_corpus(entries, taxonomy=taxonomy)
     ids = corpus.researchers.ids
     return corpus, score_table(corpus.researchers, [values[rid] for rid in ids], [True] * len(ids))
+
+
+def make_units(rows) -> Units:
+    """The SDS units given as (university, sds, score, staff) rows, in any order; each unit's
+    `max_sds_staff` is its staff."""
+    columns = [list(column) for column in zip(*rows)] or [[], [], [], []]
+    universities, university = name_codes(columns[0])
+    fields, field = name_codes(columns[1])
+    order = np.lexsort((field, university))
+    score = np.array(columns[2], dtype=float)[order]
+    staff = np.array(columns[3], dtype=np.int64)[order]
+    return Units(universities, fields, university[order], field[order], score, staff, staff)
+
+
+def unit_rows(units: Units) -> list[tuple]:
+    """Each unit as a (university, field, score, staff, max_sds_staff) tuple, in row order."""
+    return [
+        (units.universities[u], units.fields[f], score, staff, largest)
+        for u, f, score, staff, largest in zip(
+            units.university.tolist(), units.field.tolist(), units.score.tolist(),
+            units.staff.tolist(), units.max_sds_staff.tolist(),
+        )
+    ]
 
 
 def table_rows(scores) -> dict[str, dict]:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from meritrank.aggregation import RankedUnit, UnitScore, rank_units, sds_unit_scores, uda_unit_scores
+from meritrank.aggregation import RankedUnit, rank_units, sds_unit_scores, uda_unit_scores
 from meritrank.cli import dispatch
 from meritrank.corpus import Taxonomy
 from meritrank.funding import FundingPolicy, allocate, national_top_census, paradox_report
@@ -23,7 +23,7 @@ from meritrank.scenario import SCOPE_NATIONAL, SCOPE_UNIT, counterfactual_rankin
 from meritrank.stats import gini, quantile_class_sizes, spearman
 from meritrank.synth import CalibrationTargets, GeneratorProfile, calibrate, generate
 
-from conftest import credit_by_position, make_pub, make_slot, scores_with_ss, make_taxonomy
+from conftest import credit_by_position, make_pub, make_slot, make_units, scores_with_ss, make_taxonomy
 
 
 def _report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -145,10 +145,10 @@ def test_criterion_4_uda_identity():
         for i in range(n_sds):
             per_capita = float(rng.uniform(0.05, 5.0))
             staff = int(rng.integers(1, 40))
-            units.append(UnitScore("U1", f"S{i}", per_capita, staff, staff))
+            units.append(("U1", f"S{i}", per_capita, staff))
             p_stars[f"S{i}"] = per_capita
-        (score,) = uda_unit_scores(units, p_stars, taxonomy)
-        worst = max(worst, abs(score.score - 1.0))
+        (score,) = uda_unit_scores(make_units(units), p_stars, taxonomy).score.tolist()
+        worst = max(worst, abs(score - 1.0))
     _report(4, "SS_UDA identity on 100 random staff configurations", worst < 1e-12, f"max |score-1| {worst:.2e}")
 
 

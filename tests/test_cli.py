@@ -634,7 +634,9 @@ class TestReportAll:
         count = calls.append
         real = cli.sds_unit_scores
         monkeypatch.setattr(cli, "sds_unit_scores", lambda scores: count("observed") or real(scores))
-        monkeypatch.setattr(scenario, "sds_unit_scores", lambda scores: count("hypothetical") or real(scores))
+        monkeypatch.setattr(
+            scenario, "sds_unit_scores", lambda scores, kept: count("hypothetical") or real(scores, kept)
+        )
         assert dispatch(["report-all", "--corpus", str(corpus_dir), "--out", str(tmp_path / "run")]) == 0
         # The rankings' aggregation feeds both counterfactual levels, which add one hypothetical each.
         assert calls == ["observed", "hypothetical", "hypothetical"]

@@ -182,3 +182,15 @@ def test_mutated_researchers_csv_is_rejected_or_scores_the_same(written, mutatio
 @example(mutation=Mutation("drop", line=2, other=1))
 def test_mutated_taxonomy_csv_is_rejected_or_scores_the_same(written, mutation):
     check_mutation(written, "taxonomy.csv", mutation)
+
+
+def test_byte_order_marks_score_the_same(written, tmp_path):
+    # Spreadsheet programs save CSV text with a UTF-8 byte-order mark; it must not become part of the header.
+    corpus_dir, expected = written
+    copy = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, copy)
+    for name in ("researchers.csv", "taxonomy.csv", "publications.jsonl"):
+        (copy / name).write_bytes("\ufeff".encode() + (corpus_dir / name).read_bytes())
+    code, err, _ = _indicators(copy, tmp_path / "scores.csv")
+    assert code == 0, err
+    assert (tmp_path / "scores.csv").read_bytes() == expected

@@ -1,6 +1,7 @@
 """Property tests: scoring, credit, funding, statistics, selection and re-ranking on random inputs."""
 
 import statistics
+from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
@@ -35,7 +36,8 @@ from meritrank.normalization import (
 from meritrank.scenario import SCOPE_NATIONAL, SCOPE_UNIT, counterfactual_rankings, select_top
 from meritrank.stats import average_ranks, classify_quantiles, gini, ordered_sum, quantile_class_sizes, top_count
 
-from conftest import make_corpus, make_pub, make_taxonomy, scores_with_ss, selected_ids, table_rows
+import oracles
+from conftest import make_corpus, make_pub, make_taxonomy, scores_with_ss, selected_ids, table_rows, unit_rows
 from oracles import credit_shares, standardize
 
 TAXONOMY = make_taxonomy({"S1": "X", "S2": "X", "S3": "Y", "S4": "Y"})
@@ -445,14 +447,80 @@ def test_percentiles_match_per_sds_oracle_ranks(rows):
 def test_sds_unit_scores_match_ordered_sums_per_unit(roster, data):
     _, scores = scores_with_ss(roster, taxonomy=TAXONOMY)
     keep = data.draw(st.lists(st.booleans(), min_size=len(scores), max_size=len(scores)))
-    kept = scores.rows(np.array(keep, dtype=bool))
-    expected: dict = {}
-    for row in table_rows(kept).values():
-        expected.setdefault((row["university_id"], row["sds"]), []).append(row["ss"])
-    assert [(u.university_id, u.field, u.score, u.staff, u.max_sds_staff) for u in sds_unit_scores(kept)] == [
-        (university, sds, ordered_sum(values) / len(values), len(values), len(values))
-        for (university, sds), values in sorted(expected.items())
-    ]
+    members: dict = {}
+    for row, kept in zip(table_rows(scores).values(), keep):
+        members.setdefault((row["university_id"], row["sds"]), []).append((row["ss"], kept))
+    expected = []
+    for (university, sds), unit in sorted(members.items()):
+        values = [ss for ss, kept in unit if kept]
+        score = ordered_sum(values) / len(values) if values else 0.0
+        expected.append((university, sds, score, len(values), len(unit)))
+    assert unit_rows(sds_unit_scores(scores, np.array(keep, dtype=bool))) == expected
+
+
+def _record_level(units, level, p_stars):
+    return units if level == LEVEL_SDS else oracles.uda_unit_scores(units, p_stars, TAXONOMY)
+
+
+def _record_hypothetical_rankings(observed, hypothetical):
+    """Each observed ranking's roster re-ordered on the hypothetical per-record units; a unit
+    absent from them, having lost all its staff, scores (0.0, 0)."""
+    values = {(u.university_id, u.field): (u.score, u.staff) for u in hypothetical}
+    return {
+        field: oracles.order_units(
+            [(u.university_id, *values.get((u.university_id, field), (0.0, 0))) for u in ranking]
+        )
+        for field, ranking in observed.items()
+    }
+
+
+def _staffed(units):
+    return [row[:4] for row in unit_rows(units) if row[3] > 0]
+
+
+@SETTINGS
+@given(
+    roster=rosters,
+    keep=st.lists(st.booleans(), max_size=240),
+    emptied=st.sets(units),
+    pstar_mode=st.sampled_from([PSTAR_MEAN_OF_UNITS, PSTAR_POOLED]),
+    min_staff=st.integers(1, 6),
+)
+# U1 and U2 tie on S1's score with different staff; emptying U1-S1 leaves a staff-0 unit that a refit
+# mean must skip; dropping U2-S1's first row leaves it 1 of 2 staff in its composite.
+@example(
+    roster={("U1", "S1"): [2.0], ("U2", "S1"): [1.0, 3.0], ("U2", "S2"): [4.0]},
+    keep=[True, False],
+    emptied={("U1", "S1")},
+    pstar_mode=PSTAR_MEAN_OF_UNITS,
+    min_staff=1,
+)
+def test_unit_tables_match_the_per_record_oracles(roster, keep, emptied, pstar_mode, min_staff):
+    """Units, national averages, composites and both rankings equal the per-record versions bit for bit,
+    with averages frozen and refit; rows past `keep` are kept, rows of `emptied` units are not."""
+    _, scores = scores_with_ss(roster, taxonomy=TAXONOMY)
+    kept = np.array(
+        [
+            (keep[i] if i < len(keep) else True) and (row["university_id"], row["sds"]) not in emptied
+            for i, row in enumerate(table_rows(scores).values())
+        ],
+        dtype=bool,
+    )
+    sds_units, hyp_units = sds_unit_scores(scores), sds_unit_scores(scores, kept)
+    record_units, record_hyp = oracles.sds_unit_scores(scores), oracles.sds_unit_scores(scores.rows(kept))
+    assert unit_rows(sds_units) == [astuple(u) for u in record_units]
+    assert _staffed(hyp_units) == [astuple(u)[:4] for u in record_hyp]
+    p_stars, refit = national_averages(sds_units, pstar_mode), national_averages(hyp_units, pstar_mode)
+    assert p_stars == oracles.national_averages(record_units, pstar_mode)
+    assert refit == oracles.national_averages(record_hyp, pstar_mode)
+    for level in (LEVEL_SDS, LEVEL_UDA):
+        observed = oracles.rank_units(_record_level(record_units, level, p_stars), min_staff)
+        assert rank_units(level_unit_scores(sds_units, level, p_stars, TAXONOMY), min_staff) == observed
+        for hyp_pstars in (p_stars, refit):
+            hypothetical = level_unit_scores(hyp_units, level, hyp_pstars, TAXONOMY)
+            record = _record_level(record_hyp, level, hyp_pstars)
+            assert _staffed(hypothetical) == [astuple(u)[:4] for u in record]
+            assert rank_units(hypothetical, min_staff) == _record_hypothetical_rankings(observed, record)
 
 
 def test_loading_and_scoring_build_no_records(tmp_path, monkeypatch):
