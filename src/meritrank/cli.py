@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 import traceback
 from dataclasses import replace
@@ -87,6 +88,21 @@ def _fraction(option: str):
             raise ValidationError(f"{option} needs {_EXACT_RATIONAL}, got {value!r}") from None
 
     parse.expected = _EXACT_RATIONAL
+    return parse
+
+
+def _ranged(option: str, kind, admits, requirement: str):
+    """Parser of a `kind` value for the flag `option`: one that `admits` rejects is a ValidationError that
+    states `requirement` and names the flag, before any input is read."""
+
+    def parse(value: str):
+        number = kind(value)
+        if not admits(number):
+            raise ValidationError(f"{requirement}, got {option} {value!r}")
+        return number
+
+    parse.__name__ = kind.__name__  # text that is no `kind` gets argparse's "invalid int value" error
+    parse.expected = f"a value {option} accepts ({requirement})"
     return parse
 
 
@@ -410,19 +426,22 @@ def _add_corpus_options(parser: argparse.ArgumentParser, window=DEFAULT_WINDOW) 
                         help=window_help)
     parser.add_argument("--credit", choices=sorted(CREDIT_MODES), default="equal",
                         help="author credit mode (default %(default)s)")
-    parser.add_argument("--first-w", dest="first_w", type=float, default=CreditScheme.first_weight,
-                        help="positional weight of the first author (default %(default)s)")
-    parser.add_argument("--last-w", dest="last_w", type=float, default=CreditScheme.last_weight,
-                        help="positional weight of the last author (default %(default)s)")
-    parser.add_argument("--middle-w", dest="middle_w", type=float, default=CreditScheme.middle_weight,
-                        help="positional weight of middle authors (default %(default)s)")
-    parser.add_argument("--extramural-discount", dest="extramural_discount", type=float,
+    for position, authors in (("first", "the first author"), ("last", "the last author"), ("middle", "middle authors")):
+        flag = f"--{position}-w"
+        parser.add_argument(flag, dest=f"{position}_w", default=getattr(CreditScheme, f"{position}_weight"),
+                            type=_ranged(flag, float, lambda w: 0 < w < math.inf,
+                                         "positional weights must be finite and positive"),
+                            help=f"positional weight of {authors} (default %(default)s)")
+    parser.add_argument("--extramural-discount", dest="extramural_discount",
+                        type=_ranged("--extramural-discount", float, lambda d: 0 < d <= 1,
+                                     "extramural discount must be in (0, 1]"),
                         default=CreditScheme.extramural_discount,
                         help="multiplier for extramural author slots, in (0, 1] (default %(default)s)")
 
 
 def _add_ranking_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--min-staff", dest="min_staff", type=int, default=DEFAULT_MIN_STAFF,
+    parser.add_argument("--min-staff", dest="min_staff", default=DEFAULT_MIN_STAFF,
+                        type=_ranged("--min-staff", int, lambda n: n >= 0, "minimum staff must be an integer >= 0"),
                         help="minimum unit staff for rankings and selections (default %(default)s)")
     parser.add_argument("--pstar", choices=[PSTAR_MEAN_OF_UNITS, PSTAR_POOLED], default=PSTAR_MEAN_OF_UNITS,
                         help="national average mode (default %(default)s)")

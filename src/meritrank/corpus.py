@@ -14,12 +14,13 @@ the table is iterated.
 Each rule is written once. The publication rules are one columnar check,
 `publications_problem`: a few array operations over a whole `Publications`
 table that find the first row breaking a rule and that row's first rule.
-`researcher_problem` checks one researcher. `load_publications` decodes each
-line once and type-checks and codes the lines a block at a time, in columns;
-only a block that fails that check goes through the per-line checks, which
-name its first bad line. It then runs the columnar check once and names the
-file and line, so the first bad line is reported whether it breaks a rule or
-fails to parse. `load_researchers` applies `researcher_problem` row by row.
+`researcher_problem` checks one researcher. `load_publications` reads its
+lines in one loop, decoding each once and type-checking and coding them a
+block at a time, in columns; only a block that fails that check goes through
+the per-line checks, which name its first bad line. It then runs the columnar
+check once and names the file and line, so the first bad line is reported
+whether it breaks a rule or fails to parse. `load_researchers` applies
+`researcher_problem` row by row.
 `Corpus.validate` runs both checks on a corpus built in memory, such as a
 generated one, and names the record. A violation is rejected rather than
 silently repaired. `load_corpus` and the generator return the corpus in
@@ -64,6 +65,12 @@ PUBLICATIONS_PER_BLOCK = 64
 
 # An integer cell: ASCII digits after an optional minus. `int` also reads " 5", "+5", "1_0" and other scripts' digits.
 INTEGER_TEXT = re.compile("-?[0-9]+")
+
+# A publication line's fields and their JSON types, in the order the loader checks them; then an author slot's.
+PUBLICATION_FIELDS = (
+    ("id", str), ("year", int), ("type", str), ("citations", int), ("categories", list), ("authors", list),
+)
+SLOT_FIELDS = (("position", int), ("intramural", bool))
 
 RESEARCHER_COLUMNS = ("id", "university_id", "university_name", "sds", "years_in_post")
 TAXONOMY_COLUMNS = ("sds", "uda", "uda_name", "life_science")
@@ -533,7 +540,7 @@ def _fail(path, line_no: int, message: str):
     raise ValidationError(f"{path} line {line_no}: {message}")
 
 
-def _require(record: dict, key: str, kind, path, line_no: int):
+def _require(record: dict, key: str, kind, path, line_no: int) -> None:
     if key not in record:
         _fail(path, line_no, f"missing field {key!r}")
     value = record[key]
@@ -541,7 +548,6 @@ def _require(record: dict, key: str, kind, path, line_no: int):
         _fail(path, line_no, f"field {key!r}: expected integer, got boolean")
     if not isinstance(value, kind):
         _fail(path, line_no, f"field {key!r}: expected {kind.__name__}, got {type(value).__name__}")
-    return value
 
 
 def _csv_rows(path: Path, fh, columns: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
@@ -635,13 +641,13 @@ def load_researchers(res_path, taxonomy: Taxonomy, window) -> tuple[Researchers,
 def load_publications(pub_path, window, researcher_ids: Sequence[str]) -> Publications:
     """Read publications.jsonl; a slot's code is its author's row in `researcher_ids`, which must hold them all.
 
-    The lines are read in blocks of `PUBLICATIONS_PER_BLOCK`: each line is
-    decoded once, and each block's fields are type-checked and coded in
-    columns. Only a block that fails that check goes through the per-line
-    checks, which name its first bad line; the table stops before it. The
-    rules then run once over the whole table (`publications_problem`). The
-    first bad line is reported: a rule broken on an earlier line wins over a
-    parse or type error on a later one.
+    One loop decodes each line once and type-checks and codes the lines in
+    columns, a block of `PUBLICATIONS_PER_BLOCK` at a time. The table stops
+    before the first line that fails to decode or whose block fails that
+    check; such a block goes through the per-line checks, which name its
+    first bad line. The rules then run once over the whole table
+    (`publications_problem`). The first bad line is reported: a rule broken
+    on an earlier line wins over a parse or type error on a later one.
     """
     pub_path = Path(pub_path)
     # Parsing in a function of its own frees the builder's lists before the check allocates its arrays.
@@ -660,22 +666,8 @@ def _parse_publications(pub_path: Path, researcher_ids) -> tuple[Publications, a
     `researcher_ids`, each row's line number, and that line's error (None when every line passed)."""
     builder = PublicationsBuilder(researcher_ids)
     line_numbers = array("q")  # per table row
-    try:
-        for numbers, records in _decoded_blocks(pub_path):
-            _append_block(builder, line_numbers, numbers, records, pub_path)
-    except ValidationError as exc:
-        return builder.build(), line_numbers, exc
-    return builder.build(), line_numbers, None
-
-
-def _decoded_blocks(pub_path: Path) -> Iterator[tuple[list[int], list]]:
-    """The non-blank lines of `pub_path` as blocks of (line numbers, decoded JSON values).
-
-    A line that is not one JSON value, or text that is not UTF-8, ends the
-    blocks: the lines before it come as a last block, then its
-    ValidationError is raised.
-    """
-    numbers, records = [], []
+    numbers, records = [], []  # the pending block: line numbers and decoded JSON values
+    error = None
     try:
         with open_input(pub_path) as fh:
             for line_no, line in enumerate(fh, start=1):
@@ -684,22 +676,22 @@ def _decoded_blocks(pub_path: Path) -> Iterator[tuple[list[int], list]]:
                     continue
                 try:
                     record, end = _decode_json(line)
-                except json.JSONDecodeError:
-                    end = None
-                if end != len(line):  # not one JSON value; `json.loads` gives the message
-                    try:
-                        record = json.loads(line)
-                    except json.JSONDecodeError as exc:
-                        _fail(pub_path, line_no, f"invalid JSON: {exc}")
+                    if end != len(line):  # text after the value: `json.loads` raises "Extra data"
+                        json.loads(line)
+                except json.JSONDecodeError as exc:
+                    _fail(pub_path, line_no, f"invalid JSON: {exc}")
                 numbers.append(line_no)
                 records.append(record)
-                if len(records) == PUBLICATIONS_PER_BLOCK:
-                    yield numbers, records
-                    numbers, records = [], []
-    except ValidationError:
-        yield numbers, records
-        raise
-    yield numbers, records
+                if len(records) == PUBLICATIONS_PER_BLOCK:  # reset first: a faulty block is appended once
+                    block, numbers, records = (numbers, records), [], []
+                    _append_block(builder, line_numbers, *block, pub_path)
+    except ValidationError as exc:  # a line not UTF-8 or not one JSON value, or a full block's bad line
+        error = exc
+    try:  # the last lines, or those before a line that failed to decode: a fault among them comes first
+        _append_block(builder, line_numbers, numbers, records, pub_path)
+    except ValidationError as exc:
+        error = exc
+    return builder.build(), line_numbers, error
 
 
 def _append_block(builder: PublicationsBuilder, line_numbers: array, numbers, records, path) -> None:
@@ -726,59 +718,45 @@ def _block_columns(records: list) -> tuple | None:
     """`PublicationsBuilder.extend`'s arguments for decoded `records`, or None when a record misses a
     field or holds a value of the wrong type; `_checked` names which."""
     try:
-        ids = [r["id"] for r in records]
-        years = [r["year"] for r in records]
-        doc_types = [r["type"] for r in records]
-        citations = [r["citations"] for r in records]
-        categories = [r["categories"] for r in records]
-        authors = [r["authors"] for r in records]
-        # A decoded JSON value's type is exactly dict, list, str, int, float, bool or NoneType, so
-        # `type(v) is int` already excludes booleans.
-        if not (
-            {*map(type, ids)} <= {str} and {*map(type, years)} <= {int} and {*map(type, doc_types)} <= {str}
-            and {*map(type, citations)} <= {int} and {*map(type, categories)} <= {list}
-            and {*map(type, authors)} <= {list}
-        ):
-            return None
-        flat_categories = [c for row in categories for c in row]
-        slots = [slot for row in authors for slot in row]
-        positions = [slot["position"] for slot in slots]  # a TypeError for a slot that is no object
-        intramural = [slot["intramural"] for slot in slots]
+        columns = {key: [record[key] for record in records] for key, _ in PUBLICATION_FIELDS}
+        slots = [slot for row in columns["authors"] for slot in row]
+        # A TypeError for a slot that is no object.
+        columns |= {key: [slot[key] for slot in slots] for key, _ in SLOT_FIELDS}
         rids = [slot.get("researcher_id") for slot in slots]
+        categories = [c for row in columns["categories"] for c in row]
     except (KeyError, TypeError):
         return None
+    # A decoded JSON value's type is exactly dict, list, str, int, float, bool or NoneType, so
+    # `type(v) is int` already excludes booleans.
     if not (
-        {*map(type, flat_categories)} <= {str} and all(flat_categories) and {*map(type, positions)} <= {int}
-        and {*map(type, intramural)} <= {bool} and {*map(type, rids)} <= {str, type(None)}
+        all({*map(type, columns[key])} <= {kind} for key, kind in PUBLICATION_FIELDS + SLOT_FIELDS)
+        and {*map(type, categories)} <= {str} and all(categories) and {*map(type, rids)} <= {str, type(None)}
     ):
         return None
+    ids, years, doc_types, citations, category_rows, author_rows, positions, intramural = columns.values()
     return (
-        ids, years, doc_types, citations, [len(row) for row in categories], flat_categories,
-        [len(row) for row in authors], positions, intramural, rids,
+        ids, years, doc_types, citations, [len(row) for row in category_rows], categories,
+        [len(row) for row in author_rows], positions, intramural, rids,
     )
 
 
-def _checked(record, path, line_no: int):
-    """`record`, decoded from line `line_no` of `path`, if it has every field with the right type;
-    otherwise raises the ValidationError of its first missing or mistyped field."""
+def _checked(record, path, line_no: int) -> None:
+    """Raise the ValidationError of the first missing or mistyped field of `record`, decoded from line
+    `line_no` of `path`, if it has one."""
     if not isinstance(record, dict):
         _fail(path, line_no, "expected a JSON object")
-    _require(record, "id", str, path, line_no)
-    _require(record, "year", int, path, line_no)
-    _require(record, "type", str, path, line_no)
-    _require(record, "citations", int, path, line_no)
-    categories = _require(record, "categories", list, path, line_no)
-    if not all(isinstance(c, str) and c for c in categories):
-        _fail(path, line_no, "field 'categories': entries must be non-empty strings")
-    for slot in _require(record, "authors", list, path, line_no):
+    for key, kind in PUBLICATION_FIELDS:
+        _require(record, key, kind, path, line_no)
+        if key == "categories" and not all(isinstance(c, str) and c for c in record[key]):
+            _fail(path, line_no, "field 'categories': entries must be non-empty strings")
+    for slot in record["authors"]:
         if not isinstance(slot, dict):
             _fail(path, line_no, "field 'authors': entries must be objects")
         rid = slot.get("researcher_id")
         if rid is not None and not isinstance(rid, str):
             _fail(path, line_no, "field 'researcher_id': expected string or null")
-        _require(slot, "position", int, path, line_no)
-        _require(slot, "intramural", bool, path, line_no)
-    return record
+        for key, kind in SLOT_FIELDS:
+            _require(slot, key, kind, path, line_no)
 
 
 def load_corpus(pub_path, res_path, tax_path, window=DEFAULT_WINDOW) -> Corpus:

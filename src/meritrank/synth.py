@@ -224,6 +224,8 @@ class GeneratorProfile:
                 data = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"{path}: invalid profile JSON: {exc}") from None
+        if not isinstance(data, dict):
+            raise ValidationError(f"{path}: expected a JSON object")
         return cls.from_dict(data)
 
 
@@ -500,8 +502,8 @@ def _sample_indices(rng, below, n: int, k: int) -> list[int]:
     return sorted(taken)
 
 
-def write_corpus(corpus: Corpus, out_dir, profile: GeneratorProfile | None = None) -> dict[str, Path]:
-    """Write the corpus in the standard three-file layout plus metadata.
+def write_corpus(corpus: Corpus, out_dir, profile: GeneratorProfile) -> dict[str, Path]:
+    """Write the corpus in the standard three-file layout plus metadata, which records `profile`.
 
     Output is deterministic: rows are emitted in a canonical order, and
     `metadata.json` has its keys sorted (`publications.jsonl` keeps the key
@@ -547,9 +549,8 @@ def write_corpus(corpus: Corpus, out_dir, profile: GeneratorProfile | None = Non
             "researchers": len(corpus.researchers),
             "publications": len(corpus.publications),
         },
+        "profile": profile.to_dict(),
     }
-    if profile is not None:
-        metadata["profile"] = profile.to_dict()
     json_file(paths["metadata"], metadata, sort_keys=True)
     return paths
 

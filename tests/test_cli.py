@@ -199,6 +199,48 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "argv",
+        [["rank", "--level", "uda"], ["counterfactual", "--level", "uda"], ["fund", "--uda", "A"], ["report-all"]],
+        ids=["rank", "counterfactual", "fund", "report-all"],
+    )
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_min_staff_rejected_before_reading(self, tmp_path, capsys, argv, source):
+        # The corpus directory does not exist: reading it would exit 3.
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"min_staff": -3} if source == "config" else {}))
+        flags = ["--min-staff", "-3"] if source == "flag" else []
+        out = tmp_path / "out"
+        argv = [*argv, "--corpus", str(tmp_path / "missing"), "--config", str(config_path), *flags, "--out", str(out)]
+        assert dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--min-staff" in err and "-3" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("first_w", "0", "positional weights must be finite and positive"),
+            ("middle_w", "-1.5", "positional weights must be finite and positive"),
+            ("last_w", "nan", "positional weights must be finite and positive"),
+            ("extramural_discount", "0", "extramural discount must be in (0, 1]"),
+            ("extramural_discount", "1.5", "extramural discount must be in (0, 1]"),
+            ("extramural_discount", "inf", "extramural discount must be in (0, 1]"),
+        ],
+    )
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_credit_option_out_of_range_names_its_flag(self, tmp_path, capsys, key, value, message, source):
+        flag = "--" + key.replace("_", "-")
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({key: value} if source == "config" else {}))
+        flags = [flag, value] if source == "flag" else []
+        out = tmp_path / "s.csv"
+        argv = ["indicators", "--corpus", str(tmp_path / "missing"), "--config", str(config_path), *flags]
+        assert dispatch([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and flag in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "flags, config", [(["--window", "2008", "2004"], {}), ([], {"window": [2008, 2004]})],
         ids=["flag", "config"],
     )

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from meritrank.corpus import (
@@ -394,6 +394,11 @@ class TestFirstBadLine:
         with pytest.raises(ValidationError, match=f"publications.jsonl line 2: {message}"):
             self._load(tmp_path, [self.VALID, unreadable, self.RULE_BROKEN])
 
+    def test_mistyped_line_wins_over_a_later_undecodable_line_in_its_block(self, tmp_path):
+        mistyped = json.dumps(_broken(id="P2", year="2005"))
+        with pytest.raises(ValidationError, match="publications.jsonl line 2: field 'year': expected int, got str$"):
+            self._load(tmp_path, [self.VALID, mistyped, "{not json"])
+
     def test_blank_lines_keep_the_line_numbers(self, tmp_path):
         with pytest.raises(ValidationError, match="publications.jsonl line 4: year 2009 outside"):
             self._load(tmp_path, [self.VALID, "", "  ", self.RULE_BROKEN])
@@ -531,6 +536,119 @@ class TestBlockBoundary:
         error = self._error(tmp_path, lines)
         assert error.endswith("publications.jsonl line 2: year 2009 outside the observation window 2004-2008")
         assert message_start not in error
+
+
+# The type layer of a publication line, as the fuzz below expects the loader to read it: each field's JSON type,
+# then each author slot key's; a slot's researcher_id is a string or null, or absent.
+LINE_KINDS = {"id": str, "year": int, "type": str, "citations": int, "categories": list, "authors": list}
+SLOT_KINDS = {"position": int, "intramural": bool}
+JSON_VALUES = st.one_of(
+    st.text(max_size=3), st.integers(-(2**70), 2**70), st.floats(allow_nan=False), st.booleans(), st.none(),
+    st.lists(st.integers(0, 3), max_size=2), st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2),
+)
+NOT_AN_OBJECT = JSON_VALUES.filter(lambda value: not isinstance(value, dict))
+SLOTS = st.integers(0, len(VALID_PUBLICATION["authors"]) - 1)
+NEW_KEYS = st.text(max_size=3).filter(lambda key: key not in {*LINE_KINDS, *SLOT_KINDS, "researcher_id"})
+
+
+def _swapped(kind):
+    """A JSON value of another type than `kind`: bool for int, int for bool, float for int, or any other."""
+    swaps = {int: st.booleans() | st.floats(allow_nan=False), bool: st.integers(-2, 2)}.get(kind, st.nothing())
+    return swaps | JSON_VALUES.filter(lambda value: type(value) is not kind)
+
+
+# One change to a valid line, as (what, where..., value): a field or slot key mistyped, dropped or added, the
+# line or a slot not an object, or a category that is empty or no string.
+LINE_CHANGES = st.one_of(
+    *(st.tuples(st.just("set"), st.just(key), _swapped(kind)) for key, kind in LINE_KINDS.items()),
+    *(st.tuples(st.just("set_slot"), SLOTS, st.just(key), _swapped(kind)) for key, kind in SLOT_KINDS.items()),
+    st.tuples(
+        st.just("set_slot"), SLOTS, st.just("researcher_id"),
+        JSON_VALUES.filter(lambda value: value is not None and type(value) is not str),
+    ),
+    st.tuples(st.just("drop"), st.sampled_from(sorted(LINE_KINDS))),
+    st.tuples(st.just("drop_slot"), SLOTS, st.sampled_from([*SLOT_KINDS, "researcher_id"])),
+    st.tuples(st.just("add"), NEW_KEYS, JSON_VALUES),
+    st.tuples(st.just("add_slot"), SLOTS, NEW_KEYS, JSON_VALUES),
+    st.tuples(st.just("line"), NOT_AN_OBJECT),
+    st.tuples(st.just("slot"), SLOTS, NOT_AN_OBJECT),
+    st.tuples(st.just("category"), st.just("") | JSON_VALUES.filter(lambda value: type(value) is not str)),
+)
+
+
+def _type_message(key: str, kind, value) -> str:
+    if kind is int and type(value) is bool:
+        return f"field {key!r}: expected integer, got boolean"
+    return f"field {key!r}: expected {kind.__name__}, got {type(value).__name__}"
+
+
+def _changed_line(change: tuple, line_no: int) -> tuple[str, str | None]:
+    """Valid line `line_no` with `change` made, and the message the loader gives for it alone, or None when the
+    line stays valid."""
+    record = _broken(id=f"P{line_no}", authors=[dict(slot) for slot in VALID_PUBLICATION["authors"]])
+    message = None
+    match change:
+        case ("set", key, value):
+            record[key] = value
+            message = _type_message(key, LINE_KINDS[key], value)
+        case ("set_slot", slot, "researcher_id", value):
+            record["authors"][slot]["researcher_id"] = value
+            message = "field 'researcher_id': expected string or null"
+        case ("set_slot", slot, key, value):
+            record["authors"][slot][key] = value
+            message = _type_message(key, SLOT_KINDS[key], value)
+        case ("drop", key):
+            del record[key]
+            message = f"missing field {key!r}"
+        case ("drop_slot", slot, key):
+            del record["authors"][slot][key]
+            message = None if key == "researcher_id" else f"missing field {key!r}"
+        case ("add", key, value):
+            record[key] = value
+        case ("add_slot", slot, key, value):
+            record["authors"][slot][key] = value
+        case ("line", value):
+            record = value
+            message = "expected a JSON object"
+        case ("slot", slot, value):
+            record["authors"][slot] = value
+            message = "field 'authors': entries must be objects"
+        case ("category", value):
+            record["categories"] = ["C1", value]
+            message = "field 'categories': entries must be non-empty strings"
+    return json.dumps(record), message
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n_lines=st.integers(1, 3 * PUBLICATIONS_PER_BLOCK),
+    changes=st.dictionaries(st.integers(1, 3 * PUBLICATIONS_PER_BLOCK), LINE_CHANGES, max_size=3),
+)
+@example(n_lines=1, changes={1: ("set", "year", True)})
+@example(n_lines=PUBLICATIONS_PER_BLOCK, changes={PUBLICATIONS_PER_BLOCK: ("set_slot", 1, "intramural", 0)})
+@example(n_lines=PUBLICATIONS_PER_BLOCK + 1, changes={PUBLICATIONS_PER_BLOCK + 1: ("set", "citations", 4.0)})
+@example(n_lines=3, changes={1: ("add", "extra", 1), 3: ("line", [1, 2])})
+@example(n_lines=3 * PUBLICATIONS_PER_BLOCK, changes={130: ("slot", 0, "R2"), 192: ("set", "id", 7)})
+@example(n_lines=70, changes={70: ("category", "")})
+@example(n_lines=5, changes={3: ("drop_slot", 0, "researcher_id"), 4: ("set_slot", 0, "researcher_id", 7)})
+@example(n_lines=66, changes={66: ("drop", "authors")})
+@example(n_lines=PUBLICATIONS_PER_BLOCK, changes={9: ("add_slot", 1, "extra", None)})
+def test_first_mistyped_line_is_named_with_its_own_message(tmp_path_factory, n_lines, changes):
+    """Valid lines with up to three changed anywhere in up to three blocks: the loader names the first line
+    that a change made bad, with the message that line gives alone, and loads every line when none is bad."""
+    lines = [json.dumps(_broken(id=f"P{k}")) for k in range(1, max([n_lines, *changes]) + 1)]
+    messages = {}
+    for line_no, change in changes.items():
+        lines[line_no - 1], messages[line_no] = _changed_line(change, line_no)
+    bad = sorted(line_no for line_no, message in messages.items() if message)
+    paths = write_files(tmp_path_factory.mktemp("mistyped"))
+    paths[0].write_text("\n".join(lines) + "\n")
+    if not bad:
+        assert len(load_corpus(*paths).publications) == len(lines)
+        return
+    with pytest.raises(ValidationError) as caught:
+        load_corpus(*paths)
+    assert str(caught.value) == f"{paths[0]} line {bad[0]}: {messages[bad[0]]}"
 
 
 @st.composite

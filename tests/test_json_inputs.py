@@ -165,3 +165,16 @@ def test_changed_config_key_is_rejected_or_runs_the_same(config_run, change):
 def test_changed_profile_field_is_rejected_or_generates_the_same(profile_run, change):
     argv, data, expected = profile_run
     check_change(argv, "profile.json", data, *change, expected)
+
+
+@pytest.mark.parametrize("command", ["gen", "calibrate", "report-all"])
+@pytest.mark.parametrize(
+    "top", [[1, 2], "abc", 7, None, [["seed", 5], ["n_universities", 2]], []],
+    ids=["list", "string", "number", "null", "pairs", "empty-list"],
+)
+def test_profile_that_is_not_an_object_is_rejected(tmp_path, command, top):
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(top))
+    out = tmp_path / "out"
+    assert _run([command, "--profile", str(path), "--out", str(out)]) == (1, f"error: {path}: expected a JSON object\n")
+    assert not out.exists()
