@@ -1,12 +1,13 @@
-"""Golden outputs: pinned SHA-256 digests and manifest echoes of twelve CLI runs.
+"""Golden outputs: pinned SHA-256 digests and manifest echoes of thirteen CLI runs.
 
 The runs use criterion 11's 12-university profile (seed 41): `report-all`
 and `gen` generate the corpus from it, `calibrate` tunes it (it converges),
 `calibrate --tolerance 0` cannot converge (so it exits 1 and still writes a
 best-effort profile and a manifest), and `indicators` (with equal and with positional
 credit), `rank`, `counterfactual` (at UDA level; at SDS level with pooled
-national averages, which no SDS unit reads; and at UDA level with pooled
-national averages refitted after a 25% removal), `fund` and `report-all --corpus` (with
+national averages, which no SDS unit reads; at UDA level with pooled
+national averages refitted after a 25% removal; and for one SDS in three
+classes, with its scatter and its asymmetric transition matrix), `fund` and `report-all --corpus` (with
 positional credit, as the benchmark's corpus workload runs it) read the
 corpus `report-all` wrote. A refactor must reproduce every non-manifest byte and every
 manifest's `command`, `config` and `inputs`; a change that alters them on
@@ -34,6 +35,9 @@ GOLDEN_DIGESTS = {
     "counterfactual/scatter.svg": "643af35ab695cc881fb3244a73c25fc2c059a1741a7e3eefe8f0345ca9fe854e",
     "counterfactual/transition.csv": "7e3a6cc6699578227a064ba95a4680709ad4d6d9f921b5c3273fec9d20ed7e29",
     "counterfactual-sds-pooled/cf.csv": "79b19c20eee2b4a92de55fab81a513002d997d1f935f86a2e99cf3e695c38ee4",
+    "counterfactual-sds-k3/cf.csv": "f43271806d5fd78a2893cb3546388b0a475961750f5a2c47ca3c4dc4fd40189d",
+    "counterfactual-sds-k3/scatter.svg": "65e680e65e515462d134ecfc09e455246edfdb73a77dbad6f8c650a250138453",
+    "counterfactual-sds-k3/transition.csv": "ba810a2c11097959a364fcb0f12bede46726055f2cd26d3801d4905767eedabd",
     "counterfactual-uda-pooled/cf.csv": "1a04e6776c67fde4f872bdd51f75ae870381417fbe310977e40da3e37f1bc455",
     "fund/alloc.csv": "4ec0167cd01c219ae0c0f1e96c5308e8abad14d03fd108c60a8b442c8f804864",
     "fund/census.csv": "43bad6aa03cbe02846c7602d8b845fa715157e87ecd1fe5f120a70b10b7a3d1c",
@@ -135,6 +139,25 @@ GOLDEN_CONFIGS = {
         "share": 0.25,
         "svg": None,
         "transition": None,
+        "window": [2004, 2008],
+    },
+    "counterfactual-sds-k3/cf.manifest.json": {
+        "classes": 3,
+        "corpus": "TMP/report-all/corpus",
+        "credit": "equal",
+        "extramural_discount": 1.0,
+        "field": "A-02",
+        "first_w": 2.0,
+        "last_w": 2.0,
+        "level": "sds",
+        "middle_w": 1.0,
+        "min_staff": 5,
+        "out": "TMP/counterfactual-sds-k3/cf.csv",
+        "pstar": "mean-of-units",
+        "refit_pstar": False,
+        "share": 0.2,
+        "svg": "TMP/counterfactual-sds-k3/scatter.svg",
+        "transition": "TMP/counterfactual-sds-k3/transition.csv",
         "window": [2004, 2008],
     },
     "counterfactual-uda-pooled/cf.manifest.json": {
@@ -268,6 +291,7 @@ GOLDEN_MANIFEST_SOURCES = {
     "calibrate-tolerance-0/profile.manifest.json": {"command": "calibrate", "inputs": PROFILE_INPUT},
     "counterfactual/cf.manifest.json": {"command": "counterfactual", "inputs": CORPUS_INPUTS},
     "counterfactual-sds-pooled/cf.manifest.json": {"command": "counterfactual", "inputs": CORPUS_INPUTS},
+    "counterfactual-sds-k3/cf.manifest.json": {"command": "counterfactual", "inputs": CORPUS_INPUTS},
     "counterfactual-uda-pooled/cf.manifest.json": {"command": "counterfactual", "inputs": CORPUS_INPUTS},
     "fund/alloc.manifest.json": {"command": "fund", "inputs": CORPUS_INPUTS},
     "gen/manifest.json": {"command": "gen", "inputs": PROFILE_INPUT},
@@ -306,6 +330,12 @@ def _runs(tmp):
             "--share", "0.25", "--out", str(tmp / "counterfactual-sds-pooled" / "cf.csv"),
         ],
         [
+            "counterfactual", "--corpus", corpus, "--level", "sds", "--classes", "3", "--field", "A-02",
+            "--out", str(tmp / "counterfactual-sds-k3" / "cf.csv"),
+            "--svg", str(tmp / "counterfactual-sds-k3" / "scatter.svg"),
+            "--transition", str(tmp / "counterfactual-sds-k3" / "transition.csv"),
+        ],
+        [
             "counterfactual", "--corpus", corpus, "--level", "uda", "--pstar", "pooled", "--refit-pstar",
             "--share", "0.25", "--out", str(tmp / "counterfactual-uda-pooled" / "cf.csv"),
         ],
@@ -329,7 +359,7 @@ def _runs(tmp):
 
 
 def run_golden(tmp):
-    """Run the twelve commands under `tmp`.
+    """Run the thirteen commands under `tmp`.
 
     Returns (digests, manifest configs, manifest commands and inputs), each
     keyed by path relative to `tmp`.
