@@ -52,6 +52,7 @@ from .aggregation import (
     level_unit_scores,
     national_averages,
     rank_units,
+    ranking_order,
     sds_unit_scores,
     uda_unit_scores,
 )
@@ -71,12 +72,10 @@ from .scenario import (
     CounterfactualReport,
     ScatterData,
     TopSelection,
-    UnitShift,
     counterfactual_rankings,
     least_squares_line,
     select_top,
     shift_gini_scatter,
-    transition_matrix,
 )
 from .funding import (
     Finding,

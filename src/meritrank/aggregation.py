@@ -4,7 +4,8 @@ The UDA composite normalizes each SDS unit score by the national average for
 that SDS and weights it by the unit's share of the university's area staff,
 so fields with different citation fertility and different sizes compare
 fairly inside one area score. Both kinds of unit are rows of a `Units`
-table, and `level_unit_scores` picks the kind that a ranking level ranks.
+table, `level_unit_scores` picks the kind that a ranking level ranks, and
+`ranking_order` is the one ranking rule.
 """
 
 from __future__ import annotations
@@ -136,16 +137,22 @@ def level_field(sds: str, level: str, taxonomy: Taxonomy) -> str:
     return sds if level == LEVEL_SDS else taxonomy.uda_of(sds)
 
 
-def rank_units(units: Units, min_staff: int = DEFAULT_MIN_STAFF) -> dict[str, list[RankedUnit]]:
-    """Rankings per field code, in field-code order, restricted to the minimum-staff roster.
+def ranking_order(units: Units, min_staff: int = DEFAULT_MIN_STAFF) -> np.ndarray:
+    """The rows of `units` on the minimum-staff roster, in ranking order: by field code, then
+    score descending, staff descending and university name.
 
     A unit qualifies when its largest SDS meets the staff minimum: an SDS
     unit on its own staff, a university's UDA composite when at least one
-    of its SDS units in the area does. Each ranking orders its units by
-    score descending, then staff descending, then university name.
+    of its SDS units in the area does. Each field's units form one span of
+    the order, best first.
     """
     order = np.lexsort((units.university, -units.staff, -units.score, units.field))
-    order = order[units.max_sds_staff[order] >= min_staff]
+    return order[units.max_sds_staff[order] >= min_staff]
+
+
+def rank_units(units: Units, min_staff: int = DEFAULT_MIN_STAFF) -> dict[str, list[RankedUnit]]:
+    """Rankings per field code, in field-code order, of the units in `ranking_order`."""
+    order = ranking_order(units, min_staff)
     columns = (units.field, units.university, units.score, units.staff)
     rankings: dict[str, list[RankedUnit]] = {}
     for field, university, score, staff in zip(*(column[order].tolist() for column in columns)):

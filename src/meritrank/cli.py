@@ -11,7 +11,6 @@ flag, parsed as the flag parses it; explicit flags win.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import math
 import sys
@@ -32,7 +31,7 @@ from .aggregation import (
     rank_units,
     sds_unit_scores,
 )
-from .corpus import DEFAULT_WINDOW, load_corpus, open_input
+from .corpus import DEFAULT_WINDOW, load_corpus, load_json_object
 from .errors import AllocationError, MeritrankError, UndefinedStatisticError, ValidationError
 from .funding import FundingPolicy, allocate, national_top_census, paradox_report
 from .indicators import group_rows, measured_shares, productivity_stats, score_corpus
@@ -44,10 +43,9 @@ from .scenario import (
     SCOPE_UNIT,
     counterfactual_rankings,
     select_top,
-    share_problem,
     shift_gini_scatter,
 )
-from .stats import bottom_top_ratio, class_count_problem
+from .stats import bottom_top_ratio
 from . import reports
 from .synth import (
     DEFAULT_TOLERANCE,
@@ -106,15 +104,12 @@ def _ranged(option: str, kind, admits, requirement: str):
     return parse
 
 
-def _load_config_file(path) -> dict:
-    with open_input(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"config file {path}: invalid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise ValidationError(f"config file {path}: expected a JSON object")
-    return data
+# NaN fails the comparison, so it is rejected too.
+_SHARE = _ranged("--share", float, lambda share: 0 <= share <= 1, "selection share must be in [0, 1]")
+
+
+def _class_count(option: str):
+    return _ranged(option, int, lambda k: k >= 1, "need at least one quantile class")
 
 
 def _required(cfg: dict, key: str, flag: str):
@@ -255,9 +250,6 @@ def cmd_counterfactual(cfg: dict) -> int:
         raise ValidationError("--transition needs --field to pick one matrix")
     if cfg["refit_pstar"] and level != LEVEL_UDA:
         raise ValidationError("--refit-pstar applies only at --level uda, the one level that reads national averages")
-    problem = share_problem(cfg["share"]) or class_count_problem(cfg["classes"])
-    if problem:
-        raise ValidationError(problem)
     scored = score_corpus(_load(cfg), _credit_scheme(cfg))
     selection = select_top(scored.scores, SCOPE_UNIT, cfg["share"], cfg["min_staff"])
     cf = _counterfactual(cfg, scored, sds_unit_scores(scored.scores), selection, level, cfg["classes"])
@@ -283,9 +275,6 @@ def cmd_fund(cfg: dict) -> int:
     uda = _required(cfg, "uda", "--uda")
     out = _required(cfg, "out", "--out")
     policy = _funding_policy(cfg)
-    problem = share_problem(cfg["share"])
-    if problem:
-        raise ValidationError(problem)
     scored = score_corpus(_load(cfg), _credit_scheme(cfg))
     rankings = _ranked_units(sds_unit_scores(scored.scores), LEVEL_UDA, cfg, scored.taxonomy)
     if uda not in rankings:
@@ -314,9 +303,6 @@ def cmd_report_all(cfg: dict) -> int:
         raise ValidationError("--corpus cannot be combined with --profile or --seed, which generate a corpus")
     if not cfg["corpus"] and cfg["window"] is not None:
         raise ValidationError("--window needs --corpus: a generated corpus spans its profile's window")
-    problem = share_problem(cfg["share"]) or class_count_problem(cfg["transition_classes"])
-    if problem:
-        raise ValidationError(problem)
     if cfg["corpus"]:
         corpus = _load(cfg)
     else:
@@ -361,7 +347,7 @@ def cmd_report_all(cfg: dict) -> int:
     for report in cf_uda.values():
         if report.transition is not None:
             reports.write_transition_csv(out_dir / f"transition_{report.field}.csv", report)
-        if len(report.units) >= 5:
+        if len(report.universities) >= 5:
             reports.write_scatter_svg(
                 out_dir / f"scatter_{report.field}.svg", shift_gini_scatter(report), title=report.field
             )
@@ -516,9 +502,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     _add_ranking_options(p)
     p.add_argument("--level", choices=[LEVEL_SDS, LEVEL_UDA])
     p.add_argument("--field", metavar="CODE")
-    p.add_argument("--share", type=float, default=DEFAULT_SHARE,
+    p.add_argument("--share", type=_SHARE, default=DEFAULT_SHARE,
                    help="top share removed per unit (default %(default)s)")
-    p.add_argument("--classes", type=int, default=DEFAULT_TRANSITION_CLASSES,
+    p.add_argument("--classes", type=_class_count("--classes"), default=DEFAULT_TRANSITION_CLASSES,
                    help="quantile classes for the transition matrix (default %(default)s)")
     p.add_argument("--refit-pstar", dest="refit_pstar", action="store_true", default=False,
                    help="recompute national averages in the hypothetical scenario (sensitivity analysis)")
@@ -535,7 +521,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--budget", type=_fraction("--budget"), default=FundingPolicy.budget,
                    help="budget for the area, exact rational (default %(default)s)")
     _add_funding_options(p)
-    p.add_argument("--share", type=float, default=DEFAULT_SHARE,
+    p.add_argument("--share", type=_SHARE, default=DEFAULT_SHARE,
                    help="national top share per SDS (default %(default)s)")
     p.add_argument("--out", metavar="FILE", help="allocation CSV path")
     p.add_argument("--census", metavar="FILE", help="top-scientist census CSV path")
@@ -555,9 +541,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--global-budget", dest="global_budget", type=_fraction("--global-budget"),
                    help="single budget split across areas proportionally to ranked staff")
     _add_funding_options(p)
-    p.add_argument("--share", type=float, default=DEFAULT_SHARE,
+    p.add_argument("--share", type=_SHARE, default=DEFAULT_SHARE,
                    help="top share per unit and nationally per SDS (default %(default)s)")
-    p.add_argument("--transition-classes", dest="transition_classes", type=int, default=DEFAULT_TRANSITION_CLASSES,
+    p.add_argument("--transition-classes", dest="transition_classes", type=_class_count("--transition-classes"),
+                   default=DEFAULT_TRANSITION_CLASSES,
                    help="quantile classes for the transition matrices (default %(default)s)")
     _add_common(p)
     p.set_defaults(handler=cmd_report_all)
@@ -600,7 +587,7 @@ def _parse(parser, commands, argv) -> argparse.Namespace:
     """Parse argv; a --config file's values become the subcommand's defaults, so flags win."""
     args = parser.parse_args(argv)
     if getattr(args, "config", None):
-        config = _load_config_file(args.config)
+        config = load_json_object(args.config, "config file")
         unknown = set(config) - (set(vars(args)) - set(_DISPATCH_KEYS))
         if unknown:
             raise ValidationError(f"config file {args.config}: unknown keys {sorted(unknown)}")

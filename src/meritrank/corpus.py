@@ -533,6 +533,19 @@ def open_input(path):
         raise ValidationError(f"{path}: not UTF-8 text: {exc}") from None
 
 
+def load_json_object(path, role: str) -> dict:
+    """The JSON object that the file at `path` holds; any other content is a ValidationError
+    naming `role` and the path."""
+    with open_input(path) as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{role} {path}: invalid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValidationError(f"{role} {path}: expected a JSON object")
+    return data
+
+
 _decode_json = json.JSONDecoder().raw_decode
 
 

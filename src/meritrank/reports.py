@@ -105,16 +105,15 @@ def write_counterfactual_csv(path, reports: Iterable[CounterfactualReport], with
     header = (["field"] if with_field else []) + COUNTERFACTUAL_COLUMNS
     rows = (
         ([report.field] if with_field else [])
-        + [
-            unit.university_id,
-            unit.observed_rank,
-            unit.hypothetical_rank,
-            unit.sign,
-            abs(unit.delta),
-            unit.gini_observed,
-        ]
+        + [university, observed, hypothetical, "+" if delta > 0 else "-" if delta < 0 else "=", abs(delta), gini]
         for report in reports
-        for unit in report.units
+        for university, observed, hypothetical, delta, gini in zip(
+            report.universities,
+            report.observed_rank.tolist(),
+            report.hypothetical_rank.tolist(),
+            report.delta.tolist(),
+            report.gini.tolist(),
+        )
     )
     csv_file(path, header, rows)
 
@@ -129,7 +128,7 @@ def write_counterfactual_summary_csv(path, reports: Iterable[CounterfactualRepor
         "p_shift_gini",
     ]
     rows = (
-        [r.field, len(r.units), *_rho_p(r.spearman_obs_hyp), *_rho_p(r.spearman_shift_gini)]
+        [r.field, len(r.universities), *_rho_p(r.spearman_obs_hyp), *_rho_p(r.spearman_shift_gini)]
         for r in reports
     )
     csv_file(path, header, rows)

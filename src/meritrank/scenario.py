@@ -21,12 +21,12 @@ from .aggregation import (
     level_field,
     level_unit_scores,
     national_averages,
-    rank_units,
+    ranking_order,
     sds_unit_scores,
 )
 from .corpus import Taxonomy, name_codes
 from .errors import UndefinedStatisticError, ValidationError
-from .indicators import ScoreTable, group_rows
+from .indicators import ScoreTable
 from .stats import SpearmanResult, classify_quantiles, gini, spearman, top_count
 
 SCOPE_UNIT = "unit"
@@ -45,13 +45,6 @@ class TopSelection:
     selected: np.ndarray
 
 
-def share_problem(share: float) -> str | None:
-    """What keeps `share` from being a top share in [0, 1], or None; NaN is rejected too."""
-    if not 0 <= share <= 1:
-        return f"selection share must be in [0, 1], got {share}"
-    return None
-
-
 def select_top(
     scores: ScoreTable,
     scope: str = SCOPE_UNIT,
@@ -63,9 +56,8 @@ def select_top(
     Groups below the staff minimum are skipped. Ties on SS break by
     researcher id so the selection is deterministic.
     """
-    problem = share_problem(share)
-    if problem:
-        raise ValidationError(problem)
+    if not 0 <= share <= 1:  # NaN fails the comparison too
+        raise ValidationError(f"selection share must be in [0, 1], got {share}")
     if scope == SCOPE_UNIT:
         groups = scores.unit_codes()
     elif scope == SCOPE_NATIONAL:
@@ -82,44 +74,30 @@ def select_top(
     return TopSelection(scope, selected)
 
 
-@dataclass(frozen=True)
-class UnitShift:
-    university_id: str
-    observed_rank: int
-    hypothetical_rank: int
-    delta: int
-    gini_observed: float
-
-    @property
-    def sign(self) -> str:
-        return "+" if self.delta > 0 else "-" if self.delta < 0 else "="
-
-
 @dataclass
 class CounterfactualReport:
+    """One field's rank shifts as columns, one entry per ranked unit in observed order:
+    the unit's university, its rank in either scenario and the Gini of its researchers' SS."""
+
     field: str
-    units: list[UnitShift]
+    universities: tuple[str, ...]
+    observed_rank: np.ndarray
+    hypothetical_rank: np.ndarray
+    gini: np.ndarray
     spearman_obs_hyp: SpearmanResult | None
     spearman_shift_gini: SpearmanResult | None
     transition: list[list[int]] | None
+
+    @property
+    def delta(self) -> np.ndarray:
+        """Observed minus hypothetical rank: positive for a unit that the removal promotes."""
+        return self.observed_rank - self.hypothetical_rank
 
 
 def _unit_gini(values: Sequence[float]) -> float:
     if len(values) < 2:
         return 0.0
     return gini(values)
-
-
-def _unit_values(scores: ScoreTable, level: str, taxonomy: Taxonomy) -> dict[tuple[str, str], np.ndarray]:
-    """Each (university, field at `level`) unit's SS, in row order: `gini` sums its input unsorted."""
-    fields, field_of_sds = name_codes([level_field(sds, level, taxonomy) for sds in scores.sds_names])
-    codes = scores.university * len(fields) + field_of_sds[scores.sds]
-    rows = group_rows(codes, len(scores.universities) * len(fields))
-    return {
-        (university, field_code): scores.ss[rows[u * len(fields) + f]]
-        for u, university in enumerate(scores.universities)
-        for f, field_code in enumerate(fields)
-    }
 
 
 def _safe_spearman(x: Sequence[float], y: Sequence[float]) -> SpearmanResult | None:
@@ -142,9 +120,11 @@ def counterfactual_rankings(
 ) -> dict[str, CounterfactualReport]:
     """Observed vs top-scientists-removed rankings for every field at a level.
 
-    `units` is `sds_unit_scores(scores)`. The observed and the hypothetical
-    ranking are built by the same calls, on the same units: the hypothetical
-    units keep their observed roster, and a unit that loses all staff scores 0.
+    `units` is `sds_unit_scores(scores)`. Both scenarios are ranked by
+    `ranking_order` over units built by the same calls: the hypothetical
+    units are the observed units' rows, on the same roster, and a unit that
+    loses all staff scores 0. So each field spans the same positions of both
+    orders, and a unit's rank is its place in its field's span.
     Baselines and national averages are frozen at observed values unless
     refit_pstar is set. Only the UDA composites read national averages, so
     they are computed at the UDA level alone, and at the SDS level
@@ -158,53 +138,48 @@ def counterfactual_rankings(
     if level == LEVEL_UDA:
         p_stars = national_averages(units, pstar_mode)
         hyp_pstars = national_averages(hyp_units, pstar_mode) if refit_pstar else p_stars
-    observed_rankings = rank_units(level_unit_scores(units, level, p_stars, taxonomy), min_staff)
-    hyp_rankings = rank_units(level_unit_scores(hyp_units, level, hyp_pstars, taxonomy), min_staff)
-    unit_values = _unit_values(scores, level, taxonomy)
+    observed = level_unit_scores(units, level, p_stars, taxonomy)
+    order = ranking_order(observed, min_staff)
+    if len(order) == 0:
+        return {}
+    hyp_order = ranking_order(level_unit_scores(hyp_units, level, hyp_pstars, taxonomy), min_staff)
+    field = observed.field[order]
+    starts = np.flatnonzero(np.r_[True, field[1:] != field[:-1]])
+    stops = np.r_[starts[1:], len(order)]
+    observed_rank = np.arange(len(order)) - np.repeat(starts, stops - starts) + 1
+    rank_of_row = np.empty(len(observed.field), dtype=np.int64)
+    rank_of_row[hyp_order] = observed_rank
+    hypothetical_rank = rank_of_row[order]
+
+    # Each ranked unit's researchers, in row order: `gini` sums its input unsorted.
+    fields, field_of_sds = name_codes([level_field(sds, level, taxonomy) for sds in scores.sds_names])
+    codes = scores.university * len(fields) + field_of_sds[scores.sds]
+    by_code = np.argsort(codes, kind="stable")
+    bounds = np.r_[0, np.cumsum(np.bincount(codes, minlength=len(scores.universities) * len(fields)))]
+    unit_codes = (observed.university[order] * len(fields) + field).tolist()
+    ginis = np.array([_unit_gini(scores.ss[by_code[bounds[c] : bounds[c + 1]]]) for c in unit_codes])
 
     reports: dict[str, CounterfactualReport] = {}
-    for field_code, observed_ranking in observed_rankings.items():
-        hyp_rank = {u.university_id: u.rank for u in hyp_rankings[field_code]}
-        shifts = [
-            UnitShift(
-                university_id=u.university_id,
-                observed_rank=u.rank,
-                hypothetical_rank=hyp_rank[u.university_id],
-                delta=u.rank - hyp_rank[u.university_id],
-                gini_observed=_unit_gini(unit_values.get((u.university_id, field_code), ())),
-            )
-            for u in observed_ranking
-        ]
-        observed = [s.observed_rank for s in shifts]
-        hypothetical = [s.hypothetical_rank for s in shifts]
-
+    for start, stop in zip(starts.tolist(), stops.tolist()):
+        span = slice(start, stop)
         transition = None
-        if len(shifts) >= k_classes:
+        if stop - start >= k_classes:
             # Both rankings order this one roster, so rank r falls in class classes[r - 1] in either.
-            classes = classify_quantiles(shifts, k_classes)
-            transition = transition_matrix(
-                [classes[r - 1] for r in observed], [classes[r - 1] for r in hypothetical], k_classes
-            )
-
+            classes = np.array(classify_quantiles(observed_rank[span], k_classes))
+            cells = classes[observed_rank[span] - 1] * k_classes + classes[hypothetical_rank[span] - 1]
+            transition = np.bincount(cells, minlength=k_classes * k_classes).reshape(k_classes, -1).tolist()
+        field_code = observed.fields[field[start]]
         reports[field_code] = CounterfactualReport(
             field=field_code,
-            units=shifts,
-            spearman_obs_hyp=_safe_spearman(observed, hypothetical),
-            spearman_shift_gini=_safe_spearman([s.delta for s in shifts], [s.gini_observed for s in shifts]),
+            universities=tuple(observed.universities[u] for u in observed.university[order[span]].tolist()),
+            observed_rank=observed_rank[span],
+            hypothetical_rank=hypothetical_rank[span],
+            gini=ginis[span],
+            spearman_obs_hyp=_safe_spearman(observed_rank[span], hypothetical_rank[span]),
+            spearman_shift_gini=_safe_spearman(observed_rank[span] - hypothetical_rank[span], ginis[span]),
             transition=transition,
         )
     return reports
-
-
-def transition_matrix(observed: Sequence[int], hypothetical: Sequence[int], k: int) -> list[list[int]]:
-    """Counts of units moving from observed class i to hypothetical class j.
-
-    `observed` and `hypothetical` hold each unit's class, unit by unit in the same order.
-    """
-    matrix = [[0] * k for _ in range(k)]
-    for observed_class, hypothetical_class in zip(observed, hypothetical, strict=True):
-        matrix[observed_class][hypothetical_class] += 1
-    return matrix
 
 
 @dataclass(frozen=True)
@@ -230,11 +205,11 @@ def least_squares_line(xs: Sequence[float], ys: Sequence[float]) -> tuple[float,
 
 def shift_gini_scatter(report: CounterfactualReport) -> ScatterData:
     """Per-unit (rank shift, observed Gini) points plus the fitted trend line."""
-    if len(report.units) < 5:
+    if len(report.universities) < 5:
         raise UndefinedStatisticError(
-            f"scatter needs at least 5 units, field {report.field!r} has {len(report.units)}"
+            f"scatter needs at least 5 units, field {report.field!r} has {len(report.universities)}"
         )
-    xs = [float(u.delta) for u in report.units]
-    ys = [u.gini_observed for u in report.units]
+    xs = report.delta.astype(float).tolist()
+    ys = report.gini.tolist()
     slope, intercept = least_squares_line(xs, ys)
     return ScatterData(tuple(zip(xs, ys)), slope, intercept)

@@ -209,22 +209,14 @@ def top20_impact_share(values: Sequence[float]) -> float:
     return ordered_sum(ranked[: top_count(0.2, len(ranked))]) / total
 
 
-def class_count_problem(k: int) -> str | None:
-    """What keeps `k` from being a number of quantile classes, or None."""
-    if k < 1:
-        return f"need at least one quantile class, got {k}"
-    return None
-
-
 def quantile_class_sizes(n: int, k: int) -> list[int]:
     """Class sizes differing by at most one, remainder going to the extremes first.
 
     The r = n mod k extra units are assigned one at a time alternating from
     the outside inward: first class, last class, second class, second-to-last...
     """
-    problem = class_count_problem(k)
-    if problem:
-        raise ValidationError(problem)
+    if k < 1:
+        raise ValidationError(f"need at least one quantile class, got {k}")
     if n < k:
         raise UndefinedStatisticError(f"cannot split {n} units into {k} classes")
     base, extra = divmod(n, k)

@@ -30,7 +30,7 @@ from .corpus import (
     Publications,
     Researchers,
     Taxonomy,
-    open_input,
+    load_json_object,
     row_offsets,
     uda_code_problem,
     window_problem,
@@ -197,6 +197,8 @@ class GeneratorProfile:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "GeneratorProfile":
+        if not isinstance(data, Mapping):
+            raise ValidationError(f"profile: expected a mapping of fields, got {type(data).__name__}")
         data = dict(data)
         n_sds = data.pop("n_sds", None)
         known = set(cls.__dataclass_fields__)
@@ -219,14 +221,7 @@ class GeneratorProfile:
 
     @classmethod
     def from_json(cls, path) -> "GeneratorProfile":
-        with open_input(path) as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path}: invalid profile JSON: {exc}") from None
-        if not isinstance(data, dict):
-            raise ValidationError(f"{path}: expected a JSON object")
-        return cls.from_dict(data)
+        return cls.from_dict(load_json_object(path, "profile"))
 
 
 def build_taxonomy(profile: GeneratorProfile) -> Taxonomy:

@@ -1,9 +1,10 @@
 """Per-record reference implementations that tests compare the columnar package code with.
 
 The package computes these in columns (`normalization.standardized_citations`,
-`normalization.slot_credit_shares`, and the `aggregation` functions over
-`Units`). These record-by-record versions are the plain reference; no run
-executes them.
+`normalization.slot_credit_shares`, the `aggregation` functions over
+`Units`, and `scenario.counterfactual_rankings` over two ranking orders).
+These record-by-record versions are the plain reference; no run executes
+them.
 """
 
 from __future__ import annotations
@@ -14,12 +15,23 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from meritrank.aggregation import DEFAULT_MIN_STAFF, PSTAR_MEAN_OF_UNITS, PSTAR_POOLED, RankedUnit
-from meritrank.corpus import Publication, Taxonomy
-from meritrank.errors import ValidationError
-from meritrank.indicators import ScoreTable
+from meritrank import aggregation
+from meritrank.aggregation import (
+    DEFAULT_MIN_STAFF,
+    LEVEL_UDA,
+    PSTAR_MEAN_OF_UNITS,
+    PSTAR_POOLED,
+    RankedUnit,
+    Units,
+    level_field,
+    level_unit_scores,
+)
+from meritrank.corpus import Publication, Taxonomy, name_codes
+from meritrank.errors import UndefinedStatisticError, ValidationError
+from meritrank.indicators import ScoreTable, group_rows
 from meritrank.normalization import EQUAL_FRACTIONAL, Baselines, CreditScheme
-from meritrank.stats import ordered_sum
+from meritrank.scenario import DEFAULT_TRANSITION_CLASSES, SCOPE_UNIT, TopSelection
+from meritrank.stats import SpearmanResult, classify_quantiles, gini, ordered_sum, spearman
 
 
 def standardize(pub: Publication, baselines: Baselines) -> float:
@@ -169,3 +181,121 @@ def rank_units(
         if unit.max_sds_staff >= min_staff:
             by_field[unit.field].append((unit.university_id, unit.score, unit.staff))
     return {field_code: order_units(entries) for field_code, entries in by_field.items()}
+
+
+@dataclass(frozen=True)
+class UnitShift:
+    university_id: str
+    observed_rank: int
+    hypothetical_rank: int
+    delta: int
+    gini_observed: float
+
+    @property
+    def sign(self) -> str:
+        return "+" if self.delta > 0 else "-" if self.delta < 0 else "="
+
+
+@dataclass
+class RecordReport:
+    """A field's counterfactual as one `UnitShift` record per ranked unit, in observed order."""
+
+    field: str
+    units: list[UnitShift]
+    spearman_obs_hyp: SpearmanResult | None
+    spearman_shift_gini: SpearmanResult | None
+    transition: list[list[int]] | None
+
+
+def _unit_gini(values: Sequence[float]) -> float:
+    if len(values) < 2:
+        return 0.0
+    return gini(values)
+
+
+def _unit_values(scores: ScoreTable, level: str, taxonomy: Taxonomy) -> dict[tuple[str, str], np.ndarray]:
+    """Each (university, field at `level`) unit's SS, in row order: `gini` sums its input unsorted."""
+    fields, field_of_sds = name_codes([level_field(sds, level, taxonomy) for sds in scores.sds_names])
+    codes = scores.university * len(fields) + field_of_sds[scores.sds]
+    rows = group_rows(codes, len(scores.universities) * len(fields))
+    return {
+        (university, field_code): scores.ss[rows[u * len(fields) + f]]
+        for u, university in enumerate(scores.universities)
+        for f, field_code in enumerate(fields)
+    }
+
+
+def _safe_spearman(x: Sequence[float], y: Sequence[float]) -> SpearmanResult | None:
+    try:
+        return spearman(x, y)
+    except UndefinedStatisticError:
+        return None
+
+
+def counterfactual_rankings(
+    taxonomy: Taxonomy,
+    scores: ScoreTable,
+    units: Units,
+    selection: TopSelection,
+    level: str,
+    min_staff: int = DEFAULT_MIN_STAFF,
+    k_classes: int = DEFAULT_TRANSITION_CLASSES,
+    pstar_mode: str = PSTAR_MEAN_OF_UNITS,
+    refit_pstar: bool = False,
+) -> dict[str, RecordReport]:
+    """Observed vs top-scientists-removed rankings per field, joined unit by unit through a dict
+    of each hypothetical ranking, with a transition matrix counted pair by pair."""
+    if selection.scope != SCOPE_UNIT:
+        raise ValidationError("counterfactual rankings need a unit-scoped selection")
+    hyp_units = aggregation.sds_unit_scores(scores, ~selection.selected)
+    p_stars = hyp_pstars = {}
+    if level == LEVEL_UDA:
+        p_stars = aggregation.national_averages(units, pstar_mode)
+        hyp_pstars = aggregation.national_averages(hyp_units, pstar_mode) if refit_pstar else p_stars
+    observed_rankings = aggregation.rank_units(level_unit_scores(units, level, p_stars, taxonomy), min_staff)
+    hyp_rankings = aggregation.rank_units(level_unit_scores(hyp_units, level, hyp_pstars, taxonomy), min_staff)
+    unit_values = _unit_values(scores, level, taxonomy)
+
+    reports: dict[str, RecordReport] = {}
+    for field_code, observed_ranking in observed_rankings.items():
+        hyp_rank = {u.university_id: u.rank for u in hyp_rankings[field_code]}
+        shifts = [
+            UnitShift(
+                university_id=u.university_id,
+                observed_rank=u.rank,
+                hypothetical_rank=hyp_rank[u.university_id],
+                delta=u.rank - hyp_rank[u.university_id],
+                gini_observed=_unit_gini(unit_values.get((u.university_id, field_code), ())),
+            )
+            for u in observed_ranking
+        ]
+        observed = [s.observed_rank for s in shifts]
+        hypothetical = [s.hypothetical_rank for s in shifts]
+
+        transition = None
+        if len(shifts) >= k_classes:
+            # Both rankings order this one roster, so rank r falls in class classes[r - 1] in either.
+            classes = classify_quantiles(shifts, k_classes)
+            transition = transition_matrix(
+                [classes[r - 1] for r in observed], [classes[r - 1] for r in hypothetical], k_classes
+            )
+
+        reports[field_code] = RecordReport(
+            field=field_code,
+            units=shifts,
+            spearman_obs_hyp=_safe_spearman(observed, hypothetical),
+            spearman_shift_gini=_safe_spearman([s.delta for s in shifts], [s.gini_observed for s in shifts]),
+            transition=transition,
+        )
+    return reports
+
+
+def transition_matrix(observed: Sequence[int], hypothetical: Sequence[int], k: int) -> list[list[int]]:
+    """Counts of units moving from observed class i to hypothetical class j.
+
+    `observed` and `hypothetical` hold each unit's class, unit by unit in the same order.
+    """
+    matrix = [[0] * k for _ in range(k)]
+    for observed_class, hypothetical_class in zip(observed, hypothetical, strict=True):
+        matrix[observed_class][hypothetical_class] += 1
+    return matrix

@@ -185,7 +185,7 @@ class TestExitCodes:
             ["report-all", "--corpus", str(corpus_dir), "--transition-classes", "0", "--out", str(out)]
         )
         assert code == 1
-        assert "at least one quantile class" in capsys.readouterr().err
+        assert "error: need at least one quantile class, got --transition-classes '0'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flag, value", [("--first-w", "nan"), ("--middle-w", "nan"), ("--last-w", "inf")]
@@ -446,6 +446,28 @@ class TestConfigFile:
         assert f"config key {key!r} needs" in capsys.readouterr().err
         assert not out.exists()
 
+    SHARE_RANGE = "selection share must be in [0, 1]"
+    CLASS_COUNT = "need at least one quantile class"
+
+    @pytest.mark.parametrize(
+        "argv, config, requirement",
+        [
+            (["counterfactual", "--level", "uda"], {"share": 2}, f"--share accepts ({SHARE_RANGE})"),
+            (["fund", "--uda", "A"], {"share": "nan"}, f"--share accepts ({SHARE_RANGE})"),
+            (["counterfactual", "--level", "uda"], {"classes": 0}, f"--classes accepts ({CLASS_COUNT})"),
+            (["report-all"], {"transition_classes": 0}, f"--transition-classes accepts ({CLASS_COUNT})"),
+        ],
+        ids=["share-2", "share-nan", "classes-0", "transition-classes-0"],
+    )
+    def test_config_value_out_of_range_names_its_flag(self, corpus_dir, tmp_path, capsys, argv, config, requirement):
+        ((key, value),) = config.items()
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"corpus": str(corpus_dir), **config}))
+        out = tmp_path / "out"
+        assert dispatch(argv + ["--config", str(config_path), "--out", str(out)]) == 1
+        assert f"error: config key {key!r} needs a value {requirement}, got {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_values_match_flag_values(self, corpus_dir, tmp_path):
         config = {"corpus": str(corpus_dir), "window": [2004, 2008], "ratio": "5/2", "min_staff": "3",
                   "budget": 1000, "bottom_funded": True, "share": 0.25, "pstar": "pooled",
@@ -542,8 +564,8 @@ class TestCounterfactual:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (["--share", "2"], "selection share must be in [0, 1], got 2.0"),
-            (["--classes", "0"], "need at least one quantile class, got 0"),
+            (["--share", "2"], "selection share must be in [0, 1], got --share '2'"),
+            (["--classes", "0"], "need at least one quantile class, got --classes '0'"),
             (["--refit-pstar"], "--refit-pstar applies only at --level uda"),
         ],
         ids=["share-2", "classes-0", "refit-pstar-at-sds"],
@@ -622,7 +644,7 @@ class TestFund:
         out = tmp_path / "a.csv"
         argv = ["fund", "--uda", "A", "--corpus", str(tmp_path / "missing"), "--share", "2", "--out", str(out)]
         assert dispatch(argv) == 1
-        assert "error: selection share must be in [0, 1], got 2.0" in capsys.readouterr().err
+        assert "error: selection share must be in [0, 1], got --share '2'" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_unknown_uda(self, corpus_dir, tmp_path):
@@ -739,9 +761,9 @@ class TestReportAll:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (["--share", "2"], "selection share must be in [0, 1], got 2.0"),
-            (["--share", "nan"], "selection share must be in [0, 1], got nan"),
-            (["--transition-classes", "0"], "need at least one quantile class, got 0"),
+            (["--share", "2"], "selection share must be in [0, 1], got --share '2'"),
+            (["--share", "nan"], "selection share must be in [0, 1], got --share 'nan'"),
+            (["--transition-classes", "0"], "need at least one quantile class, got --transition-classes '0'"),
         ],
         ids=["share-2", "share-nan", "transition-classes-0"],
     )

@@ -176,5 +176,5 @@ def test_profile_that_is_not_an_object_is_rejected(tmp_path, command, top):
     path = tmp_path / "profile.json"
     path.write_text(json.dumps(top))
     out = tmp_path / "out"
-    assert _run([command, "--profile", str(path), "--out", str(out)]) == (1, f"error: {path}: expected a JSON object\n")
+    assert _run([command, "--profile", str(path), "--out", str(out)]) == (1, f"error: profile {path}: expected a JSON object\n")
     assert not out.exists()

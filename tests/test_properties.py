@@ -72,7 +72,8 @@ def test_share_zero_is_identity(roster, level, min_staff):
         corpus.taxonomy, scores, units, selection, level, min_staff=min_staff
     )
     for report in reports.values():
-        assert all(u.hypothetical_rank == u.observed_rank and u.delta == 0 for u in report.units)
+        assert report.hypothetical_rank.tolist() == report.observed_rank.tolist()
+        assert not report.delta.any()
 
 
 @SETTINGS
@@ -85,19 +86,19 @@ def test_hypothetical_ranks_permute_the_observed_ones(roster, level, share, min_
         corpus.taxonomy, scores, units, selection, level, min_staff=min_staff
     )
     for report in reports.values():
-        ranks = list(range(1, len(report.units) + 1))
-        assert sorted(u.observed_rank for u in report.units) == ranks
-        assert sorted(u.hypothetical_rank for u in report.units) == ranks
-        assert sum(u.delta for u in report.units) == 0
+        ranks = list(range(1, len(report.universities) + 1))
+        assert sorted(report.observed_rank.tolist()) == ranks
+        assert sorted(report.hypothetical_rank.tolist()) == ranks
+        assert report.delta.sum() == 0
 
 
-def _transition_from_class_maps(units, k):
+def _transition_from_class_maps(report, k):
     """The matrix built from two {university: class} maps, each over its own ranking."""
-    classes = classify_quantiles(units, k)
-    by_observed = sorted(units, key=lambda u: u.observed_rank)
-    by_hypothetical = sorted(units, key=lambda u: u.hypothetical_rank)
-    observed = {u.university_id: c for u, c in zip(by_observed, classes)}
-    hypothetical = {u.university_id: c for u, c in zip(by_hypothetical, classes)}
+    classes = classify_quantiles(report.universities, k)
+    by_observed = [u for _, u in sorted(zip(report.observed_rank.tolist(), report.universities))]
+    by_hypothetical = [u for _, u in sorted(zip(report.hypothetical_rank.tolist(), report.universities))]
+    observed = dict(zip(by_observed, classes))
+    hypothetical = dict(zip(by_hypothetical, classes))
     matrix = [[0] * k for _ in range(k)]
     for university, observed_class in observed.items():
         matrix[observed_class][hypothetical[university]] += 1
@@ -131,15 +132,15 @@ def test_transition_matrix_counts_each_units_rank_classes(roster, level, share, 
     )
     for report in reports.values():
         matrix = report.transition
-        if len(report.units) < k:
+        if len(report.universities) < k:
             assert matrix is None
             continue
-        sizes = quantile_class_sizes(len(report.units), k)
+        sizes = quantile_class_sizes(len(report.universities), k)
         assert [sum(row) for row in matrix] == sizes
         assert [sum(column) for column in zip(*matrix)] == sizes
         if share == 0:
             assert all(matrix[i][j] == 0 for i in range(k) for j in range(k) if i != j)
-        assert matrix == _transition_from_class_maps(report.units, k)
+        assert matrix == _transition_from_class_maps(report, k)
 
 
 @SETTINGS
@@ -166,7 +167,7 @@ def test_counterfactual_observed_side_is_the_observed_ranking(
     )
     assert set(reports) == set(rankings)
     for field, report in reports.items():
-        observed = [(u.university_id, u.observed_rank) for u in report.units]
+        observed = list(zip(report.universities, report.observed_rank.tolist()))
         assert observed == [(u.university_id, u.rank) for u in rankings[field]]
 
 
@@ -179,13 +180,72 @@ def test_each_units_gini_is_that_of_its_researchers(roster, level, share, min_st
     reports = counterfactual_rankings(TAXONOMY, scores, sds_unit_scores(scores), selection, level, min_staff)
     rows = table_rows(scores).values()
     for field, report in reports.items():
-        for unit in report.units:
+        for university, unit_gini in zip(report.universities, report.gini.tolist()):
             values = [
                 row["ss"] for row in rows
-                if row["university_id"] == unit.university_id
+                if row["university_id"] == university
                 and (row["sds"] if level == LEVEL_SDS else TAXONOMY.uda_of(row["sds"])) == field
             ]
-            assert unit.gini_observed == (gini(values) if len(values) >= 2 else 0.0)
+            assert unit_gini == (gini(values) if len(values) >= 2 else 0.0)
+
+
+def _spearman_bits(result):
+    return None if result is None else (result.rho.hex(), result.p_value.hex(), result.n)
+
+
+@SETTINGS
+@given(
+    roster=st.one_of(rosters, wide_rosters),
+    level=levels,
+    share=shares,
+    # 13 is above every unit's staff: no unit is ranked.
+    min_staff=st.one_of(st.integers(1, 6), st.just(13)),
+    pstar_mode=st.sampled_from([PSTAR_MEAN_OF_UNITS, PSTAR_POOLED]),
+    refit_pstar=st.booleans(),
+    k=st.integers(1, 5),
+)
+@example(
+    roster={("U3", "S1"): [0.0, 1.0], ("U2", "S1"): [0.0, 0.0, 0.0], ("U1", "S1"): [0.0, 0.0]},
+    level=LEVEL_SDS,
+    share=0.2,
+    min_staff=1,
+    pstar_mode=PSTAR_MEAN_OF_UNITS,
+    refit_pstar=False,
+    k=3,
+)
+@example(
+    roster={("U1", "S1"): [1.0, 2.0], ("U2", "S3"): [4.0]},
+    level=LEVEL_UDA,
+    share=0.2,
+    min_staff=13,
+    pstar_mode=PSTAR_POOLED,
+    refit_pstar=True,
+    k=1,
+)
+def test_counterfactual_matches_the_per_record_oracle(roster, level, share, min_staff, pstar_mode, refit_pstar, k):
+    """Ranks, deltas, Gini values, Spearman results and transition matrices equal the per-record
+    join's bit for bit; with no unit on the roster both give no report."""
+    _, scores = scores_with_ss(roster, taxonomy=TAXONOMY)
+    selection = select_top(scores, SCOPE_UNIT, share, min_staff)
+    options = dict(min_staff=min_staff, k_classes=k, pstar_mode=pstar_mode, refit_pstar=refit_pstar)
+    units = sds_unit_scores(scores)
+    reports = counterfactual_rankings(TAXONOMY, scores, units, selection, level, **options)
+    expected = oracles.counterfactual_rankings(TAXONOMY, scores, units, selection, level, **options)
+    if min_staff == 13:
+        assert reports == expected == {}
+    assert list(reports) == list(expected)
+    for field, report in reports.items():
+        record = expected[field]
+        assert report.field == record.field == field
+        ranks = (report.observed_rank, report.hypothetical_rank, report.delta)
+        ginis = map(float.hex, report.gini.tolist())
+        assert list(zip(report.universities, *(column.tolist() for column in ranks), ginis)) == [
+            (u.university_id, u.observed_rank, u.hypothetical_rank, u.delta, u.gini_observed.hex())
+            for u in record.units
+        ]
+        assert _spearman_bits(report.spearman_obs_hyp) == _spearman_bits(record.spearman_obs_hyp)
+        assert _spearman_bits(report.spearman_shift_gini) == _spearman_bits(record.spearman_shift_gini)
+        assert report.transition == record.transition
 
 
 @SETTINGS

@@ -9,17 +9,16 @@ from meritrank.errors import UndefinedStatisticError, ValidationError
 from meritrank.scenario import (
     SCOPE_NATIONAL,
     SCOPE_UNIT,
-    UnitShift,
     CounterfactualReport,
     counterfactual_rankings,
     least_squares_line,
     select_top,
     shift_gini_scatter,
-    transition_matrix,
 )
 from meritrank.stats import spearman
 
 from conftest import make_taxonomy, scores_with_ss, selected_ids
+from oracles import transition_matrix
 
 
 def ols_normal_equations_oracle(xs, ys):
@@ -81,6 +80,11 @@ def counterfactual(corpus, scores, selection, level, **options):
     return counterfactual_rankings(corpus.taxonomy, scores, units, selection, level, **options)
 
 
+def hypothetical_order(report):
+    """The report's universities in hypothetical rank order."""
+    return [university for _, university in sorted(zip(report.hypothetical_rank.tolist(), report.universities))]
+
+
 class TestCounterfactual:
     def test_share_zero_is_identity(self):
         corpus, scores = scores_with_ss(
@@ -92,8 +96,8 @@ class TestCounterfactual:
         )
         selection = select_top(scores, SCOPE_UNIT, share=0.0)
         report = counterfactual(corpus, scores, selection, LEVEL_SDS)["S1"]
-        assert all(u.delta == 0 for u in report.units)
-        assert all(u.observed_rank == u.hypothetical_rank for u in report.units)
+        assert report.delta.tolist() == [0, 0, 0]
+        assert report.observed_rank.tolist() == report.hypothetical_rank.tolist()
 
     def test_concentrated_unit_demoted(self):
         corpus, scores = scores_with_ss(
@@ -104,19 +108,17 @@ class TestCounterfactual:
         )
         selection = select_top(scores, SCOPE_UNIT, share=0.2)
         report = counterfactual(corpus, scores, selection, LEVEL_SDS)["S1"]
-        by_univ = {u.university_id: u for u in report.units}
-        assert by_univ["UA"].observed_rank == 1
-        assert by_univ["UA"].hypothetical_rank == 2
-        assert by_univ["UB"].hypothetical_rank == 1
-        assert by_univ["UA"].delta == -1
-        assert by_univ["UB"].delta == 1
+        assert report.universities == ("UA", "UB")
+        assert report.observed_rank.tolist() == [1, 2]
+        assert report.hypothetical_rank.tolist() == [2, 1]
+        assert report.delta.tolist() == [-1, 1]
 
     def test_identical_units_keep_ranks(self):
         groups = {(f"U{i}", "S1"): [8.0, 2.0, 2.0, 2.0, 2.0] for i in range(6)}
         corpus, scores = scores_with_ss(groups)
         selection = select_top(scores, SCOPE_UNIT, share=0.2)
         report = counterfactual(corpus, scores, selection, LEVEL_SDS)["S1"]
-        assert all(u.delta == 0 for u in report.units)
+        assert report.delta.tolist() == [0] * 6
 
     def test_deltas_sum_to_zero(self):
         rng = np.random.default_rng(47)
@@ -127,10 +129,10 @@ class TestCounterfactual:
         corpus, scores = scores_with_ss(groups)
         selection = select_top(scores, SCOPE_UNIT, share=0.2)
         report = counterfactual(corpus, scores, selection, LEVEL_SDS)["S1"]
-        assert sum(u.delta for u in report.units) == 0
-        observed = sorted(u.observed_rank for u in report.units)
-        hypothetical = sorted(u.hypothetical_rank for u in report.units)
-        assert observed == hypothetical == list(range(1, len(report.units) + 1))
+        assert report.delta.sum() == 0
+        observed = sorted(report.observed_rank.tolist())
+        hypothetical = sorted(report.hypothetical_rank.tolist())
+        assert observed == hypothetical == list(range(1, len(report.universities) + 1))
 
     def test_share_one_empties_units(self):
         corpus, scores = scores_with_ss(
@@ -141,13 +143,9 @@ class TestCounterfactual:
         )
         selection = select_top(scores, SCOPE_UNIT, share=1.0)
         report = counterfactual(corpus, scores, selection, LEVEL_SDS)["S1"]
-        by_univ = {u.university_id: u for u in report.units}
-        assert (by_univ["U2"].observed_rank, by_univ["U1"].observed_rank) == (1, 2)
+        assert list(zip(report.universities, report.observed_rank.tolist())) == [("U2", 1), ("U1", 2)]
         # Scored zero; order falls back to the deterministic tie-break.
-        assert [u.university_id for u in sorted(report.units, key=lambda u: u.hypothetical_rank)] == [
-            "U1",
-            "U2",
-        ]
+        assert hypothetical_order(report) == ["U1", "U2"]
 
     def test_gini_reported_for_observed_distribution(self):
         corpus, scores = scores_with_ss(
@@ -158,9 +156,9 @@ class TestCounterfactual:
         )
         selection = select_top(scores, SCOPE_UNIT, share=0.2)
         report = counterfactual(corpus, scores, selection, LEVEL_SDS)["S1"]
-        by_univ = {u.university_id: u for u in report.units}
-        assert by_univ["U1"].gini_observed == 0.0
-        assert by_univ["U2"].gini_observed == pytest.approx(0.8)
+        by_univ = dict(zip(report.universities, report.gini.tolist()))
+        assert by_univ["U1"] == 0.0
+        assert by_univ["U2"] == pytest.approx(0.8)
 
     def test_uda_level_freezes_national_averages(self):
         # Constructed so the frozen and refit hypothetical orders flip.
@@ -175,14 +173,8 @@ class TestCounterfactual:
         selection = select_top(scores, SCOPE_UNIT, share=0.2)
         frozen = counterfactual(corpus, scores, selection, LEVEL_UDA)["X"]
         refit = counterfactual(corpus, scores, selection, LEVEL_UDA, refit_pstar=True)["X"]
-        frozen_order = [
-            u.university_id for u in sorted(frozen.units, key=lambda u: u.hypothetical_rank)
-        ]
-        refit_order = [
-            u.university_id for u in sorted(refit.units, key=lambda u: u.hypothetical_rank)
-        ]
-        assert frozen_order == ["U1", "U2"]
-        assert refit_order == ["U2", "U1"]
+        assert hypothetical_order(frozen) == ["U1", "U2"]
+        assert hypothetical_order(refit) == ["U2", "U1"]
 
     @pytest.mark.parametrize(
         "level, refit_pstar, calls",
@@ -222,6 +214,8 @@ class TestCounterfactual:
 
 
 class TestTransitionMatrix:
+    """The pair-by-pair count that the counterfactual's one `bincount` per field is compared with."""
+
     def test_identity_is_diagonal(self):
         classes = [0, 1, 2]
         matrix = transition_matrix(classes, classes, 3)
@@ -247,11 +241,12 @@ class TestTransitionMatrix:
 
 
 def _report_from_points(points):
-    units = [
-        UnitShift(f"U{i}", i + 1, i + 1 - int(d), int(d), g)
-        for i, (d, g) in enumerate(points)
-    ]
-    return CounterfactualReport("S1", units, None, None, None)
+    """A report whose unit i has rank shift d and Gini g for the i-th point (d, g)."""
+    observed = np.arange(1, len(points) + 1)
+    deltas = np.array([int(d) for d, _ in points], dtype=np.int64)
+    ginis = np.array([g for _, g in points], dtype=float)
+    universities = tuple(f"U{i}" for i in range(len(points)))
+    return CounterfactualReport("S1", universities, observed, observed - deltas, ginis, None, None, None)
 
 
 class TestScatter:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -457,6 +458,19 @@ class TestProfile:
         assert dispatch(["gen", "--profile", str(path), "--out", str(tmp_path / "out")]) == 1
         assert f"field '{next(iter(profile))}'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "data", [[["seed", 5], ["n_universities", 2]], "seed", None], ids=["pairs", "string", "none"]
+    )
+    def test_data_that_is_not_a_mapping_rejected(self, data):
+        with pytest.raises(ValidationError, match=r"^profile: expected a mapping of fields, got "):
+            GeneratorProfile.from_dict(data)
+
+    def test_invalid_json_names_the_profile(self, tmp_path):
+        path = tmp_path / "profile.json"
+        path.write_text("{not json")
+        with pytest.raises(ValidationError, match=f"^profile {re.escape(str(path))}: invalid JSON: Expecting"):
+            GeneratorProfile.from_json(path)
 
     def test_n_sds_mismatch_rejected(self):
         data = SMALL.to_dict()
