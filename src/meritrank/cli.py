@@ -101,6 +101,8 @@ def _ranged(option: str, kind, admits, requirement: str):
 
     parse.__name__ = kind.__name__  # text that is no `kind` gets argparse's "invalid int value" error
     parse.expected = f"a value {option} accepts ({requirement})"
+    if hasattr(kind, "expected"):  # a `_fraction`: a config value's message states its parse requirement too
+        parse.expected = f"{kind.expected}, {parse.expected}"
     return parse
 
 
@@ -110,6 +112,10 @@ _SHARE = _ranged("--share", float, lambda share: 0 <= share <= 1, "selection sha
 
 def _class_count(option: str):
     return _ranged(option, int, lambda k: k >= 1, "need at least one quantile class")
+
+
+def _budget(option: str):
+    return _ranged(option, _fraction(option), lambda budget: budget > 0, "budget must be positive")
 
 
 def _required(cfg: dict, key: str, flag: str):
@@ -204,12 +210,12 @@ def _counterfactual(cfg: dict, scored, units, selection, level: str, k_classes: 
 
 
 def _funding_policy(cfg: dict) -> FundingPolicy:
-    """The run's one funding policy; a global budget, where given, is its budget."""
+    """The run's one funding policy, with one area's budget."""
     return FundingPolicy(
         n_classes=cfg["classes"],
         adjacent_ratio=cfg["ratio"],
         bottom_class_funded=cfg["bottom_funded"],
-        budget=cfg["budget"] if cfg.get("global_budget") is None else cfg["global_budget"],
+        budget=cfg["budget"],
     )
 
 
@@ -361,7 +367,7 @@ def cmd_report_all(cfg: dict) -> int:
             uda: sum(u.staff for u in ranking) for uda, ranking in rankings_uda.items()
         }
         total_staff = sum(staff_by_uda.values())
-        budgets = {uda: policy.budget * staff / total_staff for uda, staff in staff_by_uda.items()}
+        budgets = {uda: cfg["global_budget"] * staff / total_staff for uda, staff in staff_by_uda.items()}
     else:
         budgets = {uda: policy.budget for uda in rankings_uda}
     national_selection = select_top(scored.scores, SCOPE_NATIONAL, cfg["share"], cfg["min_staff"])
@@ -434,9 +440,12 @@ def _add_ranking_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_funding_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--classes", type=int, default=FundingPolicy.n_classes,
+    parser.add_argument("--classes", default=FundingPolicy.n_classes,
+                        type=_ranged("--classes", int, lambda k: k >= 2, "funding needs at least 2 classes"),
                         help="number of funding classes (default %(default)s)")
-    parser.add_argument("--ratio", type=_fraction("--ratio"), default=FundingPolicy.adjacent_ratio,
+    parser.add_argument("--ratio", default=FundingPolicy.adjacent_ratio,
+                        type=_ranged("--ratio", _fraction("--ratio"), lambda r: r > 1,
+                                     "adjacent class ratio must exceed 1"),
                         help="per-capita ratio between adjacent classes (default %(default)s)")
     parser.add_argument("--bottom-funded", dest="bottom_funded", action="store_true", default=False,
                         help="fund the bottom class too")
@@ -518,7 +527,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     _add_corpus_options(p)
     _add_ranking_options(p)
     p.add_argument("--uda", metavar="CODE")
-    p.add_argument("--budget", type=_fraction("--budget"), default=FundingPolicy.budget,
+    p.add_argument("--budget", type=_budget("--budget"), default=FundingPolicy.budget,
                    help="budget for the area, exact rational (default %(default)s)")
     _add_funding_options(p)
     p.add_argument("--share", type=_SHARE, default=DEFAULT_SHARE,
@@ -536,9 +545,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--profile", metavar="FILE", help="generate a corpus from this profile instead of --corpus")
     p.add_argument("--seed", type=int)
     p.add_argument("--out", metavar="DIR")
-    p.add_argument("--budget", type=_fraction("--budget"), default=FundingPolicy.budget,
+    p.add_argument("--budget", type=_budget("--budget"), default=FundingPolicy.budget,
                    help="budget per discipline area (default %(default)s)")
-    p.add_argument("--global-budget", dest="global_budget", type=_fraction("--global-budget"),
+    p.add_argument("--global-budget", dest="global_budget", type=_budget("--global-budget"),
                    help="single budget split across areas proportionally to ranked staff")
     _add_funding_options(p)
     p.add_argument("--share", type=_SHARE, default=DEFAULT_SHARE,

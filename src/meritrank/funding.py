@@ -75,9 +75,6 @@ class FundingAllocation:
     def total(self) -> Fraction:
         return sum((u.amount for u in self.units), Fraction(0))
 
-    def class_of(self) -> dict[str, int]:
-        return {u.university_id: u.class_index for u in self.units}
-
 
 def allocate(ranked_units: Sequence[RankedUnit], policy: FundingPolicy) -> FundingAllocation:
     """Split the budget across a ranked roster, staff-proportional within class.
@@ -86,7 +83,7 @@ def allocate(ranked_units: Sequence[RankedUnit], policy: FundingPolicy) -> Fundi
     which conserves the budget exactly and keeps the per-capita ratio between
     adjacent funded classes equal to the policy ratio.
     """
-    classes = classify_quantiles(ranked_units, policy.n_classes)
+    classes = classify_quantiles(len(ranked_units), policy.n_classes)
     weights = policy.class_weights()
     denominator = sum(
         (unit.staff * weights[c] for unit, c in zip(ranked_units, classes)), Fraction(0)
@@ -110,6 +107,7 @@ class UniversityCensus:
     staff: int
     top_count: int
     incidence: float
+    amount: Fraction
 
 
 @dataclass
@@ -135,9 +133,10 @@ def national_top_census(
     """Count top national scientists per university and per funding class.
 
     Top status comes from a nationally scoped selection: per-SDS, independent
-    of employer. The classes and their count come from the area's `allocation`.
-    Universities outside the ranked roster have class None and add to no
-    class total, so the per-class totals partition the classified tops.
+    of employer. Each row's class and amount come from its university's row of
+    the area's `allocation`. Universities outside the ranked roster have class
+    None and amount 0 and add to no class total, so the per-class totals
+    partition the classified tops.
     Stranded means sitting in the bottom class.
     """
     if selection.scope != SCOPE_NATIONAL:
@@ -147,16 +146,17 @@ def national_top_census(
     staff = np.bincount(scores.university[in_area], minlength=n_universities).tolist()
     tops = np.bincount(scores.university[in_area & selection.selected], minlength=n_universities).tolist()
 
-    classes = allocation.class_of()
+    allocated = {unit.university_id: unit for unit in allocation.units}
     universities = []
     class_totals = [0] * allocation.policy.n_classes
     for univ, univ_staff, univ_tops in zip(scores.universities, staff, tops):
         if not univ_staff:
             continue
-        class_index = classes.get(univ)
+        unit = allocated.get(univ)
+        class_index, amount = (None, Fraction(0)) if unit is None else (unit.class_index, unit.amount)
         if class_index is not None:
             class_totals[class_index] += univ_tops
-        universities.append(UniversityCensus(univ, class_index, univ_staff, univ_tops, univ_tops / univ_staff))
+        universities.append(UniversityCensus(univ, class_index, univ_staff, univ_tops, univ_tops / univ_staff, amount))
     total = sum(class_totals)
     stranded = class_totals[-1]
     return TopCensus(
@@ -190,8 +190,9 @@ def paradox_report(census: TopCensus) -> list[Finding]:
     weights = census.allocation.policy.class_weights()
     findings: list[Finding] = []
     totals = census.class_totals
+    # FundingPolicy keeps the ratio above 1, so weights fall strictly class by class: class i < j is better funded.
     for i, j in combinations(range(len(weights)), 2):
-        if weights[i] > weights[j] and totals[i] < totals[j]:
+        if totals[i] < totals[j]:
             findings.append(
                 Finding(
                     KIND_CLASS_INVERSION,
@@ -205,10 +206,9 @@ def paradox_report(census: TopCensus) -> list[Finding]:
                     },
                 )
             )
-    first_class = [u for u in census.universities if u.class_index == 0]
-    first_staff = sum(u.staff for u in first_class)
+    first_staff = sum(u.staff for u in census.universities if u.class_index == 0)
     if first_staff:
-        benchmark = sum(u.top_count for u in first_class) / first_staff
+        benchmark = totals[0] / first_staff
         unfunded = {c for c, w in enumerate(weights) if w == 0}
         for unit in census.universities:
             if unit.class_index in unfunded and unit.top_count and unit.incidence > benchmark:

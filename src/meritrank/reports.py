@@ -231,27 +231,21 @@ CENSUS_COLUMNS = ["university_id", "class", "staff", "top_count", "incidence", "
 
 
 def write_combined_census_csv(path, censuses: Sequence[TopCensus], with_uda: bool) -> None:
-    """Census rows of one or more UDAs, amounts joined from each census's allocation.
-
-    Classes come from the allocation: a university outside the ranked
-    roster has an empty class and a zero amount.
-    """
+    """Census rows of one or more UDAs; a university off the ranked roster has an empty class."""
     header = (["uda"] if with_uda else []) + CENSUS_COLUMNS
-    rows = []
-    for census in censuses:
-        amounts = {u.university_id: float(u.amount) for u in census.allocation.units}
-        for row in census.universities:
-            rows.append(
-                ([census.uda] if with_uda else [])
-                + [
-                    row.university_id,
-                    "" if row.class_index is None else row.class_index + 1,
-                    row.staff,
-                    row.top_count,
-                    row.incidence,
-                    amounts.get(row.university_id, 0.0),
-                ]
-            )
+    rows = (
+        ([census.uda] if with_uda else [])
+        + [
+            row.university_id,
+            "" if row.class_index is None else row.class_index + 1,
+            row.staff,
+            row.top_count,
+            row.incidence,
+            float(row.amount),
+        ]
+        for census in censuses
+        for row in census.universities
+    )
     csv_file(path, header, rows)
 
 

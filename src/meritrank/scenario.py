@@ -165,7 +165,7 @@ def counterfactual_rankings(
         transition = None
         if stop - start >= k_classes:
             # Both rankings order this one roster, so rank r falls in class classes[r - 1] in either.
-            classes = np.array(classify_quantiles(observed_rank[span], k_classes))
+            classes = np.array(classify_quantiles(stop - start, k_classes))
             cells = classes[observed_rank[span] - 1] * k_classes + classes[hypothetical_rank[span] - 1]
             transition = np.bincount(cells, minlength=k_classes * k_classes).reshape(k_classes, -1).tolist()
         field_code = observed.fields[field[start]]

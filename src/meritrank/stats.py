@@ -97,14 +97,6 @@ def average_ranks(x, groups: np.ndarray | None = None) -> np.ndarray:
     return ranks
 
 
-def _rank_correlation(rx: np.ndarray, ry: np.ndarray) -> float:
-    dx = rx - rx.mean()
-    dy = ry - ry.mean()
-    denom = math.sqrt(float((dx * dx).sum() * (dy * dy).sum()))
-    rho = float((dx * dy).sum() / denom)
-    return max(-1.0, min(1.0, rho))
-
-
 @lru_cache(maxsize=None)
 def _permutation_matrix(n: int) -> np.ndarray:
     """All n! permutations of 0..n-1 as int8 rows, built without a list of n! tuples; cached, treat as read-only."""
@@ -112,12 +104,9 @@ def _permutation_matrix(n: int) -> np.ndarray:
     return np.fromiter(permutations, dtype=np.int8).reshape(-1, n)
 
 
-def _exact_permutation_p(rx: np.ndarray, ry: np.ndarray, rho_obs: float) -> float:
-    """Two-sided p over all n! equally likely pairings of the rank vectors."""
-    n = int(rx.size)
-    dx = rx - rx.mean()
-    dy = ry - ry.mean()
-    denom = math.sqrt(float((dx * dx).sum() * (dy * dy).sum()))
+def _exact_permutation_p(dx: np.ndarray, ry: np.ndarray, denom: float, rho_obs: float) -> float:
+    """Two-sided p over all n! pairings of the centred x ranks `dx` with the y ranks `ry`; `denom` is rho's."""
+    n = int(dx.size)
     # sum(dx) == 0, so permuted-ry dot dx already equals the centered product. The pairings that put
     # ry[n - 1] against dx[i] pair the other ranks by one of the (n - 1)! permutations P, so their sums
     # are dx[i] * ry[n - 1] + ry[P] @ (dx without entry i). Ranks and centred ranks are multiples of
@@ -157,9 +146,12 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> SpearmanResult:
     ry = average_ranks(ya)
     if np.all(xa == xa[0]) or np.all(ya == ya[0]):
         raise UndefinedStatisticError("spearman is undefined for a zero-variance vector")
-    rho = _rank_correlation(rx, ry)
+    dx = rx - rx.mean()
+    dy = ry - ry.mean()
+    denom = math.sqrt(float((dx * dx).sum() * (dy * dy).sum()))
+    rho = max(-1.0, min(1.0, float((dx * dy).sum() / denom)))
     if n <= EXACT_PERMUTATION_MAX_N:
-        p = _exact_permutation_p(rx, ry, rho)
+        p = _exact_permutation_p(dx, ry, denom, rho)
     else:
         p = _t_approximation_p(rho, n)
     return SpearmanResult(rho, p, n)
@@ -234,9 +226,9 @@ def quantile_class_sizes(n: int, k: int) -> list[int]:
     return sizes
 
 
-def classify_quantiles(ranked: Sequence, k: int) -> list[int]:
-    """Assign a 0-based class (0 = best) to each unit of an already-ranked list."""
-    sizes = quantile_class_sizes(len(ranked), k)
+def classify_quantiles(n: int, k: int) -> list[int]:
+    """A 0-based class (0 = best) for each of n ranks, best rank first."""
+    sizes = quantile_class_sizes(n, k)
     classes: list[int] = []
     for class_index, size in enumerate(sizes):
         classes.extend([class_index] * size)

@@ -4,11 +4,13 @@ The package computes these in columns (`normalization.standardized_citations`,
 `normalization.slot_credit_shares`, the `aggregation` functions over
 `Units`, and `scenario.counterfactual_rankings` over two ranking orders).
 These record-by-record versions are the plain reference; no run executes
-them.
+them. `reference_spearman` is `stats.spearman` as it was before it centred
+its ranks once: the correlation and the exact p-value each centre them.
 """
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -31,7 +33,17 @@ from meritrank.errors import UndefinedStatisticError, ValidationError
 from meritrank.indicators import ScoreTable, group_rows
 from meritrank.normalization import EQUAL_FRACTIONAL, Baselines, CreditScheme
 from meritrank.scenario import DEFAULT_TRANSITION_CLASSES, SCOPE_UNIT, TopSelection
-from meritrank.stats import SpearmanResult, classify_quantiles, gini, ordered_sum, spearman
+from meritrank.stats import (
+    EXACT_PERMUTATION_MAX_N,
+    SpearmanResult,
+    _permutation_matrix,
+    _t_approximation_p,
+    average_ranks,
+    classify_quantiles,
+    gini,
+    ordered_sum,
+    spearman,
+)
 
 
 def standardize(pub: Publication, baselines: Baselines) -> float:
@@ -275,7 +287,7 @@ def counterfactual_rankings(
         transition = None
         if len(shifts) >= k_classes:
             # Both rankings order this one roster, so rank r falls in class classes[r - 1] in either.
-            classes = classify_quantiles(shifts, k_classes)
+            classes = classify_quantiles(len(shifts), k_classes)
             transition = transition_matrix(
                 [classes[r - 1] for r in observed], [classes[r - 1] for r in hypothetical], k_classes
             )
@@ -299,3 +311,50 @@ def transition_matrix(observed: Sequence[int], hypothetical: Sequence[int], k: i
     for observed_class, hypothetical_class in zip(observed, hypothetical, strict=True):
         matrix[observed_class][hypothetical_class] += 1
     return matrix
+
+
+def _rank_correlation(rx: np.ndarray, ry: np.ndarray) -> float:
+    dx = rx - rx.mean()
+    dy = ry - ry.mean()
+    denom = math.sqrt(float((dx * dx).sum() * (dy * dy).sum()))
+    rho = float((dx * dy).sum() / denom)
+    return max(-1.0, min(1.0, rho))
+
+
+def _exact_permutation_p(rx: np.ndarray, ry: np.ndarray, rho_obs: float) -> float:
+    """Two-sided p over all n! equally likely pairings of the rank vectors."""
+    n = int(rx.size)
+    dx = rx - rx.mean()
+    dy = ry - ry.mean()
+    denom = math.sqrt(float((dx * dx).sum() * (dy * dy).sum()))
+    # sum(dx) == 0, so permuted-ry dot dx already equals the centered product. The pairings that put
+    # ry[n - 1] against dx[i] pair the other ranks by one of the (n - 1)! permutations P, so their sums
+    # are dx[i] * ry[n - 1] + ry[P] @ (dx without entry i). Ranks and centred ranks are multiples of
+    # 0.5, so every partial sum is exact and the split leaves each rho unchanged.
+    others = ry[_permutation_matrix(n - 1)]
+    hits = 0
+    for i in range(n):
+        rhos = (dx[i] * ry[n - 1] + others @ np.delete(dx, i)) / denom
+        hits += int(np.count_nonzero(np.abs(rhos) >= abs(rho_obs) - 1e-12))
+    return hits / math.factorial(n)
+
+
+def reference_spearman(x: Sequence[float], y: Sequence[float]) -> SpearmanResult:
+    """`stats.spearman` with each of its two steps centring the ranks itself."""
+    xa = np.asarray(x, dtype=float)
+    ya = np.asarray(y, dtype=float)
+    if xa.size != ya.size:
+        raise ValidationError(f"spearman needs equal lengths, got {xa.size} vs {ya.size}")
+    n = int(xa.size)
+    if n < 3:
+        raise UndefinedStatisticError(f"spearman needs at least 3 pairs, got {n}")
+    rx = average_ranks(xa)
+    ry = average_ranks(ya)
+    if np.all(xa == xa[0]) or np.all(ya == ya[0]):
+        raise UndefinedStatisticError("spearman is undefined for a zero-variance vector")
+    rho = _rank_correlation(rx, ry)
+    if n <= EXACT_PERMUTATION_MAX_N:
+        p = _exact_permutation_p(rx, ry, rho)
+    else:
+        p = _t_approximation_p(rho, n)
+    return SpearmanResult(rho, p, n)

@@ -340,6 +340,36 @@ class TestExitCodes:
         assert f"error: {message}" in capsys.readouterr().err
         assert not (out / "scores.csv").exists()
 
+    @pytest.mark.parametrize(
+        "argv, flags, message",
+        [
+            (["fund", "--uda", "A"], ["--classes", "1"], "funding needs at least 2 classes, got --classes '1'"),
+            (["report-all"], ["--classes", "0"], "funding needs at least 2 classes, got --classes '0'"),
+            (["fund", "--uda", "A"], ["--ratio", "2/3"], "adjacent class ratio must exceed 1, got --ratio '2/3'"),
+            (["fund", "--uda", "A"], ["--budget", "-5"], "budget must be positive, got --budget '-5'"),
+            (["report-all"], ["--global-budget", "0"], "budget must be positive, got --global-budget '0'"),
+            # --budget is checked on its own, even where --global-budget sets the areas' budgets.
+            (["report-all"], ["--budget", "0", "--global-budget", "5"], "budget must be positive, got --budget '0'"),
+        ],
+        ids=["fund-classes", "report-all-classes", "ratio", "budget", "global-budget", "budget-beside-global"],
+    )
+    def test_funding_flag_range_message_names_the_flag(self, corpus_dir, tmp_path, capsys, argv, flags, message):
+        out = tmp_path / "out"
+        assert dispatch([*argv, "--corpus", str(corpus_dir), *flags, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_config_ratio_out_of_range_keeps_its_parse_requirement(self, corpus_dir, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"corpus": str(corpus_dir), "ratio": "1/2"}))
+        out = tmp_path / "a.csv"
+        assert dispatch(["fund", "--config", str(config_path), "--uda", "A", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: config key 'ratio' needs an exact rational number, "
+            "a value --ratio accepts (adjacent class ratio must exceed 1), got '1/2'\n"
+        )
+        assert not out.exists()
+
 
 class TestIndicators:
     def test_scores_csv_schema(self, corpus_dir, tmp_path):

@@ -225,3 +225,5 @@ class TestParadoxReport:
         stranded = [f for f in findings if f.kind == KIND_STRANDED_INCIDENCE]
         assert len(stranded) == 1
         assert stranded[0].details["university_id"] == "U08"
+        # The first class's incidence: its 4 tops (class_totals[0]) over U01's and U02's 10 staff.
+        assert stranded[0].details["first_class_incidence"] == 0.4

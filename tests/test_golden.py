@@ -12,11 +12,17 @@ positional credit, as the benchmark's corpus workload runs it) read the
 corpus `report-all` wrote. A refactor must reproduce every non-manifest byte and every
 manifest's `command`, `config` and `inputs`; a change that alters them on
 purpose updates the pins here and says why in CHANGES.md.
+
+A metamorphic check runs on the same corpus: doubling one year's citations
+must leave every `report-all --corpus` output byte as it was.
 """
 
 import hashlib
 import json
+import shutil
 from pathlib import Path
+
+import pytest
 
 from meritrank.cli import dispatch
 
@@ -390,3 +396,37 @@ def test_golden_digests_and_manifest_configs(tmp_path):
     assert digests == GOLDEN_DIGESTS
     assert configs == GOLDEN_CONFIGS
     assert sources == GOLDEN_MANIFEST_SOURCES
+
+
+@pytest.mark.parametrize("year", [2004, 2006, 2008])
+def test_doubling_one_year_of_citations_changes_no_output(tmp_path, year):
+    """Citations are standardized within their (category, year) stratum, and doubling is exact in
+    floating point, so every score, ranking, counterfactual and census byte stays the same."""
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps(PROFILE))
+    assert dispatch(["gen", "--profile", str(profile), "--out", str(tmp_path / "observed")]) == 0
+    shutil.copytree(tmp_path / "observed", tmp_path / "doubled")
+    publications = tmp_path / "doubled" / "publications.jsonl"
+    lines = []
+    doubled = 0
+    for line in publications.read_text().splitlines():
+        publication = json.loads(line)
+        if publication["year"] == year:
+            doubled += publication["citations"] > 0
+            publication["citations"] *= 2
+        lines.append(json.dumps(publication, separators=(",", ":")))
+    publications.write_text("\n".join(lines) + "\n")
+    assert doubled > 0
+
+    outputs = {}
+    for corpus in ("observed", "doubled"):
+        out = tmp_path / f"report-{corpus}"
+        argv = ["report-all", "--corpus", str(tmp_path / corpus), "--credit", "positional", "--out", str(out)]
+        assert dispatch(argv) == 0
+        outputs[corpus] = {
+            path.relative_to(out).as_posix(): path.read_bytes()
+            for path in out.rglob("*")
+            if path.is_file() and path.name != "manifest.json"
+        }
+    assert "funding_census.csv" in outputs["observed"]
+    assert outputs["doubled"] == outputs["observed"]

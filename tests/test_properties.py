@@ -34,7 +34,15 @@ from meritrank.normalization import (
     slot_credit_shares,
 )
 from meritrank.scenario import SCOPE_NATIONAL, SCOPE_UNIT, counterfactual_rankings, select_top
-from meritrank.stats import average_ranks, classify_quantiles, gini, ordered_sum, quantile_class_sizes, top_count
+from meritrank.stats import (
+    average_ranks,
+    classify_quantiles,
+    gini,
+    ordered_sum,
+    quantile_class_sizes,
+    spearman,
+    top_count,
+)
 
 import oracles
 from conftest import make_corpus, make_pub, make_taxonomy, scores_with_ss, selected_ids, table_rows, unit_rows
@@ -94,7 +102,7 @@ def test_hypothetical_ranks_permute_the_observed_ones(roster, level, share, min_
 
 def _transition_from_class_maps(report, k):
     """The matrix built from two {university: class} maps, each over its own ranking."""
-    classes = classify_quantiles(report.universities, k)
+    classes = classify_quantiles(len(report.universities), k)
     by_observed = [u for _, u in sorted(zip(report.observed_rank.tolist(), report.universities))]
     by_hypothetical = [u for _, u in sorted(zip(report.hypothetical_rank.tolist(), report.universities))]
     observed = dict(zip(by_observed, classes))
@@ -615,7 +623,7 @@ def test_allocate_conserves_budget_and_adjacent_ratio(staffs, n_classes, ratio, 
     policy = FundingPolicy(n_classes, ratio, bottom_funded, budget)
     units = [RankedUnit(i + 1, f"U{i:02d}", float(-i), staff) for i, staff in enumerate(staffs)]
     weights = policy.class_weights()
-    classes = classify_quantiles(units, n_classes)
+    classes = classify_quantiles(len(units), n_classes)
     if all(staff * weights[c] == 0 for staff, c in zip(staffs, classes)):
         with pytest.raises(AllocationError):
             allocate(units, policy)
@@ -657,6 +665,23 @@ census_rosters = st.dictionaries(
 def test_census_partitions_the_area_tops_over_its_allocation(
     roster, min_staff, share, ratio, bottom_funded, data
 ):
+    scores, selection, census = _drawn_census(roster, min_staff, share, ratio, bottom_funded, data)
+    allocation = census.allocation
+
+    assert len(census.class_totals) == allocation.policy.n_classes
+    classes = {unit.university_id: unit.class_index for unit in allocation.units}
+    for row in census.universities:
+        assert row.class_index == classes.get(row.university_id)
+    rows = table_rows(scores)
+    area_tops = [
+        rid for rid in selected_ids(scores, selection) if TAXONOMY.uda_of(rows[rid]["sds"]) == census.uda
+    ]
+    unclassified_tops = sum(row.top_count for row in census.universities if row.class_index is None)
+    assert sum(census.class_totals) + unclassified_tops == len(area_tops)
+
+
+def _drawn_census(roster, min_staff, share, ratio, bottom_funded, data):
+    """(scores, national selection, census) of a drawn area with at least two ranked universities."""
     corpus, scores = scores_with_ss(roster, taxonomy=TAXONOMY)
     units = sds_unit_scores(scores)
     p_stars = national_averages(units)
@@ -664,19 +689,51 @@ def test_census_partitions_the_area_tops_over_its_allocation(
     assume(any(len(ranking) >= 2 for ranking in rankings.values()))
     uda = data.draw(st.sampled_from(sorted(u for u, r in rankings.items() if len(r) >= 2)))
     n_classes = data.draw(st.integers(2, min(6, len(rankings[uda]))))
-    policy = FundingPolicy(n_classes, ratio, bottom_funded, 1000)
-    allocation = allocate(rankings[uda], policy)
+    allocation = allocate(rankings[uda], FundingPolicy(n_classes, ratio, bottom_funded, 1000))
     selection = select_top(scores, SCOPE_NATIONAL, share, min_staff)
-    census = national_top_census(scores, TAXONOMY, uda, allocation, selection)
+    return scores, selection, national_top_census(scores, TAXONOMY, uda, allocation, selection)
 
-    assert len(census.class_totals) == policy.n_classes
-    classes = allocation.class_of()
+
+@SETTINGS
+@given(
+    roster=census_rosters,
+    min_staff=st.integers(1, 4),
+    share=shares,
+    ratio=st.fractions(min_value=Fraction(11, 10), max_value=5, max_denominator=20),
+    bottom_funded=st.booleans(),
+    data=st.data(),
+)
+def test_census_rows_carry_their_allocation_rows(roster, min_staff, share, ratio, bottom_funded, data):
+    _, _, census = _drawn_census(roster, min_staff, share, ratio, bottom_funded, data)
+    allocated = {unit.university_id: unit for unit in census.allocation.units}
     for row in census.universities:
-        assert row.class_index == classes.get(row.university_id)
-    rows = table_rows(scores)
-    area_tops = [rid for rid in selected_ids(scores, selection) if TAXONOMY.uda_of(rows[rid]["sds"]) == uda]
-    unclassified_tops = sum(row.top_count for row in census.universities if row.class_index is None)
-    assert sum(census.class_totals) + unclassified_tops == len(area_tops)
+        unit = allocated.get(row.university_id)
+        if unit is None:
+            assert (row.class_index, row.amount) == (None, Fraction(0))
+        else:
+            assert (row.class_index, row.amount) == (unit.class_index, unit.amount)
+    assert sum((row.amount for row in census.universities), Fraction(0)) == census.allocation.total
+
+
+# Small integers make ties common; n spans both sides of EXACT_PERMUTATION_MAX_N.
+spearman_pairs = st.integers(3, 12).flatmap(
+    lambda n: st.tuples(*[st.lists(st.one_of(st.integers(0, 4).map(float), ss_values), min_size=n, max_size=n)] * 2)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=spearman_pairs)
+@example(pair=([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]))
+def test_spearman_matches_the_two_pass_reference_bit_for_bit(pair):
+    x, y = pair
+    try:
+        expected = oracles.reference_spearman(x, y)
+    except UndefinedStatisticError as undefined:
+        with pytest.raises(UndefinedStatisticError) as raised:
+            spearman(x, y)
+        assert str(raised.value) == str(undefined)
+        return
+    assert _spearman_bits(spearman(x, y)) == _spearman_bits(expected)
 
 
 nonnegative = st.one_of(

@@ -219,7 +219,7 @@ class TestQuantiles:
         assert quantile_class_sizes(n, k) == expected
 
     def test_assignment_preserves_order(self):
-        classes = classify_quantiles(list(range(11)), 4)
+        classes = classify_quantiles(11, 4)
         assert classes == sorted(classes)
         assert len(classes) == 11
 
@@ -234,7 +234,7 @@ class TestQuantiles:
 
     def test_too_few_units(self):
         with pytest.raises(UndefinedStatisticError):
-            classify_quantiles([1, 2], 3)
+            classify_quantiles(2, 3)
 
 
 def test_ordered_sum_adds_left_to_right_without_compensation():
