@@ -219,17 +219,6 @@ def _funding_policy(cfg: dict) -> FundingPolicy:
     )
 
 
-def _fund_area(scored, ranking, uda: str, policy: FundingPolicy, selection):
-    """Fund one area over its ranking and take the top-scientist census.
-
-    Returns (census, paradox findings); the census holds the allocation.
-    `selection` is the national top selection.
-    """
-    allocation = allocate(ranking, policy)
-    census = national_top_census(scored.scores, scored.taxonomy, uda, allocation, selection)
-    return census, paradox_report(census)
-
-
 def cmd_rank(cfg: dict) -> int:
     level = _required(cfg, "level", "--level")
     out = _required(cfg, "out", "--out")
@@ -286,8 +275,9 @@ def cmd_fund(cfg: dict) -> int:
     if uda not in rankings:
         raise ValidationError(f"--uda {uda!r}: no ranked universities in that area")
     selection = select_top(scored.scores, SCOPE_NATIONAL, cfg["share"], cfg["min_staff"])
-    census, findings = _fund_area(scored, rankings[uda], uda, policy, selection)
-    allocation = census.allocation
+    allocation = allocate(rankings[uda], policy)
+    census = national_top_census(scored.scores, scored.taxonomy, uda, allocation, selection)
+    findings = paradox_report(census)
     reports.write_allocation_csv(out, allocation)
     if cfg["census"]:
         reports.write_combined_census_csv(cfg["census"], [census], with_uda=False)
@@ -360,32 +350,28 @@ def cmd_report_all(cfg: dict) -> int:
     cf_sds = _counterfactual(cfg, scored, units, selection, LEVEL_SDS, cfg["transition_classes"])
     reports.write_counterfactual_summary_csv(out_dir / "counterfactual_sds_summary.csv", cf_sds.values())
 
-    # A global budget splits across areas proportionally to their ranked staff;
-    # otherwise every area gets the per-UDA budget.
-    if cfg["global_budget"] is not None:
-        staff_by_uda = {
-            uda: sum(u.staff for u in ranking) for uda, ranking in rankings_uda.items()
-        }
-        total_staff = sum(staff_by_uda.values())
-        budgets = {uda: cfg["global_budget"] * staff / total_staff for uda, staff in staff_by_uda.items()}
-    else:
-        budgets = {uda: policy.budget for uda in rankings_uda}
-    national_selection = select_top(scored.scores, SCOPE_NATIONAL, cfg["share"], cfg["min_staff"])
-    censuses = []
-    findings_by_uda = {}
+    allocations = {}
     skipped_udas = []
     for uda in sorted(rankings_uda):
-        area_policy = replace(policy, budget=budgets[uda])
         try:
-            census, findings = _fund_area(scored, rankings_uda[uda], uda, area_policy, national_selection)
+            allocations[uda] = allocate(rankings_uda[uda], policy)
         except (UndefinedStatisticError, AllocationError) as exc:
             # Fewer ranked universities than classes, or no weighted staff to fund.
             skipped_udas.append({"uda": uda, "reason": str(exc)})
-            continue
-        findings_by_uda[uda] = findings
-        censuses.append(census)
+    if cfg["global_budget"] is not None:
+        # The global budget splits across the funded areas proportionally to their ranked staff.
+        staff_by_uda = {uda: sum(u.staff for u in rankings_uda[uda]) for uda in allocations}
+        total_staff = sum(staff_by_uda.values())
+        for uda, staff in staff_by_uda.items():
+            budget = cfg["global_budget"] * staff / total_staff
+            allocations[uda] = allocate(rankings_uda[uda], replace(policy, budget=budget))
+    national_selection = select_top(scored.scores, SCOPE_NATIONAL, cfg["share"], cfg["min_staff"])
+    censuses = [
+        national_top_census(scored.scores, scored.taxonomy, uda, allocation, national_selection)
+        for uda, allocation in allocations.items()
+    ]
     reports.write_combined_census_csv(out_dir / "funding_census.csv", censuses, with_uda=True)
-    reports.write_findings_json(out_dir / "paradoxes.json", findings_by_uda)
+    reports.write_findings_json(out_dir / "paradoxes.json", {c.uda: paradox_report(c) for c in censuses})
 
     shares = measured_shares(scored.scores)
     summary = {
@@ -476,16 +462,16 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--profile", metavar="FILE")
     p.add_argument("--seed", type=int)
     p.add_argument("--out", metavar="FILE", help="calibrated profile JSON")
-    p.add_argument("--target-non-productive", dest="target_non_productive", type=float,
-                   default=CalibrationTargets.non_productive_share,
-                   help="target non-productive share (default %(default)s)")
-    p.add_argument("--target-nil-impact", dest="target_nil_impact", type=float,
-                   default=CalibrationTargets.nil_impact_share,
-                   help="target nil-impact share (default %(default)s)")
-    p.add_argument("--target-top20-share", dest="target_top20_share", type=float,
-                   default=CalibrationTargets.top20_impact_share,
-                   help="target top-20%% impact share (default %(default)s)")
-    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
+    for flag, target, what in (
+        ("--target-non-productive", "non_productive_share", "non-productive share"),
+        ("--target-nil-impact", "nil_impact_share", "nil-impact share"),
+        ("--target-top20-share", "top20_impact_share", "top-20%% impact share"),
+    ):
+        p.add_argument(flag, default=getattr(CalibrationTargets, target),
+                       type=_ranged(flag, float, lambda share: 0 <= share <= 1, "target shares must be in [0, 1]"),
+                       help=f"target {what} (default %(default)s)")
+    p.add_argument("--tolerance", default=DEFAULT_TOLERANCE,
+                   type=_ranged("--tolerance", float, lambda t: t >= 0, "tolerance must be non-negative"),
                    help="largest accepted residual per share (default %(default)s)")
     _add_common(p)
     p.set_defaults(handler=cmd_calibrate)

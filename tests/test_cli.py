@@ -359,6 +359,40 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (
+                ["--target-non-productive", "-0.1"],
+                "target shares must be in [0, 1], got --target-non-productive '-0.1'",
+            ),
+            (["--target-nil-impact", "2"], "target shares must be in [0, 1], got --target-nil-impact '2'"),
+            (["--target-top20-share", "nan"], "target shares must be in [0, 1], got --target-top20-share 'nan'"),
+            (["--tolerance", "-1"], "tolerance must be non-negative, got --tolerance '-1'"),
+            (["--tolerance", "nan"], "tolerance must be non-negative, got --tolerance 'nan'"),
+        ],
+        ids=["non-productive", "nil-impact", "top20-share", "tolerance", "tolerance-nan"],
+    )
+    def test_calibrate_flag_range_checked_before_reading(self, tmp_path, capsys, flags, message):
+        # The missing profile would exit 3 if it were read first.
+        out = tmp_path / "out"
+        argv = ["calibrate", "--profile", str(tmp_path / "missing.json"), *flags, "--out", str(out / "profile.json")]
+        assert dispatch(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_config_target_out_of_range_names_its_key(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"target_nil_impact": 2}))
+        out = tmp_path / "out"
+        argv = ["calibrate", "--config", str(config_path), "--profile", str(tmp_path / "missing.json")]
+        assert dispatch([*argv, "--out", str(out / "profile.json")]) == 1
+        assert capsys.readouterr().err == (
+            "error: config key 'target_nil_impact' needs a value --target-nil-impact accepts "
+            "(target shares must be in [0, 1]), got 2\n"
+        )
+        assert not out.exists()
+
     def test_config_ratio_out_of_range_keeps_its_parse_requirement(self, corpus_dir, tmp_path, capsys):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({"corpus": str(corpus_dir), "ratio": "1/2"}))
@@ -754,23 +788,29 @@ class TestReportAll:
         assert dispatch(argv) == 0
         assert taken == calls
 
-    def test_global_budget_splits_across_areas(self, corpus_dir, tmp_path):
+    @pytest.mark.parametrize(
+        "corpus, flags, skipped",
+        [
+            ("corpus_dir", [], []),
+            ("criterion_11_corpus", ["--classes", "4"], []),
+            # 11 classes outnumber area B's ranked universities: B's share goes to A, the one funded area.
+            ("criterion_11_corpus", ["--classes", "11"], ["B"]),
+            ("criterion_11_corpus", ["--classes", "12"], ["A", "B"]),
+        ],
+        ids=["corpus_dir", "criterion-11-classes-4", "criterion-11-classes-11", "criterion-11-classes-12"],
+    )
+    def test_global_budget_splits_across_areas(self, request, tmp_path, corpus, flags, skipped):
         out = tmp_path / "run"
-        code = dispatch(
-            [
-                "report-all",
-                "--corpus",
-                str(corpus_dir),
-                "--global-budget",
-                "5000",
-                "--out",
-                str(out),
-            ]
-        )
-        assert code == 0
+        corpus_path = request.getfixturevalue(corpus)
+        argv = ["report-all", "--corpus", str(corpus_path), *flags, "--global-budget", "5000", "--out", str(out)]
+        assert dispatch(argv) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert [area["uda"] for area in summary["skipped_udas"]] == skipped
         rows = read_csv(out / "funding_census.csv")
-        total = sum(float(r[6]) for r in rows[1:])
-        assert total == pytest.approx(5000.0, rel=1e-9)
+        if skipped == ["A", "B"]:
+            assert rows == [["uda", *reports.CENSUS_COLUMNS]]
+        else:
+            assert sum(float(r[6]) for r in rows[1:]) == pytest.approx(5000.0, rel=1e-9)
 
     def test_scatter_title_is_escaped(self, tmp_path):
         profile_path = tmp_path / "p.json"
