@@ -39,13 +39,14 @@ from .normalization import EQUAL_FRACTIONAL, POSITIONAL, CreditScheme
 from .scenario import (
     DEFAULT_SHARE,
     DEFAULT_TRANSITION_CLASSES,
+    SCATTER_MIN_UNITS,
     SCOPE_NATIONAL,
     SCOPE_UNIT,
     counterfactual_rankings,
     select_top,
     shift_gini_scatter,
 )
-from .stats import bottom_top_ratio
+from .stats import BOTTOM_TOP_MIN_VALUES, bottom_top_ratio
 from . import reports
 from .synth import (
     DEFAULT_TOLERANCE,
@@ -160,7 +161,7 @@ def cmd_gen(cfg: dict) -> int:
     print(
         f"wrote corpus to {out}: {len(corpus.researchers)} researchers, "
         f"{len(corpus.publications)} publications, "
-        f"{len(corpus.universities)} universities, seed {profile.seed}"
+        f"{len(corpus.researchers.universities)} universities, seed {profile.seed}"
     )
     return EXIT_OK
 
@@ -310,7 +311,7 @@ def cmd_report_all(cfg: dict) -> int:
     counts = {
         "researchers": len(corpus.researchers),
         "publications": len(corpus.publications),
-        "universities": len(corpus.universities),
+        "universities": len(corpus.researchers.universities),
     }
     scored = score_corpus(corpus, _credit_scheme(cfg))
     del corpus  # every later step reads the scores, so the publications can go
@@ -322,7 +323,7 @@ def cmd_report_all(cfg: dict) -> int:
     concentration_rows = []
     by_sds = group_rows(scored.scores.sds, len(scored.scores.sds_names))
     for sds, rows in zip(scored.scores.sds_names, by_sds):
-        if len(rows) < 5:
+        if len(rows) < BOTTOM_TOP_MIN_VALUES:
             continue
         try:
             ratio = bottom_top_ratio(scored.scores.ss[rows])
@@ -343,7 +344,7 @@ def cmd_report_all(cfg: dict) -> int:
     for report in cf_uda.values():
         if report.transition is not None:
             reports.write_transition_csv(out_dir / f"transition_{report.field}.csv", report)
-        if len(report.universities) >= 5:
+        if len(report.universities) >= SCATTER_MIN_UNITS:
             reports.write_scatter_svg(
                 out_dir / f"scatter_{report.field}.svg", shift_gini_scatter(report), title=report.field
             )

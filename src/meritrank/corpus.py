@@ -111,20 +111,23 @@ class Researchers:
     """The evaluated researchers as read-only columns, one row per researcher, in id order.
 
     `university` and `sds` are codes into the sorted name tuples `universities` and `sds_names`, so
-    ordering by code is ordering by name.
+    ordering by code is ordering by name; `university_names` holds each university's name, aligned
+    with `universities`.
     """
 
     ids: tuple[str, ...]
     universities: tuple[str, ...]
+    university_names: tuple[str, ...]
     university: np.ndarray
     sds_names: tuple[str, ...]
     sds: np.ndarray
     years_in_post: np.ndarray
 
     @classmethod
-    def from_columns(cls, ids: list[str], university_ids: list[str], sds: list[str], years_in_post: list[int]):
+    def from_columns(cls, ids: list[str], university_ids: list[str], names: Mapping[str, str], sds: list[str],
+                     years_in_post: list[int]):
         """The table of the researchers given column by column, in any order; rows come out sorted by id.
-        An id given twice is a ValidationError."""
+        `names` maps each university id to its name. An id given twice is a ValidationError."""
         order = sorted(range(len(ids)), key=ids.__getitem__)
         sorted_ids = tuple(ids[i] for i in order)
         for rid, next_rid in pairwise(sorted_ids):
@@ -133,7 +136,8 @@ class Researchers:
         universities, university = name_codes([university_ids[i] for i in order])
         sds_names, sds_codes = name_codes([sds[i] for i in order])
         years = np.array(years_in_post, dtype=np.int64)[np.array(order, dtype=np.int64)]
-        return cls(sorted_ids, universities, university, sds_names, sds_codes, years)
+        university_names = tuple(names[uid] for uid in universities)
+        return cls(sorted_ids, universities, university_names, university, sds_names, sds_codes, years)
 
     def __post_init__(self):
         for value in vars(self).values():
@@ -367,7 +371,6 @@ class PublicationsBuilder:
 class Corpus:
     publications: Publications
     researchers: Researchers
-    universities: dict[str, str]
     taxonomy: Taxonomy
     window: tuple[int, int]
 
@@ -388,8 +391,6 @@ class Corpus:
     def validate(self) -> None:
         """Apply the loaders' rules to a corpus built in memory; raises ValidationError.
 
-        It also checks that each researcher's university is known, which the
-        researcher loader ensures by building `universities` itself.
         `load_corpus` does not call this.
         """
         problem = window_problem(self.window)
@@ -404,12 +405,8 @@ class Corpus:
         if problem:
             row, message = problem
             raise ValidationError(f"publication {self.publications.ids[row]!r}: {message}")
-        for rid, university, sds, years in zip(
-            res.ids, res.university.tolist(), res.sds.tolist(), res.years_in_post.tolist()
-        ):
+        for rid, sds, years in zip(res.ids, res.sds.tolist(), res.years_in_post.tolist()):
             problem = researcher_problem(res.sds_names[sds], years, self.taxonomy, self.window)
-            if not problem and res.universities[university] not in self.universities:
-                problem = f"unknown university {res.universities[university]!r}"
             if problem:
                 raise ValidationError(f"researcher {rid!r}: {problem}")
 
@@ -606,8 +603,8 @@ def load_taxonomy(tax_path) -> Taxonomy:
     return Taxonomy(sds_to_uda, uda_names, life_udas)
 
 
-def load_researchers(res_path, taxonomy: Taxonomy, window) -> tuple[Researchers, dict[str, str]]:
-    """Read researchers.csv into a `Researchers` table, and each university id's name.
+def load_researchers(res_path, taxonomy: Taxonomy, window) -> Researchers:
+    """Read researchers.csv into a `Researchers` table, with each university id's name.
 
     The values are gathered column by column, with no object per researcher;
     `_csv_rows` skips blank rows and rejects a row that is not five fields.
@@ -648,7 +645,7 @@ def load_researchers(res_path, taxonomy: Taxonomy, window) -> tuple[Researchers,
             years_in_post.append(years)
     if not ids:
         raise ValidationError(f"{res_path}: no researcher rows")
-    return Researchers.from_columns(list(ids), university_ids, sds_codes, years_in_post), universities
+    return Researchers.from_columns(list(ids), university_ids, universities, sds_codes, years_in_post)
 
 
 def load_publications(pub_path, window, researcher_ids: Sequence[str]) -> Publications:
@@ -785,9 +782,9 @@ def load_corpus(pub_path, res_path, tax_path, window=DEFAULT_WINDOW) -> Corpus:
     if problem:
         raise ValidationError(problem)
     taxonomy = load_taxonomy(tax_path)
-    researchers, universities = load_researchers(res_path, taxonomy, window)
+    researchers = load_researchers(res_path, taxonomy, window)
     publications = load_publications(pub_path, window, researchers.ids)
-    return Corpus(publications.in_canonical_order(), researchers, universities, taxonomy, tuple(window))
+    return Corpus(publications.in_canonical_order(), researchers, taxonomy, tuple(window))
 
 
 def active_sds_filter(corpus: Corpus) -> set[str]:

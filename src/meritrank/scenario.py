@@ -34,6 +34,7 @@ SCOPE_NATIONAL = "national"
 
 DEFAULT_SHARE = 0.20
 DEFAULT_TRANSITION_CLASSES = 5
+SCATTER_MIN_UNITS = 5  # the fewest units `shift_gini_scatter` fits a line to
 
 
 @dataclass(frozen=True)
@@ -205,9 +206,9 @@ def least_squares_line(xs: Sequence[float], ys: Sequence[float]) -> tuple[float,
 
 def shift_gini_scatter(report: CounterfactualReport) -> ScatterData:
     """Per-unit (rank shift, observed Gini) points plus the fitted trend line."""
-    if len(report.universities) < 5:
+    if len(report.universities) < SCATTER_MIN_UNITS:
         raise UndefinedStatisticError(
-            f"scatter needs at least 5 units, field {report.field!r} has {len(report.universities)}"
+            f"scatter needs at least {SCATTER_MIN_UNITS} units, field {report.field!r} has {len(report.universities)}"
         )
     xs = report.delta.astype(float).tolist()
     ys = report.gini.tolist()

@@ -20,6 +20,7 @@ from .errors import UndefinedStatisticError, ValidationError
 
 # Exhaustive permutation p-values stay under a second up to 9!.
 EXACT_PERMUTATION_MAX_N = 9
+BOTTOM_TOP_MIN_VALUES = 5  # the fewest values `bottom_top_ratio` takes
 
 
 @dataclass(frozen=True)
@@ -176,8 +177,8 @@ def bottom_top_ratio(values: Sequence[float]) -> ConcentrationRatio:
     """
     x = np.asarray(values, dtype=float)
     n = int(x.size)
-    if n < 5:
-        raise UndefinedStatisticError(f"bottom/top ratio needs at least 5 values, got {n}")
+    if n < BOTTOM_TOP_MIN_VALUES:
+        raise UndefinedStatisticError(f"bottom/top ratio needs at least {BOTTOM_TOP_MIN_VALUES} values, got {n}")
     n_bottom = int(math.floor(0.40 * n + 1e-9))
     n_top = int(math.floor(0.20 * n + 1e-9))
     xs = np.sort(x)

@@ -399,9 +399,9 @@ def _draw(profile: GeneratorProfile) -> tuple[Corpus, np.ndarray, np.ndarray]:
         category_names=[f"SC-{sds}" for sds in sds_codes],
         researcher_names=researcher_ids,
     )
-    researchers = Researchers.from_columns(researcher_ids, university_ids, researcher_sds, years_in_post)
+    researchers = Researchers.from_columns(researcher_ids, university_ids, universities, researcher_sds, years_in_post)
     order = publications.id_order()
-    corpus = Corpus(publications.in_canonical_order(order), researchers, universities, taxonomy, tuple(profile.window))
+    corpus = Corpus(publications.in_canonical_order(order), researchers, taxonomy, tuple(profile.window))
     return corpus, np.array(zero_uniform)[order], np.array(citation_normal)[order]
 
 
@@ -513,11 +513,10 @@ def write_corpus(corpus: Corpus, out_dir, profile: GeneratorProfile) -> dict[str
         "metadata": out / "metadata.json",
     }
     res = corpus.researchers
-    university_ids = [res.universities[code] for code in res.university.tolist()]
     researcher_rows = zip(
         res.ids,
-        university_ids,
-        [corpus.universities[uid] for uid in university_ids],
+        [res.universities[code] for code in res.university.tolist()],
+        [res.university_names[code] for code in res.university.tolist()],
         [res.sds_names[code] for code in res.sds.tolist()],
         res.years_in_post.tolist(),
     )
@@ -539,7 +538,7 @@ def write_corpus(corpus: Corpus, out_dir, profile: GeneratorProfile) -> dict[str
         },
         "window": list(corpus.window),
         "counts": {
-            "universities": len(corpus.universities),
+            "universities": len(res.universities),
             "sds": len(corpus.taxonomy.sds_to_uda),
             "researchers": len(corpus.researchers),
             "publications": len(corpus.publications),

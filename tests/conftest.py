@@ -56,9 +56,11 @@ def credit_by_position(pub: Publication, scheme: CreditScheme, is_life_science: 
 
 
 def make_researchers(rows) -> Researchers:
-    """The table of researchers given as (id, university_id, sds, years_in_post) rows."""
-    columns = [list(column) for column in zip(*rows)] or [[], [], [], []]
-    return Researchers.from_columns(*columns)
+    """The table of researchers given as (id, university_id, sds, years_in_post) rows; university U is named
+    "University U"."""
+    ids, university_ids, sds, years = [list(column) for column in zip(*rows)] or [[], [], [], []]
+    names = {uid: f"University {uid}" for uid in university_ids}
+    return Researchers.from_columns(ids, university_ids, names, sds, years)
 
 
 def make_corpus(
@@ -69,9 +71,7 @@ def make_corpus(
 ) -> Corpus:
     """researchers: iterable of (id, university_id, sds, years_in_post)."""
     taxonomy = taxonomy or make_taxonomy()
-    res = make_researchers(researchers)
-    universities = {uid: f"University {uid}" for uid in res.universities}
-    corpus = Corpus(Publications.from_records(publications), res, universities, taxonomy, tuple(window))
+    corpus = Corpus(Publications.from_records(publications), make_researchers(researchers), taxonomy, tuple(window))
     corpus.validate()
     return corpus
 

@@ -321,6 +321,25 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"n_universities": 0}, "need at least one university"),
+            ({"sds_per_uda": {"A": 3, "B": 0}}, "sds_per_uda needs positive counts"),
+            ({"citation_sigma": -0.5}, "dispersions must be non-negative"),
+            ({"coauthor_range": [0, 3]}, "infeasible coauthor range (0, 3)"),
+            ({"life_science_udas": ["Z", "B"]}, "life-science UDAs ['Z'] not in layout"),
+        ],
+        ids=["no-universities", "empty-area", "negative-dispersion", "coauthor-range", "unknown-life-science-uda"],
+    )
+    def test_infeasible_profile_exits_1(self, tmp_path, capsys, changes, message):
+        profile_path = tmp_path / "profile.json"
+        profile_path.write_text(json.dumps({**CRITERION_11_PROFILE, **changes}))
+        out = tmp_path / "corpus"
+        assert dispatch(["gen", "--profile", str(profile_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: profile: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "flags, message",
         [
             (["--budget", "0"], "budget must be positive"),
@@ -448,11 +467,12 @@ class TestRank:
         for row, obj in zip(rows[1:], payload):
             assert row == [str(obj["rank"]), obj["university_id"], repr(obj["score"]), str(obj["staff"])]
 
-    def test_unknown_field_rejected(self, corpus_dir, tmp_path):
+    def test_unknown_field_rejected(self, corpus_dir, tmp_path, capsys):
         code = dispatch(
             ["rank", "--corpus", str(corpus_dir), "--level", "sds", "--field", "Z-99", "--out", str(tmp_path / "r.csv")]
         )
         assert code == 1
+        assert capsys.readouterr().err == "error: --field 'Z-99': no ranked units at level sds\n"
 
 
 class TestConfigFile:
@@ -641,6 +661,13 @@ class TestCounterfactual:
         assert f"error: {message}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_unknown_field_rejected(self, corpus_dir, tmp_path, capsys):
+        out = tmp_path / "cf.csv"
+        argv = ["counterfactual", "--corpus", str(corpus_dir), "--level", "uda", "--field", "A-01", "--out", str(out)]
+        assert dispatch(argv) == 1
+        assert capsys.readouterr().err == "error: --field 'A-01': no counterfactual report at level uda\n"
+        assert not out.exists()
+
     def test_transition_marginals_match_class_sizes(self, corpus_dir, tmp_path):
         out = tmp_path / "cf.csv"
         tr = tmp_path / "tr.csv"
@@ -811,6 +838,28 @@ class TestReportAll:
             assert rows == [["uda", *reports.CENSUS_COLUMNS]]
         else:
             assert sum(float(r[6]) for r in rows[1:]) == pytest.approx(5000.0, rel=1e-9)
+
+    def test_concentration_and_scatter_need_five(self, tmp_path):
+        """SDS S1 and area A hold 4 researchers, one per university; S2 and B hold 5. Only S2 gets a
+        concentration row, and only B a scatter."""
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "taxonomy.csv").write_text("sds,uda,uda_name,life_science\nS1,A,Area A,0\nS2,B,Area B,0\n")
+        researchers = [(f"R-{sds}-{u}", f"U{u}", sds) for sds, n in (("S1", 4), ("S2", 5)) for u in range(1, n + 1)]
+        (corpus / "researchers.csv").write_text(
+            "id,university_id,university_name,sds,years_in_post\n"
+            + "".join(f"{rid},{uid},Uni {uid},{sds},5\n" for rid, uid, sds in researchers)
+        )
+        publications = (
+            {"id": f"P-{rid}", "year": 2005, "type": "article", "citations": i + 1, "categories": [sds],
+             "authors": [{"researcher_id": rid, "position": 1, "intramural": True}]}
+            for i, (rid, _, sds) in enumerate(researchers)
+        )
+        (corpus / "publications.jsonl").write_text("".join(json.dumps(pub) + "\n" for pub in publications))
+        out = tmp_path / "run"
+        assert dispatch(["report-all", "--corpus", str(corpus), "--min-staff", "1", "--out", str(out)]) == 0
+        assert [row[0] for row in read_csv(out / "concentration_sds.csv")[1:]] == ["S2"]
+        assert [path.name for path in out.glob("scatter_*.svg")] == ["scatter_B.svg"]
 
     def test_scatter_title_is_escaped(self, tmp_path):
         profile_path = tmp_path / "p.json"

@@ -71,7 +71,7 @@ class TestLoadCorpus:
         corpus = load_corpus(*write_files(tmp_path))
         assert len(corpus.researchers) == 2
         assert len(corpus.publications) == 1
-        assert corpus.universities == {"U1": "Uni One"}
+        assert (corpus.researchers.universities, corpus.researchers.university_names) == (("U1",), ("Uni One",))
         assert corpus.taxonomy.uda_of("S3") == "LIFE"
         assert corpus.taxonomy.is_life_science("S3")
         assert not corpus.taxonomy.is_life_science("S1")
@@ -165,6 +165,24 @@ class TestLoadCorpus:
     def test_csv_blank_lines_keep_the_line_numbers(self, tmp_path, researchers, taxonomy, message):
         with pytest.raises(ValidationError, match=message):
             load_corpus(*write_files(tmp_path, researchers=researchers, taxonomy=taxonomy))
+
+    @pytest.mark.parametrize(
+        "researchers, taxonomy, file, message",
+        [
+            (VALID_RESEARCHERS, VALID_TAXONOMY + "S4,X,Area X,1\n", "taxonomy.csv",
+             " line 5: conflicting life_science flags within UDA 'X'"),
+            (VALID_RESEARCHERS, "sds,uda,uda_name,life_science\n", "taxonomy.csv", ": no taxonomy rows"),
+            (VALID_RESEARCHERS + "R3,,Uni One,S1,5\n", VALID_TAXONOMY, "researchers.csv",
+             " line 4: empty university_id"),
+            ("id,university_id,university_name,sds,years_in_post\n", VALID_TAXONOMY, "researchers.csv",
+             ": no researcher rows"),
+        ],
+        ids=["life-science-flags", "no-taxonomy-rows", "empty-university-id", "no-researcher-rows"],
+    )
+    def test_rejected_csv_is_named_with_its_rule(self, tmp_path, researchers, taxonomy, file, message):
+        with pytest.raises(ValidationError) as err:
+            load_corpus(*write_files(tmp_path, researchers=researchers, taxonomy=taxonomy))
+        assert str(err.value) == f"{tmp_path / file}{message}"
 
     def test_wrong_researcher_header(self, tmp_path):
         researchers = "id,university,name,sds,years\nR1,U1,Uni One,S1,5\n"
@@ -313,7 +331,7 @@ def _in_memory(pubs, extra_researcher):
         for p in pubs
     )
     taxonomy = make_taxonomy({"S1": "X", "S2": "X", "S3": "LIFE"})
-    return Corpus(publications, researchers, {"U1": "Uni One"}, taxonomy, DEFAULT_WINDOW)
+    return Corpus(publications, researchers, taxonomy, DEFAULT_WINDOW)
 
 
 class TestSharedRules:
@@ -337,11 +355,6 @@ class TestSharedRules:
     def test_loader_rejects_citations_beyond_int64(self, tmp_path):
         with pytest.raises(ValidationError, match=f"publications.jsonl line 1: citations must be <= {CITATION_LIMIT}"):
             load_corpus(*write_files(tmp_path, pubs=[_broken(citations=2**64)]))
-
-    def test_validate_rejects_unknown_university(self):
-        corpus = _in_memory([VALID_PUBLICATION], "R3,U9,Uni Nine,S1,5")
-        with pytest.raises(ValidationError, match="researcher 'R3': unknown university 'U9'"):
-            corpus.validate()
 
     def test_researchers_table_rejects_an_id_given_twice(self):
         # Two rows of one id hold a single code, so the unknown author GHOST would get R2's row as its code.
@@ -690,7 +703,7 @@ def test_written_tables_load_back_column_for_column(tmp_path_factory, table, bla
     records, rids = table
     corpus = Corpus(
         Publications.from_records(records), make_researchers((rid, "U1", "S1", 5) for rid in rids),
-        {"U1": "Uni One"}, make_taxonomy(), DEFAULT_WINDOW,
+        make_taxonomy(), DEFAULT_WINDOW,
     )
     corpus.validate()
     assert_slots_coded_by_row(corpus, [slot.researcher_id for pub in records for slot in pub.authors])

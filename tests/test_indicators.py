@@ -140,6 +140,17 @@ class TestProductivityStats:
         assert share.minimum == share.maximum == share.average == pytest.approx(0.2)
         assert measured_shares(scores).non_productive_share == pytest.approx(0.2)
 
+    def test_sds_dropped_by_the_activity_filter_is_left_out(self):
+        # One of S2's three researchers publishes, below half, so area X summarizes S1 alone.
+        entries = [("A1", "U1", "S1", 2), ("A2", "U1", "S1", None)] + [
+            (f"B{i}", "U1", "S2", 1 if i == 0 else None) for i in range(3)
+        ]
+        corpus = solo_corpus(entries)
+        scored = score_corpus(corpus)
+        assert scored.active_sds == {"S1"}
+        share = productivity_stats(scored.scores, corpus.taxonomy).uda_non_productive["X"]
+        assert (share.n_sds, share.minimum, share.maximum) == (1, 0.5, 0.5)
+
     def test_uda_average_is_unweighted_over_sds(self):
         entries = (
             [(f"A{i}", "U1", "S1", 1 if i else None) for i in range(2)]  # 50% non-productive

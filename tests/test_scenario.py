@@ -278,6 +278,8 @@ class TestScatter:
         assert spearman(deltas, ginis).rho == -1.0
 
     def test_needs_five_units(self):
-        report = _report_from_points([(0, 0.5), (1, 0.4)])
-        with pytest.raises(UndefinedStatisticError):
+        report = _report_from_points([(0, 0.5), (1, 0.4), (-1, 0.3), (0, 0.2)])
+        with pytest.raises(UndefinedStatisticError, match=r"^scatter needs at least 5 units, field 'S1' has 4$"):
             shift_gini_scatter(report)
+        five = _report_from_points([(0, 0.5), (1, 0.4), (-1, 0.3), (0, 0.2), (0, 0.1)])
+        assert len(shift_gini_scatter(five).points) == 5

@@ -1,5 +1,6 @@
 """Generator determinism, validity and pinned output, the corpus writer, calibration, and profiles."""
 
+import csv
 import hashlib
 import json
 import re
@@ -53,7 +54,6 @@ class TestDeterminism:
         b = generate(SMALL)
         assert table_columns(a.researchers) == table_columns(b.researchers)
         assert list(a.publications) == list(b.publications)
-        assert a.universities == b.universities
 
     def test_same_seed_byte_identical_files(self, tmp_path):
         paths_a = write_corpus(generate(SMALL), tmp_path / "a", SMALL)
@@ -82,7 +82,6 @@ class TestDeterminism:
             if column.name != "citations":
                 assert np.array_equal(getattr(a.publications, column.name), getattr(b.publications, column.name))
         assert table_columns(a.researchers) == table_columns(b.researchers)
-        assert a.universities == b.universities
 
 
 def _twin_rngs(seed, warmup):
@@ -335,20 +334,24 @@ def test_gen_output_is_pinned(tmp_path, name):
     assert digests == {"publications.jsonl": publications_digest, "researchers.csv": researchers_digest}
 
 
-def test_large_units_report_as_their_written_corpus(tmp_path):
+@pytest.mark.parametrize(
+    "profile",
+    [
+        {"n_universities": 2, "sds_per_uda": {"A": 1, "B": 1}, "life_science_udas": ["A"],
+         "staff_per_unit": [1000, 1010], "seed": 5},
+        {"n_universities": 8, "sds_per_uda": {"A": 1}, "life_science_udas": [], "staff_per_unit": [0, 2], "seed": 1},
+    ],
+    ids=["large-units", "staffless-universities"],
+)
+def test_large_units_report_as_their_written_corpus(tmp_path, profile):
     """With 1,000 staff or more, id order is not generation order (`...-1000` sorts before
-    `...-101`); the generated corpus is canonicalised as a loaded one is, so both score alike."""
-    profile = tmp_path / "profile.json"
-    profile.write_text(json.dumps({
-        "n_universities": 2,
-        "sds_per_uda": {"A": 1, "B": 1},
-        "life_science_udas": ["A"],
-        "staff_per_unit": [1000, 1010],
-        "seed": 5,
-    }))
+    `...-101`); the generated corpus is canonicalised as a loaded one is, so both score alike.
+    A university that draws no staff is in neither corpus, so neither run counts it."""
+    profile_path = tmp_path / "profile.json"
+    profile_path.write_text(json.dumps(profile))
     outputs = {}
     for source, argv in (
-        ("profile", ["--profile", str(profile)]),
+        ("profile", ["--profile", str(profile_path)]),
         ("corpus", ["--corpus", str(tmp_path / "profile" / "corpus")]),
     ):
         out = tmp_path / source
@@ -358,6 +361,11 @@ def test_large_units_report_as_their_written_corpus(tmp_path):
         }
     assert "ranks_sds.csv" in outputs["profile"]
     assert outputs["profile"] == outputs["corpus"]
+    corpus_dir = tmp_path / "profile" / "corpus"
+    with open(corpus_dir / "researchers.csv", newline="", encoding="utf-8") as fh:
+        universities = {row["university_id"] for row in csv.DictReader(fh)}
+    metadata = json.loads((corpus_dir / "metadata.json").read_text())
+    assert metadata["counts"]["universities"] == len(universities)
 
 
 def test_generated_corpus_is_in_canonical_order():
