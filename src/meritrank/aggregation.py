@@ -35,6 +35,8 @@ class Units:
 
     `max_sds_staff` is the staff of the unit's largest SDS, the one that
     puts it on the minimum-staff roster; an SDS unit's is its own full staff.
+    `row_unit` is, for each row of the score table the units were built
+    from, the row of that researcher's unit: the one unit membership.
     """
 
     universities: tuple[str, ...]
@@ -44,6 +46,7 @@ class Units:
     score: np.ndarray
     staff: np.ndarray
     max_sds_staff: np.ndarray
+    row_unit: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -63,15 +66,14 @@ def sds_unit_scores(scores: ScoreTable, kept: np.ndarray | None = None) -> Units
     SS in row order, as `ordered_sum` would.
     """
     n_sds = len(scores.sds_names)
-    units = scores.unit_codes()
-    full_staff = np.bincount(units)
-    present = np.flatnonzero(full_staff)
+    present, row_unit = np.unique(scores.unit_codes(), return_inverse=True)
+    full_staff = np.bincount(row_unit)
     rows = slice(None) if kept is None else kept
-    staff = np.bincount(units[rows], minlength=len(full_staff))[present]
-    totals = np.bincount(units[rows], weights=scores.ss[rows], minlength=len(full_staff))[present]
+    staff = np.bincount(row_unit[rows], minlength=len(present))
+    totals = np.bincount(row_unit[rows], weights=scores.ss[rows], minlength=len(present))
     score = np.divide(totals, staff, out=np.zeros(len(present)), where=staff > 0)
     return Units(
-        scores.universities, scores.sds_names, present // n_sds, present % n_sds, score, staff, full_staff[present]
+        scores.universities, scores.sds_names, present // n_sds, present % n_sds, score, staff, full_staff, row_unit
     )
 
 
@@ -115,10 +117,10 @@ def uda_unit_scores(units: Units, p_stars: Mapping[str, float], taxonomy: Taxono
     totals = np.bincount(areas, weights=ratio * share)
     largest = np.zeros(len(totals), dtype=np.int64)
     np.maximum.at(largest, areas, units.max_sds_staff)
-    present = np.unique(areas)
+    present, area_row = np.unique(areas, return_inverse=True)
     return Units(
         units.universities, udas, present // len(udas), present % len(udas),
-        totals[present], area_staff[present], largest[present],
+        totals[present], area_staff[present], largest[present], area_row[units.row_unit],
     )
 
 
@@ -130,11 +132,6 @@ def level_unit_scores(units: Units, level: str, p_stars: Mapping[str, float], ta
     if level == LEVEL_UDA:
         return uda_unit_scores(units, p_stars, taxonomy)
     raise ValidationError(f"unknown ranking level {level!r}")
-
-
-def level_field(sds: str, level: str, taxonomy: Taxonomy) -> str:
-    """The field a researcher of `sds` is ranked in at `level`, once `level_unit_scores` took it."""
-    return sds if level == LEVEL_SDS else taxonomy.uda_of(sds)
 
 
 def ranking_order(units: Units, min_staff: int = DEFAULT_MIN_STAFF) -> np.ndarray:

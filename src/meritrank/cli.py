@@ -193,10 +193,10 @@ def cmd_indicators(cfg: dict) -> int:
     return EXIT_OK
 
 
-def _ranked_units(units, level: str, cfg: dict, taxonomy):
-    """Rankings per field at `level` from the per-(university, SDS) unit scores; p* only for UDA composites."""
+def _level_units(units, level: str, cfg: dict, taxonomy):
+    """The units ranked at `level` from the per-(university, SDS) unit scores; p* only for UDA composites."""
     p_stars = national_averages(units, cfg["pstar"]) if level == LEVEL_UDA else {}
-    return rank_units(level_unit_scores(units, level, p_stars, taxonomy), cfg["min_staff"])
+    return level_unit_scores(units, level, p_stars, taxonomy)
 
 
 def _counterfactual(cfg: dict, scored, units, selection, level: str, k_classes: int):
@@ -224,7 +224,7 @@ def cmd_rank(cfg: dict) -> int:
     level = _required(cfg, "level", "--level")
     out = _required(cfg, "out", "--out")
     scored = score_corpus(_load(cfg), _credit_scheme(cfg))
-    rankings = _ranked_units(sds_unit_scores(scored.scores), level, cfg, scored.taxonomy)
+    rankings = rank_units(_level_units(sds_unit_scores(scored.scores), level, cfg, scored.taxonomy), cfg["min_staff"])
     field = cfg["field"]
     if field is not None and field not in rankings:
         raise ValidationError(f"--field {field!r}: no ranked units at level {level}")
@@ -272,12 +272,13 @@ def cmd_fund(cfg: dict) -> int:
     out = _required(cfg, "out", "--out")
     policy = _funding_policy(cfg)
     scored = score_corpus(_load(cfg), _credit_scheme(cfg))
-    rankings = _ranked_units(sds_unit_scores(scored.scores), LEVEL_UDA, cfg, scored.taxonomy)
+    areas = _level_units(sds_unit_scores(scored.scores), LEVEL_UDA, cfg, scored.taxonomy)
+    rankings = rank_units(areas, cfg["min_staff"])
     if uda not in rankings:
         raise ValidationError(f"--uda {uda!r}: no ranked universities in that area")
     selection = select_top(scored.scores, SCOPE_NATIONAL, cfg["share"], cfg["min_staff"])
     allocation = allocate(rankings[uda], policy)
-    census = national_top_census(scored.scores, scored.taxonomy, uda, allocation, selection)
+    census = national_top_census(areas, uda, allocation, selection)
     findings = paradox_report(census)
     reports.write_allocation_csv(out, allocation)
     if cfg["census"]:
@@ -333,9 +334,10 @@ def cmd_report_all(cfg: dict) -> int:
     reports.write_concentration_csv(out_dir / "concentration_sds.csv", concentration_rows)
 
     units = sds_unit_scores(scored.scores)
-    rankings_sds = _ranked_units(units, LEVEL_SDS, cfg, scored.taxonomy)
+    rankings_sds = rank_units(units, cfg["min_staff"])
     reports.write_ranking_csv(out_dir / "ranks_sds.csv", rankings_sds)
-    rankings_uda = _ranked_units(units, LEVEL_UDA, cfg, scored.taxonomy)
+    areas = _level_units(units, LEVEL_UDA, cfg, scored.taxonomy)
+    rankings_uda = rank_units(areas, cfg["min_staff"])
     reports.write_ranking_csv(out_dir / "ranks_uda.csv", rankings_uda)
 
     selection = select_top(scored.scores, SCOPE_UNIT, cfg["share"], cfg["min_staff"])
@@ -368,7 +370,7 @@ def cmd_report_all(cfg: dict) -> int:
             allocations[uda] = allocate(rankings_uda[uda], replace(policy, budget=budget))
     national_selection = select_top(scored.scores, SCOPE_NATIONAL, cfg["share"], cfg["min_staff"])
     censuses = [
-        national_top_census(scored.scores, scored.taxonomy, uda, allocation, national_selection)
+        national_top_census(areas, uda, allocation, national_selection)
         for uda, allocation in allocations.items()
     ]
     reports.write_combined_census_csv(out_dir / "funding_census.csv", censuses, with_uda=True)

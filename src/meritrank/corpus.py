@@ -405,6 +405,8 @@ class Corpus:
         if problem:
             row, message = problem
             raise ValidationError(f"publication {self.publications.ids[row]!r}: {message}")
+        if not len(res):
+            raise ValidationError("corpus has no researchers")
         for rid, sds, years in zip(res.ids, res.sds.tolist(), res.years_in_post.tolist()):
             problem = researcher_problem(res.sds_names[sds], years, self.taxonomy, self.window)
             if problem:

@@ -15,10 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .aggregation import RankedUnit
-from .corpus import Taxonomy
+from .aggregation import RankedUnit, Units
 from .errors import AllocationError, ValidationError
-from .indicators import ScoreTable
 from .scenario import SCOPE_NATIONAL, TopSelection
 from .stats import classify_quantiles
 
@@ -124,34 +122,34 @@ class TopCensus:
 
 
 def national_top_census(
-    scores: ScoreTable,
-    taxonomy: Taxonomy,
+    units: Units,
     uda: str,
     allocation: FundingAllocation,
     selection: TopSelection,
 ) -> TopCensus:
     """Count top national scientists per university and per funding class.
 
-    Top status comes from a nationally scoped selection: per-SDS, independent
-    of employer. Each row's class and amount come from its university's row of
-    the area's `allocation`. Universities outside the ranked roster have class
-    None and amount 0 and add to no class total, so the per-class totals
-    partition the classified tops.
-    Stranded means sitting in the bottom class.
+    `units` are the UDA composites that `allocation` ranked, and the census has
+    a row per unit of area `uda`, in university order. Top status comes from a
+    nationally scoped selection of the units' score rows: per SDS, whatever the
+    employer. Each row's class and amount come from its university's row of
+    `allocation`; universities off the ranked roster have class None and amount
+    0 and add to no class total, so the per-class totals partition the
+    classified tops. Stranded means sitting in the bottom class.
     """
     if selection.scope != SCOPE_NATIONAL:
         raise ValidationError("the census needs a nationally scoped selection")
-    in_area = np.array([taxonomy.uda_of(sds) == uda for sds in scores.sds_names], dtype=bool)[scores.sds]
-    n_universities = len(scores.universities)
-    staff = np.bincount(scores.university[in_area], minlength=n_universities).tolist()
-    tops = np.bincount(scores.university[in_area & selection.selected], minlength=n_universities).tolist()
+    rows = np.flatnonzero(units.field == (units.fields.index(uda) if uda in units.fields else -1))
+    if not len(rows):
+        raise ValidationError(f"area {uda!r}: no units to take a census of")
+    tops = np.bincount(units.row_unit[selection.selected], minlength=len(units.field))
 
     allocated = {unit.university_id: unit for unit in allocation.units}
     universities = []
     class_totals = [0] * allocation.policy.n_classes
-    for univ, univ_staff, univ_tops in zip(scores.universities, staff, tops):
-        if not univ_staff:
-            continue
+    columns = (units.university, units.staff, tops)
+    for code, univ_staff, univ_tops in zip(*(column[rows].tolist() for column in columns)):
+        univ = units.universities[code]
         unit = allocated.get(univ)
         class_index, amount = (None, Fraction(0)) if unit is None else (unit.class_index, unit.amount)
         if class_index is not None:

@@ -37,7 +37,8 @@ class ScoreTable(Researchers):
 def group_rows(codes: np.ndarray, n_groups: int) -> list[np.ndarray]:
     """The rows holding each code 0..n_groups-1, each group in row order."""
     order = np.argsort(codes, kind="stable")
-    return np.split(order, np.cumsum(np.bincount(codes, minlength=n_groups))[:-1])
+    bounds = np.cumsum(np.bincount(codes, minlength=n_groups)).tolist()
+    return [order[start:stop] for start, stop in zip([0, *bounds], bounds)]
 
 
 def researcher_ss(corpus: Corpus, baselines: Baselines, scheme: CreditScheme) -> tuple[np.ndarray, np.ndarray]:

@@ -18,15 +18,14 @@ from .aggregation import (
     PSTAR_MEAN_OF_UNITS,
     DEFAULT_MIN_STAFF,
     Units,
-    level_field,
     level_unit_scores,
     national_averages,
     ranking_order,
     sds_unit_scores,
 )
-from .corpus import Taxonomy, name_codes
+from .corpus import Taxonomy
 from .errors import UndefinedStatisticError, ValidationError
-from .indicators import ScoreTable
+from .indicators import ScoreTable, group_rows
 from .stats import SpearmanResult, classify_quantiles, gini, spearman, top_count
 
 SCOPE_UNIT = "unit"
@@ -153,12 +152,8 @@ def counterfactual_rankings(
     hypothetical_rank = rank_of_row[order]
 
     # Each ranked unit's researchers, in row order: `gini` sums its input unsorted.
-    fields, field_of_sds = name_codes([level_field(sds, level, taxonomy) for sds in scores.sds_names])
-    codes = scores.university * len(fields) + field_of_sds[scores.sds]
-    by_code = np.argsort(codes, kind="stable")
-    bounds = np.r_[0, np.cumsum(np.bincount(codes, minlength=len(scores.universities) * len(fields)))]
-    unit_codes = (observed.university[order] * len(fields) + field).tolist()
-    ginis = np.array([_unit_gini(scores.ss[by_code[bounds[c] : bounds[c + 1]]]) for c in unit_codes])
+    members = group_rows(observed.row_unit, len(observed.field))
+    ginis = np.array([_unit_gini(scores.ss[members[row]]) for row in order.tolist()])
 
     reports: dict[str, CounterfactualReport] = {}
     for start, stop in zip(starts.tolist(), stops.tolist()):

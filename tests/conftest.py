@@ -118,14 +118,14 @@ def scores_with_ss(groups, taxonomy: Taxonomy | None = None):
 
 def make_units(rows) -> Units:
     """The SDS units given as (university, sds, score, staff) rows, in any order; each unit's
-    `max_sds_staff` is its staff."""
+    `max_sds_staff` is its staff. No score table stands behind them, so `row_unit` is empty."""
     columns = [list(column) for column in zip(*rows)] or [[], [], [], []]
     universities, university = name_codes(columns[0])
     fields, field = name_codes(columns[1])
     order = np.lexsort((field, university))
     score = np.array(columns[2], dtype=float)[order]
     staff = np.array(columns[3], dtype=np.int64)[order]
-    return Units(universities, fields, university[order], field[order], score, staff, staff)
+    return Units(universities, fields, university[order], field[order], score, staff, staff, np.zeros(0, np.int64))
 
 
 def unit_rows(units: Units) -> list[tuple]:

@@ -20,12 +20,12 @@ import numpy as np
 from meritrank import aggregation
 from meritrank.aggregation import (
     DEFAULT_MIN_STAFF,
+    LEVEL_SDS,
     LEVEL_UDA,
     PSTAR_MEAN_OF_UNITS,
     PSTAR_POOLED,
     RankedUnit,
     Units,
-    level_field,
     level_unit_scores,
 )
 from meritrank.corpus import Publication, Taxonomy, name_codes
@@ -223,6 +223,11 @@ def _unit_gini(values: Sequence[float]) -> float:
     if len(values) < 2:
         return 0.0
     return gini(values)
+
+
+def level_field(sds: str, level: str, taxonomy: Taxonomy) -> str:
+    """The field a researcher of `sds` is ranked in at `level`: the SDS, or its UDA."""
+    return sds if level == LEVEL_SDS else taxonomy.uda_of(sds)
 
 
 def _unit_values(scores: ScoreTable, level: str, taxonomy: Taxonomy) -> dict[tuple[str, str], np.ndarray]:

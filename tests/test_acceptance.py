@@ -281,7 +281,7 @@ def _funding_pipeline(groups):
     policy = FundingPolicy(budget=1000)
     allocation = allocate(ranking, policy)
     selection = select_top(scores, SCOPE_NATIONAL, 0.2)
-    return national_top_census(scores, taxonomy, "X", allocation, selection=selection)
+    return national_top_census(area, "X", allocation, selection=selection)
 
 
 def test_criterion_10_paradox_reproduction():

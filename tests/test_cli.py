@@ -339,6 +339,17 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: profile: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["gen", "report-all"])
+    def test_profile_that_draws_no_researcher_exits_1(self, tmp_path, capsys, command):
+        # One university, one SDS, and its one unit draws 0 staff at seed 1: the loader would reject the corpus.
+        profile = {"n_universities": 1, "sds_per_uda": {"A": 1}, "life_science_udas": [], "staff_per_unit": [0, 1]}
+        profile_path = tmp_path / "profile.json"
+        profile_path.write_text(json.dumps({**profile, "seed": 1}))
+        out = tmp_path / "out"
+        assert dispatch([command, "--profile", str(profile_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: corpus has no researchers\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "flags, message",
         [

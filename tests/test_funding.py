@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from meritrank.aggregation import RankedUnit
+from meritrank.aggregation import RankedUnit, national_averages, sds_unit_scores, uda_unit_scores
 from meritrank.errors import AllocationError, ValidationError
 from meritrank.funding import (
     KIND_CLASS_INVERSION,
@@ -123,8 +123,8 @@ class TestAllocate:
 def census_fixture():
     """Eight universities in one UDA, quartiles of two, tops steered by SS.
 
-    Returns the corpus, the scores and the allocation over U01..U08 ranked in
-    that order, which puts U01-U02 in the first class and U07-U08 in the last.
+    Returns the area's UDA composites, the scores and the allocation over U01..U08
+    ranked in that order, which puts U01-U02 in the first class and U07-U08 in the last.
     """
     taxonomy = make_taxonomy({"S1": "X"})
     groups = {}
@@ -141,17 +141,19 @@ def census_fixture():
     }
     for univ, values in layout.items():
         groups[(univ, "S1")] = [float(v) for v in values]
-    corpus, scores = scores_with_ss(groups, taxonomy=taxonomy)
+    _, scores = scores_with_ss(groups, taxonomy=taxonomy)
+    units = sds_unit_scores(scores)
+    areas = uda_unit_scores(units, national_averages(units), taxonomy)
     # Observed per-capita ranking: U01..U07 descending, U08 last (19 per capita
     # for U08 vs 20.4+ for the rest).
-    return corpus, scores, allocate(ranked([5] * 8), FundingPolicy(budget=1000))
+    return areas, scores, allocate(ranked([5] * 8), FundingPolicy(budget=1000))
 
 
 class TestCensus:
     def test_counts_and_stranded_share(self):
-        corpus, scores, allocation = census_fixture()
+        areas, scores, allocation = census_fixture()
         selection = select_top(scores, SCOPE_NATIONAL, 0.2)
-        census = national_top_census(scores, corpus.taxonomy, "X", allocation, selection)
+        census = national_top_census(areas, "X", allocation, selection)
         # 40 researchers nationally in S1 -> 8 tops: the pairs at 100/90/80,
         # U08's 95, and one of the tied 70s (id tie-break picks U04-S1-00).
         assert census.total_tops == 8
@@ -163,34 +165,40 @@ class TestCensus:
         assert by_univ["U08"].incidence == pytest.approx(0.2)
 
     def test_partition_into_classes(self):
-        corpus, scores, allocation = census_fixture()
+        areas, scores, allocation = census_fixture()
         selection = select_top(scores, SCOPE_NATIONAL, 0.2)
-        census = national_top_census(scores, corpus.taxonomy, "X", allocation, selection)
+        census = national_top_census(areas, "X", allocation, selection)
         assert census.allocation is allocation
         assert sum(census.class_totals) == census.total_tops
         assert sum(u.top_count for u in census.universities) == census.total_tops
 
     def test_unclassified_universities_tracked_separately(self):
-        corpus, scores, _ = census_fixture()
+        areas, scores, _ = census_fixture()
         without_u08 = allocate(ranked([5] * 7), FundingPolicy(budget=1000))
         selection = select_top(scores, SCOPE_NATIONAL, 0.2)
-        census = national_top_census(scores, corpus.taxonomy, "X", without_u08, selection)
+        census = national_top_census(areas, "X", without_u08, selection)
         assert sum(u.top_count for u in census.universities if u.class_index is None) == 1
         assert census.total_tops == 7
         assert sum(census.class_totals) == 7
 
     def test_rejects_unit_scope_selection(self):
-        corpus, scores, allocation = census_fixture()
+        areas, scores, allocation = census_fixture()
         bad = TopSelection("unit", np.zeros(len(scores), dtype=bool))
         with pytest.raises(ValidationError):
-            national_top_census(scores, corpus.taxonomy, "X", allocation, selection=bad)
+            national_top_census(areas, "X", allocation, selection=bad)
+
+    def test_rejects_an_area_without_units(self):
+        areas, scores, allocation = census_fixture()
+        selection = select_top(scores, SCOPE_NATIONAL, 0.2)
+        with pytest.raises(ValidationError, match=r"^area 'Y': no units to take a census of$"):
+            national_top_census(areas, "Y", allocation, selection)
 
 
 class TestParadoxReport:
     def _census(self):
-        corpus, scores, allocation = census_fixture()
+        areas, scores, allocation = census_fixture()
         selection = select_top(scores, SCOPE_NATIONAL, 0.2)
-        return national_top_census(scores, corpus.taxonomy, "X", allocation, selection)
+        return national_top_census(areas, "X", allocation, selection)
 
     def test_class_pair_inversion_flagged(self):
         census = self._census()

@@ -1,6 +1,7 @@
 """Property tests: scoring, credit, funding, statistics, selection and re-ranking on random inputs."""
 
 import statistics
+from collections import Counter
 from dataclasses import astuple
 from fractions import Fraction
 
@@ -195,6 +196,27 @@ def test_each_units_gini_is_that_of_its_researchers(roster, level, share, min_st
                 and (row["sds"] if level == LEVEL_SDS else TAXONOMY.uda_of(row["sds"])) == field
             ]
             assert unit_gini == (gini(values) if len(values) >= 2 else 0.0)
+
+
+@SETTINGS
+@given(roster=rosters, level=levels, keep=st.lists(st.booleans(), max_size=240))
+# U1's rows of S1 and S2 make one composite of area X, its S3 row one of area Y; the first row is dropped.
+@example(roster={("U2", "S1"): [1.0], ("U1", "S3"): [2.0], ("U1", "S1"): [3.0, 4.0], ("U1", "S2"): [5.0]},
+         level=LEVEL_UDA, keep=[False])
+def test_each_score_row_belongs_to_the_unit_of_its_university_and_field(roster, level, keep):
+    """`row_unit` names, for every score row, the unit of that row's university and field at `level`;
+    every unit has a member, and the hypothetical units, with the rows past `keep` kept, share the
+    observed units' membership."""
+    _, scores = scores_with_ss(roster, taxonomy=TAXONOMY)
+    units = sds_unit_scores(scores)
+    areas = level_unit_scores(units, level, national_averages(units), TAXONOMY)
+    members = [(areas.universities[areas.university[row]], areas.fields[areas.field[row]]) for row in areas.row_unit]
+    assert members == [
+        (row["university_id"], oracles.level_field(row["sds"], level, TAXONOMY)) for row in table_rows(scores).values()
+    ]
+    assert sorted(set(areas.row_unit.tolist())) == list(range(len(areas.field)))
+    kept = np.array([keep[i] if i < len(keep) else True for i in range(len(scores))], dtype=bool)
+    assert sds_unit_scores(scores, kept).row_unit.tolist() == units.row_unit.tolist()
 
 
 def _spearman_bits(result):
@@ -685,13 +707,14 @@ def _drawn_census(roster, min_staff, share, ratio, bottom_funded, data):
     corpus, scores = scores_with_ss(roster, taxonomy=TAXONOMY)
     units = sds_unit_scores(scores)
     p_stars = national_averages(units)
-    rankings = rank_units(level_unit_scores(units, LEVEL_UDA, p_stars, TAXONOMY), min_staff)
+    areas = level_unit_scores(units, LEVEL_UDA, p_stars, TAXONOMY)
+    rankings = rank_units(areas, min_staff)
     assume(any(len(ranking) >= 2 for ranking in rankings.values()))
     uda = data.draw(st.sampled_from(sorted(u for u, r in rankings.items() if len(r) >= 2)))
     n_classes = data.draw(st.integers(2, min(6, len(rankings[uda]))))
     allocation = allocate(rankings[uda], FundingPolicy(n_classes, ratio, bottom_funded, 1000))
     selection = select_top(scores, SCOPE_NATIONAL, share, min_staff)
-    return scores, selection, national_top_census(scores, TAXONOMY, uda, allocation, selection)
+    return scores, selection, national_top_census(areas, uda, allocation, selection)
 
 
 @SETTINGS
@@ -704,14 +727,19 @@ def _drawn_census(roster, min_staff, share, ratio, bottom_funded, data):
     data=st.data(),
 )
 def test_census_rows_carry_their_allocation_rows(roster, min_staff, share, ratio, bottom_funded, data):
-    _, _, census = _drawn_census(roster, min_staff, share, ratio, bottom_funded, data)
+    scores, _, census = _drawn_census(roster, min_staff, share, ratio, bottom_funded, data)
+    # The census rows are the area's units: each university with researchers in the area, in name order.
+    area_staff = Counter(
+        row["university_id"] for row in table_rows(scores).values() if TAXONOMY.uda_of(row["sds"]) == census.uda
+    )
+    assert [(row.university_id, row.staff) for row in census.universities] == sorted(area_staff.items())
     allocated = {unit.university_id: unit for unit in census.allocation.units}
     for row in census.universities:
         unit = allocated.get(row.university_id)
         if unit is None:
             assert (row.class_index, row.amount) == (None, Fraction(0))
         else:
-            assert (row.class_index, row.amount) == (unit.class_index, unit.amount)
+            assert (row.class_index, row.amount, row.staff) == (unit.class_index, unit.amount, unit.staff)
     assert sum((row.amount for row in census.universities), Fraction(0)) == census.allocation.total
 
 

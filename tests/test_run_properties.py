@@ -1,11 +1,12 @@
 """Whole-run properties: report-all on small generated corpora, checked across its output files.
 
-Each example of `test_report_all_funding_outputs_agree` draws a generator profile and the run's
-funding, selection, credit, p* and transition options, runs `report-all` once in-process, and checks
-its outputs against each other and against the written corpus: the funding census, the summary's
-counts, each SDS unit score and UDA composite recomputed from `scores.csv`, and each transition matrix
-recounted from `counterfactual_uda.csv`. The expected values are computed here, apart from the
-package: top counts with the test's own half-up rounding, p* from `scores.csv`.
+Each example of `test_report_all_funding_outputs_agree` draws a generator profile, with its window,
+co-author range and skew knobs, and the run's funding, selection, credit, p* and transition options,
+runs `report-all` once in-process, and checks its outputs against each other and against the written
+corpus: the funding census, the summary's counts, each SDS unit score and UDA composite recomputed from
+`scores.csv`, and each transition matrix recounted from `counterfactual_uda.csv`. The expected values
+are computed here, apart from the package: top counts with the test's own half-up rounding, p* from
+`scores.csv`. A profile that draws no researcher must exit 1, name the fault and write nothing.
 
 `test_renamed_universities_rename_the_outputs` runs `report-all --corpus` on a written corpus and on a
 copy whose university ids and names carry a common prefix, which keeps their sort order; the outputs
@@ -19,7 +20,7 @@ import math
 import shutil
 import tempfile
 from collections import Counter, defaultdict
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,10 +30,14 @@ from hypothesis import strategies as st
 
 from meritrank.aggregation import DEFAULT_MIN_STAFF, PSTAR_MEAN_OF_UNITS, PSTAR_POOLED
 from meritrank.cli import CREDIT_MODES, dispatch
+from meritrank.errors import ValidationError
 from meritrank.stats import classify_quantiles, quantile_class_sizes
 from meritrank.synth import GeneratorProfile, generate, write_corpus
 
 staff_ranges = st.integers(0, 9).flatmap(lambda lo: st.tuples(st.just(lo), st.integers(max(lo, 1), 9)))
+windows = st.integers(1990, 2020).flatmap(lambda first: st.tuples(st.just(first), st.integers(first, first + 6)))
+coauthor_ranges = st.integers(1, 4).flatmap(lambda lo: st.tuples(st.just(lo), st.integers(lo, 8)))
+probabilities = st.floats(0, 1)
 layouts = st.lists(st.integers(1, 4), min_size=1, max_size=3).map(lambda counts: dict(zip("ABC", counts)))
 profiles = layouts.flatmap(
     lambda layout: st.builds(
@@ -41,9 +46,22 @@ profiles = layouts.flatmap(
         sds_per_uda=st.just(layout),
         life_science_udas=st.lists(st.sampled_from(sorted(layout)), unique=True).map(lambda udas: tuple(sorted(udas))),
         staff_per_unit=staff_ranges,
+        window=windows,
+        coauthor_range=coauthor_ranges,
+        # The skew knobs; the two publication-count knobs stay small enough to keep a run under a second.
+        p_nonproductive=probabilities,
+        pubs_location=st.floats(-1, 1.5),
+        pubs_dispersion=st.floats(0, 1.5),
+        citation_location=st.floats(-1, 4),
+        citation_sigma=st.floats(0, 3),
+        zero_citation_mass=probabilities,
+        p_external_coauthor=probabilities,
+        p_second_category=probabilities,
+        p_full_window=probabilities,
         seed=st.integers(0, 2**16),
     )
 )
+NO_RESEARCHERS = "corpus has no researchers"
 budgets = st.builds(Fraction, st.integers(1, 10**8), st.integers(1, 100))
 options = st.fixed_dictionaries(
     {
@@ -81,6 +99,27 @@ ASYMMETRIC_TRANSITIONS = (
      "credit": "positional", "pstar": PSTAR_POOLED, "transition_classes": 3},
 )
 
+# A drawn example over the window, co-author range and skew knobs: a six-year window that ends after the
+# default one, three to seven authors per paper, half the staff non-productive, most researchers in post
+# for part of the window only.
+DRAWN_KNOBS = (
+    GeneratorProfile(
+        n_universities=4, sds_per_uda={"A": 3, "B": 3, "C": 2}, life_science_udas=("A",), staff_per_unit=(8, 8),
+        window=(2014, 2019), p_nonproductive=0.500709801929489, pubs_location=0.5117243374209286,
+        pubs_dispersion=6.103515625e-05, citation_location=1.177518138505334, citation_sigma=1.1,
+        zero_citation_mass=0.3811697251907341, coauthor_range=(3, 7), p_external_coauthor=0.6973433188860242,
+        p_second_category=0.46465111735055176, p_full_window=1.192092896e-07, seed=1363,
+    ),
+    {"classes": 5, "ratio": Fraction(81), "bottom_funded": True, "share": 0.4106353371749919,
+     "budget_flag": "--budget", "budget": Fraction(100000000, 39),
+     "credit": "positional", "pstar": PSTAR_MEAN_OF_UNITS, "transition_classes": 5},
+)
+# The one unit of the one university draws no staff, so the draw holds no researcher.
+NO_STAFF_DRAWN = (
+    GeneratorProfile(n_universities=1, sds_per_uda={"A": 1}, life_science_udas=(), staff_per_unit=(0, 1), seed=1),
+    SKIPPED_UNDER_GLOBAL[1],
+)
+
 
 def read_rows(path: Path) -> list[dict]:
     with open(path, newline="", encoding="utf-8") as f:
@@ -92,7 +131,7 @@ def read_table(path: Path) -> list[list[str]]:
         return list(csv.reader(f))
 
 
-def run_report_all(profile: GeneratorProfile, opts: dict, out: Path) -> None:
+def run_report_all(profile: GeneratorProfile, opts: dict, out: Path) -> int:
     profile_path = out.parent / "profile.json"
     profile_path.write_text(json.dumps(profile.to_dict()))
     argv = [
@@ -101,8 +140,17 @@ def run_report_all(profile: GeneratorProfile, opts: dict, out: Path) -> None:
         opts["budget_flag"], str(opts["budget"]), "--credit", opts["credit"], "--pstar", opts["pstar"],
         "--transition-classes", str(opts["transition_classes"]),
     ] + (["--bottom-funded"] if opts["bottom_funded"] else [])
-    with redirect_stdout(io.StringIO()):
-        assert dispatch(argv) == 0
+    errors = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(errors):
+        code = dispatch(argv)
+    if code == 1:
+        # Only a profile whose units may draw no staff can draw no researcher, which the run rejects unwritten.
+        assert profile.staff_per_unit[0] == 0
+        assert errors.getvalue() == f"error: {NO_RESEARCHERS}\n"
+        assert not out.exists()
+    else:
+        assert code == 0
+    return code
 
 
 def expected_top_count(share: float, n: int) -> int:
@@ -114,10 +162,13 @@ def expected_top_count(share: float, n: int) -> int:
 @given(profile=profiles, opts=options)
 @example(*SKIPPED_UNDER_GLOBAL)
 @example(*ASYMMETRIC_TRANSITIONS)
+@example(*DRAWN_KNOBS)
+@example(*NO_STAFF_DRAWN)
 def test_report_all_funding_outputs_agree(profile, opts):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "run"
-        run_report_all(profile, opts, out)
+        if run_report_all(profile, opts, out):
+            return
         census = read_rows(out / "funding_census.csv")
         summary = json.loads((out / "summary.json").read_text())
         researchers = read_rows(out / "corpus" / "researchers.csv")
@@ -269,11 +320,12 @@ UNIVERSITY_COLUMNS = {"university_id", "university"}
 PREFIXES = st.text(st.characters(exclude_categories=("Cs", "Cc")), min_size=1, max_size=3)
 
 
-def run_outputs(corpus: Path, out: Path, original: dict[str, str]) -> dict:
-    """`report-all --corpus` on `corpus` into `out`: every output but the manifest, CSV files as lists of
-    rows, with each university id put back as `original` maps it."""
+def run_outputs(corpus: Path, window: tuple[int, int], out: Path, original: dict[str, str]) -> dict:
+    """`report-all --corpus` on `corpus` over `window` into `out`: every output but the manifest, CSV files as
+    lists of rows, with each university id put back as `original` maps it."""
+    argv = ["report-all", "--corpus", str(corpus), "--window", *map(str, window), "--min-staff", "1", "--out", str(out)]
     with redirect_stdout(io.StringIO()):
-        assert dispatch(["report-all", "--corpus", str(corpus), "--min-staff", "1", "--out", str(out)]) == 0
+        assert dispatch(argv) == 0
     outputs = {}
     for path in out.iterdir():
         if path.suffix == ".csv":
@@ -296,13 +348,17 @@ def run_outputs(corpus: Path, out: Path, original: dict[str, str]) -> dict:
 @settings(max_examples=15, deadline=None)
 @given(profile=profiles, prefix=PREFIXES)
 @example(profile=SKIPPED_UNDER_GLOBAL[0], prefix=",\"")
+@example(profile=NO_STAFF_DRAWN[0], prefix="U")
 def test_renamed_universities_rename_the_outputs(profile, prefix):
     """A common prefix keeps the universities' sort order, so it may change no output but the ids."""
     with tempfile.TemporaryDirectory() as tmp:
         written = Path(tmp) / "corpus"
-        corpus = generate(profile)
-        if not len(corpus.researchers):
-            return  # the loader rejects a researcher file without rows
+        try:
+            corpus = generate(profile)
+        except ValidationError as empty:
+            # As the loader rejects a researcher file without rows, the generator rejects a draw without researchers.
+            assert (str(empty), profile.staff_per_unit[0]) == (NO_RESEARCHERS, 0)
+            return
         write_corpus(corpus, written, profile)
         renamed = Path(tmp) / "renamed"
         shutil.copytree(written, renamed)
@@ -315,4 +371,5 @@ def test_renamed_universities_rename_the_outputs(profile, prefix):
             writer.writeheader()
             writer.writerows(rows)
         original = {prefix + uid: uid for uid in corpus.researchers.universities}
-        assert run_outputs(renamed, Path(tmp) / "b", original) == run_outputs(written, Path(tmp) / "a", {})
+        expected = run_outputs(written, profile.window, Path(tmp) / "a", {})
+        assert run_outputs(renamed, profile.window, Path(tmp) / "b", original) == expected

@@ -6,6 +6,7 @@ import pytest
 from meritrank import scenario
 from meritrank.aggregation import LEVEL_SDS, LEVEL_UDA, national_averages, sds_unit_scores
 from meritrank.errors import UndefinedStatisticError, ValidationError
+from meritrank.indicators import score_table
 from meritrank.scenario import (
     SCOPE_NATIONAL,
     SCOPE_UNIT,
@@ -17,7 +18,7 @@ from meritrank.scenario import (
 )
 from meritrank.stats import spearman
 
-from conftest import make_taxonomy, scores_with_ss, selected_ids
+from conftest import make_researchers, make_taxonomy, scores_with_ss, selected_ids
 from oracles import transition_matrix
 
 
@@ -70,7 +71,8 @@ class TestSelectTop:
             select_top(self._scores(5), SCOPE_UNIT, share=1.5)
 
     def test_unknown_scope_rejected_on_empty_scores(self):
-        _, scores = scores_with_ss({})
+        # An empty table straight from its columns: `Corpus.validate` rejects a corpus without researchers.
+        scores = score_table(make_researchers([]), [], [])
         with pytest.raises(ValidationError, match="unknown selection scope"):
             select_top(scores, "bogus")
 
