@@ -6,7 +6,8 @@ publications another, `Publications`: numpy columns for citations, year and
 document type, a CSR (flat values plus row offsets) of category codes, and a
 CSR of author slots holding the researcher's row, position and intramural
 flag. `PublicationsBuilder` fills it from the loader, seeded with the
-researcher ids, or from a list of records; the generator fills the columns
+researcher ids, or from a list of records, in typed arrays that become its
+columns without a copy; the generator fills the columns
 straight from its draws, and a `Corpus` recodes a table coded otherwise.
 Scoring reads the columns, and `Publication` records are built only when
 the table is iterated.
@@ -34,6 +35,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import operator
 import re
 from array import array
 from collections import defaultdict
@@ -41,7 +43,7 @@ from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import compress, pairwise
+from itertools import compress, islice, pairwise
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -264,8 +266,10 @@ class Publications:
         return replace(self, slot_researcher=recode[self.slot_researcher], researcher_names=list(codes))
 
     def id_order(self) -> np.ndarray:
-        """The row order that sorts the table by id."""
+        """The row order that sorts the table by id; no sort for a table in that order already."""
         ids = self.ids
+        if _increasing(ids):
+            return np.arange(len(ids))
         return np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.int64)
 
     def in_canonical_order(self, order: np.ndarray | None = None) -> "Publications":
@@ -301,28 +305,45 @@ class Publications:
         )
 
 
-def _int_column(values: list[int]) -> np.ndarray:
-    """`values` as int64, or as Python ints (dtype object) if one does not fit; a rule rejects that one."""
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
+def _extended(column: array | list[int], values: list[int]) -> array | list[int]:
+    """`column` with `values` appended: an int64 `array` while every value fits, else a list of Python ints.
+    The block is converted whole before it is appended, since `array.extend` keeps the values before
+    one that does not fit."""
+    if type(column) is array:
+        try:
+            column += array("q", values)
+            return column
+        except OverflowError:
+            column = column.tolist()
+    column += values
+    return column
+
+
+def _int_column(values: array | list[int]) -> np.ndarray:
+    """An int64 `array` as an int64 column, sharing its memory, or a list of Python ints, one beyond
+    int64, as dtype object; a rule rejects that one."""
+    if type(values) is array:
+        return np.frombuffer(values, dtype=np.int64)
+    return np.array(values, dtype=object)
 
 
 class PublicationsBuilder:
-    """Collects publications a block at a time, unchecked, and freezes them into a `Publications` table."""
+    """Collects publications a block at a time, unchecked, and freezes them into a `Publications` table.
+
+    Every numeric column grows as a typed `array`, int64 or (the intramural
+    flags) one byte per slot, so no value is held as a Python int, and
+    `build()` makes each a numpy column over the same memory, copying
+    nothing; the builder cannot grow after that. A year, citation or position
+    column that is handed a value beyond int64 becomes a list of Python ints,
+    and its table column dtype object, so that the rules can name the value.
+    """
 
     def __init__(self, researcher_ids: Sequence[str] = ()):
         self._ids: list[str] = []
-        self._years: list[int] = []
-        self._doc_types: list[int] = []
-        self._citations: list[int] = []
-        self._category_counts: list[int] = []
-        self._categories: list[int] = []
-        self._slot_counts: list[int] = []
-        self._researchers: list[int] = []
-        self._positions: list[int] = []
-        self._intramural: list[bool] = []
+        self._years, self._citations, self._positions = array("q"), array("q"), array("q")
+        self._doc_types, self._category_counts, self._categories = array("q"), array("q"), array("q")
+        self._slot_counts, self._researchers = array("q"), array("q")
+        self._intramural = array("b")
         # Name -> code; the codes are the order of first appearance, after the seeded researcher ids.
         self._doc_type_codes = {name: code for code, name in enumerate(DOC_TYPES)}
         self._category_codes: dict[str, int] = {}
@@ -337,30 +358,30 @@ class PublicationsBuilder:
         author slot, publication after publication, each publication's in its own order."""
         doc_codes, cat_codes, res_codes = self._doc_type_codes, self._category_codes, self._researcher_codes
         self._ids += ids
-        self._years += years
-        self._doc_types += [doc_codes.setdefault(name, len(doc_codes)) for name in doc_types]
-        self._citations += citations
-        self._category_counts += category_counts
-        self._categories += [cat_codes.setdefault(name, len(cat_codes)) for name in categories]
-        self._slot_counts += slot_counts
-        self._researchers += [
-            -1 if rid is None else res_codes.setdefault(rid, len(res_codes)) for rid in researcher_ids
-        ]
-        self._positions += positions
-        self._intramural += intramural
+        self._years = _extended(self._years, years)
+        self._doc_types.extend([doc_codes.setdefault(name, len(doc_codes)) for name in doc_types])
+        self._citations = _extended(self._citations, citations)
+        self._category_counts.extend(category_counts)
+        self._categories.extend([cat_codes.setdefault(name, len(cat_codes)) for name in categories])
+        self._slot_counts.extend(slot_counts)
+        self._researchers.extend(
+            [-1 if rid is None else res_codes.setdefault(rid, len(res_codes)) for rid in researcher_ids]
+        )
+        self._positions = _extended(self._positions, positions)
+        self._intramural.extend(intramural)
 
     def build(self) -> Publications:
         return Publications(
             ids=self._ids,
             year=_int_column(self._years),
-            doc_type=np.array(self._doc_types, dtype=np.int64),
+            doc_type=_int_column(self._doc_types),
             citations=_int_column(self._citations),
-            category_offsets=row_offsets(self._category_counts),
-            category=np.array(self._categories, dtype=np.int64),
-            slot_offsets=row_offsets(self._slot_counts),
-            slot_researcher=np.array(self._researchers, dtype=np.int64),
+            category_offsets=row_offsets(_int_column(self._category_counts)),
+            category=_int_column(self._categories),
+            slot_offsets=row_offsets(_int_column(self._slot_counts)),
+            slot_researcher=_int_column(self._researchers),
             slot_position=_int_column(self._positions),
-            slot_intramural=np.array(self._intramural, dtype=bool),
+            slot_intramural=np.frombuffer(self._intramural, dtype=bool),
             doc_type_names=list(self._doc_type_codes),
             category_names=list(self._category_codes),
             researcher_names=list(self._researcher_codes),
@@ -429,29 +450,28 @@ def publications_problem(pubs: Publications, window, n_researchers: int) -> tupl
     ids, year, citations, doc_type = pubs.ids, pubs.year, pubs.citations, pubs.doc_type
     lo, hi = window
     duplicate = np.zeros(n, dtype=bool)
-    if len(set(ids)) < n:
+    if not _increasing(ids) and len(set(ids)) < n:
         seen: set[str] = set()
         for i, pid in enumerate(ids):
             duplicate[i] = pid in seen
             seen.add(pid)
     known_type = np.array([name in DOC_TYPES for name in pubs.doc_type_names], dtype=bool)
-    # Sorted by (row, category), a row's repeated category sits next to its first entry.
-    order = np.lexsort((pubs.category, pubs.category_publication))
-    cat_row, cat = pubs.category_publication[order], pubs.category[order]
-    repeats = (cat_row[1:] == cat_row[:-1]) & (cat[1:] == cat[:-1])
-    repeated = np.bincount(cat_row[1:][repeats], minlength=n) > 0
+    repeated = _repeated_category_rows(pubs)
     n_slots = np.diff(pubs.slot_offsets)
     positions = pubs.slot_position
     n_positions = len(positions)
-    # Positions are exactly 1..n when each lies in [1, n] and no two share a place in the row. Only
-    # an in-range position is taken as int64 and given a place; the others count at place n_positions.
+    # A row's n positions are exactly 1..n when each lies in [1, n] and together they hit all n of the
+    # row's places. Only in-range positions are added, and they fit int64 even in a column of Python
+    # ints, so the unsafe cast is exact; the others go to place n_positions.
     in_range = positions >= 1
     in_range &= positions <= np.repeat(n_slots, n_slots)
-    places = np.where(in_range, positions, 0).astype(np.int64, copy=False)
-    places += np.repeat(pubs.slot_offsets[:-1] - 1, n_slots)
+    places = np.repeat(pubs.slot_offsets[:-1] - 1, n_slots)
+    np.add(places, positions, out=places, where=in_range, casting="unsafe")
     places[~in_range] = n_positions
-    misplaced = np.bincount(places, minlength=n_positions + 1)[:n_positions] > 1
+    hit = np.zeros(n_positions + 1, dtype=bool)
+    hit[places] = True
     del places
+    misplaced = ~hit[:n_positions]
     misplaced |= ~in_range
     unknown = pubs.slot_researcher >= n_researchers
 
@@ -496,6 +516,21 @@ def publications_problem(pubs: Publications, window, n_researchers: int) -> tupl
     if first is None:
         return None
     return first, next(message(first) for rows, message in rules if rows[first])
+
+
+def _increasing(ids: list[str]) -> bool:
+    """Whether each id sorts after the one before it: the ids are sorted and distinct."""
+    return all(map(operator.lt, ids, islice(ids, 1, None)))
+
+
+def _repeated_category_rows(pubs: Publications) -> np.ndarray:
+    """Per row of `pubs`, whether a category appears in it twice."""
+    # Sorted by (row, category), a row's repeated category sits next to its first entry.
+    cat_publication = pubs.category_publication
+    order = np.lexsort((pubs.category, cat_publication))
+    cat_row, cat = cat_publication[order], pubs.category[order]
+    repeats = (cat_row[1:] == cat_row[:-1]) & (cat[1:] == cat[:-1])
+    return np.bincount(cat_row[1:][repeats], minlength=len(pubs)) > 0
 
 
 def window_problem(window) -> str | None:
@@ -654,7 +689,10 @@ def load_publications(pub_path, window, researcher_ids: Sequence[str]) -> Public
     """Read publications.jsonl; a slot's code is its author's row in `researcher_ids`, which must hold them all.
 
     One loop decodes each line once and type-checks and codes the lines in
-    columns, a block of `PUBLICATIONS_PER_BLOCK` at a time. The table stops
+    columns, a block of `PUBLICATIONS_PER_BLOCK` at a time, and appends each
+    block to `PublicationsBuilder`'s typed arrays, which become the table's
+    columns without a copy: past its block, a line keeps no Python object
+    but its id. The table stops
     before the first line that fails to decode or whose block fails that
     check; such a block goes through the per-line checks, which name its
     first bad line. The rules then run once over the whole table
@@ -662,7 +700,7 @@ def load_publications(pub_path, window, researcher_ids: Sequence[str]) -> Public
     on an earlier line wins over a parse or type error on a later one.
     """
     pub_path = Path(pub_path)
-    # Parsing in a function of its own frees the builder's lists before the check allocates its arrays.
+    # Parsing in a function of its own frees the builder's name codes and the last block before the check runs.
     publications, line_numbers, line_error = _parse_publications(pub_path, researcher_ids)
     problem = publications_problem(publications, window, len(researcher_ids))
     if problem:

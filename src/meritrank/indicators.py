@@ -60,15 +60,15 @@ def researcher_ss(corpus: Corpus, baselines: Baselines, scheme: CreditScheme) ->
     # Per row, then False for code -1 (outside the population).
     life_science_of_code = np.append(life_science[res.sds], False)
     shares = slot_credit_shares(pubs, scheme, life_science_of_code[pubs.slot_researcher])
-    slots = np.flatnonzero(pubs.slot_researcher >= 0)
-    terms = std[pubs.slot_publication[slots]]
-    terms *= shares[slots]
+    terms = np.repeat(std, np.diff(pubs.slot_offsets))
+    terms *= shares
     del shares
-    holders = pubs.slot_researcher[slots]
-    # bincount adds each researcher's terms in slot order, as the per-record loop does.
-    totals = np.bincount(holders, weights=terms, minlength=len(res))
+    # Bin 0 takes the slots outside the population (code -1) and is dropped. bincount adds each
+    # researcher's terms in slot order, as the per-record loop does.
+    bins = pubs.slot_researcher + 1
+    totals = np.bincount(bins, weights=terms, minlength=len(res) + 1)[1:]
     ss = totals / res.years_in_post
-    return ss, np.bincount(holders, minlength=len(res)) == 0
+    return ss, np.bincount(bins, minlength=len(res) + 1)[1:] == 0
 
 
 def percentile_ranks(sds: np.ndarray, ss: np.ndarray) -> np.ndarray:

@@ -143,19 +143,18 @@ def slot_credit_shares(pubs: Publications, scheme: CreditScheme, is_life_science
     A slot gets 1/n of its publication's n authors, except a life-science slot under a positional
     scheme: its position's weight, discounted if extramural, over its publication's total weight.
     The positional weights of all slots are taken first, in place, and the
-    equal shares then fill the slots outside the life sciences.
+    equal shares then fill the slots outside the life sciences. At most one
+    slot-length temporary lives beside the shares.
     """
     n_authors = np.diff(pubs.slot_offsets)
-    slot_authors = np.repeat(n_authors, n_authors)  # per slot, its publication's author count
     if scheme.mode == EQUAL_FRACTIONAL or not is_life_science.any():
-        return 1.0 / slot_authors
+        return 1.0 / np.repeat(n_authors, n_authors)
     positions = pubs.slot_position
     shares = np.full(len(positions), scheme.middle_weight)
-    shares[positions == slot_authors] = scheme.last_weight
+    shares[positions == np.repeat(n_authors, n_authors)] = scheme.last_weight
     shares[positions == 1] = scheme.first_weight
     shares[~pubs.slot_intramural] *= scheme.extramural_discount
     # bincount adds in slot order, left to right; np.sum's pairwise order differs from 8 slots on.
     shares /= np.repeat(np.bincount(pubs.slot_publication, weights=shares, minlength=len(pubs)), n_authors)
-    equal = ~is_life_science
-    shares[equal] = 1.0 / slot_authors[equal]
+    np.divide(1.0, np.repeat(n_authors, n_authors), out=shares, where=~is_life_science)
     return shares

@@ -302,7 +302,8 @@ def _draw(profile: GeneratorProfile) -> tuple[Corpus, np.ndarray, np.ndarray]:
     `Publications` columns: a researcher's slot code is their index in
     generation order (their row below 1,000 staff per unit; else `Corpus`
     recodes it), a category's code its SDS's index. The publications are
-    then put in canonical order once, and the two draws with them.
+    then put in canonical order once, and the two draws with them. A draw
+    without researchers is a ValidationError.
     """
     taxonomy = build_taxonomy(profile)
     sds_codes = taxonomy.sds_codes
@@ -375,6 +376,8 @@ def _draw(profile: GeneratorProfile) -> tuple[Corpus, np.ndarray, np.ndarray]:
                 with_second.extend(second)
                 university_pubs += m
         ids += [f"P-{uid}-{seq:06d}" for seq in range(1, university_pubs + 1)]
+    if not researcher_ids:  # as `Corpus.validate` and the loader reject it, before any probe of `calibrate`
+        raise ValidationError("corpus has no researchers")
 
     has_second = np.array(with_second, dtype=bool)
     category_offsets = row_offsets(1 + has_second)

@@ -339,9 +339,10 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: profile: {message}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["gen", "report-all"])
+    @pytest.mark.parametrize("command", ["gen", "report-all", "calibrate"])
     def test_profile_that_draws_no_researcher_exits_1(self, tmp_path, capsys, command):
-        # One university, one SDS, and its one unit draws 0 staff at seed 1: the loader would reject the corpus.
+        # One university, one SDS, and its one unit draws 0 staff at seed 1: the loader would reject the corpus,
+        # and calibrate would measure shares of nobody.
         profile = {"n_universities": 1, "sds_per_uda": {"A": 1}, "life_science_udas": [], "staff_per_unit": [0, 1]}
         profile_path = tmp_path / "profile.json"
         profile_path.write_text(json.dumps({**profile, "seed": 1}))

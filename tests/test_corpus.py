@@ -516,6 +516,8 @@ class TestBlockBoundary:
     """The loader decodes and type-checks its lines a block at a time, yet names every bad line with the
     message it gives for that line alone, wherever the line sits in a block."""
 
+    # A line inside a block: a value beyond int64 there follows values of its block that fit.
+    MID_FIRST = PUBLICATIONS_PER_BLOCK // 2
     LAST_OF_FIRST = PUBLICATIONS_PER_BLOCK
     FIRST_OF_SECOND = PUBLICATIONS_PER_BLOCK + 1
 
@@ -533,7 +535,7 @@ class TestBlockBoundary:
             bad.get(k, json.dumps(_broken(id=f"P{k}"))) for k in range(1, 2 * PUBLICATIONS_PER_BLOCK + 2)
         ]
 
-    @pytest.mark.parametrize("line_no", [1, LAST_OF_FIRST, FIRST_OF_SECOND])
+    @pytest.mark.parametrize("line_no", [1, MID_FIRST, LAST_OF_FIRST, FIRST_OF_SECOND])
     @pytest.mark.parametrize("bad, message_start", UNREADABLE_LINES + RULE_BROKEN_LINES)
     def test_message_of_a_line_alone(self, tmp_path, bad, message_start, line_no):
         alone = self._error(tmp_path / "alone", [bad])

@@ -11,6 +11,10 @@ are computed here, apart from the package: top counts with the test's own half-u
 `test_renamed_universities_rename_the_outputs` runs `report-all --corpus` on a written corpus and on a
 copy whose university ids and names carry a common prefix, which keeps their sort order; the outputs
 must be the same up to that renaming.
+
+`test_doubled_citations_of_one_year_change_no_output` runs `report-all --corpus --credit positional` on a
+`gen`-written corpus and on a copy with every citation count of one year doubled; every output but the
+manifest must keep its bytes, since citations are standardized within (category, year) strata.
 """
 
 import csv
@@ -30,6 +34,7 @@ from hypothesis import strategies as st
 
 from meritrank.aggregation import DEFAULT_MIN_STAFF, PSTAR_MEAN_OF_UNITS, PSTAR_POOLED
 from meritrank.cli import CREDIT_MODES, dispatch
+from meritrank.corpus import CITATION_LIMIT
 from meritrank.errors import ValidationError
 from meritrank.stats import classify_quantiles, quantile_class_sizes
 from meritrank.synth import GeneratorProfile, generate, write_corpus
@@ -373,3 +378,43 @@ def test_renamed_universities_rename_the_outputs(profile, prefix):
         original = {prefix + uid: uid for uid in corpus.researchers.universities}
         expected = run_outputs(written, profile.window, Path(tmp) / "a", {})
         assert run_outputs(renamed, profile.window, Path(tmp) / "b", original) == expected
+
+
+def output_bytes(argv: list[str], out: Path) -> dict[str, bytes]:
+    """The bytes of every output but the manifest that `argv`, a run that succeeds, writes to `out`, by file name."""
+    with redirect_stdout(io.StringIO()):
+        assert dispatch([*argv, "--out", str(out)]) == 0
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir()) if path.name != "manifest.json"}
+
+
+@settings(max_examples=8, deadline=None)
+@given(profile=profiles, year_offset=st.integers(0, 6))
+@example(profile=DRAWN_KNOBS[0], year_offset=3)
+@example(profile=NO_STAFF_DRAWN[0], year_offset=0)
+def test_doubled_citations_of_one_year_change_no_output(profile, year_offset):
+    """Doubling every count of one year doubles that year's stratum medians and means with it, exactly, so
+    each standardized citation, and every output after it, keeps its bits."""
+    window_length = profile.window[1] - profile.window[0] + 1
+    year = profile.window[0] + year_offset % window_length
+    with tempfile.TemporaryDirectory() as tmp:
+        written, doubled, profile_path = Path(tmp) / "corpus", Path(tmp) / "doubled", Path(tmp) / "profile.json"
+        profile_path.write_text(json.dumps(profile.to_dict()))
+        errors = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(errors):
+            code = dispatch(["gen", "--profile", str(profile_path), "--out", str(written)])
+        if code == 1:
+            assert (errors.getvalue(), profile.staff_per_unit[0]) == (f"error: {NO_RESEARCHERS}\n", 0)
+            return
+        shutil.copytree(written, doubled)
+        lines = []
+        for line in (written / "publications.jsonl").read_text(encoding="utf-8").splitlines():
+            record = json.loads(line)
+            if record["year"] == year:
+                record["citations"] *= 2
+                # The generator caps a count far enough below the loader's limit for it to take the doubling.
+                assert record["citations"] <= CITATION_LIMIT
+            lines.append(json.dumps(record) + "\n")
+        (doubled / "publications.jsonl").write_text("".join(lines), encoding="utf-8")
+        run = ["report-all", "--window", *map(str, profile.window), "--credit", "positional", "--min-staff", "1"]
+        expected = output_bytes([*run, "--corpus", str(written)], Path(tmp) / "a")
+        assert output_bytes([*run, "--corpus", str(doubled)], Path(tmp) / "b") == expected

@@ -237,6 +237,28 @@ class TestGeneratedCorpus:
         assert len(loaded.publications) == len(corpus.publications)
         assert loaded.taxonomy.life_science_udas == frozenset({"B"})
 
+    def test_loads_into_the_generated_table(self, tmp_path):
+        """The loader's typed columns hold the generator's values with the generator's dtypes: int64, and one
+        bool per intramural flag. A coded column is compared by name, since each side numbers its own names."""
+        made = generate(SMALL)
+        paths = write_corpus(made, tmp_path, SMALL)
+        loaded = load_corpus(paths["publications"], paths["researchers"], paths["taxonomy"], SMALL.window)
+        names = {"doc_type": "doc_type_names", "category": "category_names", "slot_researcher": "researcher_names"}
+
+        def column(pubs, name):
+            values = getattr(pubs, name).tolist()
+            if name in names:
+                return [None if code < 0 else getattr(pubs, names[name])[code] for code in values]
+            return values
+
+        assert loaded.publications.ids == made.publications.ids
+        arrays = [f.name for f in fields(Publications) if isinstance(getattr(made.publications, f.name), np.ndarray)]
+        assert len(arrays) == 9
+        for name in arrays:
+            dtype = np.dtype(bool if name == "slot_intramural" else np.int64)
+            assert getattr(loaded.publications, name).dtype == getattr(made.publications, name).dtype == dtype
+            assert column(loaded.publications, name) == column(made.publications, name), name
+
     def test_nil_impact_contains_non_productive(self):
         measured = measure_corpus(generate(SMALL))
         assert measured.nil_impact_share >= measured.non_productive_share
