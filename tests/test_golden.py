@@ -1,14 +1,17 @@
-"""Golden outputs: pinned SHA-256 digests and manifest echoes of thirteen CLI runs.
+"""Golden outputs: pinned SHA-256 digests and manifest echoes of fifteen CLI runs.
 
 The runs use criterion 11's 12-university profile (seed 41): `report-all`
 and `gen` generate the corpus from it, `calibrate` tunes it (it converges),
 `calibrate --tolerance 0` cannot converge (so it exits 1 and still writes a
 best-effort profile and a manifest), and `indicators` (with equal and with positional
-credit), `rank`, `counterfactual` (at UDA level; at SDS level with pooled
+credit), `rank` (at UDA level; and for one SDS at a staff minimum of 3, which
+ranks units that 5 leaves out), `counterfactual` (at UDA level; at SDS level with pooled
 national averages, which no SDS unit reads; at UDA level with pooled
 national averages refitted after a 25% removal; and for one SDS in three
 classes, with its scatter and its asymmetric transition matrix), `fund` and `report-all --corpus` (with
-positional credit, as the benchmark's corpus workload runs it) read the
+positional credit, as the benchmark's corpus workload runs it; and in 11 classes
+under a global budget, where area B has too few ranked universities and is
+skipped, so the budget splits over area A alone) read the
 corpus `report-all` wrote. A refactor must reproduce every non-manifest byte and every
 manifest's `command`, `config` and `inputs`; a change that alters them on
 purpose updates the pins here and says why in CHANGES.md.
@@ -56,6 +59,8 @@ GOLDEN_DIGESTS = {
     "indicators-positional/scores.csv": "74a5cd68d4b85bc5800fceab2b23a15187446af0262b582c261435429d3a5f01",
     "rank/rank.csv": "e0177b9e7124ceacc3682ae91c0b5f50bee0ebeace03cbaf67c19b81d632fea9",
     "rank/rank.json": "e834dea8427902a7abd74c5cb81f94d42214850870f89bbde1a5d62f41c5a81c",
+    "rank-sds-field/rank.csv": "52d62008c134b525ff0c92bb7279baf264ebfcc2461e172efe5e9154755179a8",
+    "rank-sds-field/rank.json": "fa0862ddf2f0e62717a656f35667d8248ebda1f0556c4317ec18a12626d889d2",
     "report-all/concentration_sds.csv": "df40a9bd90b406220fa36aef0f2158f4e79705c6971bd62f74c9ab648bd06f91",
     "report-all/corpus/metadata.json": "babe2f08879778a8f0411549af1b3c307ee170a2bffa47fa8355ab7f99bea50f",
     "report-all/corpus/publications.jsonl": "e2cc734dea26fb64c03389bcc6bf192f62a0a9659a15494dacd8d8c09b007b39",
@@ -88,6 +93,20 @@ GOLDEN_DIGESTS = {
     "report-all-corpus/summary.json": "65fde0c88b0b02c507b5c3f92499381a19ba5f9fffd566ac9dc3b8b26510d835",
     "report-all-corpus/transition_A.csv": "7e3a6cc6699578227a064ba95a4680709ad4d6d9f921b5c3273fec9d20ed7e29",
     "report-all-corpus/transition_B.csv": "524bdb942aa1b66cf088638f628f05bacbfeeed70919ddaa050f24dce4a92ad9",
+    "report-all-global-budget/concentration_sds.csv": "df40a9bd90b406220fa36aef0f2158f4e79705c6971bd62f74c9ab648bd06f91",
+    "report-all-global-budget/counterfactual_sds_summary.csv": "6aa54f4ab6970cba80ddcd908cdb9f598e495bff6e367a1830e02c3c6ad3b10a",
+    "report-all-global-budget/counterfactual_uda.csv": "f295a2128d185f082618445497006964dc201d9f9b372e851e3e2d36db8e3a98",
+    "report-all-global-budget/funding_census.csv": "50bd90a97b2207070286c0592151f891d3e21def2b95c9b005244647be91619a",
+    "report-all-global-budget/paradoxes.json": "db334af0319bd627740d56ddc8694f374a60cfee31aaee421203ad8318f09342",
+    "report-all-global-budget/productivity_uda.csv": "0c101230155534ceab10f9a4189d09944be8052e25110bb43efdc0e6c6bc82d7",
+    "report-all-global-budget/ranks_sds.csv": "7db378c08ff476af5078ef4a881dae6b7919f74d0e0a412c90ab2babf79c4f30",
+    "report-all-global-budget/ranks_uda.csv": "e0177b9e7124ceacc3682ae91c0b5f50bee0ebeace03cbaf67c19b81d632fea9",
+    "report-all-global-budget/scatter_A.svg": "643af35ab695cc881fb3244a73c25fc2c059a1741a7e3eefe8f0345ca9fe854e",
+    "report-all-global-budget/scatter_B.svg": "b2fe732545d9afd26d731fe154bf48c2d9b2be713fad8094e059d1fadd622b4d",
+    "report-all-global-budget/scores.csv": "00c870d6c60dfec08e84e0fb29fe983329200d9488ddd056e0cc594301dcd70c",
+    "report-all-global-budget/summary.json": "066a71a85bf3d804c5ef54ea63f6ab27a7571a6affceb5d66d04de8a304ce450",
+    "report-all-global-budget/transition_A.csv": "7e3a6cc6699578227a064ba95a4680709ad4d6d9f921b5c3273fec9d20ed7e29",
+    "report-all-global-budget/transition_B.csv": "f6105de8526ada1a94f88a58f6f9b5488a404abb728f4e10918b16dc5b83967e",
 }
 
 GOLDEN_CONFIGS = {
@@ -241,6 +260,21 @@ GOLDEN_CONFIGS = {
         "pstar": "mean-of-units",
         "window": [2004, 2008],
     },
+    "rank-sds-field/rank.manifest.json": {
+        "corpus": "TMP/report-all/corpus",
+        "credit": "equal",
+        "extramural_discount": 1.0,
+        "field": "A-01",
+        "first_w": 2.0,
+        "json": "TMP/rank-sds-field/rank.json",
+        "last_w": 2.0,
+        "level": "sds",
+        "middle_w": 1.0,
+        "min_staff": 3,
+        "out": "TMP/rank-sds-field/rank.csv",
+        "pstar": "mean-of-units",
+        "window": [2004, 2008],
+    },
     "report-all/manifest.json": {
         "bottom_funded": False,
         "budget": "1000000",
@@ -283,6 +317,27 @@ GOLDEN_CONFIGS = {
         "transition_classes": 5,
         "window": [2004, 2008],
     },
+    "report-all-global-budget/manifest.json": {
+        "bottom_funded": False,
+        "budget": "1000000",
+        "classes": 11,
+        "corpus": "TMP/report-all/corpus",
+        "credit": "equal",
+        "extramural_discount": 1.0,
+        "first_w": 2.0,
+        "global_budget": "1000",
+        "last_w": 2.0,
+        "middle_w": 1.0,
+        "min_staff": 5,
+        "out": "TMP/report-all-global-budget",
+        "profile": None,
+        "pstar": "mean-of-units",
+        "ratio": "3",
+        "seed": None,
+        "share": 0.2,
+        "transition_classes": 5,
+        "window": [2004, 2008],
+    },
 }
 
 PROFILE_INPUT = {"profile.json": "e13762eef27dc640c8bb1489b92cde66f6e180efba65cac9c9b09c35b958ab64"}
@@ -304,8 +359,10 @@ GOLDEN_MANIFEST_SOURCES = {
     "indicators/scores.manifest.json": {"command": "indicators", "inputs": CORPUS_INPUTS},
     "indicators-positional/scores.manifest.json": {"command": "indicators", "inputs": CORPUS_INPUTS},
     "rank/rank.manifest.json": {"command": "rank", "inputs": CORPUS_INPUTS},
+    "rank-sds-field/rank.manifest.json": {"command": "rank", "inputs": CORPUS_INPUTS},
     "report-all/manifest.json": {"command": "report-all", "inputs": PROFILE_INPUT},
     "report-all-corpus/manifest.json": {"command": "report-all", "inputs": CORPUS_INPUTS},
+    "report-all-global-budget/manifest.json": {"command": "report-all", "inputs": CORPUS_INPUTS},
 }
 
 
@@ -355,6 +412,14 @@ def _runs(tmp):
             "report-all", "--corpus", corpus, "--credit", "positional", "--extramural-discount", "0.5",
             "--out", str(tmp / "report-all-corpus"),
         ],
+        [
+            "report-all", "--corpus", corpus, "--classes", "11", "--global-budget", "1000",
+            "--out", str(tmp / "report-all-global-budget"),
+        ],
+        [
+            "rank", "--corpus", corpus, "--level", "sds", "--min-staff", "3", "--field", "A-01",
+            "--out", str(tmp / "rank-sds-field" / "rank.csv"), "--json", str(tmp / "rank-sds-field" / "rank.json"),
+        ],
     ]
     calibrate = ["calibrate", "--profile", profile, "--out", str(tmp / "calibrate" / "profile.json")]
     unreachable = [
@@ -365,7 +430,7 @@ def _runs(tmp):
 
 
 def run_golden(tmp):
-    """Run the thirteen commands under `tmp`.
+    """Run the fifteen commands under `tmp`.
 
     Returns (digests, manifest configs, manifest commands and inputs), each
     keyed by path relative to `tmp`.
