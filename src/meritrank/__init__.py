@@ -47,12 +47,10 @@ from .aggregation import (
     LEVEL_UDA,
     PSTAR_MEAN_OF_UNITS,
     PSTAR_POOLED,
-    RankedUnit,
     Units,
     level_unit_scores,
     national_averages,
     rank_units,
-    ranking_order,
     sds_unit_scores,
     uda_unit_scores,
 )

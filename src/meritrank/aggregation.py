@@ -5,7 +5,7 @@ that SDS and weights it by the unit's share of the university's area staff,
 so fields with different citation fertility and different sizes compare
 fairly inside one area score. Both kinds of unit are rows of a `Units`
 table, `level_unit_scores` picks the kind that a ranking level ranks, and
-`ranking_order` is the one ranking rule.
+`rank_units` is the one ranking rule.
 """
 
 from __future__ import annotations
@@ -47,14 +47,6 @@ class Units:
     staff: np.ndarray
     max_sds_staff: np.ndarray
     row_unit: np.ndarray
-
-
-@dataclass(frozen=True)
-class RankedUnit:
-    rank: int
-    university_id: str
-    score: float
-    staff: int
 
 
 def sds_unit_scores(scores: ScoreTable, kept: np.ndarray | None = None) -> Units:
@@ -134,25 +126,16 @@ def level_unit_scores(units: Units, level: str, p_stars: Mapping[str, float], ta
     raise ValidationError(f"unknown ranking level {level!r}")
 
 
-def ranking_order(units: Units, min_staff: int = DEFAULT_MIN_STAFF) -> np.ndarray:
-    """The rows of `units` on the minimum-staff roster, in ranking order: by field code, then
-    score descending, staff descending and university name.
+def rank_units(units: Units, min_staff: int = DEFAULT_MIN_STAFF) -> dict[str, np.ndarray]:
+    """The ranking of each field code, in field-code order: the field's rows of `units` on the
+    minimum-staff roster, best first, by score descending, staff descending and university name.
+    Rank r is entry r - 1.
 
     A unit qualifies when its largest SDS meets the staff minimum: an SDS
     unit on its own staff, a university's UDA composite when at least one
-    of its SDS units in the area does. Each field's units form one span of
-    the order, best first.
+    of its SDS units in the area does.
     """
     order = np.lexsort((units.university, -units.staff, -units.score, units.field))
-    return order[units.max_sds_staff[order] >= min_staff]
-
-
-def rank_units(units: Units, min_staff: int = DEFAULT_MIN_STAFF) -> dict[str, list[RankedUnit]]:
-    """Rankings per field code, in field-code order, of the units in `ranking_order`."""
-    order = ranking_order(units, min_staff)
-    columns = (units.field, units.university, units.score, units.staff)
-    rankings: dict[str, list[RankedUnit]] = {}
-    for field, university, score, staff in zip(*(column[order].tolist() for column in columns)):
-        ranking = rankings.setdefault(units.fields[field], [])
-        ranking.append(RankedUnit(len(ranking) + 1, units.universities[university], score, staff))
-    return rankings
+    order = order[units.max_sds_staff[order] >= min_staff]
+    fields, starts = np.unique(units.field[order], return_index=True)
+    return {units.fields[field]: rows for field, rows in zip(fields.tolist(), np.split(order, starts[1:]))}

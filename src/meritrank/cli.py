@@ -224,13 +224,14 @@ def cmd_rank(cfg: dict) -> int:
     level = _required(cfg, "level", "--level")
     out = _required(cfg, "out", "--out")
     scored = score_corpus(_load(cfg), _credit_scheme(cfg))
-    rankings = rank_units(_level_units(sds_unit_scores(scored.scores), level, cfg, scored.taxonomy), cfg["min_staff"])
+    units = _level_units(sds_unit_scores(scored.scores), level, cfg, scored.taxonomy)
+    rankings = rank_units(units, cfg["min_staff"])
     field = cfg["field"]
     if field is not None and field not in rankings:
         raise ValidationError(f"--field {field!r}: no ranked units at level {level}")
-    reports.write_ranking_csv(out, rankings, field)
+    reports.write_ranking_csv(out, units, rankings, field)
     if cfg["json"]:
-        reports.write_ranking_json(cfg["json"], rankings, field)
+        reports.write_ranking_json(cfg["json"], units, rankings, field)
     n_rows = sum(len(r) for r in ([rankings[field]] if field else rankings.values()))
     print(f"wrote {n_rows} ranked units to {out}")
     return EXIT_OK
@@ -277,8 +278,8 @@ def cmd_fund(cfg: dict) -> int:
     if uda not in rankings:
         raise ValidationError(f"--uda {uda!r}: no ranked universities in that area")
     selection = select_top(scored.scores, SCOPE_NATIONAL, cfg["share"], cfg["min_staff"])
-    allocation = allocate(rankings[uda], policy)
-    census = national_top_census(areas, uda, allocation, selection)
+    allocation = allocate(areas, rankings[uda], policy)
+    census = national_top_census(allocation, selection)
     findings = paradox_report(census)
     reports.write_allocation_csv(out, allocation)
     if cfg["census"]:
@@ -286,7 +287,7 @@ def cmd_fund(cfg: dict) -> int:
     if cfg["findings"]:
         reports.write_findings_json(cfg["findings"], {uda: findings})
     print(
-        f"allocated {float(allocation.total):g} across {len(allocation.units)} universities in {uda}; "
+        f"allocated {float(allocation.total):g} across {len(allocation.rows)} universities in {uda}; "
         f"{census.stranded_count}/{census.total_tops} top scientists stranded "
         f"({census.stranded_share:.1%}); {len(findings)} paradox finding(s)"
     )
@@ -335,10 +336,10 @@ def cmd_report_all(cfg: dict) -> int:
 
     units = sds_unit_scores(scored.scores)
     rankings_sds = rank_units(units, cfg["min_staff"])
-    reports.write_ranking_csv(out_dir / "ranks_sds.csv", rankings_sds)
+    reports.write_ranking_csv(out_dir / "ranks_sds.csv", units, rankings_sds)
     areas = _level_units(units, LEVEL_UDA, cfg, scored.taxonomy)
     rankings_uda = rank_units(areas, cfg["min_staff"])
-    reports.write_ranking_csv(out_dir / "ranks_uda.csv", rankings_uda)
+    reports.write_ranking_csv(out_dir / "ranks_uda.csv", areas, rankings_uda)
 
     selection = select_top(scored.scores, SCOPE_UNIT, cfg["share"], cfg["min_staff"])
     cf_uda = _counterfactual(cfg, scored, units, selection, LEVEL_UDA, cfg["transition_classes"])
@@ -357,22 +358,19 @@ def cmd_report_all(cfg: dict) -> int:
     skipped_udas = []
     for uda in sorted(rankings_uda):
         try:
-            allocations[uda] = allocate(rankings_uda[uda], policy)
+            allocations[uda] = allocate(areas, rankings_uda[uda], policy)
         except (UndefinedStatisticError, AllocationError) as exc:
             # Fewer ranked universities than classes, or no weighted staff to fund.
             skipped_udas.append({"uda": uda, "reason": str(exc)})
     if cfg["global_budget"] is not None:
         # The global budget splits across the funded areas proportionally to their ranked staff.
-        staff_by_uda = {uda: sum(u.staff for u in rankings_uda[uda]) for uda in allocations}
+        staff_by_uda = {uda: int(areas.staff[rankings_uda[uda]].sum()) for uda in allocations}
         total_staff = sum(staff_by_uda.values())
         for uda, staff in staff_by_uda.items():
             budget = cfg["global_budget"] * staff / total_staff
-            allocations[uda] = allocate(rankings_uda[uda], replace(policy, budget=budget))
+            allocations[uda] = allocate(areas, rankings_uda[uda], replace(policy, budget=budget))
     national_selection = select_top(scored.scores, SCOPE_NATIONAL, cfg["share"], cfg["min_staff"])
-    censuses = [
-        national_top_census(areas, uda, allocation, national_selection)
-        for uda, allocation in allocations.items()
-    ]
+    censuses = [national_top_census(allocation, national_selection) for allocation in allocations.values()]
     reports.write_combined_census_csv(out_dir / "funding_census.csv", censuses, with_uda=True)
     reports.write_findings_json(out_dir / "paradoxes.json", {c.uda: paradox_report(c) for c in censuses})
 

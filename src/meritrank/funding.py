@@ -11,11 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
 
 import numpy as np
 
-from .aggregation import RankedUnit, Units
+from .aggregation import Units
 from .errors import AllocationError, ValidationError
 from .scenario import SCOPE_NATIONAL, TopSelection
 from .stats import classify_quantiles
@@ -56,46 +55,36 @@ class FundingPolicy:
 
 
 @dataclass(frozen=True)
-class UnitAllocation:
-    university_id: str
-    class_index: int
-    staff: int
-    amount: Fraction
-    per_capita: Fraction
-
-
-@dataclass(frozen=True)
 class FundingAllocation:
+    """One area's funding over its ranking: the ranked `rows` of `units`, best first, and each
+    rank's funding class and exact amount."""
+
     policy: FundingPolicy
-    units: tuple[UnitAllocation, ...]
+    units: Units
+    rows: np.ndarray
+    class_index: tuple[int, ...]
+    amount: tuple[Fraction, ...]
 
     @property
     def total(self) -> Fraction:
-        return sum((u.amount for u in self.units), Fraction(0))
+        return sum(self.amount, Fraction(0))
 
 
-def allocate(ranked_units: Sequence[RankedUnit], policy: FundingPolicy) -> FundingAllocation:
-    """Split the budget across a ranked roster, staff-proportional within class.
+def allocate(units: Units, rows: np.ndarray, policy: FundingPolicy) -> FundingAllocation:
+    """Split the budget across the ranked `rows` of `units`, staff-proportional within class.
 
     amount_u = budget * staff_u * weight(class_u) / sum_v staff_v * weight(class_v),
     which conserves the budget exactly and keeps the per-capita ratio between
     adjacent funded classes equal to the policy ratio.
     """
-    classes = classify_quantiles(len(ranked_units), policy.n_classes)
+    classes = classify_quantiles(len(rows), policy.n_classes)
     weights = policy.class_weights()
-    denominator = sum(
-        (unit.staff * weights[c] for unit, c in zip(ranked_units, classes)), Fraction(0)
-    )
+    weighted = [staff * weights[c] for staff, c in zip(units.staff[rows].tolist(), classes)]
+    denominator = sum(weighted, Fraction(0))
     if denominator == 0:
         raise AllocationError("all weighted staff are zero; nothing to allocate")
-    units = []
-    for unit, class_index in zip(ranked_units, classes):
-        amount = policy.budget * unit.staff * weights[class_index] / denominator
-        per_capita = amount / unit.staff if unit.staff else Fraction(0)
-        units.append(
-            UnitAllocation(unit.university_id, class_index, unit.staff, amount, per_capita)
-        )
-    return FundingAllocation(policy, tuple(units))
+    amounts = tuple(policy.budget * w / denominator for w in weighted)
+    return FundingAllocation(policy, units, rows, tuple(classes), amounts)
 
 
 @dataclass(frozen=True)
@@ -121,44 +110,39 @@ class TopCensus:
     stranded_share: float
 
 
-def national_top_census(
-    units: Units,
-    uda: str,
-    allocation: FundingAllocation,
-    selection: TopSelection,
-) -> TopCensus:
+def national_top_census(allocation: FundingAllocation, selection: TopSelection) -> TopCensus:
     """Count top national scientists per university and per funding class.
 
-    `units` are the UDA composites that `allocation` ranked, and the census has
-    a row per unit of area `uda`, in university order. Top status comes from a
-    nationally scoped selection of the units' score rows: per SDS, whatever the
-    employer. Each row's class and amount come from its university's row of
-    `allocation`; universities off the ranked roster have class None and amount
-    0 and add to no class total, so the per-class totals partition the
-    classified tops. Stranded means sitting in the bottom class.
+    The census has a row per unit of the allocation's area, in university
+    order. Top status comes from a nationally scoped selection of the units'
+    score rows: per SDS, whatever the employer. Each row's class and amount
+    come from its rank in the allocation; units off the ranked roster have
+    class None and amount 0 and add to no class total, so the per-class
+    totals partition the classified tops. Stranded means sitting in the
+    bottom class.
     """
     if selection.scope != SCOPE_NATIONAL:
         raise ValidationError("the census needs a nationally scoped selection")
-    rows = np.flatnonzero(units.field == (units.fields.index(uda) if uda in units.fields else -1))
-    if not len(rows):
-        raise ValidationError(f"area {uda!r}: no units to take a census of")
+    units, ranked = allocation.units, allocation.rows
+    area = units.field[ranked[0]]
+    rows = np.flatnonzero(units.field == area)
     tops = np.bincount(units.row_unit[selection.selected], minlength=len(units.field))
+    funded = dict(zip(ranked.tolist(), zip(allocation.class_index, allocation.amount)))
 
-    allocated = {unit.university_id: unit for unit in allocation.units}
     universities = []
     class_totals = [0] * allocation.policy.n_classes
     columns = (units.university, units.staff, tops)
-    for code, univ_staff, univ_tops in zip(*(column[rows].tolist() for column in columns)):
-        univ = units.universities[code]
-        unit = allocated.get(univ)
-        class_index, amount = (None, Fraction(0)) if unit is None else (unit.class_index, unit.amount)
+    for row, code, univ_staff, univ_tops in zip(rows.tolist(), *(column[rows].tolist() for column in columns)):
+        class_index, amount = funded.get(row, (None, Fraction(0)))
         if class_index is not None:
             class_totals[class_index] += univ_tops
-        universities.append(UniversityCensus(univ, class_index, univ_staff, univ_tops, univ_tops / univ_staff, amount))
+        universities.append(
+            UniversityCensus(units.universities[code], class_index, univ_staff, univ_tops, univ_tops / univ_staff, amount)
+        )
     total = sum(class_totals)
     stranded = class_totals[-1]
     return TopCensus(
-        uda=uda,
+        uda=units.fields[area],
         allocation=allocation,
         universities=universities,
         class_totals=class_totals,

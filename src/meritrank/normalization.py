@@ -71,13 +71,14 @@ def _strata(pubs: Publications):
     """Per category entry: its publication's row and an integer key of its (category, year)
     stratum; plus the function that turns a key back into the pair."""
     rows = pubs.category_publication
-    years = pubs.year[rows]
-    span = int(years.max(initial=0)) + 1
+    # Years are coded by rank, so every key is non-negative and below n_categories * n_years.
+    years, year_code = np.unique(pubs.year[rows], return_inverse=True)
+    span = len(years)
 
     def pair(key: int) -> tuple[str, int]:
-        return pubs.category_names[key // span], key % span
+        return pubs.category_names[key // span], int(years[key % span])
 
-    return rows, pubs.category * span + years, pair
+    return rows, pubs.category * span + year_code, pair
 
 
 def compute_baselines(corpus: Corpus) -> Baselines:

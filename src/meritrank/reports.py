@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from ._version import __version__
-from .aggregation import RankedUnit
+from .aggregation import Units
 from .errors import UndefinedStatisticError
 from .funding import Finding, FundingAllocation, TopCensus
 from .indicators import ProductivityStats, ScoreTable
@@ -62,32 +62,29 @@ def write_scores_csv(path, scores: ScoreTable) -> None:
     csv_file(path, header, rows)
 
 
-def ranking_rows(rankings: Mapping[str, Sequence[RankedUnit]], field: str | None) -> list[dict]:
+def ranking_rows(units: Units, rankings: Mapping[str, Sequence[int]], field: str | None) -> list[dict]:
+    """One row per rank of `rankings`, the rankings of `units`: every field's, or only `field`'s."""
     rows = []
-    fields = [field] if field is not None else sorted(rankings)
-    for code in fields:
-        for unit in rankings[code]:
-            row = {
-                "rank": unit.rank,
-                "university_id": unit.university_id,
-                "score": unit.score,
-                "staff": unit.staff,
-            }
+    for code in rankings if field is None else [field]:
+        ranked = rankings[code]
+        columns = (units.university[ranked].tolist(), units.score[ranked].tolist(), units.staff[ranked].tolist())
+        for rank, (university, score, staff) in enumerate(zip(*columns), start=1):
+            row = {"rank": rank, "university_id": units.universities[university], "score": score, "staff": staff}
             if field is None:
                 row = {"field": code, **row}
             rows.append(row)
     return rows
 
 
-def write_ranking_csv(path, rankings, field: str | None = None) -> None:
-    rows = ranking_rows(rankings, field)
+def write_ranking_csv(path, units: Units, rankings, field: str | None = None) -> None:
+    rows = ranking_rows(units, rankings, field)
     header = ["field"] if field is None else []
     header += ["rank", "university_id", "score", "staff"]
     csv_file(path, header, ([row[name] for name in header] for row in rows))
 
 
-def write_ranking_json(path, rankings, field: str | None = None) -> None:
-    json_file(path, ranking_rows(rankings, field))
+def write_ranking_json(path, units: Units, rankings, field: str | None = None) -> None:
+    json_file(path, ranking_rows(units, rankings, field))
 
 
 COUNTERFACTUAL_COLUMNS = [
@@ -220,9 +217,12 @@ def write_scatter_svg(path, scatter: ScatterData, title: str = "") -> None:
 
 
 def write_allocation_csv(path, allocation: FundingAllocation) -> None:
+    units, ranked = allocation.units, allocation.rows
     rows = (
-        [u.university_id, u.class_index + 1, u.staff, float(u.amount), float(u.per_capita)]
-        for u in allocation.units
+        [units.universities[university], class_index + 1, staff, float(amount), float(amount / staff) if staff else 0.0]
+        for university, staff, class_index, amount in zip(
+            units.university[ranked].tolist(), units.staff[ranked].tolist(), allocation.class_index, allocation.amount
+        )
     )
     csv_file(path, ["university_id", "class", "staff", "amount", "per_capita"], rows)
 

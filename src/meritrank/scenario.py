@@ -20,7 +20,7 @@ from .aggregation import (
     Units,
     level_unit_scores,
     national_averages,
-    ranking_order,
+    rank_units,
     sds_unit_scores,
 )
 from .corpus import Taxonomy
@@ -121,10 +121,10 @@ def counterfactual_rankings(
     """Observed vs top-scientists-removed rankings for every field at a level.
 
     `units` is `sds_unit_scores(scores)`. Both scenarios are ranked by
-    `ranking_order` over units built by the same calls: the hypothetical
-    units are the observed units' rows, on the same roster, and a unit that
-    loses all staff scores 0. So each field spans the same positions of both
-    orders, and a unit's rank is its place in its field's span.
+    `rank_units` over units built by the same calls: the hypothetical units
+    are the observed units' rows, on the same roster, and a unit that loses
+    all staff scores 0. So each field ranks the same rows in both, and a
+    row's hypothetical rank is its place in the field's hypothetical ranking.
     Baselines and national averages are frozen at observed values unless
     refit_pstar is set. Only the UDA composites read national averages, so
     they are computed at the UDA level alone, and at the SDS level
@@ -139,40 +139,33 @@ def counterfactual_rankings(
         p_stars = national_averages(units, pstar_mode)
         hyp_pstars = national_averages(hyp_units, pstar_mode) if refit_pstar else p_stars
     observed = level_unit_scores(units, level, p_stars, taxonomy)
-    order = ranking_order(observed, min_staff)
-    if len(order) == 0:
-        return {}
-    hyp_order = ranking_order(level_unit_scores(hyp_units, level, hyp_pstars, taxonomy), min_staff)
-    field = observed.field[order]
-    starts = np.flatnonzero(np.r_[True, field[1:] != field[:-1]])
-    stops = np.r_[starts[1:], len(order)]
-    observed_rank = np.arange(len(order)) - np.repeat(starts, stops - starts) + 1
-    rank_of_row = np.empty(len(observed.field), dtype=np.int64)
-    rank_of_row[hyp_order] = observed_rank
-    hypothetical_rank = rank_of_row[order]
-
+    rankings = rank_units(observed, min_staff)
+    hyp_rankings = rank_units(level_unit_scores(hyp_units, level, hyp_pstars, taxonomy), min_staff)
     # Each ranked unit's researchers, in row order: `gini` sums its input unsorted.
     members = group_rows(observed.row_unit, len(observed.field))
-    ginis = np.array([_unit_gini(scores.ss[members[row]]) for row in order.tolist()])
+    rank_of_row = np.empty(len(observed.field), dtype=np.int64)
 
     reports: dict[str, CounterfactualReport] = {}
-    for start, stop in zip(starts.tolist(), stops.tolist()):
-        span = slice(start, stop)
+    for field_code, rows in rankings.items():
+        n = len(rows)
+        observed_rank = np.arange(1, n + 1)
+        rank_of_row[hyp_rankings[field_code]] = observed_rank
+        hypothetical_rank = rank_of_row[rows]
+        ginis = np.array([_unit_gini(scores.ss[members[row]]) for row in rows.tolist()])
         transition = None
-        if stop - start >= k_classes:
+        if n >= k_classes:
             # Both rankings order this one roster, so rank r falls in class classes[r - 1] in either.
-            classes = np.array(classify_quantiles(stop - start, k_classes))
-            cells = classes[observed_rank[span] - 1] * k_classes + classes[hypothetical_rank[span] - 1]
+            classes = np.array(classify_quantiles(n, k_classes))
+            cells = classes * k_classes + classes[hypothetical_rank - 1]
             transition = np.bincount(cells, minlength=k_classes * k_classes).reshape(k_classes, -1).tolist()
-        field_code = observed.fields[field[start]]
         reports[field_code] = CounterfactualReport(
             field=field_code,
-            universities=tuple(observed.universities[u] for u in observed.university[order[span]].tolist()),
-            observed_rank=observed_rank[span],
-            hypothetical_rank=hypothetical_rank[span],
-            gini=ginis[span],
-            spearman_obs_hyp=_safe_spearman(observed_rank[span], hypothetical_rank[span]),
-            spearman_shift_gini=_safe_spearman(observed_rank[span] - hypothetical_rank[span], ginis[span]),
+            universities=tuple(observed.universities[u] for u in observed.university[rows].tolist()),
+            observed_rank=observed_rank,
+            hypothetical_rank=hypothetical_rank,
+            gini=ginis,
+            spearman_obs_hyp=_safe_spearman(observed_rank, hypothetical_rank),
+            spearman_shift_gini=_safe_spearman(observed_rank - hypothetical_rank, ginis),
             transition=transition,
         )
     return reports

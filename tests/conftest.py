@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from meritrank.aggregation import Units
+from meritrank.aggregation import Units, rank_units
 from meritrank.corpus import AuthorSlot, Corpus, Publication, Publications, Researchers, Taxonomy, name_codes
 from meritrank.normalization import CreditScheme, slot_credit_shares
 
@@ -126,6 +126,20 @@ def make_units(rows) -> Units:
     score = np.array(columns[2], dtype=float)[order]
     staff = np.array(columns[3], dtype=np.int64)[order]
     return Units(universities, fields, university[order], field[order], score, staff, staff, np.zeros(0, np.int64))
+
+
+def ranked_roster(staffs) -> tuple[Units, np.ndarray]:
+    """Units U01, U02, ... of one SDS with the given staffs and descending scores, and their
+    ranking: every row, U01 first."""
+    units = make_units([(f"U{i + 1:02d}", "S1", float(len(staffs) - i), staff) for i, staff in enumerate(staffs)])
+    return units, rank_units(units, 0)["S1"]
+
+
+def allocation_rows(allocation) -> list[tuple]:
+    """Each rank of an allocation as a (university, class index, staff, amount) tuple, best first."""
+    units, rows = allocation.units, allocation.rows
+    universities = [units.universities[code] for code in units.university[rows].tolist()]
+    return list(zip(universities, allocation.class_index, units.staff[rows].tolist(), allocation.amount))
 
 
 def unit_rows(units: Units) -> list[tuple]:

@@ -2,7 +2,7 @@
 
 The package computes these in columns (`normalization.standardized_citations`,
 `normalization.slot_credit_shares`, the `aggregation` functions over
-`Units`, and `scenario.counterfactual_rankings` over two ranking orders).
+`Units`, and `scenario.counterfactual_rankings` over two rankings of rows).
 These record-by-record versions are the plain reference; no run executes
 them. `reference_spearman` is `stats.spearman` as it was before it centred
 its ranks once: the correlation and the exact p-value each centre them.
@@ -24,7 +24,6 @@ from meritrank.aggregation import (
     LEVEL_UDA,
     PSTAR_MEAN_OF_UNITS,
     PSTAR_POOLED,
-    RankedUnit,
     Units,
     level_unit_scores,
 )
@@ -170,6 +169,29 @@ def uda_unit_scores(
     return out
 
 
+@dataclass(frozen=True)
+class RankedUnit:
+    """One place of a per-record ranking."""
+
+    rank: int
+    university_id: str
+    score: float
+    staff: int
+
+
+def ranked_records(units: Units, rankings: Mapping[str, np.ndarray]) -> dict[str, list[RankedUnit]]:
+    """`aggregation.rank_units`' rankings of `units`, rows in rank order, as per-record rankings."""
+    return {
+        field_code: [
+            RankedUnit(rank, units.universities[university], score, staff)
+            for rank, (university, score, staff) in enumerate(
+                zip(units.university[rows].tolist(), units.score[rows].tolist(), units.staff[rows].tolist()), start=1
+            )
+        ]
+        for field_code, rows in rankings.items()
+    }
+
+
 def order_units(entries: Sequence[tuple[str, float, int]]) -> list[RankedUnit]:
     """Deterministic total order: score desc, staff desc, university id asc."""
     ordered = sorted(entries, key=lambda e: (-e[1], -e[2], e[0]))
@@ -269,8 +291,10 @@ def counterfactual_rankings(
     if level == LEVEL_UDA:
         p_stars = aggregation.national_averages(units, pstar_mode)
         hyp_pstars = aggregation.national_averages(hyp_units, pstar_mode) if refit_pstar else p_stars
-    observed_rankings = aggregation.rank_units(level_unit_scores(units, level, p_stars, taxonomy), min_staff)
-    hyp_rankings = aggregation.rank_units(level_unit_scores(hyp_units, level, hyp_pstars, taxonomy), min_staff)
+    observed_units = level_unit_scores(units, level, p_stars, taxonomy)
+    hypothetical_units = level_unit_scores(hyp_units, level, hyp_pstars, taxonomy)
+    observed_rankings = ranked_records(observed_units, aggregation.rank_units(observed_units, min_staff))
+    hyp_rankings = ranked_records(hypothetical_units, aggregation.rank_units(hypothetical_units, min_staff))
     unit_values = _unit_values(scores, level, taxonomy)
 
     reports: dict[str, RecordReport] = {}

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from meritrank.aggregation import RankedUnit, rank_units, sds_unit_scores, uda_unit_scores
+from meritrank.aggregation import rank_units, sds_unit_scores, uda_unit_scores
 from meritrank.cli import dispatch
 from meritrank.corpus import Taxonomy
 from meritrank.funding import FundingPolicy, allocate, national_top_census, paradox_report
@@ -23,7 +23,9 @@ from meritrank.scenario import SCOPE_NATIONAL, SCOPE_UNIT, counterfactual_rankin
 from meritrank.stats import gini, quantile_class_sizes, spearman
 from meritrank.synth import CalibrationTargets, GeneratorProfile, calibrate, generate
 
-from conftest import credit_by_position, make_pub, make_slot, make_units, scores_with_ss, make_taxonomy
+from conftest import (
+    allocation_rows, credit_by_position, make_pub, make_slot, make_units, ranked_roster, scores_with_ss, make_taxonomy,
+)
 
 
 def _report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -153,9 +155,8 @@ def test_criterion_4_uda_identity():
 
 
 def test_criterion_5_funding_conservation_and_ratios():
-    units = [RankedUnit(i + 1, f"U{i + 1}", float(4 - i), 10) for i in range(4)]
-    allocation = allocate(units, FundingPolicy(budget=130))
-    fixed_ok = [u.amount for u in allocation.units] == [
+    allocation = allocate(*ranked_roster([10] * 4), FundingPolicy(budget=130))
+    fixed_ok = list(allocation.amount) == [
         Fraction(90),
         Fraction(30),
         Fraction(10),
@@ -165,16 +166,13 @@ def test_criterion_5_funding_conservation_and_ratios():
     conserve_ok = ratio_ok = True
     for _ in range(100):
         n = int(rng.integers(4, 30))
-        roster = [
-            RankedUnit(i + 1, f"U{i + 1:02d}", float(n - i), int(rng.integers(1, 60)))
-            for i in range(n)
-        ]
+        roster = ranked_roster([int(rng.integers(1, 60)) for _ in range(n)])
         budget = Fraction(int(rng.integers(1, 10**7)), int(rng.integers(1, 100)))
-        allocation = allocate(roster, FundingPolicy(budget=budget))
+        allocation = allocate(*roster, FundingPolicy(budget=budget))
         conserve_ok &= allocation.total == budget
         per_class = {}
-        for unit in allocation.units:
-            per_class.setdefault(unit.class_index, unit.per_capita)
+        for _, class_index, staff, amount in allocation_rows(allocation):
+            per_class.setdefault(class_index, amount / staff)
         for c in (0, 1):
             if c in per_class and c + 1 in per_class and per_class[c + 1] > 0:
                 ratio_ok &= per_class[c] / per_class[c + 1] == Fraction(3)
@@ -279,9 +277,9 @@ def _funding_pipeline(groups):
     area = uda_unit_scores(units, p_stars, taxonomy)
     ranking = rank_units(area)["X"]
     policy = FundingPolicy(budget=1000)
-    allocation = allocate(ranking, policy)
+    allocation = allocate(area, ranking, policy)
     selection = select_top(scores, SCOPE_NATIONAL, 0.2)
-    return national_top_census(area, "X", allocation, selection=selection)
+    return national_top_census(allocation, selection=selection)
 
 
 def test_criterion_10_paradox_reproduction():

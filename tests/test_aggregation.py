@@ -151,11 +151,26 @@ class TestLevelUnitScores:
             level_unit_scores(make_units([("U1", "S1", 1.0, 5)]), "sector", {}, tiny_taxonomy)
 
 
+def ranked_universities(units, min_staff=5):
+    """Each field's ranked university names, best first."""
+    return {
+        field: [units.universities[code] for code in units.university[rows].tolist()]
+        for field, rows in rank_units(units, min_staff).items()
+    }
+
+
 class TestRankUnits:
     def test_descending_order(self):
         units = make_units([("A", "S1", 1.0, 8), ("B", "S1", 2.0, 8)])
-        ranking = rank_units(units)["S1"]
-        assert [(u.rank, u.university_id) for u in ranking] == [(1, "B"), (2, "A")]
+        assert ranked_universities(units) == {"S1": ["B", "A"]}
+
+    def test_rows_per_field_in_field_code_order(self):
+        units = make_units([("A", "S2", 1.0, 8), ("B", "S1", 2.0, 8), ("A", "S1", 3.0, 8), ("C", "S2", 0.5, 9)])
+        rankings = rank_units(units)
+        assert list(rankings) == ["S1", "S2"]
+        assert all(rows.dtype == np.int64 for rows in rankings.values())
+        assert [unit_rows(units)[row][:2] for row in rankings["S1"].tolist()] == [("A", "S1"), ("B", "S1")]
+        assert [unit_rows(units)[row][:2] for row in rankings["S2"].tolist()] == [("A", "S2"), ("C", "S2")]
 
     def test_tie_breaks_by_staff_then_id(self):
         units = make_units(
@@ -165,13 +180,14 @@ class TestRankUnits:
                 ("C", "S1", 1.0, 10),
             ]
         )
-        ranking = rank_units(units)["S1"]
-        assert [u.university_id for u in ranking] == ["C", "A", "B"]
+        assert ranked_universities(units)["S1"] == ["C", "A", "B"]
 
     def test_min_staff_threshold(self):
         units = make_units([("A", "S1", 5.0, 4), ("B", "S1", 1.0, 5)])
-        ranking = rank_units(units, min_staff=5)["S1"]
-        assert [u.university_id for u in ranking] == ["B"]
+        assert ranked_universities(units, min_staff=5)["S1"] == ["B"]
+
+    def test_no_unit_on_the_roster_gives_no_ranking(self):
+        assert rank_units(make_units([("A", "S1", 5.0, 4)]), min_staff=5) == {}
 
     def test_thirty_five_units_all_distinct_ranks(self):
         rng = np.random.default_rng(41)
@@ -179,7 +195,9 @@ class TestRankUnits:
             [(f"U{i:02d}", "S1", float(rng.uniform(0, 3)), int(rng.integers(5, 40))) for i in range(35)]
         )
         ranking = rank_units(units)["S1"]
-        assert [u.rank for u in ranking] == list(range(1, 36))
+        assert sorted(ranking.tolist()) == list(range(35))
+        scores = units.score[ranking].tolist()
+        assert scores == sorted(scores, reverse=True)
 
     def test_uda_eligibility_needs_one_qualifying_sds(self, tiny_taxonomy):
         units = make_units(
@@ -190,8 +208,7 @@ class TestRankUnits:
             ]
         )
         area = uda_unit_scores(units, {"S1": 1.0, "S2": 1.0}, tiny_taxonomy)
-        ranking = rank_units(area, min_staff=5)["X"]
-        assert [u.university_id for u in ranking] == ["B"]
+        assert ranked_universities(area, min_staff=5)["X"] == ["B"]
 
     def test_scale_invariance_of_orderings(self, tiny_taxonomy):
         rng = np.random.default_rng(43)
@@ -207,10 +224,6 @@ class TestRankUnits:
         def orderings(score_map):
             units = sds_unit_scores(score_map)
             p_stars = national_averages(units)
-            area = uda_unit_scores(units, p_stars, tiny_taxonomy)
-            return {
-                field: [u.university_id for u in ranking]
-                for field, ranking in rank_units(area).items()
-            }
+            return ranked_universities(uda_unit_scores(units, p_stars, tiny_taxonomy))
 
         assert orderings(scores) == orderings(scaled)

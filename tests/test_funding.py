@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from meritrank.aggregation import RankedUnit, national_averages, sds_unit_scores, uda_unit_scores
+from meritrank.aggregation import national_averages, rank_units, sds_unit_scores, uda_unit_scores
 from meritrank.errors import AllocationError, ValidationError
 from meritrank.funding import (
     KIND_CLASS_INVERSION,
@@ -17,11 +17,20 @@ from meritrank.funding import (
 )
 from meritrank.scenario import SCOPE_NATIONAL, TopSelection, select_top
 
-from conftest import make_taxonomy, scores_with_ss
+from conftest import allocation_rows, make_taxonomy, ranked_roster, scores_with_ss
 
 
-def ranked(staffs):
-    return [RankedUnit(i + 1, f"U{i + 1:02d}", float(len(staffs) - i), s) for i, s in enumerate(staffs)]
+def amounts(allocation):
+    return [amount for _, _, _, amount in allocation_rows(allocation)]
+
+
+def per_capita_by_class(allocation):
+    """Each class's per-capita amount, from its first rank with staff."""
+    per_class = {}
+    for _, class_index, staff, amount in allocation_rows(allocation):
+        if staff:
+            per_class.setdefault(class_index, amount / staff)
+    return per_class
 
 
 class TestPolicy:
@@ -44,15 +53,12 @@ class TestPolicy:
 class TestAllocate:
     def test_ratio_solve_fixed_case(self):
         # 4 classes x 10 staff, budget 130: 10(9k + 3k + k) = 130 -> k = 1.
-        units = ranked([10] * 4)
-        allocation = allocate(units, FundingPolicy(budget=130))
-        amounts = [u.amount for u in allocation.units]
-        assert amounts == [Fraction(90), Fraction(30), Fraction(10), Fraction(0)]
+        allocation = allocate(*ranked_roster([10] * 4), FundingPolicy(budget=130))
+        assert amounts(allocation) == [Fraction(90), Fraction(30), Fraction(10), Fraction(0)]
 
     def test_one_unit_per_class_budget_13(self):
-        units = ranked([1, 1, 1, 1])
-        allocation = allocate(units, FundingPolicy(budget=13))
-        assert [u.amount for u in allocation.units] == [
+        allocation = allocate(*ranked_roster([1, 1, 1, 1]), FundingPolicy(budget=13))
+        assert amounts(allocation) == [
             Fraction(9),
             Fraction(3),
             Fraction(1),
@@ -60,9 +66,8 @@ class TestAllocate:
         ]
 
     def test_bottom_funded_geometric_weights(self):
-        units = ranked([1, 1, 1, 1])
-        allocation = allocate(units, FundingPolicy(bottom_class_funded=True, budget=40))
-        assert [u.amount for u in allocation.units] == [
+        allocation = allocate(*ranked_roster([1, 1, 1, 1]), FundingPolicy(bottom_class_funded=True, budget=40))
+        assert amounts(allocation) == [
             Fraction(27),
             Fraction(9),
             Fraction(3),
@@ -73,7 +78,7 @@ class TestAllocate:
         rng = np.random.default_rng(67)
         for _ in range(50):
             n = int(rng.integers(4, 40))
-            units = ranked([int(rng.integers(1, 50)) for _ in range(n)])
+            units, rows = ranked_roster([int(rng.integers(1, 50)) for _ in range(n)])
             budget = Fraction(int(rng.integers(1, 10**9)), int(rng.integers(1, 1000)))
             policy = FundingPolicy(
                 n_classes=int(rng.integers(2, min(n, 6) + 1)),
@@ -81,50 +86,40 @@ class TestAllocate:
                 bottom_class_funded=bool(rng.random() < 0.3),
                 budget=budget,
             )
-            allocation = allocate(units, policy)
+            allocation = allocate(units, rows, policy)
             assert allocation.total == budget  # exact, not approximate
 
     def test_adjacent_per_capita_ratio_is_exact(self):
-        units = ranked([7, 3, 11, 2, 9, 5, 8, 4])
-        allocation = allocate(units, FundingPolicy(budget=Fraction(997, 3)))
-        per_class = {}
-        for unit in allocation.units:
-            per_class.setdefault(unit.class_index, unit.per_capita)
+        allocation = allocate(*ranked_roster([7, 3, 11, 2, 9, 5, 8, 4]), FundingPolicy(budget=Fraction(997, 3)))
+        per_class = per_capita_by_class(allocation)
         for c in range(2):  # funded classes 0, 1, 2
             assert per_class[c] / per_class[c + 1] == Fraction(3)
 
     def test_per_capita_monotone_down_classes(self):
-        units = ranked([5, 9, 2, 14, 6, 3, 7, 10])
-        allocation = allocate(units, FundingPolicy(budget=1000))
-        by_class = {}
-        for unit in allocation.units:
-            by_class.setdefault(unit.class_index, unit.per_capita)
+        allocation = allocate(*ranked_roster([5, 9, 2, 14, 6, 3, 7, 10]), FundingPolicy(budget=1000))
+        by_class = per_capita_by_class(allocation)
         values = [by_class[c] for c in sorted(by_class)]
         assert all(a > b for a, b in zip(values, values[1:])) or values[-1] == 0
 
     def test_budget_homogeneity(self):
-        units = ranked([4, 8, 15, 16, 23, 42])
-        one = allocate(units, FundingPolicy(budget=100))
-        two = allocate(units, FundingPolicy(budget=200))
-        for a, b in zip(one.units, two.units):
-            assert 2 * a.amount == b.amount
+        roster = ranked_roster([4, 8, 15, 16, 23, 42])
+        one = allocate(*roster, FundingPolicy(budget=100))
+        two = allocate(*roster, FundingPolicy(budget=200))
+        assert len(one.amount) == len(two.amount) == 6
+        for a, b in zip(one.amount, two.amount):
+            assert 2 * a == b
 
     def test_zero_weighted_staff_fails(self):
-        units = [
-            RankedUnit(1, "A", 3.0, 0),
-            RankedUnit(2, "B", 2.0, 0),
-            RankedUnit(3, "C", 1.0, 0),
-            RankedUnit(4, "D", 0.5, 7),  # staff only in the unfunded class
-        ]
+        units = ranked_roster([0, 0, 0, 7])  # staff only in the unfunded class
         with pytest.raises(AllocationError):
-            allocate(units, FundingPolicy())
+            allocate(*units, FundingPolicy())
 
 
 def census_fixture():
     """Eight universities in one UDA, quartiles of two, tops steered by SS.
 
-    Returns the area's UDA composites, the scores and the allocation over U01..U08
-    ranked in that order, which puts U01-U02 in the first class and U07-U08 in the last.
+    Returns the area's UDA composites, the scores and the allocation over their
+    ranking, U01..U08 in that order, which puts U01-U02 in the first class and U07-U08 in the last.
     """
     taxonomy = make_taxonomy({"S1": "X"})
     groups = {}
@@ -136,7 +131,7 @@ def census_fixture():
         "U04": [70, 70, 1, 1, 1],
         "U05": [60, 60, 1, 1, 1],
         "U06": [50, 50, 1, 1, 1],
-        "U07": [40, 40, 1, 1, 1],
+        "U07": [49, 49, 1, 1, 1],
         "U08": [95, 0, 0, 0, 0],
     }
     for univ, values in layout.items():
@@ -145,15 +140,17 @@ def census_fixture():
     units = sds_unit_scores(scores)
     areas = uda_unit_scores(units, national_averages(units), taxonomy)
     # Observed per-capita ranking: U01..U07 descending, U08 last (19 per capita
-    # for U08 vs 20.4+ for the rest).
-    return areas, scores, allocate(ranked([5] * 8), FundingPolicy(budget=1000))
+    # for U08 vs 20.2+ for the rest).
+    ranking = rank_units(areas)["X"]
+    assert [areas.universities[code] for code in areas.university[ranking].tolist()] == list(layout)
+    return areas, scores, allocate(areas, ranking, FundingPolicy(budget=1000))
 
 
 class TestCensus:
     def test_counts_and_stranded_share(self):
         areas, scores, allocation = census_fixture()
         selection = select_top(scores, SCOPE_NATIONAL, 0.2)
-        census = national_top_census(areas, "X", allocation, selection)
+        census = national_top_census(allocation, selection)
         # 40 researchers nationally in S1 -> 8 tops: the pairs at 100/90/80,
         # U08's 95, and one of the tied 70s (id tie-break picks U04-S1-00).
         assert census.total_tops == 8
@@ -167,16 +164,16 @@ class TestCensus:
     def test_partition_into_classes(self):
         areas, scores, allocation = census_fixture()
         selection = select_top(scores, SCOPE_NATIONAL, 0.2)
-        census = national_top_census(areas, "X", allocation, selection)
+        census = national_top_census(allocation, selection)
         assert census.allocation is allocation
         assert sum(census.class_totals) == census.total_tops
         assert sum(u.top_count for u in census.universities) == census.total_tops
 
     def test_unclassified_universities_tracked_separately(self):
         areas, scores, _ = census_fixture()
-        without_u08 = allocate(ranked([5] * 7), FundingPolicy(budget=1000))
+        without_u08 = allocate(areas, rank_units(areas)["X"][:7], FundingPolicy(budget=1000))
         selection = select_top(scores, SCOPE_NATIONAL, 0.2)
-        census = national_top_census(areas, "X", without_u08, selection)
+        census = national_top_census(without_u08, selection)
         assert sum(u.top_count for u in census.universities if u.class_index is None) == 1
         assert census.total_tops == 7
         assert sum(census.class_totals) == 7
@@ -185,20 +182,14 @@ class TestCensus:
         areas, scores, allocation = census_fixture()
         bad = TopSelection("unit", np.zeros(len(scores), dtype=bool))
         with pytest.raises(ValidationError):
-            national_top_census(areas, "X", allocation, selection=bad)
-
-    def test_rejects_an_area_without_units(self):
-        areas, scores, allocation = census_fixture()
-        selection = select_top(scores, SCOPE_NATIONAL, 0.2)
-        with pytest.raises(ValidationError, match=r"^area 'Y': no units to take a census of$"):
-            national_top_census(areas, "Y", allocation, selection)
+            national_top_census(allocation, selection=bad)
 
 
 class TestParadoxReport:
     def _census(self):
         areas, scores, allocation = census_fixture()
         selection = select_top(scores, SCOPE_NATIONAL, 0.2)
-        return national_top_census(areas, "X", allocation, selection)
+        return national_top_census(allocation, selection)
 
     def test_class_pair_inversion_flagged(self):
         census = self._census()

@@ -1,9 +1,12 @@
 """Baselines, standardization, and fractional author credit."""
 
+import json
+import statistics
+
 import numpy as np
 import pytest
 
-from meritrank.corpus import Publications
+from meritrank.corpus import Publications, load_corpus
 from meritrank.errors import ValidationError
 from meritrank.normalization import (
     EQUAL_FRACTIONAL,
@@ -12,6 +15,8 @@ from meritrank.normalization import (
     compute_baselines,
     standardized_citations,
 )
+from meritrank.indicators import score_corpus
+from meritrank.synth import GeneratorProfile, generate
 
 from conftest import credit_by_position, make_corpus, make_pub, make_slot
 
@@ -61,6 +66,49 @@ class TestBaselines:
         forward = make_corpus(researchers, pubs)
         backward = make_corpus(researchers, tuple(reversed(pubs)))
         assert compute_baselines(forward) == compute_baselines(backward)
+
+
+    def test_a_negative_year_keeps_its_own_stratum(self, tmp_path):
+        """Strata of a window holding year -1: (C1, -1) neither drops out nor reads as (C0, 3)."""
+        (tmp_path / "taxonomy.csv").write_text("sds,uda,uda_name,life_science\nS1,X,Area X,0\n")
+        (tmp_path / "researchers.csv").write_text(
+            "id,university_id,university_name,sds,years_in_post\nR1,U1,Uni,S1,1\nR2,U1,Uni,S1,1\nR3,U1,Uni,S1,1\n"
+        )
+        records = [("P1", -1, 10, "C1", "R1"), ("P2", 3, 1, "C0", "R2"), ("P3", 3, 100, "C0", "R3")]
+        (tmp_path / "publications.jsonl").write_text("".join(
+            json.dumps({
+                "id": pid, "year": year, "type": "article", "citations": citations, "categories": [category],
+                "authors": [{"researcher_id": rid, "position": 1, "intramural": True}],
+            }) + "\n"
+            for pid, year, citations, category, rid in records
+        ))
+        corpus = load_corpus(*(tmp_path / name for name in ("publications.jsonl", "researchers.csv", "taxonomy.csv")),
+                             window=(-1, 3))
+        baselines = compute_baselines(corpus)
+        assert {key: b.median_citations for key, b in baselines.items()} == {("C1", -1): 10.0, ("C0", 3): 50.5}
+        scores = score_corpus(corpus, CreditScheme()).scores
+        assert scores.ss[scores.ids.index("R1")] == 1.0
+
+    def test_a_generated_window_below_zero_matches_a_per_record_oracle(self):
+        profile = GeneratorProfile(
+            n_universities=4, sds_per_uda={"A": 2}, life_science_udas=(), staff_per_unit=(2, 5), window=(-3, 1), seed=11
+        )
+        corpus = generate(profile)
+        strata: dict = {}
+        for pub in corpus.publications:
+            for category in pub.categories:
+                strata.setdefault((category, pub.year), []).append(pub.citations)
+        assert min(year for _, year in strata) < 0
+        baselines = compute_baselines(corpus)
+        assert sorted(baselines) == sorted(strata)
+        for key, cites in strata.items():
+            assert baselines[key].median_citations == float(statistics.median(cites))
+            assert baselines[key].mean_citations == sum(cites) / len(cites)
+        standardized = standardized_citations(corpus.publications, baselines)
+        for row, pub in enumerate(corpus.publications):
+            scales = [baselines[(category, pub.year)].scale for category in pub.categories]
+            mean_scale = sum(scales) / len(scales)
+            assert standardized[row] == (pub.citations / mean_scale if pub.citations and mean_scale else 0.0)
 
 
 def _standardized(corpus, pubs=None):

@@ -15,7 +15,6 @@ from meritrank.aggregation import (
     LEVEL_UDA,
     PSTAR_MEAN_OF_UNITS,
     PSTAR_POOLED,
-    RankedUnit,
     level_unit_scores,
     national_averages,
     rank_units,
@@ -46,7 +45,10 @@ from meritrank.stats import (
 )
 
 import oracles
-from conftest import make_corpus, make_pub, make_taxonomy, scores_with_ss, selected_ids, table_rows, unit_rows
+from conftest import (
+    allocation_rows, make_corpus, make_pub, make_taxonomy, ranked_roster, scores_with_ss, selected_ids, table_rows,
+    unit_rows,
+)
 from oracles import credit_shares, standardize
 
 TAXONOMY = make_taxonomy({"S1": "X", "S2": "X", "S3": "Y", "S4": "Y"})
@@ -168,7 +170,8 @@ def test_counterfactual_observed_side_is_the_observed_ranking(
     _, scores = scores_with_ss(roster, taxonomy=TAXONOMY)
     units = sds_unit_scores(scores)
     p_stars = national_averages(units, pstar_mode)
-    rankings = rank_units(level_unit_scores(units, level, p_stars, TAXONOMY), min_staff)
+    level_units = level_unit_scores(units, level, p_stars, TAXONOMY)
+    rankings = oracles.ranked_records(level_units, rank_units(level_units, min_staff))
     selection = select_top(scores, SCOPE_UNIT, share, min_staff)
     reports = counterfactual_rankings(
         TAXONOMY, scores, units, selection, level, min_staff,
@@ -306,7 +309,7 @@ def _orderings(roster, pstar_mode):
     fields = sds_unit_scores(scores)
     areas = uda_unit_scores(fields, national_averages(fields, pstar_mode), TAXONOMY)
     return [
-        {code: [u.university_id for u in ranking] for code, ranking in rank_units(x, 1).items()}
+        {code: [u.university_id for u in ranking] for code, ranking in oracles.ranked_records(x, rank_units(x, 1)).items()}
         for x in (fields, areas)
     ]
 
@@ -605,12 +608,14 @@ def test_unit_tables_match_the_per_record_oracles(roster, keep, emptied, pstar_m
     assert refit == oracles.national_averages(record_hyp, pstar_mode)
     for level in (LEVEL_SDS, LEVEL_UDA):
         observed = oracles.rank_units(_record_level(record_units, level, p_stars), min_staff)
-        assert rank_units(level_unit_scores(sds_units, level, p_stars, TAXONOMY), min_staff) == observed
+        level_units = level_unit_scores(sds_units, level, p_stars, TAXONOMY)
+        assert oracles.ranked_records(level_units, rank_units(level_units, min_staff)) == observed
         for hyp_pstars in (p_stars, refit):
             hypothetical = level_unit_scores(hyp_units, level, hyp_pstars, TAXONOMY)
             record = _record_level(record_hyp, level, hyp_pstars)
             assert _staffed(hypothetical) == [astuple(u)[:4] for u in record]
-            assert rank_units(hypothetical, min_staff) == _record_hypothetical_rankings(observed, record)
+            hypothetical_rankings = oracles.ranked_records(hypothetical, rank_units(hypothetical, min_staff))
+            assert hypothetical_rankings == _record_hypothetical_rankings(observed, record)
 
 
 def test_loading_and_scoring_build_no_records(tmp_path, monkeypatch):
@@ -643,19 +648,20 @@ def test_loading_and_scoring_build_no_records(tmp_path, monkeypatch):
 def test_allocate_conserves_budget_and_adjacent_ratio(staffs, n_classes, ratio, bottom_funded, budget):
     assume(len(staffs) >= n_classes)
     policy = FundingPolicy(n_classes, ratio, bottom_funded, budget)
-    units = [RankedUnit(i + 1, f"U{i:02d}", float(-i), staff) for i, staff in enumerate(staffs)]
+    units, rows = ranked_roster(staffs)
     weights = policy.class_weights()
-    classes = classify_quantiles(len(units), n_classes)
+    classes = classify_quantiles(len(staffs), n_classes)
     if all(staff * weights[c] == 0 for staff, c in zip(staffs, classes)):
         with pytest.raises(AllocationError):
-            allocate(units, policy)
+            allocate(units, rows, policy)
         return
-    allocation = allocate(units, policy)
+    allocation = allocate(units, rows, policy)
     assert allocation.total == budget
+    assert list(allocation.class_index) == classes
     per_capita: dict[int, set] = {}
-    for unit in allocation.units:
-        if unit.staff:
-            per_capita.setdefault(unit.class_index, set()).add(unit.per_capita)
+    for _, class_index, staff, amount in allocation_rows(allocation):
+        if staff:
+            per_capita.setdefault(class_index, set()).add(amount / staff)
     assert all(len(values) == 1 for values in per_capita.values())
     funded = n_classes if bottom_funded else n_classes - 1
     for c in range(funded - 1):
@@ -691,7 +697,7 @@ def test_census_partitions_the_area_tops_over_its_allocation(
     allocation = census.allocation
 
     assert len(census.class_totals) == allocation.policy.n_classes
-    classes = {unit.university_id: unit.class_index for unit in allocation.units}
+    classes = {university: class_index for university, class_index, _, _ in allocation_rows(allocation)}
     for row in census.universities:
         assert row.class_index == classes.get(row.university_id)
     rows = table_rows(scores)
@@ -712,9 +718,11 @@ def _drawn_census(roster, min_staff, share, ratio, bottom_funded, data):
     assume(any(len(ranking) >= 2 for ranking in rankings.values()))
     uda = data.draw(st.sampled_from(sorted(u for u, r in rankings.items() if len(r) >= 2)))
     n_classes = data.draw(st.integers(2, min(6, len(rankings[uda]))))
-    allocation = allocate(rankings[uda], FundingPolicy(n_classes, ratio, bottom_funded, 1000))
+    allocation = allocate(areas, rankings[uda], FundingPolicy(n_classes, ratio, bottom_funded, 1000))
     selection = select_top(scores, SCOPE_NATIONAL, share, min_staff)
-    return scores, selection, national_top_census(areas, uda, allocation, selection)
+    census = national_top_census(allocation, selection)
+    assert census.uda == uda
+    return scores, selection, census
 
 
 @SETTINGS
@@ -733,13 +741,14 @@ def test_census_rows_carry_their_allocation_rows(roster, min_staff, share, ratio
         row["university_id"] for row in table_rows(scores).values() if TAXONOMY.uda_of(row["sds"]) == census.uda
     )
     assert [(row.university_id, row.staff) for row in census.universities] == sorted(area_staff.items())
-    allocated = {unit.university_id: unit for unit in census.allocation.units}
+    allocated = {university: rest for university, *rest in allocation_rows(census.allocation)}
     for row in census.universities:
         unit = allocated.get(row.university_id)
         if unit is None:
             assert (row.class_index, row.amount) == (None, Fraction(0))
         else:
-            assert (row.class_index, row.amount, row.staff) == (unit.class_index, unit.amount, unit.staff)
+            class_index, staff, amount = unit
+            assert (row.class_index, row.amount, row.staff) == (class_index, amount, staff)
     assert sum((row.amount for row in census.universities), Fraction(0)) == census.allocation.total
 
 
