@@ -136,9 +136,8 @@ def national_top_census(allocation: FundingAllocation, selection: TopSelection) 
         class_index, amount = funded.get(row, (None, Fraction(0)))
         if class_index is not None:
             class_totals[class_index] += univ_tops
-        universities.append(
-            UniversityCensus(units.universities[code], class_index, univ_staff, univ_tops, univ_tops / univ_staff, amount)
-        )
+        univ = units.universities[code]
+        universities.append(UniversityCensus(univ, class_index, univ_staff, univ_tops, univ_tops / univ_staff, amount))
     total = sum(class_totals)
     stranded = class_totals[-1]
     return TopCensus(

@@ -218,11 +218,10 @@ def write_scatter_svg(path, scatter: ScatterData, title: str = "") -> None:
 
 def write_allocation_csv(path, allocation: FundingAllocation) -> None:
     units, ranked = allocation.units, allocation.rows
+    columns = (units.university[ranked].tolist(), units.staff[ranked].tolist(), allocation.class_index, allocation.amount)
     rows = (
-        [units.universities[university], class_index + 1, staff, float(amount), float(amount / staff) if staff else 0.0]
-        for university, staff, class_index, amount in zip(
-            units.university[ranked].tolist(), units.staff[ranked].tolist(), allocation.class_index, allocation.amount
-        )
+        [units.universities[code], class_index + 1, staff, float(amount), float(amount / staff) if staff else 0.0]
+        for code, staff, class_index, amount in zip(*columns)
     )
     csv_file(path, ["university_id", "class", "staff", "amount", "per_capita"], rows)
 

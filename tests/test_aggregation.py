@@ -185,9 +185,7 @@ class TestRankUnits:
     def test_min_staff_threshold(self):
         units = make_units([("A", "S1", 5.0, 4), ("B", "S1", 1.0, 5)])
         assert ranked_universities(units, min_staff=5)["S1"] == ["B"]
-
-    def test_no_unit_on_the_roster_gives_no_ranking(self):
-        assert rank_units(make_units([("A", "S1", 5.0, 4)]), min_staff=5) == {}
+        assert rank_units(units, min_staff=6) == {}
 
     def test_thirty_five_units_all_distinct_ranks(self):
         rng = np.random.default_rng(41)

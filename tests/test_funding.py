@@ -20,10 +20,6 @@ from meritrank.scenario import SCOPE_NATIONAL, TopSelection, select_top
 from conftest import allocation_rows, make_taxonomy, ranked_roster, scores_with_ss
 
 
-def amounts(allocation):
-    return [amount for _, _, _, amount in allocation_rows(allocation)]
-
-
 def per_capita_by_class(allocation):
     """Each class's per-capita amount, from its first rank with staff."""
     per_class = {}
@@ -54,11 +50,11 @@ class TestAllocate:
     def test_ratio_solve_fixed_case(self):
         # 4 classes x 10 staff, budget 130: 10(9k + 3k + k) = 130 -> k = 1.
         allocation = allocate(*ranked_roster([10] * 4), FundingPolicy(budget=130))
-        assert amounts(allocation) == [Fraction(90), Fraction(30), Fraction(10), Fraction(0)]
+        assert list(allocation.amount) == [Fraction(90), Fraction(30), Fraction(10), Fraction(0)]
 
     def test_one_unit_per_class_budget_13(self):
         allocation = allocate(*ranked_roster([1, 1, 1, 1]), FundingPolicy(budget=13))
-        assert amounts(allocation) == [
+        assert list(allocation.amount) == [
             Fraction(9),
             Fraction(3),
             Fraction(1),
@@ -67,7 +63,7 @@ class TestAllocate:
 
     def test_bottom_funded_geometric_weights(self):
         allocation = allocate(*ranked_roster([1, 1, 1, 1]), FundingPolicy(bottom_class_funded=True, budget=40))
-        assert amounts(allocation) == [
+        assert list(allocation.amount) == [
             Fraction(27),
             Fraction(9),
             Fraction(3),
