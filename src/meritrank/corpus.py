@@ -2,9 +2,9 @@
 
 A corpus is immutable after load: every analysis step reads it, none mutates
 it. Its researchers form one columnar table, `Researchers`, in id order; its
-publications another, `Publications`: numpy columns for citations, year and
-document type, a CSR (flat values plus row offsets) of category codes, and a
-CSR of author slots holding the researcher's row, position and intramural
+publications another, `Publications`: numpy columns for ids, citations, year
+and document type, a CSR (flat values plus row offsets) of category codes,
+and a CSR of author slots holding the researcher's row, position and intramural
 flag. `PublicationsBuilder` fills it from the loader, seeded with the
 researcher ids, or from a list of records, in typed arrays that become its
 columns without a copy; the generator fills the columns
@@ -35,7 +35,6 @@ from __future__ import annotations
 import csv
 import json
 import logging
-import operator
 import re
 from array import array
 from collections import defaultdict
@@ -43,7 +42,7 @@ from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import compress, islice, pairwise
+from itertools import compress, pairwise
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -188,7 +187,11 @@ def row_offsets(counts) -> np.ndarray:
 class Publications:
     """All publications of a corpus as columns; iterating builds `Publication` records.
 
-    Row i is publication i. Its categories are
+    Row i is publication i, and `ids[i]` its id. `ids` is a column of
+    `np.dtypes.StringDType()`, 16 bytes per short id, or dtype object when an
+    id holds a lone surrogate, which UTF-8 cannot encode (`id_column`); either
+    way its elements are Python strings, and UTF-8 byte order is code-point
+    order, so both sort as Python sorts. Its categories are
     `category_names[category[category_offsets[i]:category_offsets[i + 1]]]`
     and its author slots the same span of the three `slot_*` columns under
     `slot_offsets`. `slot_researcher` is a code into `researcher_names`, or
@@ -197,7 +200,7 @@ class Publications:
     starts with `DOC_TYPES`.
     """
 
-    ids: list[str]
+    ids: np.ndarray
     year: np.ndarray
     doc_type: np.ndarray
     citations: np.ndarray
@@ -238,7 +241,7 @@ class Publications:
         rids = [None if code < 0 else names[code] for code in self.slot_researcher.tolist()]
         positions, intramural = self.slot_position.tolist(), self.slot_intramural.tolist()
         cat_offsets, slot_offsets = self.category_offsets.tolist(), self.slot_offsets.tolist()
-        for i, pid in enumerate(self.ids):
+        for i, pid in enumerate(self.ids.tolist()):
             c0, c1 = cat_offsets[i], cat_offsets[i + 1]
             s0, s1 = slot_offsets[i], slot_offsets[i + 1]
             slots = tuple(map(AuthorSlot, positions[s0:s1], intramural[s0:s1], rids[s0:s1]))
@@ -267,29 +270,28 @@ class Publications:
 
     def id_order(self) -> np.ndarray:
         """The row order that sorts the table by id; no sort for a table in that order already."""
-        ids = self.ids
-        if _increasing(ids):
-            return np.arange(len(ids))
-        return np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.int64)
+        if _increasing(self.ids):
+            return np.arange(len(self.ids))
+        return np.argsort(self.ids, kind="stable")
 
     def in_canonical_order(self, order: np.ndarray | None = None) -> "Publications":
         """This table with rows sorted by id (or in `id_order()` computed already) and each row's slots
         by position; the table itself when it is in that order already. The one canonicalisation of
         every corpus the package builds: the loader and the generator both end with it."""
-        ids = self.ids
         if order is None:
             order = self.id_order()
-        slot_row, positions = self.slot_publication, self.slot_position
-        if np.array_equal(order, np.arange(len(order))) and not np.any(
-            (positions[1:] < positions[:-1]) & (slot_row[1:] == slot_row[:-1])
-        ):
+        positions, starts = self.slot_position, self.slot_offsets
+        # The slots are in position order when each fall in position is at a row's first slot.
+        falls = np.flatnonzero(positions[1:] < positions[:-1]) + 1
+        if np.array_equal(order, np.arange(len(order))) and np.array_equal(starts[starts.searchsorted(falls)], falls):
             return self
+        slot_row = self.slot_publication
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order))
         slot_order = np.lexsort((positions, rank[slot_row]))
         category_order = np.argsort(rank[self.category_publication], kind="stable")
         return Publications(
-            ids=[ids[i] for i in order.tolist()],
+            ids=self.ids[order],
             year=self.year[order],
             doc_type=self.doc_type[order],
             citations=self.citations[order],
@@ -327,19 +329,29 @@ def _int_column(values: array | list[int]) -> np.ndarray:
     return np.array(values, dtype=object)
 
 
+def id_column(ids: Sequence[str]) -> np.ndarray:
+    """Publication ids as a `StringDType` column, or as dtype object when one holds a lone surrogate (such
+    as the JSON escape "\\ud800" decodes to), which that dtype cannot encode; either sorts as Python does."""
+    try:
+        return np.array(ids, dtype=np.dtypes.StringDType())
+    except UnicodeEncodeError:
+        return np.array(ids, dtype=object)
+
+
 class PublicationsBuilder:
     """Collects publications a block at a time, unchecked, and freezes them into a `Publications` table.
 
     Every numeric column grows as a typed `array`, int64 or (the intramural
     flags) one byte per slot, so no value is held as a Python int, and
     `build()` makes each a numpy column over the same memory, copying
-    nothing; the builder cannot grow after that. A year, citation or position
+    nothing; the builder cannot grow after that. The ids become an
+    `id_column` per block, which `build()` joins. A year, citation or position
     column that is handed a value beyond int64 becomes a list of Python ints,
     and its table column dtype object, so that the rules can name the value.
     """
 
     def __init__(self, researcher_ids: Sequence[str] = ()):
-        self._ids: list[str] = []
+        self._ids: list[np.ndarray] = []  # an `id_column` per block
         self._years, self._citations, self._positions = array("q"), array("q"), array("q")
         self._doc_types, self._category_counts, self._categories = array("q"), array("q"), array("q")
         self._slot_counts, self._researchers = array("q"), array("q")
@@ -357,7 +369,7 @@ class PublicationsBuilder:
         category count and slot count; `categories` and the last three list every category and
         author slot, publication after publication, each publication's in its own order."""
         doc_codes, cat_codes, res_codes = self._doc_type_codes, self._category_codes, self._researcher_codes
-        self._ids += ids
+        self._ids.append(id_column(ids))
         self._years = _extended(self._years, years)
         self._doc_types.extend([doc_codes.setdefault(name, len(doc_codes)) for name in doc_types])
         self._citations = _extended(self._citations, citations)
@@ -372,7 +384,7 @@ class PublicationsBuilder:
 
     def build(self) -> Publications:
         return Publications(
-            ids=self._ids,
+            ids=np.concatenate([id_column([]), *self._ids]),  # dtype object if any block's is
             year=_int_column(self._years),
             doc_type=_int_column(self._doc_types),
             citations=_int_column(self._citations),
@@ -450,11 +462,11 @@ def publications_problem(pubs: Publications, window, n_researchers: int) -> tupl
     ids, year, citations, doc_type = pubs.ids, pubs.year, pubs.citations, pubs.doc_type
     lo, hi = window
     duplicate = np.zeros(n, dtype=bool)
-    if not _increasing(ids) and len(set(ids)) < n:
-        seen: set[str] = set()
-        for i, pid in enumerate(ids):
-            duplicate[i] = pid in seen
-            seen.add(pid)
+    if not _increasing(ids):
+        # A stable sort puts an id's first row before its repeats.
+        order = np.argsort(ids, kind="stable")
+        sorted_ids = ids[order]
+        duplicate[order[1:]] = sorted_ids[1:] == sorted_ids[:-1]
     known_type = np.array([name in DOC_TYPES for name in pubs.doc_type_names], dtype=bool)
     repeated = _repeated_category_rows(pubs)
     n_slots = np.diff(pubs.slot_offsets)
@@ -518,9 +530,9 @@ def publications_problem(pubs: Publications, window, n_researchers: int) -> tupl
     return first, next(message(first) for rows, message in rules if rows[first])
 
 
-def _increasing(ids: list[str]) -> bool:
+def _increasing(ids: np.ndarray) -> bool:
     """Whether each id sorts after the one before it: the ids are sorted and distinct."""
-    return all(map(operator.lt, ids, islice(ids, 1, None)))
+    return bool(np.all(ids[1:] > ids[:-1]))
 
 
 def _repeated_category_rows(pubs: Publications) -> np.ndarray:
@@ -691,13 +703,13 @@ def load_publications(pub_path, window, researcher_ids: Sequence[str]) -> Public
     One loop decodes each line once and type-checks and codes the lines in
     columns, a block of `PUBLICATIONS_PER_BLOCK` at a time, and appends each
     block to `PublicationsBuilder`'s typed arrays, which become the table's
-    columns without a copy: past its block, a line keeps no Python object
-    but its id. The table stops
-    before the first line that fails to decode or whose block fails that
-    check; such a block goes through the per-line checks, which name its
-    first bad line. The rules then run once over the whole table
-    (`publications_problem`). The first bad line is reported: a rule broken
-    on an earlier line wins over a parse or type error on a later one.
+    columns without a copy, and the block's ids to an id column: past its
+    block, a line keeps no Python object. The table stops before the first
+    line that fails to decode or whose block fails that check; such a block
+    goes through the per-line checks, which name its first bad line. The
+    rules then run once over the whole table (`publications_problem`). The
+    first bad line is reported: a rule broken on an earlier line wins over a
+    parse or type error on a later one.
     """
     pub_path = Path(pub_path)
     # Parsing in a function of its own frees the builder's name codes and the last block before the check runs.

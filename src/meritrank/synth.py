@@ -30,6 +30,7 @@ from .corpus import (
     Publications,
     Researchers,
     Taxonomy,
+    id_column,
     load_json_object,
     row_offsets,
     uda_code_problem,
@@ -77,7 +78,9 @@ _SEARCHES = {
     "nil_impact_share": ("zero_citation_mass", 0.0, 0.95),
     "top20_impact_share": ("citation_sigma", 0.3, 3.0),
 }
-_PUBLICATIONS_PER_WRITE = 4096  # lines encoded and written together by `write_publications`
+# Lines encoded and written together by `write_publications`. In paired `report-all --seed 7` runs on a 2-core
+# x86-64 host, 4,096 left the peak RSS 0.7-1.2 MiB above 1,024: each block's lines and its text are held at once.
+_PUBLICATIONS_PER_WRITE = 1024
 
 # As `Generator.choice` computes it: the cumulative sum, divided by its last entry.
 _DOC_TYPE_CDF = np.cumsum(DOC_TYPE_PROBS) / np.cumsum(DOC_TYPE_PROBS)[-1]
@@ -254,32 +257,30 @@ def _with_citations(profile: GeneratorProfile, drawn: Corpus, zero_uniform, cita
     two draws; bit for bit the corpus `generate(profile)` gives.
 
     The count is zero where the uniform falls below `zero_citation_mass`,
-    else the rounded lognormal of the normal, capped at `MAX_CITATIONS`
-    before the conversion (so `math.exp` never overflows). The float
-    operations run one publication at a time, in the same order;
-    `math.exp`, because the SIMD path of `np.exp` may differ in the last bit.
+    else the rounded lognormal of the normal's exponent
+    (location + slope x age) + sigma x normal, from `_citation_counts`.
+    numpy's elementwise `+` and `*` round as Python's floats do, and
+    overflow to inf (and inf - inf to NaN) as they do, silently.
     """
     pubs = drawn.publications
-    y1 = profile.window[1]
-    mass, sigma = profile.zero_citation_mass, profile.citation_sigma
-    locations = [profile.citation_location + _category_offset(name) for name in pubs.category_names]
-    citations = [
-        0 if u < mass else _citation_count(locations[c] + AGE_LOCATION_SLOPE * (y1 - year) + sigma * z)
-        for u, z, year, c in zip(
-            zero_uniform.tolist(),
-            citation_normal.tolist(),
-            pubs.year.tolist(),
-            pubs.category[pubs.category_offsets[:-1]].tolist(),
-        )
-    ]
-    return replace(drawn, publications=replace(pubs, citations=np.array(citations, dtype=np.int64)))
+    locations = np.array([profile.citation_location + _category_offset(name) for name in pubs.category_names])
+    with np.errstate(over="ignore", invalid="ignore"):
+        exponents = locations[pubs.category[pubs.category_offsets[:-1]]]
+        exponents += AGE_LOCATION_SLOPE * (profile.window[1] - pubs.year)
+        exponents += float(profile.citation_sigma) * citation_normal
+    citations = np.where(zero_uniform < profile.zero_citation_mass, 0, _citation_counts(exponents))
+    return replace(drawn, publications=replace(pubs, citations=citations))
 
 
-def _citation_count(exponent: float) -> int:
-    """`min(round(exp(exponent)), MAX_CITATIONS)`; from exp(709) on (or NaN, from inf - inf) the cap."""
-    if not exponent < _EXP_CAP:
-        return MAX_CITATIONS
-    return min(int(round(math.exp(exponent))), MAX_CITATIONS)
+def _citation_counts(exponents: np.ndarray) -> np.ndarray:
+    """Per exponent `min(round(exp(exponent)), MAX_CITATIONS)`, as int64; from exp(709) on (or NaN, from
+    inf - inf) the cap, before any conversion. `math.exp`, one value at a time, because the SIMD path of
+    `np.exp` may differ in the last bit; `np.rint` rounds half to even, as `round` does."""
+    counts = np.full(len(exponents), MAX_CITATIONS, dtype=np.int64)
+    below = exponents < _EXP_CAP
+    powers = np.fromiter(map(math.exp, exponents[below].tolist()), dtype=np.float64, count=int(below.sum()))
+    counts[below] = np.minimum(np.rint(powers), MAX_CITATIONS)
+    return counts
 
 
 def _draw(profile: GeneratorProfile) -> tuple[Corpus, np.ndarray, np.ndarray]:
@@ -325,7 +326,7 @@ def _draw(profile: GeneratorProfile) -> tuple[Corpus, np.ndarray, np.ndarray]:
     researcher_sds: list[str] = []
     years_in_post: list[int] = []
     universities: dict[str, str] = {}
-    ids: list[str] = []
+    ids: list[np.ndarray] = []  # an `id_column` per university
     # Per publication in generation order, then per second category and per author slot.
     years, doc_types, author_counts = array("q"), array("q"), array("q")
     zero_uniform, citation_normal = array("d"), array("d")
@@ -375,28 +376,34 @@ def _draw(profile: GeneratorProfile) -> tuple[Corpus, np.ndarray, np.ndarray]:
                 primary_category.extend([sds_code] * m)
                 with_second.extend(second)
                 university_pubs += m
-        ids += [f"P-{uid}-{seq:06d}" for seq in range(1, university_pubs + 1)]
+        ids.append(id_column([f"P-{uid}-{seq:06d}" for seq in range(1, university_pubs + 1)]))
     if not researcher_ids:  # as `Corpus.validate` and the loader reject it, before any probe of `calibrate`
         raise ValidationError("corpus has no researchers")
 
-    has_second = np.array(with_second, dtype=bool)
+    # Each typed array becomes a column over its own memory, so no column exists twice.
+    has_second = np.frombuffer(with_second, dtype=bool)
     category_offsets = row_offsets(1 + has_second)
     category = np.empty(category_offsets[-1], dtype=np.int64)
-    category[category_offsets[:-1]] = primary_category
-    category[category_offsets[:-1][has_second] + 1] = second_category
-    n_slots = np.array(author_counts, dtype=np.int64)
+    category[category_offsets[:-1]] = np.frombuffer(primary_category, dtype=np.int64)
+    category[category_offsets[:-1][has_second] + 1] = np.frombuffer(second_category, dtype=np.int64)
+    n_slots = np.frombuffer(author_counts, dtype=np.int64)
     slot_offsets = row_offsets(n_slots)
-    slot_codes = np.array(slot_researcher, dtype=np.int64)
+    slot_codes = np.frombuffer(slot_researcher, dtype=np.int64)
+    # Positions 1..n per row, in place: a running count of ones, set back to 1 at each row's first slot
+    # (every row has one, since each publication has an author).
+    positions = np.ones(len(slot_codes), dtype=np.int64)
+    positions[slot_offsets[1:-1]] -= n_slots[:-1]
+    np.cumsum(positions, out=positions)
     publications = Publications(
-        ids=ids,
-        year=np.array(years, dtype=np.int64),
-        doc_type=np.array(doc_types, dtype=np.int64),
-        citations=np.zeros(len(ids), dtype=np.int64),
+        ids=np.concatenate(ids),
+        year=np.frombuffer(years, dtype=np.int64),
+        doc_type=np.frombuffer(doc_types, dtype=np.int64),
+        citations=np.zeros(len(years), dtype=np.int64),
         category_offsets=category_offsets,
         category=category,
         slot_offsets=slot_offsets,
         slot_researcher=slot_codes,
-        slot_position=np.arange(len(slot_codes)) - np.repeat(slot_offsets[:-1], n_slots) + 1,
+        slot_position=positions,
         slot_intramural=slot_codes >= 0,
         doc_type_names=list(DOC_TYPES),
         category_names=[f"SC-{sds}" for sds in sds_codes],
@@ -405,7 +412,7 @@ def _draw(profile: GeneratorProfile) -> tuple[Corpus, np.ndarray, np.ndarray]:
     researchers = Researchers.from_columns(researcher_ids, university_ids, universities, researcher_sds, years_in_post)
     order = publications.id_order()
     corpus = Corpus(publications.in_canonical_order(order), researchers, taxonomy, tuple(profile.window))
-    return corpus, np.array(zero_uniform)[order], np.array(citation_normal)[order]
+    return corpus, np.frombuffer(zero_uniform)[order], np.frombuffer(citation_normal)[order]
 
 
 def _draw_doc_types(rng, m: int) -> list[int]:
@@ -558,16 +565,15 @@ def write_publications(publications: Publications, path) -> None:
     Each line is `json.dumps(record, separators=(",", ":"))` of
     `{"id", "year", "type", "citations", "categories", "authors"}` with each
     author `{"researcher_id", "position", "intramural"}`, keys in that order.
-    Every distinct name is JSON-encoded once, integers and literals are
-    formatted directly, and the lines are written `_PUBLICATIONS_PER_WRITE`
-    at a time.
+    The lines are written `_PUBLICATIONS_PER_WRITE` at a time. Each
+    document type and category name is JSON-encoded once, each researcher
+    name once per block it appears in, and integers and literals are
+    formatted directly.
     """
     pubs = publications
     doc_types = [json.dumps(name) for name in pubs.doc_type_names]
     categories = [json.dumps(name) for name in pubs.category_names]
-    # An author's text up to its position; code -1 (outside the population) indexes the last entry.
-    slot_heads = [f'{{"researcher_id":{json.dumps(name)},"position":' for name in pubs.researcher_names]
-    slot_heads.append('{"researcher_id":null,"position":')
+    names = pubs.researcher_names
     slot_tails = (',"intramural":false}', ',"intramural":true}')
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for start in range(0, len(pubs), _PUBLICATIONS_PER_WRITE):
@@ -575,10 +581,16 @@ def write_publications(publications: Publications, path) -> None:
             c0, c1 = pubs.category_offsets[[start, stop]].tolist()
             s0, s1 = pubs.slot_offsets[[start, stop]].tolist()
             cats = [categories[code] for code in pubs.category[c0:c1].tolist()]
+            # The block's authors' text up to their position; code -1 is an author outside the population.
+            codes, slot_head = np.unique(pubs.slot_researcher[s0:s1], return_inverse=True)
+            heads = [
+                f'{{"researcher_id":{json.dumps(None if code < 0 else names[code])},"position":'
+                for code in codes.tolist()
+            ]
             slots = [
-                f"{slot_heads[code]}{position}{slot_tails[flag]}"
-                for code, position, flag in zip(
-                    pubs.slot_researcher[s0:s1].tolist(),
+                f"{heads[head]}{position}{slot_tails[flag]}"
+                for head, position, flag in zip(
+                    slot_head.tolist(),
                     pubs.slot_position[s0:s1].tolist(),
                     pubs.slot_intramural[s0:s1].tolist(),
                 )
@@ -589,7 +601,7 @@ def write_publications(publications: Publications, path) -> None:
                 f'{{"id":{json.dumps(pid)},"year":{year},"type":{doc_types[doc_type]},"citations":{cites},'
                 f'"categories":[{",".join(cats[c_lo:c_hi])}],"authors":[{",".join(slots[s_lo:s_hi])}]}}\n'
                 for pid, year, doc_type, cites, c_lo, c_hi, s_lo, s_hi in zip(
-                    pubs.ids[start:stop],
+                    pubs.ids[start:stop].tolist(),
                     pubs.year[start:stop].tolist(),
                     pubs.doc_type[start:stop].tolist(),
                     pubs.citations[start:stop].tolist(),

@@ -18,6 +18,11 @@ NAMES = st.text(
     min_size=1,
     max_size=6,
 )
+# Publication ids as a JSON line may decode to: astral characters, NUL, and lone surrogates, which an escape such
+# as "\ud800" gives and UTF-8 cannot encode. They are short and over a few characters, so they often repeat.
+ODD_IDS = st.text(
+    st.sampled_from(["P", "a", "\x00", "\uffff", "\U0001f600", "\U0010ffff", "\ud800", "\udfff"]), max_size=3
+)
 
 
 def make_taxonomy(

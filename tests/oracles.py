@@ -2,7 +2,8 @@
 
 The package computes these in columns (`normalization.standardized_citations`,
 `normalization.slot_credit_shares`, the `aggregation` functions over
-`Units`, and `scenario.counterfactual_rankings` over two rankings of rows).
+`Units`, `scenario.counterfactual_rankings` over two rankings of rows, and
+`synth._with_citations` over arrays of exponents).
 These record-by-record versions are the plain reference; no run executes
 them. `reference_spearman` is `stats.spearman` as it was before it centred
 its ranks once: the correlation and the exact p-value each centre them.
@@ -12,12 +13,12 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from meritrank import aggregation
+from meritrank import aggregation, synth
 from meritrank.aggregation import (
     DEFAULT_MIN_STAFF,
     LEVEL_SDS,
@@ -27,7 +28,7 @@ from meritrank.aggregation import (
     Units,
     level_unit_scores,
 )
-from meritrank.corpus import Publication, Taxonomy, name_codes
+from meritrank.corpus import Corpus, Publication, Taxonomy, name_codes
 from meritrank.errors import UndefinedStatisticError, ValidationError
 from meritrank.indicators import ScoreTable, group_rows
 from meritrank.normalization import EQUAL_FRACTIONAL, Baselines, CreditScheme
@@ -64,6 +65,32 @@ def standardize(pub: Publication, baselines: Baselines) -> float:
     if pub.citations == 0 or denominator == 0:
         return 0.0
     return pub.citations / denominator
+
+
+def with_citations(profile: synth.GeneratorProfile, drawn: Corpus, zero_uniform, citation_normal) -> Corpus:
+    """`synth._with_citations` one publication at a time: zero where the uniform falls below the
+    zero-citation mass, else `citation_count` of (location + slope x age) + sigma x normal."""
+    pubs = drawn.publications
+    y1 = profile.window[1]
+    mass, sigma = profile.zero_citation_mass, profile.citation_sigma
+    locations = [profile.citation_location + synth._category_offset(name) for name in pubs.category_names]
+    citations = [
+        0 if u < mass else citation_count(locations[c] + synth.AGE_LOCATION_SLOPE * (y1 - year) + sigma * z)
+        for u, z, year, c in zip(
+            zero_uniform.tolist(),
+            citation_normal.tolist(),
+            pubs.year.tolist(),
+            pubs.category[pubs.category_offsets[:-1]].tolist(),
+        )
+    ]
+    return replace(drawn, publications=replace(pubs, citations=np.array(citations, dtype=np.int64)))
+
+
+def citation_count(exponent: float) -> int:
+    """`min(round(exp(exponent)), MAX_CITATIONS)`; from exp(709) on (or NaN, from inf - inf) the cap."""
+    if not exponent < synth._EXP_CAP:
+        return synth.MAX_CITATIONS
+    return min(int(round(math.exp(exponent))), synth.MAX_CITATIONS)
 
 
 def credit_shares(pub: Publication, scheme: CreditScheme, is_life_science: bool) -> dict[int, float]:

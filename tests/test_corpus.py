@@ -6,6 +6,7 @@ import random
 import re
 import tempfile
 from dataclasses import replace
+from itertools import pairwise
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from meritrank.corpus import (
     Corpus,
     Publication,
     Publications,
+    _increasing,
     active_sds_filter,
     load_corpus,
     load_publications,
@@ -31,7 +33,7 @@ from meritrank.errors import ValidationError
 from meritrank.synth import GeneratorProfile, generate, write_corpus, write_publications
 
 from conftest import (
-    DEFAULT_WINDOW, NAMES, make_corpus, make_pub, make_researchers, make_taxonomy, solo_corpus, table_columns,
+    DEFAULT_WINDOW, NAMES, ODD_IDS, make_corpus, make_pub, make_researchers, make_taxonomy, solo_corpus, table_columns,
 )
 
 VALID_TAXONOMY = "sds,uda,uda_name,life_science\nS1,X,Area X,0\nS2,X,Area X,0\nS3,LIFE,Life area,1\n"
@@ -777,7 +779,8 @@ def _first_problem_record_by_record(records, window, researchers):
 
 @st.composite
 def nearly_valid_records(draw):
-    """Publications that break up to two rules each; a broken id is "P0", which the next one repeats."""
+    """Publications that break up to two rules each; a broken id is "P0", which the next one repeats. A valid id
+    may also be an odd one, which may repeat too."""
     rules = ["id", "year", "type", "citations", "categories", "positions", "author"]
     broken = draw(st.sets(st.sampled_from(rules), max_size=2))
 
@@ -793,7 +796,7 @@ def nearly_valid_records(draw):
         positions[0] = bad_position
     rids = [field("author", draw(st.sampled_from(["R1", "R2", None])), "GHOST") for _ in positions]
     return Publication(
-        field("id", f"P{draw(st.integers(1, 10**9))}", "P0"),
+        field("id", draw(st.builds("P{}".format, st.integers(1, 10**9)) | ODD_IDS), "P0"),
         field("year", 2005, 2003, 2009, 2**64),
         field("type", "article", "preprint"),
         field("citations", draw(st.sampled_from([0, 7, CITATION_LIMIT])), -1, CITATION_LIMIT + 1, -(2**70)),
@@ -802,13 +805,25 @@ def nearly_valid_records(draw):
     )
 
 
+def _valid_with_ids(*ids):
+    return [Publication(pid, 2005, "article", 0, ("C1",), (AuthorSlot(1, True, "R1"),)) for pid in ids]
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(nearly_valid_records(), max_size=6))
+@example(_valid_with_ids("\U0001f600", "\uffff", "a\x00", "a", "\uffff"))  # UTF-16 order would differ
+@example(_valid_with_ids("\ud800", "\U0001f600", "P", "\ud800"))  # no UTF-8: a column of dtype object
 def test_columnar_rules_match_the_record_by_record_loop(records):
+    """The rules find the first bad row as the loop does, the duplicate-id rule by Python's `set`; the id order
+    and `_increasing` agree with Python's `sorted` and `<`."""
     researchers = ("R1", "R2")
     expected = _first_problem_record_by_record(records, DEFAULT_WINDOW, researchers)
     pubs = Publications.from_records(records).coded_by(researchers)
     assert publications_problem(pubs, DEFAULT_WINDOW, len(researchers)) == expected
+    ids = [pub.id for pub in records]
+    assert pubs.ids.tolist() == ids
+    assert pubs.id_order().tolist() == sorted(range(len(ids)), key=ids.__getitem__)
+    assert _increasing(pubs.ids) == all(a < b for a, b in pairwise(ids))
 
 
 class TestActiveSdsFilter:

@@ -17,7 +17,10 @@ manifest's `command`, `config` and `inputs`; a change that alters them on
 purpose updates the pins here and says why in CHANGES.md.
 
 A metamorphic check runs on the same corpus: doubling one year's citations
-must leave every `report-all --corpus` output byte as it was.
+must leave every `report-all --corpus` output byte as it was. And a corpus
+whose first publication id is the escape "\\ud800", a lone surrogate that
+UTF-8 cannot encode, must load and report as it did when its digests were
+recorded: as `report-all` reports the corpus before the rename.
 """
 
 import hashlib
@@ -461,6 +464,31 @@ def test_golden_digests_and_manifest_configs(tmp_path):
     assert digests == GOLDEN_DIGESTS
     assert configs == GOLDEN_CONFIGS
     assert sources == GOLDEN_MANIFEST_SOURCES
+
+
+def test_a_lone_surrogate_id_loads_and_reports_as_recorded(tmp_path):
+    (tmp_path / "profile.json").write_text(json.dumps(PROFILE))
+    assert dispatch(["gen", "--profile", str(tmp_path / "profile.json"), "--out", str(tmp_path / "corpus")]) == 0
+    publications = tmp_path / "corpus" / "publications.jsonl"
+    first, rest = publications.read_text().split("\n", 1)
+    record = json.loads(first)
+    assert record["id"] == "P-U001-000001"
+    record["id"] = "P-\ud800"
+    first = json.dumps(record, separators=(",", ":"))
+    assert first.startswith('{"id":"P-\\ud800",')
+    publications.write_text(f"{first}\n{rest}")
+    out = tmp_path / "out"
+    assert dispatch(["report-all", "--corpus", str(tmp_path / "corpus"), "--out", str(out)]) == 0
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in out.iterdir() if path.name != "manifest.json"
+    }
+    recorded = {
+        rel.removeprefix("report-all/"): digest for rel, digest in GOLDEN_DIGESTS.items()
+        if rel.startswith("report-all/") and rel.count("/") == 1
+    }
+    assert len(recorded) == 14
+    assert digests == recorded
 
 
 @pytest.mark.parametrize("year", [2004, 2006, 2008])

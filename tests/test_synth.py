@@ -3,8 +3,10 @@
 import csv
 import hashlib
 import json
+import math
 import re
 from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,7 +35,8 @@ from meritrank.synth import (
     write_publications,
 )
 
-from conftest import NAMES, table_columns
+import oracles
+from conftest import NAMES, ODD_IDS, table_columns
 
 SMALL = GeneratorProfile(
     n_universities=8,
@@ -220,10 +223,11 @@ class TestExtremeProfiles:
         assert synth._publication_count(float("inf")) == synth.MAX_PUBS_PER_RESEARCHER
         assert synth._publication_count(199.4) == 199
         assert synth._publication_count(0.2) == 1
-        assert synth._citation_count(709.5) == synth.MAX_CITATIONS
-        assert synth._citation_count(float("nan")) == synth.MAX_CITATIONS
-        assert synth._citation_count(-800.0) == 0
-        assert synth._citation_count(2.0) == round(np.exp(2.0))
+        finite = [-800.0, 2.0, 14.0, math.log(0.5), math.log(1.5), math.log(2.5)]
+        counts = synth._citation_counts(np.array([709.5, float("nan"), float("inf"), *finite]))
+        assert counts.dtype == np.int64
+        expected = [min(round(math.exp(x)), synth.MAX_CITATIONS) for x in finite]
+        assert counts.tolist() == [synth.MAX_CITATIONS] * 3 + expected
 
 
 class TestGeneratedCorpus:
@@ -238,8 +242,9 @@ class TestGeneratedCorpus:
         assert loaded.taxonomy.life_science_udas == frozenset({"B"})
 
     def test_loads_into_the_generated_table(self, tmp_path):
-        """The loader's typed columns hold the generator's values with the generator's dtypes: int64, and one
-        bool per intramural flag. A coded column is compared by name, since each side numbers its own names."""
+        """The loader's typed columns hold the generator's values with the generator's dtypes: StringDType ids,
+        int64, and one bool per intramural flag. A coded column is compared by name, since each side numbers its
+        own names."""
         made = generate(SMALL)
         paths = write_corpus(made, tmp_path, SMALL)
         loaded = load_corpus(paths["publications"], paths["researchers"], paths["taxonomy"], SMALL.window)
@@ -251,8 +256,12 @@ class TestGeneratedCorpus:
                 return [None if code < 0 else getattr(pubs, names[name])[code] for code in values]
             return values
 
-        assert loaded.publications.ids == made.publications.ids
-        arrays = [f.name for f in fields(Publications) if isinstance(getattr(made.publications, f.name), np.ndarray)]
+        assert loaded.publications.ids.dtype == made.publications.ids.dtype == np.dtypes.StringDType()
+        assert loaded.publications.ids.tolist() == made.publications.ids.tolist()
+        arrays = [
+            f.name for f in fields(Publications)
+            if f.name != "ids" and isinstance(getattr(made.publications, f.name), np.ndarray)
+        ]
         assert len(arrays) == 9
         for name in arrays:
             dtype = np.dtype(bool if name == "slot_intramural" else np.int64)
@@ -397,11 +406,48 @@ def test_generated_corpus_is_in_canonical_order():
     assert list(corpus.publications.in_canonical_order()) == list(corpus.publications)
 
 
+@pytest.fixture(scope="module")
+def citation_draw():
+    """A small drawn corpus and its draws, whose citation counts the property below computes under many knobs."""
+    return synth._draw(replace(SMALL, n_universities=2))
+
+
+EXPONENT_PARTS = st.one_of(
+    st.floats(-5, 5), st.floats(695, 720), st.floats(allow_nan=False), st.sampled_from([float("inf"), float("-inf")])
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sigma=st.one_of(st.just(0.0), st.floats(0, 3), st.floats(0, 1e308), st.integers(0, 10**20)),
+    location=EXPONENT_PARTS,
+    last_year=st.one_of(st.integers(2004, 2100), st.integers(-(2**62), 2**62)),
+    normals=st.lists(st.one_of(st.floats(-8, 8), EXPONENT_PARTS), max_size=12),
+    data=st.data(),
+)
+def test_array_citation_pass_matches_the_per_publication_loop(citation_draw, sigma, location, last_year, normals, data):
+    """`_with_citations` gives the loop's counts bit for bit, over exponents near exp's cap of 709, above it,
+    infinite and NaN (inf - inf), for any zero-citation mass, including one equal to a drawn uniform."""
+    drawn, zero_uniform, citation_normal = citation_draw
+    mass = data.draw(st.one_of(st.floats(0, 1), st.sampled_from(zero_uniform.tolist())), label="mass")
+    citation_normal = citation_normal.copy()
+    citation_normal[: len(normals)] = normals
+    profile = replace(
+        SMALL, citation_sigma=sigma, citation_location=location, zero_citation_mass=mass, window=(2004, last_year)
+    )
+    got = synth._with_citations(profile, drawn, zero_uniform, citation_normal).publications.citations
+    want = oracles.with_citations(profile, drawn, zero_uniform, citation_normal).publications.citations
+    assert got.dtype == want.dtype == np.int64
+    assert got.tolist() == want.tolist()
+
+
 @st.composite
 def publication_records(draw):
     names = draw(st.lists(NAMES, min_size=1, max_size=5, unique=True))
     records = []
-    for pid in draw(st.lists(NAMES, min_size=1, max_size=6, unique=True)):
+    # Not a high surrogate before a low one: JSON decodes the two escapes as one astral character.
+    ids = NAMES | ODD_IDS.filter(lambda pid: json.loads(json.dumps(pid)) == pid)
+    for pid in draw(st.lists(ids, min_size=1, max_size=6, unique=True)):
         n = draw(st.integers(1, 5))
         positions = draw(st.permutations(range(1, n + 1)))
         slots = tuple(
@@ -421,11 +467,13 @@ def publication_records(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(publication_records())
-def test_write_publications_encodes_each_record_as_json_dumps(tmp_path_factory, drawn):
+@given(publication_records(), st.integers(1, 4))
+def test_write_publications_encodes_each_record_as_json_dumps(tmp_path_factory, drawn, per_write):
+    """Each line is `json.dumps` of its record, however many lines each write takes, and loads back as it."""
     names, records = drawn
     path = tmp_path_factory.mktemp("jsonl") / "publications.jsonl"
-    write_publications(Publications.from_records(records), path)
+    with mock.patch.object(synth, "_PUBLICATIONS_PER_WRITE", per_write):
+        write_publications(Publications.from_records(records), path)
     expected = [
         json.dumps(
             {
